@@ -3,36 +3,17 @@ N-body system stays within O(N^{-1/2}) of the free field driven by the
 same noise, in the pathwise energy norm.
 """
 
-from types import SimpleNamespace
-
-import numpy as np
-
-from sigma_wave import (GibbsSamplerConfig, GridSpec, NoiseKind, NoiseStream, alpha_m,
-                        coupled_gibbs_gaussian_pair, difference_norms, fit_rate,
-                        step_linear_ensemble, step_renormalized_wave)
+from sigma_wave import GibbsSamplerConfig, GridSpec, fit_rate
+from sigma_wave.cli import coupled_distance
 
 spec = GridSpec(32, 1.0)
 M, T, dt, stride = 7, 0.5, 0.01, 5
-alpha = alpha_m(spec.m, M)
 
 
 def distance(n, root):
+    # the interacting and free systems are driven by identical noise streams
     cfg = GibbsSamplerConfig(n, M, 1.0, 0.25, 300, 0, thin=1, acceptance_band=(0.0, 1.0))
-    interacting, free = coupled_gibbs_gaussian_pair(spec, cfg, root)
-    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(n))
-    times, sn, sl = [0.0], [interacting], [free]
-    a, b = interacting, free
-    for k in range(int(round(T / dt))):
-        # identical streams and step index: both systems see the same noise
-        a = step_renormalized_wave(a, streams, k, dt, alpha, float(M))
-        b = step_linear_ensemble(b, streams, k, dt, float(M))
-        if (k + 1) % stride == 0:
-            times.append((k + 1) * dt)
-            sn.append(a)
-            sl.append(b)
-    traj = SimpleNamespace(times=np.asarray(times), states=sn)
-    limit = SimpleNamespace(times=np.asarray(times), states=sl)
-    return difference_norms(traj, limit, 0.9, 0)[0]
+    return coupled_distance(spec, cfg, root, dt, int(round(T / dt)), stride, 0.9)
 
 
 rows = []

@@ -34,7 +34,7 @@ from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
 from .grid import (ComponentEnsemble, GridSpec, SpectralField, load_field, rms,
                    save_field, sobolev_norm)
-from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m, sample_mu1_mu0_pair
+from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
 THREADS_ENV = "SIGMA_WAVE_THREADS"
 
@@ -106,8 +106,8 @@ def load_config(path=None) -> dict:
 
 def _validate(cfg: dict) -> None:
     g, d, gb, ex = cfg["grid"], cfg["dynamics"], cfg["gibbs"], cfg["experiment"]
-    if g["n_grid"] < 2 or g["n_grid"] % 2:
-        raise ConfigError(f"[grid] n_grid must be even and >= 2, got {g['n_grid']}")
+    if g["n_grid"] < 4 or g["n_grid"] % 2:
+        raise ConfigError(f"[grid] n_grid must be even and >= 4, got {g['n_grid']}")
     if g["m"] <= 0:
         raise ConfigError(f"[grid] m must be positive, got {g['m']}")
     if cfg["truncation"]["M"] < 0:
@@ -184,29 +184,21 @@ def _require_exact_ball(cfg: dict, command: str) -> None:
                           f"products; got n_grid = {n_grid}, M = {M}")
 
 
-def _stationary_psi(spec: GridSpec, n: int, M: int, seed: int) -> ComponentEnsemble:
-    pairs = [sample_mu1_mu0_pair(spec, M, NoiseStream(seed, j, NoiseKind.INITIAL))
-             for j in range(n)]
-    return ComponentEnsemble.from_components(pairs)
-
-
 def _ensemble_from_files(spec: GridSpec, n: int, directory: str) -> ComponentEnsemble:
     root = Path(directory)
-    states = []
+    pos, vel = [], []
     for j in range(n):
         pos_path = root / f"field_u{j:03d}.sgwv"
         vel_path = root / f"field_du{j:03d}.sgwv"
         if not pos_path.exists() or not vel_path.exists():
             raise ConfigError(f"data_file {directory}: missing snapshots for component {j}")
-        pos = load_field(pos_path, spec.m)
-        vel = load_field(vel_path, spec.m)
-        if pos.spec.n_grid != spec.n_grid:
-            raise ConfigError(f"{pos_path}: snapshot grid {pos.spec.n_grid} != "
+        field = load_field(pos_path, spec.m)
+        if field.spec.n_grid != spec.n_grid:
+            raise ConfigError(f"{pos_path}: snapshot grid {field.spec.n_grid} != "
                               f"configured {spec.n_grid}")
-        states.append(SimpleNamespace(spec=spec, pos=pos, vel=vel))
-    pos = np.stack([s.pos.coeffs for s in states])
-    vel = np.stack([s.vel.coeffs for s in states])
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+        pos.append(field.coeffs)
+        vel.append(load_field(vel_path, spec.m).coeffs)
+    return ComponentEnsemble(spec, np.stack(pos), np.stack(vel), copy=False)
 
 
 def _write_field_snapshots(out_dir: Path, ens: ComponentEnsemble) -> None:
@@ -220,6 +212,15 @@ def _component_norms(coeffs: np.ndarray, spec: GridSpec, s: float) -> float:
     vals = [sobolev_norm(SpectralField(spec, coeffs[j], copy=False), s)
             for j in range(coeffs.shape[0])]
     return float(rms(np.asarray(vals)))
+
+
+def _write_fit(path: Path, rows) -> str:
+    """Write the log-log fit points when ``rows`` has three or more; return the rate."""
+    if len(rows) < 3:
+        return ""
+    fit = fit_rate(rows)
+    write_csv(path, "x,y", list(zip(fit.x, fit.y)))
+    return f": rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}"
 
 
 def _run_observables(m: float):
@@ -241,6 +242,12 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     g, d = cfg["grid"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
     M, seed = cfg["truncation"]["M"], cfg["experiment"]["seed"]
+    # the Wick constants match the grid only below nyquist, and dealiased
+    # products must keep the whole noise ball
+    if M >= spec.nyquist or (d["dealias"] and 3 * M > 2 * spec.nyquist):
+        raise ConfigError(f"simulate-{'meanfield' if meanfield else 'hlsm'} needs M < "
+                          f"nyquist = {spec.nyquist}, and M <= 2*nyquist/3 "
+                          f"with dealias on; got n_grid = {spec.n_grid}, M = {M}")
     n_steps, stride = _steps_and_stride(d)
     n = d["R"] if meanfield else d["N"]
     rc = RenormConstants.build(g["m"], M, d["dt"], n_steps)
@@ -248,10 +255,9 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
         # stationary convolution: the Wick constant sits at its equilibrium
         rc = replace(rc, sigma=np.full(n_steps + 1, rc.alpha))
     cls = MeanFieldState if meanfield else HlsmState
-    state = cls.zero(spec, n, rc, seed, d["dealias"])
-    if d["data"] == "gaussian":
-        state = replace(state, psi=_stationary_psi(spec, n, M, seed))
-    elif d["data"] == "file":
+    start = cls.stationary if d["data"] == "gaussian" else cls.zero
+    state = start(spec, n, rc, seed, d["dealias"])
+    if d["data"] == "file":
         state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"]))
     record = run_trajectory(state, d["dt"], n_steps, stride,
                             observables=_run_observables(g["m"]),
@@ -280,41 +286,45 @@ def cmd_simulate_meanfield(cfg: dict, out_dir: Path, threads: int) -> None:
     _simulate(cfg, out_dir, meanfield=True)
 
 
-def _coupled_difference(spec: GridSpec, n: int, M: int, gb: dict, dyn: dict,
-                        s: float, root: int) -> float:
-    """C_T script-H^s distance of one coupled (interacting, free) run, component 1."""
-    cfgg = GibbsSamplerConfig(n, M, spec.m, gb["h"], gb["chain"], gb["burnin"],
-                              thin=gb["thin"], acceptance_band=(0.0, 1.0))
-    gibbs, gauss = coupled_gibbs_gaussian_pair(spec, cfgg, root)
-    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(n))
-    alpha = alpha_m(spec.m, M)
-    n_steps, stride = _steps_and_stride(dyn)
+def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: float,
+                     n_steps: int, stride: int, s: float) -> float:
+    """C_T script-H^s distance of one coupled (interacting, free) run, component 1.
+
+    The coupled (Gibbs, Gaussian) data pair of ``cfg`` starts the interacting
+    renormalized wave and the free wave; both are driven by the same noise
+    streams and compared every ``stride`` steps.
+    """
+    gibbs, gauss = coupled_gibbs_gaussian_pair(spec, cfg, root)
+    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(cfg.n_components))
+    alpha = alpha_m(spec.m, cfg.truncation)
+    M = float(cfg.truncation)
     times, states_n, states_l = [0.0], [gibbs], [gauss]
     a, b = gibbs, gauss
     for k in range(n_steps):
-        a = step_renormalized_wave(a, streams, k, dyn["dt"], alpha, float(M))
-        b = step_linear_ensemble(b, streams, k, dyn["dt"], float(M))
+        a = step_renormalized_wave(a, streams, k, dt, alpha, M)
+        b = step_linear_ensemble(b, streams, k, dt, M)
         if (k + 1) % stride == 0:
-            times.append((k + 1) * dyn["dt"])
+            times.append((k + 1) * dt)
             states_n.append(a)
             states_l.append(b)
     traj_n = SimpleNamespace(times=np.asarray(times), states=states_n)
     traj_l = SimpleNamespace(times=np.asarray(times), states=states_l)
-    norm_j, _ = difference_norms(traj_n, traj_l, s, 0)
-    return norm_j
+    return difference_norms(traj_n, traj_l, s, 0)[0]
 
 
 def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
     _require_exact_ball(cfg, "convergence-rate")
-    g, ex = cfg["grid"], cfg["experiment"]
+    g, gb, ex = cfg["grid"], cfg["gibbs"], cfg["experiment"]
     spec = GridSpec(g["n_grid"], g["m"])
-    M = cfg["truncation"]["M"]
     reps, seed = ex["reps"], ex["seed"]
+    n_steps, stride = _steps_and_stride(cfg["dynamics"])
 
     def one(task):
         n, rep = task
-        return _coupled_difference(spec, n, M, cfg["gibbs"], cfg["dynamics"],
-                                   ex["s"], seed + 7919 * rep)
+        chain = GibbsSamplerConfig(n, cfg["truncation"]["M"], spec.m, gb["h"], gb["chain"],
+                                   gb["burnin"], thin=gb["thin"], acceptance_band=(0.0, 1.0))
+        return coupled_distance(spec, chain, seed + 7919 * rep, cfg["dynamics"]["dt"],
+                                n_steps, stride, ex["s"])
 
     tasks = [(n, rep) for n in ex["N_list"] for rep in range(reps)]
     norms = np.asarray(thread_map(one, tasks, threads)).reshape(len(ex["N_list"]), reps)
@@ -322,11 +332,7 @@ def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
              "se": float(np.std(norms[i], ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0}
             for i, n in enumerate(ex["N_list"])]
     write_csv(out_dir / "convergence.csv", "N,mean_norm,se", rows)
-    print(f"wrote {out_dir / 'convergence.csv'}")
-    if len(rows) >= 3:
-        fit = fit_rate(rows)
-        write_csv(out_dir / "fit.csv", "x,y", list(zip(fit.x, fit.y)))
-        print(f"rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}")
+    print(f"wrote {out_dir / 'convergence.csv'}" + _write_fit(out_dir / "fit.csv", rows))
 
 
 def cmd_lln_decay(cfg: dict, out_dir: Path, threads: int) -> None:
@@ -336,12 +342,7 @@ def cmd_lln_decay(cfg: dict, out_dir: Path, threads: int) -> None:
         rows = lln_estimator(spec, kind, ex["N_list"], cfg["truncation"]["M"],
                              d["T"], ex["reps"], ex["eps"], ex["seed"], dt=d["dt"])
         write_csv(out_dir / f"lln_{kind}.csv", "N,mean_norm,se", rows)
-        line = f"wrote {out_dir / f'lln_{kind}.csv'}"
-        if len(rows) >= 3:
-            fit = fit_rate(rows)
-            write_csv(out_dir / f"fit_{kind}.csv", "x,y", list(zip(fit.x, fit.y)))
-            line += f": rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}"
-        print(line)
+        print(f"wrote {out_dir / f'lln_{kind}.csv'}" + _write_fit(out_dir / f"fit_{kind}.csv", rows))
 
 
 def _gibbs_config(cfg: dict) -> GibbsSamplerConfig:
@@ -392,12 +393,7 @@ def cmd_commutator(cfg: dict, out_dir: Path, threads: int) -> None:
     rows = commutator_defect(spec, ex["s"], ex["N_list"], ex["reps"], ex["seed"],
                              float(cfg["truncation"]["M"]))
     write_csv(out_dir / "commutator.csv", "M,defect_max", rows)
-    line = f"wrote {out_dir / 'commutator.csv'}"
-    if len(rows) >= 3:
-        fit = fit_rate(rows)
-        write_csv(out_dir / "fit.csv", "x,y", list(zip(fit.x, fit.y)))
-        line += f": rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}"
-    print(line)
+    print(f"wrote {out_dir / 'commutator.csv'}" + _write_fit(out_dir / "fit.csv", rows))
 
 
 COMMANDS = {

@@ -21,7 +21,6 @@ from .grid import (
     SpectralField,
     _bracket_pow,
     apply_i_operator,
-    ball_mask,
     random_field,
     rms,
     sobolev_norm,
@@ -53,17 +52,15 @@ def _ensemble_energy(pos: np.ndarray, vel: np.ndarray, m: float, spec: GridSpec)
 
 def energy_en(ens: ComponentEnsemble, m: float) -> float:
     """Component-averaged energy: quadratic part in mode space, quartic part
-    as the squared pointwise mean of ``u_j^2`` on the grid."""
+    as the squared pointwise mean of ``u_j^2`` on the grid.
+
+    Read over replicas it is the energy of the mean-field flow with the
+    empirical replica average, ``energy_meanfield``.
+    """
     return _ensemble_energy(ens.pos, ens.vel, m, ens.spec)
 
 
-def energy_meanfield(replicas: ComponentEnsemble, m: float) -> float:
-    """Energy of the mean-field flow with the empirical replica average.
-
-    The formula coincides with :func:`energy_en` read over replicas, so the
-    two conservation checks share one implementation.
-    """
-    return _ensemble_energy(replicas.pos, replicas.vel, m, replicas.spec)
+energy_meanfield = energy_en
 
 
 def modified_energy(ens: ComponentEnsemble, m: float, s: float, truncation: float) -> float:

@@ -1,10 +1,11 @@
 """Time integration of the coupled wave systems.
 
-Four systems share one integrator skeleton: the linear damped flow and the
-noise transition are applied exactly per mode, and the cubic drift goes
-through a two-stage exponential integrator (predict with the constant-
-forcing Duhamel weight, correct with the trapezoid weight), giving second
-order in dt.  The systems differ only in how the drift is assembled:
+Four systems share one integrator: the linear damped flow and the noise
+kick are applied exactly per mode, and the cubic drift goes through
+:func:`~sigma_wave.propagator.etd2_step`, a two-stage exponential
+integrator (predict with the constant-forcing Duhamel weight, correct with
+the trapezoid weight), giving second order in dt.  The systems differ only
+in how the drift is assembled:
 
 * residual ensemble: the six-term renormalized coupling, which collapses
   algebraically to ``-(q + 2p + w - 2c/N) (v_j + psi_j)`` with the three
@@ -36,7 +37,7 @@ import numpy as np
 
 from .grid import ComponentEnsemble, GridSpec, ball_mask, dealias_mask
 from .noise import NoiseKind, NoiseStream, RenormConstants, _draw_kick, _transition_tables, sample_mu1_mu0_pair
-from .propagator import duhamel_weights, flow_entries
+from .propagator import duhamel_weights, etd2_step, flow_entries
 from .wick import hermite
 
 __all__ = [
@@ -122,14 +123,29 @@ def _conservative_drift(pos: np.ndarray, mask) -> np.ndarray:
     return _coeffs(-np.mean(ug * ug, axis=0)[None] * ug, mask)
 
 
+def _renormalized_drift(pos: np.ndarray, alpha: float, mask) -> np.ndarray:
+    """Gibbs drift of a ``(..., N, n, n)`` stack; the mean runs over axis -3."""
+    n = pos.shape[-3]
+    ug = _grids(_masked(pos, mask))
+    mean_sq = np.mean(ug * ug, axis=-3, keepdims=True)
+    shift = (n + 2.0) * alpha / n
+    return _coeffs(-(mean_sq - shift) * ug, mask)
+
+
+def _mask_for(state) -> np.ndarray | None:
+    return dealias_mask(state.v.spec) if state.dealias else None
+
+
 @dataclass(frozen=True)
-class HlsmState:
-    """Residual ensemble coupled to its per-component stochastic convolutions.
+class _ResidualState:
+    """Residual fields ``v`` coupled to per-component stochastic convolutions.
 
     The physical field of component j is ``psi_j + v_j``; the convolutions
     are advanced by the exact transition and live in the mode ball of the
     renormalization truncation, so the Wick constants of ``renorm`` match
-    the fields they renormalize.
+    the fields they renormalize.  ``psi`` starts from zero data with
+    ``zero`` and from the Gaussian equilibrium with ``stationary``.  The
+    two systems below differ only in ``drift``.
     """
 
     v: ComponentEnsemble
@@ -155,11 +171,19 @@ class HlsmState:
 
     @classmethod
     def zero(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
-             root_seed: int, dealias: bool = True) -> "HlsmState":
+             root_seed: int, dealias: bool = True):
         streams = tuple(NoiseStream(root_seed, j, NoiseKind.DRIVE) for j in range(n_components))
         return cls(ComponentEnsemble.zeros(spec, n_components),
                    ComponentEnsemble.zeros(spec, n_components),
                    streams, 0.0, 0, renorm, dealias)
+
+    @classmethod
+    def stationary(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
+                   root_seed: int, dealias: bool = True):
+        state = cls.zero(spec, n_components, renorm, root_seed, dealias)
+        pairs = [sample_mu1_mu0_pair(spec, renorm.M, NoiseStream(root_seed, j, NoiseKind.INITIAL))
+                 for j in range(n_components)]
+        return replace(state, psi=ComponentEnsemble.from_components(pairs))
 
     def combined(self) -> ComponentEnsemble:
         """The physical ensemble u = psi + v."""
@@ -167,67 +191,33 @@ class HlsmState:
                                  self.v.vel + self.psi.vel, copy=False)
 
 
-@dataclass(frozen=True)
-class MeanFieldState:
+class HlsmState(_ResidualState):
+    """Residual ensemble of the N-component system; six-term coupled drift."""
+
+    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, mask) -> np.ndarray:
+        return _ensemble_drift(v_pos, psi_pos, c, mask)
+
+
+class MeanFieldState(_ResidualState):
     """Exchangeable replicas of the limiting one-body system.
 
     Expectations in the limit drift are estimated by replica averages; the
     estimator error is O(R^{-1/2}) and orthogonal to the N-limit studied by
-    the convergence experiments.  ``psi`` starts from zero data by default
-    and from the Gaussian equilibrium when built with ``stationary``.
+    the convergence experiments.
     """
 
-    v: ComponentEnsemble
-    psi: ComponentEnsemble
-    streams: tuple
-    time: float
-    step: int
-    renorm: RenormConstants
-    dealias: bool = True
-
-    def __post_init__(self) -> None:
-        if not (len(self.v) == len(self.psi) == len(self.streams)):
-            raise ValueError(
-                f"replica mismatch: v has {len(self.v)}, psi has "
-                f"{len(self.psi)}, streams has {len(self.streams)}"
-            )
-        if self.v.spec != self.psi.spec:
-            raise ValueError("v and psi live on different grids")
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.v)
-
-    @classmethod
-    def zero(cls, spec: GridSpec, n_replicas: int, renorm: RenormConstants,
-             root_seed: int, dealias: bool = True) -> "MeanFieldState":
-        streams = tuple(NoiseStream(root_seed, r, NoiseKind.DRIVE) for r in range(n_replicas))
-        return cls(ComponentEnsemble.zeros(spec, n_replicas),
-                   ComponentEnsemble.zeros(spec, n_replicas),
-                   streams, 0.0, 0, renorm, dealias)
-
-    @classmethod
-    def stationary(cls, spec: GridSpec, n_replicas: int, renorm: RenormConstants,
-                   root_seed: int, dealias: bool = True) -> "MeanFieldState":
-        state = cls.zero(spec, n_replicas, renorm, root_seed, dealias)
-        pairs = [sample_mu1_mu0_pair(spec, renorm.M, NoiseStream(root_seed, r, NoiseKind.INITIAL))
-                 for r in range(n_replicas)]
-        psi = ComponentEnsemble.from_components([p for p in pairs])
-        return replace(state, psi=psi)
-
-    def combined(self) -> ComponentEnsemble:
-        return ComponentEnsemble(self.v.spec, self.v.pos + self.psi.pos,
-                                 self.v.vel + self.psi.vel, copy=False)
+    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, mask) -> np.ndarray:
+        return _meanfield_drift(v_pos, psi_pos, mask)
 
 
-def _mask_for(state) -> np.ndarray | None:
-    return dealias_mask(state.v.spec) if state.dealias else None
-
-
-def hlsm_rhs(state: HlsmState) -> np.ndarray:
-    """Drift of the residual ensemble, as a stacked coefficient array."""
+def hlsm_rhs(state: _ResidualState) -> np.ndarray:
+    """Drift of a residual system, as a stacked coefficient array;
+    ``meanfield_rhs`` is the same function."""
     c = state.renorm.sigma_at(state.step)
-    return _ensemble_drift(state.v.pos, state.psi.pos, c, _mask_for(state))
+    return state.drift(state.v.pos, state.psi.pos, c, _mask_for(state))
+
+
+meanfield_rhs = hlsm_rhs
 
 
 def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
@@ -252,22 +242,18 @@ def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
     return _coeffs(out, mask)
 
 
-def meanfield_rhs(state: MeanFieldState) -> np.ndarray:
-    """Limit drift with replica-average expectations."""
-    return _meanfield_drift(state.v.pos, state.psi.pos, _mask_for(state))
+def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
+               truncation: float, chol) -> None:
+    """Add one exact noise kick per stream into ``pos``/``vel``, in place.
 
-
-def _advance_noise(psi: ComponentEnsemble, streams, step: int, dt: float,
-                   truncation: float) -> ComponentEnsemble:
-    spec = psi.spec
-    (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
-    pos = s11[None] * psi.pos + s12[None] * psi.vel
-    vel = s21[None] * psi.pos + s22[None] * psi.vel
-    for j, stream in enumerate(streams):
+    Streams run over the flattened leading axes of the ``(..., n, n)``
+    stacks.  Every stepper draws its noise here, so systems that share
+    streams and a step index see identical kicks.
+    """
+    for idx, stream in zip(np.ndindex(pos.shape[:-2]), streams):
         ex, ev = _draw_kick(stream.generator(step), spec, truncation, chol)
-        pos[j] += ex
-        vel[j] += ev
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+        pos[idx] += ex
+        vel[idx] += ev
 
 
 def step_linear_ensemble(ens: ComponentEnsemble, streams, step: int, dt: float,
@@ -277,63 +263,39 @@ def step_linear_ensemble(ens: ComponentEnsemble, streams, step: int, dt: float,
     This is the coupling partner of :func:`step_renormalized_wave`: with the
     same streams and step index both consume identical noise.
     """
-    return _advance_noise(ens, streams, step, dt, truncation)
+    spec = ens.spec
+    (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
+    pos = s11 * ens.pos + s12 * ens.vel
+    vel = s21 * ens.pos + s22 * ens.vel
+    _add_kicks(pos, vel, streams, step, spec, truncation, chol)
+    return ComponentEnsemble(spec, pos, vel, copy=False)
 
 
-def _check_dt(dt: float, renorm: RenormConstants) -> None:
-    if abs(dt - renorm.dt) > 1e-12 * max(1.0, dt):
-        raise ValueError(f"dt = {dt} does not match the renormalization grid dt = {renorm.dt}")
-
-
-def _etd2(pos, vel, f_of, psi_pos0, psi_pos1, tables):
-    """Shared predictor-corrector update; ``f_of(p, psi)`` builds the drift."""
-    (s11, s12, s21, s22), (gx, gv, w1x, w1v) = tables
-    f0 = f_of(pos, psi_pos0)
-    flow_pos = s11[None] * pos + s12[None] * vel
-    flow_vel = s21[None] * pos + s22[None] * vel
-    pred = flow_pos + gx[None] * f0
-    f1 = f_of(pred, psi_pos1)
-    df = f1 - f0
-    new_pos = flow_pos + gx[None] * f0 + w1x[None] * df
-    new_vel = flow_vel + gv[None] * f0 + w1v[None] * df
-    return new_pos, new_vel
-
-
-def step_hlsm(state: HlsmState, dt: float) -> HlsmState:
+def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
     """Advance residuals by one step: exact noise transition, ETD2 drift.
 
-    The Wick constant is frozen at the step's left endpoint; the induced
-    O(dt) bias in the drift is below the integrator error at working dt.
+    Steps either residual system through its ``drift``; ``step_meanfield``
+    is the same function.  The Wick constant is frozen at the step's left
+    endpoint; the induced O(dt) bias in the drift is below the integrator
+    error at working dt.
     """
-    _check_dt(dt, state.renorm)
+    if abs(dt - state.renorm.dt) > 1e-12 * max(1.0, dt):
+        raise ValueError(f"dt = {dt} does not match the renormalization grid dt = {state.renorm.dt}")
     if state.step + 1 >= len(state.renorm.sigma):
         raise ValueError("renormalization table exhausted; build it with more steps")
     spec = state.v.spec
     c = state.renorm.sigma_at(state.step)
     mask = _mask_for(state)
-    psi1 = _advance_noise(state.psi, state.streams, state.step, dt, float(state.renorm.M))
-    tables = _drift_tables(spec, dt, 0.5)
-    pos, vel = _etd2(state.v.pos, state.v.vel,
-                     lambda p, q: _ensemble_drift(p, q, c, mask),
-                     state.psi.pos, psi1.pos, tables)
+    psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt, float(state.renorm.M))
+    psi = (state.psi.pos, psi1.pos)
+    pos, vel = etd2_step(state.v.pos, state.v.vel,
+                         lambda p, stage: state.drift(p, psi[stage], c, mask),
+                         _drift_tables(spec, dt, 0.5))
     return replace(state, v=ComponentEnsemble(spec, pos, vel, copy=False),
                    psi=psi1, time=state.time + dt, step=state.step + 1)
 
 
-def step_meanfield(state: MeanFieldState, dt: float) -> MeanFieldState:
-    """Advance the replica system; same integrator contract as step_hlsm."""
-    _check_dt(dt, state.renorm)
-    if state.step + 1 >= len(state.renorm.sigma):
-        raise ValueError("renormalization table exhausted; build it with more steps")
-    spec = state.v.spec
-    mask = _mask_for(state)
-    psi1 = _advance_noise(state.psi, state.streams, state.step, dt, float(state.renorm.M))
-    tables = _drift_tables(spec, dt, 0.5)
-    pos, vel = _etd2(state.v.pos, state.v.vel,
-                     lambda p, q: _meanfield_drift(p, q, mask),
-                     state.psi.pos, psi1.pos, tables)
-    return replace(state, v=ComponentEnsemble(spec, pos, vel, copy=False),
-                   psi=psi1, time=state.time + dt, step=state.step + 1)
+step_meanfield = step_hlsm
 
 
 def renormalized_drift(ens: ComponentEnsemble, alpha: float,
@@ -344,13 +306,21 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float,
     ball, which is the sharp-cutoff system whose invariant measure is the
     truncated Gibbs ensemble (products must be grid-exact: n_grid > 4M).
     """
-    spec = ens.spec
-    n = len(ens)
-    mask = ball_mask(spec, truncation) if truncation is not None else None
-    ug = _grids(_masked(ens.pos, mask))
-    mean_sq = np.mean(ug * ug, axis=0)
-    shift = (n + 2.0) * alpha / n
-    return _coeffs(-(mean_sq - shift)[None] * ug, mask)
+    mask = ball_mask(ens.spec, truncation) if truncation is not None else None
+    return _renormalized_drift(ens.pos, alpha, mask)
+
+
+def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
+                       dt: float, alpha: float, truncation: float | None):
+    """:func:`step_renormalized_wave` on ``(..., N, n, n)`` stacks, one stream
+    per leading index in row-major order."""
+    mask = kick = None
+    if truncation is not None:
+        mask = ball_mask(spec, truncation)
+        kick = (np.zeros_like(pos), np.zeros_like(vel))
+        _add_kicks(*kick, streams, step, spec, truncation, _transition_tables(spec, dt)[1])
+    return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, mask),
+                     _drift_tables(spec, dt, 0.5), kick)
 
 
 def step_renormalized_wave(ens: ComponentEnsemble, streams, step: int, dt: float,
@@ -362,46 +332,24 @@ def step_renormalized_wave(ens: ComponentEnsemble, streams, step: int, dt: float
     ``truncation=None`` disables both the projection and the noise (the
     deterministic damped system, used by integrator-order tests).
     """
-    spec = ens.spec
-    (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
-    _, (gx, gv, w1x, w1v) = _drift_tables(spec, dt, 0.5)
-    f0 = renormalized_drift(ens, alpha, truncation)
-    flow_pos = s11[None] * ens.pos + s12[None] * ens.vel
-    flow_vel = s21[None] * ens.pos + s22[None] * ens.vel
-    kick_x = np.zeros_like(ens.pos)
-    kick_v = np.zeros_like(ens.vel)
-    if truncation is not None:
-        for j, stream in enumerate(streams):
-            ex, ev = _draw_kick(stream.generator(step), spec, truncation, chol)
-            kick_x[j] = ex
-            kick_v[j] = ev
-    pred = ComponentEnsemble(spec, flow_pos + gx[None] * f0 + kick_x,
-                             flow_vel, copy=False)
-    f1 = renormalized_drift(pred, alpha, truncation)
-    df = f1 - f0
-    pos = flow_pos + gx[None] * f0 + w1x[None] * df + kick_x
-    vel = flow_vel + gv[None] * f0 + w1v[None] * df + kick_v
-    return ComponentEnsemble(spec, pos, vel, copy=False)
-
-
-def _step_conservative(ens: ComponentEnsemble, dt: float, dealias: bool) -> ComponentEnsemble:
-    spec = ens.spec
-    mask = dealias_mask(spec) if dealias else None
-    tables = _drift_tables(spec, dt, 0.0)
-    pos, vel = _etd2(ens.pos, ens.vel, lambda p, _: _conservative_drift(p, mask),
-                     None, None, tables)
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+    pos, vel = _renormalized_step(ens.pos, ens.vel, streams, step, ens.spec, dt,
+                                  alpha, truncation)
+    return ComponentEnsemble(ens.spec, pos, vel, copy=False)
 
 
 def step_deterministic_nlw(ens: ComponentEnsemble, dt: float, dealias: bool = True) -> ComponentEnsemble:
-    """Undamped conservative ensemble wave with the empirical-average coupling."""
-    return _step_conservative(ens, dt, dealias)
+    """Undamped conservative wave with the empirical-average coupling.
+
+    Read over replicas instead of components it is the conservative
+    mean-field wave, whose replica averages estimate E[u^2].
+    """
+    mask = dealias_mask(ens.spec) if dealias else None
+    pos, vel = etd2_step(ens.pos, ens.vel, lambda p, _: _conservative_drift(p, mask),
+                         _drift_tables(ens.spec, dt, 0.0))
+    return ComponentEnsemble(ens.spec, pos, vel, copy=False)
 
 
-def step_deterministic_meanfield(replicas: ComponentEnsemble, dt: float,
-                                 dealias: bool = True) -> ComponentEnsemble:
-    """Undamped conservative mean-field wave; replica averages estimate E[u^2]."""
-    return _step_conservative(replicas, dt, dealias)
+step_deterministic_meanfield = step_deterministic_nlw
 
 
 @dataclass
@@ -434,12 +382,9 @@ def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
     """
     if n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide n_steps {n_steps}")
-    if isinstance(state, HlsmState):
-        stepper = step_hlsm
-    elif isinstance(state, MeanFieldState):
-        stepper = step_meanfield
-    else:
+    if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
+    stepper = step_meanfield if isinstance(state, MeanFieldState) else step_hlsm
     observables = observables or {}
     times = [state.time]
     series = {k: [fn(state)] for k, fn in observables.items()}

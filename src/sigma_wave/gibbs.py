@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .dynamics import _drift_tables, renormalized_drift
+from .dynamics import _renormalized_step, renormalized_drift
 from .grid import ComponentEnsemble, GridSpec, ball_mask
-from .noise import NoiseKind, NoiseStream, _draw_kick, _sample_profile, _transition_tables, alpha_m
+from .noise import NoiseKind, NoiseStream, _sample_profile, alpha_m
+from .noise import _draw_kick  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .wick import hermite
 
 __all__ = [
@@ -50,19 +51,22 @@ __all__ = [
 ]
 
 
-def gibbs_potential(ens: ComponentEnsemble, alpha: float) -> float:
-    """Renormalized quartic interaction, factored to one pass over components.
+def _potential_density(ug: np.ndarray, alpha: float) -> np.ndarray:
+    """Pointwise ``4N`` times the interaction density, summed over axis -3.
 
     The pairwise double sum over components is ``(sum H_2)^2 - sum H_2^2``
     pointwise, plus the diagonal fourth Wick powers.
     """
-    ug = np.fft.ifft2(ens.pos, norm="forward").real
-    n = len(ens)
     h2 = ug * ug - alpha
-    total = np.sum(h2, axis=0)
-    off_diag = total * total - np.sum(h2 * h2, axis=0)
-    diag = np.sum(hermite(4, ug, alpha), axis=0)
-    return float(np.mean(off_diag + diag) / (4.0 * n))
+    total = np.sum(h2, axis=-3)
+    off_diag = total * total - np.sum(h2 * h2, axis=-3)
+    return off_diag + np.sum(hermite(4, ug, alpha), axis=-3)
+
+
+def gibbs_potential(ens: ComponentEnsemble, alpha: float) -> float:
+    """Renormalized quartic interaction, factored to one pass over components."""
+    ug = np.fft.ifft2(ens.pos, norm="forward").real
+    return float(np.mean(_potential_density(ug, alpha)) / (4.0 * len(ens)))
 
 
 def gibbs_potential_reference(ens: ComponentEnsemble, alpha: float) -> float:
@@ -138,14 +142,15 @@ class GibbsSamples:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
+    def _full(self, packed: np.ndarray) -> np.ndarray:
+        """Scatter packed ``(..., n_ball)`` coefficients to full ``(..., n, n)`` grids."""
+        out = np.zeros(packed.shape[:-1] + (self.spec.n_grid ** 2,), dtype=np.complex128)
+        out[..., self.mode_idx] = packed
+        return out.reshape(packed.shape[:-1] + self.spec.shape())
+
     def ensemble(self, k: int) -> ComponentEnsemble:
-        n = self.positions.shape[1]
-        shape = (n,) + self.spec.shape()
-        pos = np.zeros(shape, dtype=np.complex128)
-        vel = np.zeros(shape, dtype=np.complex128)
-        pos.reshape(n, -1)[:, self.mode_idx] = self.positions[k]
-        vel.reshape(n, -1)[:, self.mode_idx] = self.velocities[k]
-        return ComponentEnsemble(self.spec, pos, vel, copy=False)
+        return ComponentEnsemble(self.spec, self._full(self.positions[k]),
+                                 self._full(self.velocities[k]), copy=False)
 
     def mode_values(self, j: int, mode: tuple) -> np.ndarray:
         flat = (mode[0] % self.spec.n_grid) * self.spec.n_grid + (mode[1] % self.spec.n_grid)
@@ -212,9 +217,8 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
     mask = ball_mask(spec, M)
     w = np.where(mask, spec.dispersion, 0.0)
-    inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
-    prof = np.where(mask, 1.0 / spec.dispersion, 0.0)
 
     pos = np.stack([
         _sample_profile(NoiseStream(root_seed, j, NoiseKind.INITIAL).generator(0), spec, M, prof)
@@ -297,8 +301,7 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
     iters = cfg.chain_length if n_iters is None else n_iters
     mask = ball_mask(spec, M)
-    inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
-    prof = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M)
     beta = 1.0 - 0.5 * h * h
 
@@ -333,40 +336,15 @@ def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: Gr
                          noise_seed: int) -> tuple:
     """Advance a batch of K independent N-component systems in lockstep.
 
-    Arrays are (K, N, n, n) coefficient stacks.  Bit-identical to stepping
-    each system with the interacting wave stepper, with noise streams keyed
-    by flattened sample-component index.
+    Arrays are (K, N, n, n) coefficient stacks, advanced by the batched form
+    of the interacting wave stepper with noise streams keyed by flattened
+    sample-component index; bit-identical to stepping each system alone.
     """
-    k_total, n = positions.shape[0], positions.shape[1]
-    mask = ball_mask(spec, truncation)
-    (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
-    _, (gx, gv, w1x, w1v) = _drift_tables(spec, dt, 0.5)
+    n_streams = positions.shape[0] * positions.shape[1]
+    streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(n_streams)]
     pos, vel = positions.copy(), velocities.copy()
-    shift = (n + 2.0) * alpha / n
-
-    def drift(p):
-        ug = np.fft.ifft2(np.where(mask, p, 0.0), norm="forward").real
-        mean_sq = np.mean(ug * ug, axis=1, keepdims=True)
-        out = np.fft.fft2(-(mean_sq - shift) * ug, norm="forward")
-        return np.where(mask, out, 0.0)
-
     for step in range(n_steps):
-        f0 = drift(pos)
-        flow_pos = s11 * pos + s12 * vel
-        flow_vel = s21 * pos + s22 * vel
-        kick_x = np.zeros_like(pos)
-        kick_v = np.zeros_like(vel)
-        for k in range(k_total):
-            for j in range(n):
-                stream = NoiseStream(noise_seed, k * n + j, NoiseKind.DRIVE)
-                ex, ev = _draw_kick(stream.generator(step), spec, truncation, chol)
-                kick_x[k, j] = ex
-                kick_v[k, j] = ev
-        pred = flow_pos + gx * f0 + kick_x
-        f1 = drift(pred)
-        df = f1 - f0
-        pos = flow_pos + gx * f0 + w1x * df + kick_x
-        vel = flow_vel + gv * f0 + w1v * df + kick_v
+        pos, vel = _renormalized_step(pos, vel, streams, step, spec, dt, alpha, truncation)
     return pos, vel
 
 
@@ -391,11 +369,7 @@ def _invariance_observables(pos: np.ndarray, spec: GridSpec, alpha: float, n: in
     wick_sq = np.mean(ug[:, 0] ** 2, axis=(1, 2)) - alpha
     low = ball_mask(spec, 1.0).reshape(-1)
     low_energy = np.sum(np.abs(pos[:, 0].reshape(len(pos), -1)[:, low]) ** 2, axis=1)
-    h2 = ug * ug - alpha
-    tot = np.sum(h2, axis=1)
-    off = tot * tot - np.sum(h2 * h2, axis=1)
-    diag = np.sum(hermite(4, ug, alpha), axis=1)
-    potential = np.mean(off + diag, axis=(1, 2)) / (4.0 * n)
+    potential = np.mean(_potential_density(ug, alpha), axis=(1, 2)) / (4.0 * n)
     return {"wick_square_int": wick_sq, "low_mode_energy": low_energy,
             "potential": potential}
 
@@ -412,13 +386,8 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError(f"dt {dt} does not divide horizon {horizon}")
     samples = sample_gibbs(spec, cfg, root_seed)
-    k_total = len(samples)
     n = cfg.n_components
-    shape = (k_total, n) + spec.shape()
-    pos0 = np.zeros(shape, dtype=np.complex128)
-    vel0 = np.zeros(shape, dtype=np.complex128)
-    pos0.reshape(k_total, n, -1)[:, :, samples.mode_idx] = samples.positions
-    vel0.reshape(k_total, n, -1)[:, :, samples.mode_idx] = samples.velocities
+    pos0, vel0 = samples._full(samples.positions), samples._full(samples.velocities)
     alpha = alpha_m(spec.m, cfg.truncation)
     pos1, _ = evolve_gibbs_samples(pos0, vel0, spec, alpha, float(cfg.truncation),
                                    dt, n_steps,

@@ -143,9 +143,7 @@ class RenormConstants:
         if dt <= 0 or n_steps < 0:
             raise ValueError("need dt > 0 and n_steps >= 0")
         times = np.arange(n_steps + 1) * dt
-        modes = _lattice_modes(int(M))
-        lam = m + np.sum(modes * modes, axis=1).astype(np.float64)
-        sigma = np.array([np.sum(_sigma_per_mode(float(t), lam)) for t in times])
+        sigma = np.array([sigma_m(t, m, M) for t in times])
         return cls(m, int(M), dt, times, sigma, alpha_m(m, M))
 
     @classmethod

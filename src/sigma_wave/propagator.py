@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, PairState, SpectralField
+from .grid import PairState, SpectralField
 
 __all__ = [
     "ModeFrequency",
@@ -156,37 +156,42 @@ def duhamel_weights(lam, dt: float, gamma: float = 0.5):
 def duhamel_increment(
     f0: SpectralField, f1: SpectralField, dt: float, gamma: float = 0.5
 ) -> PairState:
-    """Approximate ``(integral_0^dt D(dt-s)F(s)ds, its d_t)`` from endpoint forcing."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """Approximate ``(integral_0^dt D(dt-s)F(s)ds, its d_t)`` from endpoint forcing:
+    one :func:`etd2_step` from zero data with the forcing ``f0``, ``f1``."""
     spec = f0.spec
     if f1.spec != spec:
         raise ValueError("forcing fields on mismatched grids")
     (gx, gv), (w1x, w1v) = duhamel_weights(spec.dispersion, dt, gamma)
-    df = f1.coeffs - f0.coeffs
-    return PairState(
-        SpectralField(spec, gx * f0.coeffs + w1x * df, copy=False),
-        SpectralField(spec, gv * f0.coeffs + w1v * df, copy=False),
-    )
+    tables = flow_entries(spec.dispersion, dt, gamma), (gx, gv, w1x, w1v)
+    zero = np.zeros_like(f0.coeffs)
+    forcing = (f0.coeffs, f1.coeffs)
+    pos, vel = etd2_step(zero, zero, lambda _, stage: forcing[stage], tables)
+    return PairState(SpectralField(spec, pos, copy=False), SpectralField(spec, vel, copy=False))
 
 
-def etd2_step(pos, vel, rhs_fn, t: float, dt: float, lam, gamma: float = 0.5):
+def etd2_step(pos, vel, drift, tables, kick=None):
     """One exponential-trapezoid step of ``x'' + 2 gamma x' + lam x = F``.
 
-    Array-level core shared by the dynamics steppers.  ``pos``/``vel`` are
-    coefficient stacks whose trailing axes match ``lam``; ``rhs_fn(time,
-    pos, vel)`` returns the spectral forcing for the stage state.  Returns
-    the advanced ``(pos, vel)`` pair.
+    The ETD2 core of every stepper (Hochbruck & Ostermann, Acta Numerica 19,
+    2010).  ``tables`` is ``(flow, (gx, gv, w1x, w1v))`` at one ``dt``;
+    ``drift(pos, stage)`` is the forcing at the left endpoint (stage 0) and
+    at the predicted right endpoint (stage 1).  An optional ``(kick_x,
+    kick_v)`` pair is added after the drift terms.  Returns ``(pos, vel)``.
     """
-    s11, s12, s21, s22 = flow_entries(lam, dt, gamma)
-    (gx, gv), (w1x, w1v) = duhamel_weights(lam, dt, gamma)
-    f0 = rhs_fn(t, pos, vel)
-    flow_pos = s11 * pos + s12 * vel
-    flow_vel = s21 * pos + s22 * vel
-    pred_pos = flow_pos + gx * f0
-    pred_vel = flow_vel + gv * f0
-    df = rhs_fn(t + dt, pred_pos, pred_vel) - f0
-    return flow_pos + gx * f0 + w1x * df, flow_vel + gv * f0 + w1v * df
+    (s11, s12, s21, s22), (gx, gv, w1x, w1v) = tables
+    f0 = drift(pos, 0)
+    new_pos = s11 * pos + s12 * vel
+    new_vel = s21 * pos + s22 * vel
+    new_pos += gx * f0
+    new_vel += gv * f0
+    pred = new_pos if kick is None else new_pos + kick[0]
+    df = drift(pred, 1) - f0
+    new_pos += w1x * df
+    new_vel += w1v * df
+    if kick is not None:
+        new_pos += kick[0]
+        new_vel += kick[1]
+    return new_pos, new_vel
 
 
 def mode_quadratic_form(lam, gamma, x, v):

@@ -7,16 +7,15 @@ runtime budgets) is asserted, not just reported.
 """
 
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
+from sigma_wave.cli import coupled_distance
 from sigma_wave.cli import main as cli_main
-from sigma_wave.diagnostics import (commutator_defect, difference_norms, energy_en,
+from sigma_wave.diagnostics import (commutator_defect, energy_en,
                                     energy_meanfield, fit_rate, lln_estimator)
 from sigma_wave.dynamics import (MeanFieldState, step_deterministic_meanfield,
-                                 step_deterministic_nlw, step_linear_ensemble,
-                                 step_meanfield, step_renormalized_wave)
+                                 step_deterministic_nlw, step_meanfield)
 from sigma_wave.gibbs import (GibbsSamplerConfig, gibbs_drift, gibbs_potential,
                               gibbs_vs_gaussian_covariance, invariance_check,
                               sample_gibbs)
@@ -212,23 +211,7 @@ def test_criterion_08_gibbs_invariance_under_dynamics():
 def _coupled_distance(spec: GridSpec, n: int, M: int, root: int) -> float:
     cfg = GibbsSamplerConfig(n, M, 1.0, 0.25, 400, 0, thin=1,
                              acceptance_band=(0.0, 1.0))
-    from sigma_wave.gibbs import coupled_gibbs_gaussian_pair
-    gibbs, gauss = coupled_gibbs_gaussian_pair(spec, cfg, root)
-    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(n))
-    alpha = alpha_m(spec.m, M)
-    dt, n_steps, stride = 0.01, 50, 5
-    times, sn, sl = [0.0], [gibbs], [gauss]
-    a, b = gibbs, gauss
-    for k in range(n_steps):
-        a = step_renormalized_wave(a, streams, k, dt, alpha, float(M))
-        b = step_linear_ensemble(b, streams, k, dt, float(M))
-        if (k + 1) % stride == 0:
-            times.append((k + 1) * dt)
-            sn.append(a)
-            sl.append(b)
-    traj_n = SimpleNamespace(times=np.asarray(times), states=sn)
-    traj_l = SimpleNamespace(times=np.asarray(times), states=sl)
-    return difference_norms(traj_n, traj_l, 0.9, 0)[0]
+    return coupled_distance(spec, cfg, root, 0.01, 50, 5, 0.9)
 
 
 def test_criterion_09_meanfield_convergence_rate():

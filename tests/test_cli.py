@@ -193,6 +193,25 @@ def test_exact_ball_guard_for_gibbs_commands(tmp_path, capsys):
     assert "n_grid" in err and "4*M" in err
 
 
+def test_grid_below_four_points_is_rejected(tmp_path, capsys):
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 2\n")
+    assert main(["renorm-table", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert "n_grid" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_noise_ball_the_grid_cannot_hold(tmp_path, capsys):
+    # M = nyquist folds two lattice modes onto one slot
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 8\n[dynamics]\nT = 0.1\n")
+    for command in ("simulate-hlsm", "simulate-meanfield"):
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+        assert "nyquist" in capsys.readouterr().err
+    # the 2/3-rule ball (radius 16/3) must contain the noise ball when dealiasing
+    for dealias, code in (("true", 2), ("false", 0)):
+        cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 6\n"
+                                   f"[dynamics]\nT = 0.1\ndealias = {dealias}\n")
+        assert main(["simulate-hlsm", "--config", cfgp, "--out", str(tmp_path / "o")]) == code
+
+
 def test_unknown_format_rejected(tmp_path, capsys):
     cfgp = write_ini(tmp_path, "[output]\nformats = csv,hdf5\n")
     assert main(["renorm-table", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2

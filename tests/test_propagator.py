@@ -177,7 +177,7 @@ def test_etd2_manufactured_order_two():
     def ddphi(t):
         return -1.69 * np.sin(1.3 * t) - 3.645 * np.cos(2.7 * t)
 
-    def forcing(t, pos, vel):
+    def forcing(t, pos):
         exact = (ddphi(t) + dphi(t)) * g + lam * (phi(t) * g)
         return exact + (pos - phi(t) * g)  # state feedback, zero on the solution
 
@@ -185,11 +185,13 @@ def test_etd2_manufactured_order_two():
     errs = []
     dts = [1 / 20, 1 / 40, 1 / 80, 1 / 160]
     for dt in dts:
+        (gx, gv), (w1x, w1v) = duhamel_weights(lam, dt)
+        tables = flow_entries(lam, dt), (gx, gv, w1x, w1v)
         pos = phi(0.0) * g
         vel = dphi(0.0) * g
         t = 0.0
         for _ in range(round(T / dt)):
-            pos, vel = etd2_step(pos, vel, forcing, t, dt, lam)
+            pos, vel = etd2_step(pos, vel, lambda p, stage: forcing(t + stage * dt, p), tables)
             t += dt
         errs.append(np.sqrt(np.sum(np.abs(pos - phi(T) * g) ** 2)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
