@@ -275,21 +275,21 @@ def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
     """Advance residuals by one step: exact noise transition, ETD2 drift.
 
     Steps either residual system through its ``drift``; ``step_meanfield``
-    is the same function.  The Wick constant is frozen at the step's left
-    endpoint; the induced O(dt) bias in the drift is below the integrator
-    error at working dt.
+    is the same function.  Each drift stage reads the Wick constant at its
+    own time, sigma_M(t) then sigma_M(t + dt), which keeps the step second
+    order in dt for the zero-data schedule as well.
     """
     if abs(dt - state.renorm.dt) > 1e-12 * max(1.0, dt):
         raise ValueError(f"dt = {dt} does not match the renormalization grid dt = {state.renorm.dt}")
     if state.step + 1 >= len(state.renorm.sigma):
         raise ValueError("renormalization table exhausted; build it with more steps")
     spec = state.v.spec
-    c = state.renorm.sigma_at(state.step)
+    c = state.renorm.sigma_at(state.step), state.renorm.sigma_at(state.step + 1)
     mask = _mask_for(state)
     psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt, float(state.renorm.M))
     psi = (state.psi.pos, psi1.pos)
     pos, vel = etd2_step(state.v.pos, state.v.vel,
-                         lambda p, stage: state.drift(p, psi[stage], c, mask),
+                         lambda p, stage: state.drift(p, psi[stage], c[stage], mask),
                          _drift_tables(spec, dt, 0.5))
     return replace(state, v=ComponentEnsemble(spec, pos, vel, copy=False),
                    psi=psi1, time=state.time + dt, step=state.step + 1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -237,6 +239,26 @@ def test_step_hlsm_second_order_in_dt():
         errs.append(np.max(np.abs(state.v.pos - ref_pos)))
         dts.append(dt)
     assert fitted_order(errs, dts) == pytest.approx(2.0, abs=0.3)
+
+
+def test_step_hlsm_second_order_with_time_dependent_wick_constant():
+    # sigma_M(t) grows from 0, so each drift stage must read it at its own
+    # time; M = -1 empties the noise ball and keeps the run deterministic
+    n, t_end = 2, 0.5
+    v0 = random_ensemble(SPEC, n, seed=75)
+    finals = {}
+    for k in (8, 16, 32, 64, 512):
+        dt = t_end / k
+        renorm = replace(RenormConstants.build(1.0, 4, dt, k), M=-1)
+        state = HlsmState(v0.copy(), ComponentEnsemble.zeros(SPEC, n),
+                          tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
+                          0.0, 0, renorm, True)
+        for _ in range(k):
+            state = step_hlsm(state, dt)
+        finals[k] = state.v.pos
+    ks = (8, 16, 32, 64)
+    errs = [np.max(np.abs(finals[k] - finals[512])) for k in ks]
+    assert fitted_order(errs, [t_end / k for k in ks]) >= 1.8
 
 
 def test_step_meanfield_second_order_in_dt():
