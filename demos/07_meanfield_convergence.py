@@ -3,6 +3,8 @@ N-body system stays within O(N^{-1/2}) of the free field driven by the
 same noise, in the pathwise energy norm.
 """
 
+import numpy as np
+
 from sigma_wave import GibbsSamplerConfig, GridSpec, fit_rate
 from sigma_wave.cli import coupled_distance
 
