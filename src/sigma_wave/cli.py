@@ -26,10 +26,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .diagnostics import (_LLN_KINDS, commutator_defect, difference_norms, energy_en,
-                          fit_rate, lln_estimator, write_csv)
-from .dynamics import (HlsmState, MeanFieldState, run_trajectory, step_linear_ensemble,
-                       step_renormalized_wave)
+from .diagnostics import (_LLN_KINDS, _mean_row, commutator_defect, difference_norms,
+                          energy_en, fit_rate, lln_estimator, write_csv)
+from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
+                       step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
 from .grid import (ComponentEnsemble, GridSpec, SpectralField, load_field, rms,
@@ -291,8 +291,8 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
     """C_T script-H^s distance of one coupled (interacting, free) run, component 1.
 
     The coupled (Gibbs, Gaussian) data pair of ``cfg`` starts the interacting
-    renormalized wave and the free wave; both are driven by the same noise
-    streams and compared every ``stride`` steps.
+    renormalized wave and the free wave; each step's kicks are drawn once
+    and passed to both, and the two are compared every ``stride`` steps.
     """
     gibbs, gauss = coupled_gibbs_gaussian_pair(spec, cfg, root)
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(cfg.n_components))
@@ -301,8 +301,9 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
     times, states_n, states_l = [0.0], [gibbs], [gauss]
     a, b = gibbs, gauss
     for k in range(n_steps):
-        a = step_renormalized_wave(a, streams, k, dt, alpha, M)
-        b = step_linear_ensemble(b, streams, k, dt, M)
+        kick = _kick_pair(a.pos, streams, k, spec, dt, M)
+        a = step_renormalized_wave(a, streams, k, dt, alpha, M, kick)
+        b = step_linear_ensemble(b, streams, k, dt, M, kick)
         if (k + 1) % stride == 0:
             times.append((k + 1) * dt)
             states_n.append(a)
@@ -328,9 +329,7 @@ def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
 
     tasks = [(n, rep) for n in ex["N_list"] for rep in range(reps)]
     norms = np.asarray(thread_map(one, tasks, threads)).reshape(len(ex["N_list"]), reps)
-    rows = [{"N": int(n), "mean_norm": float(np.mean(norms[i])),
-             "se": float(np.std(norms[i], ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0}
-            for i, n in enumerate(ex["N_list"])]
+    rows = [_mean_row(n, norms[i]) for i, n in enumerate(ex["N_list"])]
     write_csv(out_dir / "convergence.csv", "N,mean_norm,se", rows)
     print(f"wrote {out_dir / 'convergence.csv'}" + _write_fit(out_dir / "fit.csv", rows))
 
@@ -338,9 +337,9 @@ def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
 def cmd_lln_decay(cfg: dict, out_dir: Path, threads: int) -> None:
     g, ex, d = cfg["grid"], cfg["experiment"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
-    for kind in _LLN_KINDS:
-        rows = lln_estimator(spec, kind, ex["N_list"], cfg["truncation"]["M"],
-                             d["T"], ex["reps"], ex["eps"], ex["seed"], dt=d["dt"])
+    tables = lln_estimator(spec, _LLN_KINDS, ex["N_list"], cfg["truncation"]["M"],
+                           d["T"], ex["reps"], ex["eps"], ex["seed"], dt=d["dt"])
+    for kind, rows in tables.items():
         write_csv(out_dir / f"lln_{kind}.csv", "N,mean_norm,se", rows)
         print(f"wrote {out_dir / f'lln_{kind}.csv'}" + _write_fit(out_dir / f"fit_{kind}.csv", rows))
 

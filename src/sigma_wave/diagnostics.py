@@ -136,17 +136,31 @@ def _stationary_ensemble(spec: GridSpec, n: int, truncation: float,
 _LLN_KINDS = ("wick_square_avg", "wick_triple_avg", "wick_triple_avg_an")
 
 
-def lln_estimator(spec: GridSpec, kind: str, N_list, truncation: int, T: float,
-                  reps: int, eps: float, root_seed: int, dt: float = 0.1) -> list:
-    """Mean L^2_T W^{-eps,inf}-proxy norm of an averaged Wick estimator per N.
+def _mean_row(n: int, norms: np.ndarray) -> dict:
+    """``{"N", "mean_norm", "se"}`` over the reps in ``norms``; a single rep
+    has no spread, so its ``se`` reads 0."""
+    reps = len(norms)
+    return {"N": int(n), "mean_norm": float(np.mean(norms)),
+            "se": float(np.std(norms, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0}
 
-    Components ride stationary free trajectories, so the Wick variance is
-    the constant ``alpha_M`` and norms are time-homogeneous.  Rows are
-    ``{"N": ..., "mean_norm": ..., "se": ...}``; the table feeds
-    :func:`fit_rate` and the ``N,mean_norm,se`` CSV.
+
+def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
+                  reps: int, eps: float, root_seed: int, dt: float = 0.1) -> dict:
+    """Mean L^2_T W^{-eps,inf}-proxy norm of averaged Wick estimators per N.
+
+    ``kinds`` is a tuple of names from ``_LLN_KINDS``; the result maps each
+    to its rows ``{"N": ..., "mean_norm": ..., "se": ...}``, the table that
+    feeds :func:`fit_rate` and the ``N,mean_norm,se`` CSV.  Components ride
+    stationary free trajectories, so the Wick variance is the constant
+    ``alpha_M`` and norms are time-homogeneous.  Every kind reads one shared
+    trajectory per (N, rep): the ensemble, its noise streams, its grid
+    values and ``sum_k H2(psi_k)`` are computed once per step, so a kind's
+    rows are those of a call that asks for it alone.
     """
-    if kind not in _LLN_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in _LLN_KINDS:
+            raise ValueError(f"unknown estimator kind {kind!r}")
     if 3 * truncation >= spec.nyquist:
         raise ValueError(f"triple products of ball {truncation} modes alias "
                          f"on an n_grid = {spec.n_grid} grid")
@@ -155,35 +169,33 @@ def lln_estimator(spec: GridSpec, kind: str, N_list, truncation: int, T: float,
         raise ValueError(f"dt {dt} does not divide T {T}")
     c = alpha_m(spec.m, truncation)
     times = dt * np.arange(n_steps + 1)
-    rows = []
+    norms = np.empty((len(kinds), len(N_list), reps))
     for n_idx, n in enumerate(N_list):
-        norms = np.empty(reps)
         for rep in range(reps):
             base = (n_idx * reps + rep) * n
             ens = _stationary_ensemble(spec, n, float(truncation), root_seed, base)
             streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE)
                        for j in range(n)]
-            vals = np.empty(n_steps + 1)
+            vals = np.empty((len(kinds), n_steps + 1))
             for step in range(n_steps + 1):
                 if step > 0:
                     ens = step_linear_ensemble(ens, streams, step - 1, dt,
                                                float(truncation))
                 pg = np.fft.ifft2(ens.pos, norm="forward").real
                 h2_sum = np.sum(pg * pg - c, axis=0)
-                if kind == "wick_square_avg":
-                    z = h2_sum / n
-                    vals[step] = _sup_proxy(np.fft.fft2(z, norm="forward"), spec, -eps)
-                elif kind == "wick_triple_avg":
-                    z = (h2_sum * pg[0] - 2.0 * c * pg[0]) / n
-                    vals[step] = _sup_proxy(np.fft.fft2(z, norm="forward"), spec, -eps)
-                else:
-                    z = (h2_sum[None] * pg - 2.0 * c * pg) / n
-                    vals[step] = rms(_sup_proxy(np.fft.fft2(z, norm="forward"),
-                                                spec, -eps))
-            norms[rep] = np.sqrt(np.trapezoid(vals * vals, times))
-        rows.append({"N": int(n), "mean_norm": float(np.mean(norms)),
-                     "se": float(np.std(norms, ddof=1) / np.sqrt(reps))})
-    return rows
+                for i, kind in enumerate(kinds):
+                    if kind == "wick_square_avg":
+                        z = h2_sum / n
+                    elif kind == "wick_triple_avg":
+                        z = (h2_sum * pg[0] - 2.0 * c * pg[0]) / n
+                    else:
+                        z = (h2_sum[None] * pg - 2.0 * c * pg) / n
+                    sup = _sup_proxy(np.fft.fft2(z, norm="forward"), spec, -eps)
+                    vals[i, step] = rms(sup) if kind == "wick_triple_avg_an" else sup
+            for i, v in enumerate(vals):
+                norms[i, n_idx, rep] = np.sqrt(np.trapezoid(v * v, times))
+    return {kind: [_mean_row(n, norms[i, n_idx]) for n_idx, n in enumerate(N_list)]
+            for i, kind in enumerate(kinds)}
 
 
 def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,

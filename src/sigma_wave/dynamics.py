@@ -30,6 +30,7 @@ fields is representable on the grid anyway.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -247,27 +248,46 @@ def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridS
     """Add one exact noise kick per stream into ``pos``/``vel``, in place.
 
     Streams run over the flattened leading axes of the ``(..., n, n)``
-    stacks.  Every stepper draws its noise here, so systems that share
-    streams and a step index see identical kicks.
+    stacks, one per component; a count that differs raises.  Every stepper
+    draws its noise here, so systems that share streams and a step index see
+    identical kicks.
     """
+    n_comp = math.prod(pos.shape[:-2])
+    if len(streams) != n_comp:
+        raise ValueError(f"{len(streams)} noise streams for {n_comp} components")
     for idx, stream in zip(np.ndindex(pos.shape[:-2]), streams):
         ex, ev = _draw_kick(stream.generator(step), spec, truncation, chol)
         pos[idx] += ex
         vel[idx] += ev
 
 
+def _kick_pair(pos: np.ndarray, streams, step: int, spec: GridSpec, dt: float,
+               truncation: float) -> tuple:
+    """The exact noise kicks of one step, drawn into a zeroed ``(pos, vel)``
+    pair shaped like ``pos``."""
+    kick = (np.zeros_like(pos), np.zeros_like(pos))
+    _add_kicks(*kick, streams, step, spec, truncation, _transition_tables(spec, dt)[1])
+    return kick
+
+
 def step_linear_ensemble(ens: ComponentEnsemble, streams, step: int, dt: float,
-                         truncation: float) -> ComponentEnsemble:
+                         truncation: float, kick: tuple | None = None) -> ComponentEnsemble:
     """One exact transition of the free damped wave ensemble.
 
     This is the coupling partner of :func:`step_renormalized_wave`: with the
-    same streams and step index both consume identical noise.
+    same streams and step index both consume identical noise.  A ``kick``
+    pair from ``_kick_pair`` is added instead of drawing from ``streams``,
+    so a coupled run draws each kick once and hands it to both steps.
     """
     spec = ens.spec
     (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
     pos = s11 * ens.pos + s12 * ens.vel
     vel = s21 * ens.pos + s22 * ens.vel
-    _add_kicks(pos, vel, streams, step, spec, truncation, chol)
+    if kick is None:
+        _add_kicks(pos, vel, streams, step, spec, truncation, chol)
+    else:
+        pos += kick[0]
+        vel += kick[1]
     return ComponentEnsemble(spec, pos, vel, copy=False)
 
 
@@ -311,29 +331,32 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float,
 
 
 def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
-                       dt: float, alpha: float, truncation: float | None):
+                       dt: float, alpha: float, truncation: float | None, kick=None):
     """:func:`step_renormalized_wave` on ``(..., N, n, n)`` stacks, one stream
     per leading index in row-major order."""
-    mask = kick = None
+    mask = None
     if truncation is not None:
         mask = ball_mask(spec, truncation)
-        kick = (np.zeros_like(pos), np.zeros_like(vel))
-        _add_kicks(*kick, streams, step, spec, truncation, _transition_tables(spec, dt)[1])
+        if kick is None:
+            kick = _kick_pair(pos, streams, step, spec, dt, truncation)
     return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, mask),
                      _drift_tables(spec, dt, 0.5), kick)
 
 
 def step_renormalized_wave(ens: ComponentEnsemble, streams, step: int, dt: float,
-                           alpha: float, truncation: float | None) -> ComponentEnsemble:
+                           alpha: float, truncation: float | None,
+                           kick: tuple | None = None) -> ComponentEnsemble:
     """One step of the interacting damped wave in the original variables.
 
     Exact linear flow and noise kick plus ETD2 on the renormalized drift;
     shares noise draws with :func:`step_linear_ensemble` by construction.
-    ``truncation=None`` disables both the projection and the noise (the
-    deterministic damped system, used by integrator-order tests).
+    A ``kick`` pair from ``_kick_pair`` replaces the draw from ``streams``,
+    so the coupled run passes one draw to both steps.  ``truncation=None``
+    disables both the projection and the drawn noise (the deterministic
+    damped system, used by integrator-order tests).
     """
     pos, vel = _renormalized_step(ens.pos, ens.vel, streams, step, ens.spec, dt,
-                                  alpha, truncation)
+                                  alpha, truncation, kick)
     return ComponentEnsemble(ens.spec, pos, vel, copy=False)
 
 

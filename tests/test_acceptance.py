@@ -183,9 +183,9 @@ def test_criterion_06_free_sampler_calibration():
 def test_criterion_07_lln_decay_rate():
     t0 = time.perf_counter()
     spec = GridSpec(64, 1.0)
-    for kind in ("wick_square_avg", "wick_triple_avg"):
-        rows = lln_estimator(spec, kind, [8, 32, 128, 512], 8, 1.0,
-                             reps=20, eps=0.1, root_seed=40406)
+    tables = lln_estimator(spec, ("wick_square_avg", "wick_triple_avg"), [8, 32, 128, 512],
+                           8, 1.0, reps=20, eps=0.1, root_seed=40406)
+    for kind, rows in tables.items():
         fit = fit_rate(rows)
         assert abs(fit.slope + 0.5) <= 0.15, (kind, fit.slope)
         report(7, f"{kind}: slope {fit.slope:+.3f} +/- {fit.slope_se:.3f}")

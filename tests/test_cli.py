@@ -3,12 +3,19 @@ manifest hashing, determinism, and thread independence."""
 
 import copy
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sigma_wave.cli import (DEFAULTS, ConfigError, config_hash, load_config, main,
-                            thread_map)
+from sigma_wave.cli import (DEFAULTS, ConfigError, config_hash, coupled_distance, load_config,
+                            main, thread_map)
+from sigma_wave.diagnostics import _LLN_KINDS, difference_norms
+from sigma_wave.dynamics import step_linear_ensemble, step_renormalized_wave
+from sigma_wave.gibbs import GibbsSamplerConfig, coupled_gibbs_gaussian_pair
+from sigma_wave.grid import GridSpec
+from sigma_wave.noise import NoiseKind, NoiseStream, alpha_m
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -157,6 +164,40 @@ def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch):
         assert main(["convergence-rate", "--config", cfgp] + extra) == 0
         texts.append((out / "convergence.csv").read_bytes())
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_lln_decay_single_rep_writes_zero_se(tmp_path):
+    # one rep has no spread: se reads 0, not nan, and numpy warns of nothing
+    out = tmp_path / "out"
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 32\n[truncation]\nM = 4\n[dynamics]\nT = 0.2\n"
+                               f"[experiment]\nN_list = 2,4,8\nreps = 1\n[output]\ndir = {out}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lln-decay", "--config", cfgp]) == 0
+    for kind in _LLN_KINDS:
+        table = np.loadtxt(out / f"lln_{kind}.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table))
+        assert np.all(table[:, 2] == 0.0)
+
+
+def test_coupled_distance_matches_steps_that_draw_their_own_kicks():
+    # reference loop: each stepper draws the shared streams' kicks itself
+    spec, M, root, dt, n_steps, stride, s = GridSpec(16, 1.0), 2, 21, 0.05, 6, 2, 0.9
+    cfg = GibbsSamplerConfig(3, M, 1.0, 0.3, 30, 0, thin=1, acceptance_band=(0.0, 1.0))
+    a, b = coupled_gibbs_gaussian_pair(spec, cfg, root)
+    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(3))
+    alpha = alpha_m(spec.m, M)
+    times, states_n, states_l = [0.0], [a], [b]
+    for k in range(n_steps):
+        a = step_renormalized_wave(a, streams, k, dt, alpha, float(M))
+        b = step_linear_ensemble(b, streams, k, dt, float(M))
+        if (k + 1) % stride == 0:
+            times.append((k + 1) * dt)
+            states_n.append(a)
+            states_l.append(b)
+    want = difference_norms(SimpleNamespace(times=np.asarray(times), states=states_n),
+                            SimpleNamespace(times=np.asarray(times), states=states_l), s, 0)[0]
+    assert coupled_distance(spec, cfg, root, dt, n_steps, stride, s) == want
 
 
 def test_simulate_from_file_data_roundtrip(tmp_path, capsys):

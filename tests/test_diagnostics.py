@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigma_wave.diagnostics import (
+    _LLN_KINDS,
     RateFit,
     commutator_defect,
     difference_norms,
@@ -144,27 +145,36 @@ def test_zn_norm_zero_and_reference_recomputation():
 
 def test_lln_estimator_rows_and_rough_decay():
     spec = GridSpec(32, m=1.0)
-    rows = lln_estimator(spec, "wick_square_avg", [2, 8, 32], truncation=4,
-                         T=0.4, reps=4, eps=0.1, root_seed=5, dt=0.1)
+    rows = lln_estimator(spec, ("wick_square_avg",), [2, 8, 32], truncation=4,
+                         T=0.4, reps=4, eps=0.1, root_seed=5, dt=0.1)["wick_square_avg"]
     assert [r["N"] for r in rows] == [2, 8, 32]
     assert all(r["se"] > 0 for r in rows)
     fit = fit_rate(rows)
     assert fit.slope < -0.2
 
     with pytest.raises(ValueError, match="kind"):
-        lln_estimator(spec, "nope", [2, 4, 8], 4, 0.4, 2, 0.1, 0)
+        lln_estimator(spec, ("wick_square_avg", "nope"), [2, 4, 8], 4, 0.4, 2, 0.1, 0)
     with pytest.raises(ValueError, match="alias"):
-        lln_estimator(spec, "wick_square_avg", [2, 4, 8], 8, 0.4, 2, 0.1, 0)
+        lln_estimator(spec, ("wick_square_avg",), [2, 4, 8], 8, 0.4, 2, 0.1, 0)
 
 
 def test_lln_triple_kinds_agree_for_single_component():
     # with N = 1 the fixed-component and averaged triple estimators coincide
     spec = GridSpec(32, m=1.0)
-    a = lln_estimator(spec, "wick_triple_avg", [1, 2, 4], truncation=3,
-                      T=0.3, reps=3, eps=0.1, root_seed=11)
-    b = lln_estimator(spec, "wick_triple_avg_an", [1, 2, 4], truncation=3,
-                      T=0.3, reps=3, eps=0.1, root_seed=11)
+    rows = lln_estimator(spec, ("wick_triple_avg", "wick_triple_avg_an"), [1, 2, 4],
+                         truncation=3, T=0.3, reps=3, eps=0.1, root_seed=11)
+    a, b = rows["wick_triple_avg"], rows["wick_triple_avg_an"]
     assert abs(a[0]["mean_norm"] - b[0]["mean_norm"]) <= 1e-12 * a[0]["mean_norm"]
+
+
+def test_lln_estimator_kinds_share_one_trajectory():
+    # one call for all kinds returns exactly the rows of one call per kind
+    spec = GridSpec(32, m=1.0)
+    args = ([1, 2, 4], 3, 0.3, 2, 0.1, 17)
+    together = lln_estimator(spec, _LLN_KINDS, *args)
+    assert list(together) == list(_LLN_KINDS)
+    for kind in _LLN_KINDS:
+        assert together[kind] == lln_estimator(spec, (kind,), *args)[kind]
 
 
 def test_commutator_defect_vanishes_inside_the_identity_range():

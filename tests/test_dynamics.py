@@ -164,6 +164,17 @@ def test_linear_ensemble_matches_per_component_transitions():
         assert np.array_equal(ens.vel[j], cs.state.vel.coeffs)
 
 
+def test_kick_loop_rejects_a_stream_count_other_than_the_components():
+    # with two streams for three components, component 2 used to stay at zero
+    zero = ComponentEnsemble.zeros(SPEC, 3)
+    for count in (2, 4):
+        streams = tuple(NoiseStream(50, j, NoiseKind.DRIVE) for j in range(count))
+        with pytest.raises(ValueError, match="streams"):
+            step_linear_ensemble(zero, streams, 0, 0.25, truncation=4.0)
+        with pytest.raises(ValueError, match="streams"):
+            step_renormalized_wave(zero, streams, 0, 0.25, alpha=0.0, truncation=4.0)
+
+
 def test_renormalized_wave_shares_noise_with_linear_step():
     # from a zero state the linear output IS the kick, so the interacting
     # output must differ from it by the corrector drift stage alone
