@@ -10,8 +10,8 @@ from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField,
 from .propagator import (apply_damped_propagator, apply_homogeneous_flow,
                          duhamel_weights, etd2_step, flow_entries, mode_frequency)
 from .noise import (ConvolutionState, NoiseKind, NoiseStream, RenormConstants,
-                    alpha_m, sample_mu1_mu0_pair, sigma_m, step_convolution,
-                    transition_covariance)
+                    alpha_m, sample_mu1_mu0_pair, sigma_m, stationary_ensemble,
+                    step_convolution, transition_covariance)
 from .wick import (WickContext, hermite, wick_cube, wick_pair, wick_quartic,
                    wick_square, wick_triple)
 from .dynamics import (BlowupError, HlsmState, MeanFieldState, TrajectoryRecord,
@@ -20,9 +20,9 @@ from .dynamics import (BlowupError, HlsmState, MeanFieldState, TrajectoryRecord,
                        step_hlsm, step_linear_ensemble, step_meanfield,
                        step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, GibbsSamples, InvarianceReport,
-                    coupled_gibbs_gaussian_pair, evolve_gibbs_samples, gibbs_drift,
-                    gibbs_potential, gibbs_vs_gaussian_covariance,
-                    integrated_autocorrelation, invariance_check, sample_gibbs)
+                    coupled_gibbs_gaussian_pair, evolve_gibbs_samples, gibbs_potential,
+                    gibbs_vs_gaussian_covariance, integrated_autocorrelation,
+                    invariance_check, sample_gibbs)
 from .diagnostics import (RateFit, commutator_defect, difference_norms, energy_en,
                           energy_meanfield, fit_rate, lln_estimator, modified_energy,
                           write_csv, zn_norm)
@@ -38,8 +38,8 @@ __all__ = [
     "apply_homogeneous_flow", "duhamel_weights", "etd2_step",
     # noise
     "NoiseKind", "NoiseStream", "alpha_m", "sigma_m", "RenormConstants",
-    "transition_covariance", "sample_mu1_mu0_pair", "ConvolutionState",
-    "step_convolution",
+    "transition_covariance", "sample_mu1_mu0_pair", "stationary_ensemble",
+    "ConvolutionState", "step_convolution",
     # wick
     "WickContext", "hermite", "wick_pair", "wick_triple", "wick_square",
     "wick_cube", "wick_quartic",
@@ -50,7 +50,7 @@ __all__ = [
     "step_deterministic_meanfield",
     # gibbs
     "GibbsSamplerConfig", "GibbsSamples", "InvarianceReport", "sample_gibbs",
-    "gibbs_potential", "gibbs_drift", "coupled_gibbs_gaussian_pair",
+    "gibbs_potential", "coupled_gibbs_gaussian_pair",
     "evolve_gibbs_samples", "invariance_check", "gibbs_vs_gaussian_covariance",
     "integrated_autocorrelation",
     # diagnostics

@@ -315,15 +315,14 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
 
 def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
     _require_exact_ball(cfg, "convergence-rate")
-    g, gb, ex = cfg["grid"], cfg["gibbs"], cfg["experiment"]
+    g, ex = cfg["grid"], cfg["experiment"]
     spec = GridSpec(g["n_grid"], g["m"])
     reps, seed = ex["reps"], ex["seed"]
     n_steps, stride = _steps_and_stride(cfg["dynamics"])
 
     def one(task):
         n, rep = task
-        chain = GibbsSamplerConfig(n, cfg["truncation"]["M"], spec.m, gb["h"], gb["chain"],
-                                   gb["burnin"], thin=gb["thin"], acceptance_band=(0.0, 1.0))
+        chain = replace(_gibbs_config(cfg), n_components=n, acceptance_band=(0.0, 1.0))
         return coupled_distance(spec, chain, seed + 7919 * rep, cfg["dynamics"]["dt"],
                                 n_steps, stride, ex["s"])
 

@@ -20,12 +20,13 @@ from .grid import (
     GridSpec,
     SpectralField,
     _bracket_pow,
+    _i_profile,
     apply_i_operator,
     random_field,
     rms,
     sobolev_norm,
 )
-from .noise import NoiseKind, NoiseStream, alpha_m, sample_mu1_mu0_pair
+from .noise import NoiseKind, NoiseStream, alpha_m, stationary_ensemble
 
 __all__ = [
     "RateFit",
@@ -66,14 +67,8 @@ energy_meanfield = energy_en
 def modified_energy(ens: ComponentEnsemble, m: float, s: float, truncation: float) -> float:
     """Energy of the I-smoothed ensemble; equals :func:`energy_en` once the
     threshold clears ``nyquist * sqrt(2)`` and the multiplier is 1 everywhere."""
-    pos = np.empty_like(ens.pos)
-    vel = np.empty_like(ens.vel)
-    for j in range(len(ens)):
-        pos[j] = apply_i_operator(SpectralField(ens.spec, ens.pos[j], copy=False),
-                                  s, truncation).coeffs
-        vel[j] = apply_i_operator(SpectralField(ens.spec, ens.vel[j], copy=False),
-                                  s, truncation).coeffs
-    return _ensemble_energy(pos, vel, m, ens.spec)
+    prof = _i_profile(ens.spec.n_grid, float(s), float(truncation))
+    return _ensemble_energy(ens.pos * prof, ens.vel * prof, m, ens.spec)
 
 
 def _sup_proxy(coeffs: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
@@ -121,18 +116,6 @@ def zn_norm(nodes, eps: float, c_values) -> float:
     return float(rms(best1) + rms(best2d) + rms(best2) + rms(best3))
 
 
-def _stationary_ensemble(spec: GridSpec, n: int, truncation: float,
-                         root_seed: int, comp_base: int) -> ComponentEnsemble:
-    pos = np.empty((n,) + spec.shape(), dtype=np.complex128)
-    vel = np.empty_like(pos)
-    for j in range(n):
-        stream = NoiseStream(root_seed, comp_base + j, NoiseKind.INITIAL)
-        pair = sample_mu1_mu0_pair(spec, truncation, stream)
-        pos[j] = pair.pos.coeffs
-        vel[j] = pair.vel.coeffs
-    return ComponentEnsemble(spec, pos, vel, copy=False)
-
-
 _LLN_KINDS = ("wick_square_avg", "wick_triple_avg", "wick_triple_avg_an")
 
 
@@ -173,7 +156,7 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
     for n_idx, n in enumerate(N_list):
         for rep in range(reps):
             base = (n_idx * reps + rep) * n
-            ens = _stationary_ensemble(spec, n, float(truncation), root_seed, base)
+            ens = stationary_ensemble(spec, float(truncation), root_seed, n, base)
             streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE)
                        for j in range(n)]
             vals = np.empty((len(kinds), n_steps + 1))

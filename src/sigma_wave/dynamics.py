@@ -17,7 +17,8 @@ in how the drift is assembled:
 * renormalized interacting wave in the original variables:
   ``-(<u^2> - (N+2) c / N) u_j``, the drift whose invariant measure is the
   truncated Gibbs ensemble,
-* conservative undamped wave: ``-<u^2> u_j``, no noise, energy-conserving.
+* conservative undamped wave: ``-<u^2> u_j``, no noise, energy-conserving;
+  this is the renormalized drift at ``alpha = 0``.
 
 Components are vectorized (stacked FFTs), which makes reductions exactly
 deterministic; parallelism across runs lives in the experiment layer.
@@ -37,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import ComponentEnsemble, GridSpec, ball_mask, dealias_mask
-from .noise import NoiseKind, NoiseStream, RenormConstants, _draw_kick, _transition_tables, sample_mu1_mu0_pair
+from .noise import (NoiseKind, NoiseStream, RenormConstants, _draw_kick, _transition_tables,
+                    stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
 from .wick import hermite
 
@@ -119,11 +121,6 @@ def _meanfield_drift(v_pos: np.ndarray, psi_pos: np.ndarray, mask) -> np.ndarray
     return _coeffs(-(a + 2.0 * b)[None] * (vg + pg), mask)
 
 
-def _conservative_drift(pos: np.ndarray, mask) -> np.ndarray:
-    ug = _grids(_masked(pos, mask))
-    return _coeffs(-np.mean(ug * ug, axis=0)[None] * ug, mask)
-
-
 def _renormalized_drift(pos: np.ndarray, alpha: float, mask) -> np.ndarray:
     """Gibbs drift of a ``(..., N, n, n)`` stack; the mean runs over axis -3."""
     n = pos.shape[-3]
@@ -182,9 +179,7 @@ class _ResidualState:
     def stationary(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
                    root_seed: int, dealias: bool = True):
         state = cls.zero(spec, n_components, renorm, root_seed, dealias)
-        pairs = [sample_mu1_mu0_pair(spec, renorm.M, NoiseStream(root_seed, j, NoiseKind.INITIAL))
-                 for j in range(n_components)]
-        return replace(state, psi=ComponentEnsemble.from_components(pairs))
+        return replace(state, psi=stationary_ensemble(spec, renorm.M, root_seed, n_components))
 
     def combined(self) -> ComponentEnsemble:
         """The physical ensemble u = psi + v."""
@@ -322,6 +317,12 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float,
                        truncation: float | None = None) -> np.ndarray:
     """Gibbs drift in the original variables: ``-(<u^2> - (N+2)a/N) u_j``.
 
+    This is the negative gradient of the interaction
+    :func:`~sigma_wave.gibbs.gibbs_potential` with respect to the normalized
+    L2 pairing: component j gets ``-(1/N)[(sum_k u_k^2) u_j - (N+2) a u_j]``.
+    Criterion 05 checks the closed form against finite differences of the
+    potential.
+
     With ``truncation`` set, inputs and output are projected to the mode
     ball, which is the sharp-cutoff system whose invariant measure is the
     truncated Gibbs ensemble (products must be grid-exact: n_grid > 4M).
@@ -367,7 +368,7 @@ def step_deterministic_nlw(ens: ComponentEnsemble, dt: float, dealias: bool = Tr
     mean-field wave, whose replica averages estimate E[u^2].
     """
     mask = dealias_mask(ens.spec) if dealias else None
-    pos, vel = etd2_step(ens.pos, ens.vel, lambda p, _: _conservative_drift(p, mask),
+    pos, vel = etd2_step(ens.pos, ens.vel, lambda p, _: _renormalized_drift(p, 0.0, mask),
                          _drift_tables(ens.spec, dt, 0.0))
     return ComponentEnsemble(ens.spec, pos, vel, copy=False)
 
@@ -407,13 +408,12 @@ def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
         raise ValueError(f"stride {stride} does not divide n_steps {n_steps}")
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
-    stepper = step_meanfield if isinstance(state, MeanFieldState) else step_hlsm
     observables = observables or {}
     times = [state.time]
     series = {k: [fn(state)] for k, fn in observables.items()}
     states = [state] if keep_states else []
     for k in range(n_steps):
-        state = stepper(state, dt)
+        state = step_hlsm(state, dt)
         if (k + 1) % stride == 0:
             if not (np.all(np.isfinite(state.v.pos)) and np.all(np.isfinite(state.v.vel))):
                 raise BlowupError(state.time)

@@ -31,7 +31,7 @@ from scipy.stats import ks_2samp
 
 from .dynamics import _renormalized_step, renormalized_drift
 from .grid import ComponentEnsemble, GridSpec, ball_mask
-from .noise import NoiseKind, NoiseStream, _sample_profile, alpha_m
+from .noise import NoiseKind, NoiseStream, _sample_profile, alpha_m, stationary_ensemble
 from .noise import _draw_kick  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .wick import hermite
 
@@ -41,7 +41,6 @@ __all__ = [
     "InvarianceReport",
     "gibbs_potential",
     "gibbs_potential_reference",
-    "gibbs_drift",
     "sample_gibbs",
     "coupled_gibbs_gaussian_pair",
     "evolve_gibbs_samples",
@@ -81,17 +80,6 @@ def gibbs_potential_reference(ens: ComponentEnsemble, alpha: float) -> float:
             else:
                 acc += hermite(2, ug[k], alpha) * hermite(2, ug[j], alpha)
     return float(np.mean(acc) / (4.0 * n))
-
-
-def gibbs_drift(ens: ComponentEnsemble, alpha: float,
-                truncation: float | None = None) -> np.ndarray:
-    """Negative gradient of the interaction with respect to the normalized
-    L2 pairing: component j gets ``-(1/N)[(sum_k u_k^2) u_j - (N+2) a u_j]``.
-
-    The closed form is validated against finite differences of
-    :func:`gibbs_potential` in the test suite before anything trusts it.
-    """
-    return renormalized_drift(ens, alpha, truncation)
 
 
 @dataclass(frozen=True)
@@ -203,7 +191,7 @@ def mala_log_ratio(pos, prop, grad_pos, grad_prop, energy_pos, energy_prop,
 def _interaction_grad(pos: np.ndarray, spec: GridSpec, alpha: float,
                       truncation: float) -> np.ndarray:
     ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
-    return -gibbs_drift(ens, alpha, truncation)
+    return -renormalized_drift(ens, alpha, truncation)
 
 
 def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> GibbsSamples:
@@ -220,10 +208,7 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
 
-    pos = np.stack([
-        _sample_profile(NoiseStream(root_seed, j, NoiseKind.INITIAL).generator(0), spec, M, prof)
-        for j in range(n)
-    ])
+    pos = stationary_ensemble(spec, M, root_seed, n).pos
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
 
     def grad_of(p):
@@ -288,8 +273,7 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
                         np.asarray(series))
 
 
-def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
-                                n_iters: int | None = None):
+def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int):
     """Common-innovation unadjusted Langevin pair: (interacting, free).
 
     Both chains see the same Gaussian innovations; the free chain samples
@@ -299,20 +283,15 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     of ensembles ``(gibbs, gaussian)``.
     """
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
-    iters = cfg.chain_length if n_iters is None else n_iters
     mask = ball_mask(spec, M)
     prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M)
     beta = 1.0 - 0.5 * h * h
 
-    start = np.stack([
-        _sample_profile(NoiseStream(root_seed, j, NoiseKind.INITIAL).generator(0), spec, M, prof)
-        for j in range(n)
-    ])
-    pos_a = start.copy()
-    pos_b = start.copy()
+    pos_a = stationary_ensemble(spec, M, root_seed, n).pos
+    pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
-    for it in range(iters):
+    for it in range(cfg.chain_length):
         gen = innovations.generator(it)
         z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
         grad = _interaction_grad(pos_a, spec, alpha, float(M))
@@ -375,7 +354,7 @@ def _invariance_observables(pos: np.ndarray, spec: GridSpec, alpha: float, n: in
 
 
 def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
-                     horizon: float, dt: float, noise_seed: int | None = None) -> InvarianceReport:
+                     horizon: float, dt: float) -> InvarianceReport:
     """Draw Gibbs samples, evolve to the horizon, compare observable laws.
 
     The truncated dynamics and the sampled measure share the truncation and
@@ -390,8 +369,7 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     pos0, vel0 = samples._full(samples.positions), samples._full(samples.velocities)
     alpha = alpha_m(spec.m, cfg.truncation)
     pos1, _ = evolve_gibbs_samples(pos0, vel0, spec, alpha, float(cfg.truncation),
-                                   dt, n_steps,
-                                   root_seed + 1 if noise_seed is None else noise_seed)
+                                   dt, n_steps, root_seed + 1)
     obs0 = _invariance_observables(pos0, spec, alpha, n)
     obs1 = _invariance_observables(pos1, spec, alpha, n)
     rows = []
@@ -418,7 +396,9 @@ def gibbs_vs_gaussian_covariance(samples: GibbsSamples, j: int, mode: tuple) -> 
     n2 = (mode[1] + spec.n_grid // 2) % spec.n_grid - spec.n_grid // 2
     in_ball = n1 * n1 + n2 * n2 <= samples.truncation**2 + 1e-9
     est = float(np.mean(np.abs(vals) ** 2))
-    se = est * np.sqrt(2.0 / max(len(vals) - 1, 1))
+    # |c|^2 has sd sqrt(2) * mean on a real (self-conjugate) mode, sd = mean on a complex one
+    self_conjugate = (2 * n1) % spec.n_grid == 0 and (2 * n2) % spec.n_grid == 0
+    se = est * np.sqrt((2.0 if self_conjugate else 1.0) / max(len(vals) - 1, 1))
     target = 1.0 / (spec.m + n1 * n1 + n2 * n2) if in_ball else 0.0
     return {"mode": (int(n1), int(n2)), "variance": est, "se": float(se),
             "gaussian_variance": target}

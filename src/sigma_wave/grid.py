@@ -283,6 +283,8 @@ def i_multiplier(s: float, truncation: float, n) -> float:
 
 @lru_cache(maxsize=256)
 def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must be in (0, 1], got {s}")
     r = np.sqrt(_mode_norm_sq(n_grid))
     with np.errstate(divide="ignore"):
         tail = np.where(r > 0, (truncation / np.maximum(r, 1e-300)) ** (1.0 - s), 1.0)
@@ -293,8 +295,6 @@ def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
 
 def apply_i_operator(f: SpectralField, s: float, truncation: float) -> SpectralField:
     """Multiply coefficients by the I-method profile ``i_multiplier(s, M, n)``."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must be in (0, 1], got {s}")
     prof = _i_profile(f.spec.n_grid, float(s), float(truncation))
     return SpectralField(f.spec, f.coeffs * prof, copy=False)
 

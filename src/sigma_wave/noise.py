@@ -9,7 +9,8 @@ covariance ``Q_n(dt)`` is an elementary integral of the flow.  Sampling
 that transition exactly removes every time-discretization bias from the
 renormalization identities, so the variance identities ``E[psi_M(t,x)^2] =
 sigma_m(t)`` and ``E[phi_M(t,x)^2] = alpha_m`` hold at machine precision in
-law.
+law.  Started from rest, the state at time t is one such transition, so
+the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
@@ -30,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import GridSpec, PairState, SpectralField, ball_mask
+from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField, _ball_mask,
+                   _mode_vectors, ball_mask)
 from .propagator import _cc, _sc, flow_entries
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "sigma_m",
     "transition_covariance",
     "sample_mu1_mu0_pair",
+    "stationary_ensemble",
     "step_convolution",
 ]
 
@@ -65,8 +68,12 @@ class NoiseStream:
     kind: int
 
     def generator(self, step: int) -> np.random.Generator:
-        """Fresh generator for one step; a pure function of key and step."""
-        key = (np.uint64(self.root_seed), np.uint64((self.component << 8) | self.kind))
+        """Fresh generator for one step; a pure function of key and step.
+
+        The root seed enters mod 2**64, so derived seeds such as
+        ``seed + 1`` wrap instead of overflowing the Philox key.
+        """
+        key = (np.uint64(self.root_seed % 2**64), np.uint64((self.component << 8) | self.kind))
         counter = (np.uint64(0), np.uint64(0), np.uint64(step), np.uint64(0))
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
@@ -87,39 +94,16 @@ def alpha_m(m: float, M: int) -> float:
     return float(np.sum(1.0 / (m + np.sum(modes * modes, axis=1))))
 
 
-def _sigma_per_mode(t: float, lam: np.ndarray) -> np.ndarray:
-    """Time-t variance of one mode of the convolution started from rest.
-
-    Closed form with ``w = lam - 1/4``; continues through ``w < 0`` in real
-    arithmetic, with a quadrature fallback in a small window around w = 0.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    w = lam - 0.25
-    et = np.exp(-t)
-    sc2 = _sc(2.0 * t, w)
-    cc2 = _cc(2.0 * t, w)
-    safe_w = np.where(np.abs(w) > _DEGENERATE_EPS, w, 1.0)
-    val = (
-        (1.0 - et) / safe_w
-        - et * 2.0 * sc2 / (4.0 * lam)
-        - (1.0 - et * cc2) / (safe_w * 4.0 * lam)
-    )
-    out = np.where(np.abs(w) > _DEGENERATE_EPS, val, 0.0)
-    for i in np.flatnonzero(np.abs(w) <= _DEGENERATE_EPS):
-        wi = np.array([w[i]])
-        out[i] = quad(
-            lambda s: 2.0 * np.exp(-s) * _sc(s, wi)[0] ** 2, 0.0, t, epsabs=1e-13
-        )[0] if t > 0 else 0.0
-    return out
-
-
 def sigma_m(t: float, m: float, M: int) -> float:
-    """Pointwise variance ``E[psi_M(t,x)^2]`` of the truncated convolution."""
+    """Pointwise variance ``E[psi_M(t,x)^2]`` of the truncated convolution:
+    the ball sum of the per-mode ``Qxx(t)`` from rest, 0 at ``t = 0``."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if t == 0:
+        return 0.0
     modes = _lattice_modes(int(M))
     lam = m + np.sum(modes * modes, axis=1).astype(np.float64)
-    return float(np.sum(_sigma_per_mode(float(t), lam)))
+    return float(np.sum(transition_covariance(lam, float(t))[0]))
 
 
 @dataclass(frozen=True)
@@ -210,31 +194,24 @@ def transition_covariance(lam, dt: float):
 
 @lru_cache(maxsize=128)
 def _half_lattice(n_grid: int, radius: float):
-    """Flat indices of ball modes split into self-conjugate and mirror pairs.
+    """Flat indices of the ``ball_mask`` modes split into self-conjugate and
+    mirror pairs.
 
     The pair arrays are aligned: ``minus[i]`` is the mirror slot of
     ``plus[i]``.  Canonical representatives are the smaller flat index, so
     the draw order is reproducible.
     """
-    k = (np.fft.fftfreq(n_grid) * n_grid).astype(np.int64)
-    n1, n2 = np.meshgrid(k, k, indexing="ij")
-    if radius < 0:
-        # empty ball: a disabled noise source (deterministic integration)
-        in_ball = np.zeros_like(n1, dtype=bool)
-    else:
-        in_ball = (n1 * n1 + n2 * n2) <= radius * radius + 1e-9
+    n1, n2 = _mode_vectors(n_grid)
+    in_ball = _ball_mask(n_grid, radius)
     idx = np.arange(n_grid * n_grid).reshape(n_grid, n_grid)
-    mi = (-n1) % n_grid
-    mj = (-n2) % n_grid
-    mirror = idx[mi, mj]
+    mirror = idx[(-n1) % n_grid, (-n2) % n_grid]
     flat = idx[in_ball]
     mflat = mirror[in_ball]
     self_idx = flat[flat == mflat]
     plus = flat[flat < mflat]
     minus = mflat[flat < mflat]
-    self_idx.setflags(write=False)
-    plus.setflags(write=False)
-    minus.setflags(write=False)
+    for arr in (self_idx, plus, minus):
+        arr.setflags(write=False)
     return self_idx, plus, minus
 
 
@@ -299,6 +276,15 @@ def sample_mu1_mu0_pair(spec: GridSpec, M: float, stream: NoiseStream, step: int
     pos = _sample_profile(gen, spec, M, prof1)
     vel = _sample_profile(gen, spec, M, prof0)
     return PairState(SpectralField(spec, pos, copy=False), SpectralField(spec, vel, copy=False))
+
+
+def stationary_ensemble(spec: GridSpec, M: float, root_seed: int, n: int,
+                        base: int = 0) -> ComponentEnsemble:
+    """Equilibrium draws :func:`sample_mu1_mu0_pair` of components
+    ``base, ..., base + n - 1``, each from its own ``INITIAL`` stream."""
+    return ComponentEnsemble.from_components(
+        [sample_mu1_mu0_pair(spec, M, NoiseStream(root_seed, base + j, NoiseKind.INITIAL))
+         for j in range(n)])
 
 
 @dataclass(frozen=True)

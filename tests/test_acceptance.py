@@ -14,9 +14,10 @@ from sigma_wave.cli import coupled_distance
 from sigma_wave.cli import main as cli_main
 from sigma_wave.diagnostics import (commutator_defect, energy_en,
                                     energy_meanfield, fit_rate, lln_estimator)
-from sigma_wave.dynamics import (MeanFieldState, step_deterministic_meanfield,
-                                 step_deterministic_nlw, step_meanfield)
-from sigma_wave.gibbs import (GibbsSamplerConfig, gibbs_drift, gibbs_potential,
+from sigma_wave.dynamics import (MeanFieldState, renormalized_drift,
+                                 step_deterministic_meanfield, step_deterministic_nlw,
+                                 step_meanfield)
+from sigma_wave.gibbs import (GibbsSamplerConfig, gibbs_potential,
                               gibbs_vs_gaussian_covariance, invariance_check,
                               sample_gibbs)
 from sigma_wave.grid import ComponentEnsemble, GridSpec, random_field
@@ -141,7 +142,7 @@ def test_criterion_05_gibbs_drift_matches_potential():
     pos = np.stack([random_field(spec, gen, decay=1.0, amplitude=0.6,
                                  truncation=float(M)).coeffs for _ in range(n)])
     ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
-    drift = gibbs_drift(ens, alpha, truncation=float(M))
+    drift = renormalized_drift(ens, alpha, truncation=float(M))
     eps, worst = 1e-5, 0.0
     for _ in range(20):
         w = np.stack([random_field(spec, gen, decay=0.5, truncation=float(M)).coeffs

@@ -166,6 +166,14 @@ def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch):
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_largest_seed_runs_the_commands_that_derive_seeds(tmp_path):
+    # invariance-check keys its dynamics noise by seed + 1 and convergence-rate
+    # its reps by seed + 7919 * rep; both wrap mod 2**64 instead of overflowing
+    for command in ("invariance-check", "convergence-rate"):
+        cfgp = write_ini(tmp_path, SMALL.format(out=tmp_path / command))
+        assert main([command, "--config", cfgp, "--seed", str(2**64 - 1)]) == 0
+
+
 def test_lln_decay_single_rep_writes_zero_se(tmp_path):
     # one rep has no spread: se reads 0, not nan, and numpy warns of nothing
     out = tmp_path / "out"

@@ -302,8 +302,8 @@ def test_deterministic_nlw_second_order_in_dt():
     mask = dealias_mask(SPEC)
 
     def drift(p):
-        from sigma_wave.dynamics import _conservative_drift
-        return _conservative_drift(p, mask)
+        from sigma_wave.dynamics import _renormalized_drift
+        return _renormalized_drift(p, 0.0, mask)
 
     ref_pos, _ = reference_trajectory(u0.pos, u0.vel, drift, 0.0, t_end)
     errs, dts = [], []

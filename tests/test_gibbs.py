@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from sigma_wave.dynamics import step_renormalized_wave
+from sigma_wave.dynamics import renormalized_drift, step_renormalized_wave
 from sigma_wave.gibbs import (
     GibbsSamplerConfig,
+    GibbsSamples,
     _gaussian_energy,
     _interaction_grad,
     coupled_gibbs_gaussian_pair,
     evolve_gibbs_samples,
-    gibbs_drift,
     gibbs_potential,
     gibbs_potential_reference,
     gibbs_vs_gaussian_covariance,
@@ -56,7 +56,7 @@ def test_drift_matches_finite_differences_of_potential():
     n, M = 3, 2
     alpha = alpha_m(spec.m, M)
     ens = random_ensemble(spec, n, seed=5, truncation=float(M))
-    drift = gibbs_drift(ens, alpha, truncation=float(M))
+    drift = renormalized_drift(ens, alpha, truncation=float(M))
     gen = np.random.default_rng(99)
     eps = 1e-5
     for _ in range(20):
@@ -277,6 +277,24 @@ def test_interacting_chain_matches_quadrature_oracle():
     assert abs(var_mode - oracle_mode) < 4 * se_mode
 
 
+def test_mode_variance_se_is_that_of_a_real_or_a_complex_mode():
+    # independent draws: |c|^2 has sd sqrt(2) * mean on a self-conjugate
+    # (real) mode and sd = mean on a complex one
+    spec = GridSpec(8, m=1.0)
+    vals = np.array([1.0, 2.0, 1j, 3.0 - 1j, 2j])   # mean |c|^2 = 4
+    modes = [(0, 0), (0, 4), (4, 4), (1, 0), (1, 2), (0, -3)]
+    mode_idx = np.array([(a % 8) * 8 + b % 8 for a, b in modes])
+    positions = np.repeat(vals[:, None, None], len(modes), axis=2)
+    samples = GibbsSamples(spec, 4, mode_idx, positions, np.zeros_like(positions),
+                           1.0, 1.0, np.zeros(len(vals)))
+    for mode in modes:
+        row = gibbs_vs_gaussian_covariance(samples, 0, mode)
+        assert row["variance"] == pytest.approx(4.0, rel=1e-15)
+        real = mode in ((0, 0), (0, 4), (4, 4))
+        want = 4.0 * np.sqrt((2.0 if real else 1.0) / (len(vals) - 1))
+        assert row["se"] == pytest.approx(want, rel=1e-15), mode
+
+
 def test_acceptance_warning_outside_band():
     spec = GridSpec(8, m=1.0)
     cfg = GibbsSamplerConfig(1, 2, 1.0, 2.5, 400, 100, thin=4)
@@ -287,7 +305,7 @@ def test_acceptance_warning_outside_band():
 def test_coupled_pair_free_chain_is_the_linear_recursion():
     spec = GridSpec(8, m=1.0)
     cfg = GibbsSamplerConfig(2, 2, 1.0, 0.5, 50, 0, thin=1)
-    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21, n_iters=50)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21)
 
     M, h = cfg.truncation, cfg.step_size
     mask = ball_mask(spec, M)
@@ -309,7 +327,7 @@ def test_coupled_pair_free_chain_is_the_linear_recursion():
 def test_coupled_pair_difference_is_small_relative_to_the_fields():
     spec = GridSpec(16, m=1.0)
     cfg = GibbsSamplerConfig(16, 3, 1.0, 0.4, 300, 0, thin=1)
-    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=5, n_iters=300)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=5)
     diff = np.sqrt(np.mean(np.abs(gibbs.pos - gaussian.pos) ** 2))
     size = np.sqrt(np.mean(np.abs(gaussian.pos) ** 2))
     assert 0 < diff < 0.35 * size

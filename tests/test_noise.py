@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sigma_wave.grid import GridSpec
+from sigma_wave.grid import GridSpec, ball_mask
 from sigma_wave.noise import (
     ConvolutionState,
     NoiseKind,
     NoiseStream,
     RenormConstants,
+    _half_lattice,
     alpha_m,
     sample_mu1_mu0_pair,
     sigma_m,
+    stationary_ensemble,
     step_convolution,
     transition_covariance,
 )
@@ -242,6 +244,30 @@ def test_mu_pair_mode_marginals():
     assert abs(np.mean(c_pair * np.conj(v_pair))) <= se * np.sqrt(1.0 / 6.0)
     alpha = alpha_m(1.0, M)
     assert np.var(at_zero) == pytest.approx(alpha, rel=se * np.sqrt(2))
+
+
+def test_stationary_ensemble_stacks_the_per_component_draws():
+    ens = stationary_ensemble(SPEC, 4, root_seed=12, n=3, base=5)
+    assert len(ens) == 3
+    for j in range(3):
+        pair = sample_mu1_mu0_pair(SPEC, 4, NoiseStream(12, 5 + j, NoiseKind.INITIAL))
+        assert np.array_equal(ens.pos[j], pair.pos.coeffs)
+        assert np.array_equal(ens.vel[j], pair.vel.coeffs)
+
+
+@pytest.mark.parametrize("n_grid", [8, 16, 32])
+def test_half_lattice_partitions_the_ball_into_mirror_pairs(n_grid):
+    spec = GridSpec(n_grid, 1.0)
+    nyq = spec.nyquist
+    rows, cols = np.divmod(np.arange(n_grid * n_grid), n_grid)
+    mirror = ((-rows) % n_grid) * n_grid + (-cols) % n_grid
+    for radius in (-1.0, 0.0, 3.0, 2.0 * nyq / 3.0, float(nyq)):
+        self_idx, plus, minus = _half_lattice(n_grid, radius)
+        ball = np.flatnonzero(ball_mask(spec, radius))
+        assert np.array_equal(np.sort(np.concatenate([self_idx, plus, minus])), ball)
+        assert np.array_equal(mirror[self_idx], self_idx)
+        assert np.array_equal(mirror[plus], minus)
+        assert np.all(plus < minus)
 
 
 def test_stationary_start_keeps_pointwise_variance():
