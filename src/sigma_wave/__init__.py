@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField,
                    apply_i_operator, ball_mask, dealias_mask, load_field, project,
                    random_field, rms, save_field, sobolev_norm, sup_sobolev_norm)
-from .propagator import (apply_damped_propagator, apply_homogeneous_flow,
-                         duhamel_weights, etd2_step, flow_entries, mode_frequency)
+from .propagator import duhamel_weights, etd2_step, flow_entries
 from .noise import (ConvolutionState, NoiseKind, NoiseStream, RenormConstants,
                     alpha_m, sample_mu1_mu0_pair, sigma_m, stationary_ensemble,
                     step_convolution, transition_covariance)
@@ -34,8 +33,7 @@ __all__ = [
     "apply_i_operator", "ball_mask", "dealias_mask", "random_field", "rms",
     "sobolev_norm", "sup_sobolev_norm", "save_field", "load_field",
     # propagator
-    "mode_frequency", "flow_entries", "apply_damped_propagator",
-    "apply_homogeneous_flow", "duhamel_weights", "etd2_step",
+    "flow_entries", "duhamel_weights", "etd2_step",
     # noise
     "NoiseKind", "NoiseStream", "alpha_m", "sigma_m", "RenormConstants",
     "transition_covariance", "sample_mu1_mu0_pair", "stationary_ensemble",

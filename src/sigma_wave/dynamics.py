@@ -332,29 +332,26 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float,
 
 
 def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
-                       dt: float, alpha: float, truncation: float | None, kick=None):
+                       dt: float, alpha: float, truncation: float, kick=None):
     """:func:`step_renormalized_wave` on ``(..., N, n, n)`` stacks, one stream
     per leading index in row-major order."""
-    mask = None
-    if truncation is not None:
-        mask = ball_mask(spec, truncation)
-        if kick is None:
-            kick = _kick_pair(pos, streams, step, spec, dt, truncation)
+    mask = ball_mask(spec, truncation)
+    if kick is None:
+        kick = _kick_pair(pos, streams, step, spec, dt, truncation)
     return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, mask),
                      _drift_tables(spec, dt, 0.5), kick)
 
 
 def step_renormalized_wave(ens: ComponentEnsemble, streams, step: int, dt: float,
-                           alpha: float, truncation: float | None,
+                           alpha: float, truncation: float,
                            kick: tuple | None = None) -> ComponentEnsemble:
     """One step of the interacting damped wave in the original variables.
 
-    Exact linear flow and noise kick plus ETD2 on the renormalized drift;
-    shares noise draws with :func:`step_linear_ensemble` by construction.
-    A ``kick`` pair from ``_kick_pair`` replaces the draw from ``streams``,
-    so the coupled run passes one draw to both steps.  ``truncation=None``
-    disables both the projection and the drawn noise (the deterministic
-    damped system, used by integrator-order tests).
+    Exact linear flow and noise kick plus ETD2 on the renormalized drift,
+    all projected to the ball ``|n| <= truncation``; shares noise draws with
+    :func:`step_linear_ensemble` by construction.  A ``kick`` pair from
+    ``_kick_pair`` replaces the draw from ``streams``, so the coupled run
+    passes one draw to both steps.
     """
     pos, vel = _renormalized_step(ens.pos, ens.vel, streams, step, ens.spec, dt,
                                   alpha, truncation, kick)

@@ -280,7 +280,8 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     the truncated equilibrium, the interacting one its Gibbs counterpart,
     and the coupling keeps their difference of the order of the interaction
     gradient.  Velocities are one shared equilibrium draw.  Returns a pair
-    of ensembles ``(gibbs, gaussian)``.
+    of ensembles ``(gibbs, gaussian)``.  Of ``cfg`` it reads n_components,
+    truncation, step_size and chain_length only.
     """
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
     mask = ball_mask(spec, M)
@@ -361,6 +362,9 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     the Wick constant, so for an exact sampler and exact flow the two sample
     sets are equal in law; KS and mean shifts quantify the residual bias.
     """
+    if cfg.n_samples < 2:
+        raise ValueError(f"invariance check needs cfg.n_samples >= 2 retained samples, "
+                         f"got {cfg.n_samples}; lengthen the chain or lower thin")
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError(f"dt {dt} does not divide horizon {horizon}")

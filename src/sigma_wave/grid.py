@@ -32,7 +32,6 @@ __all__ = [
     "ball_mask",
     "dealias_mask",
     "project",
-    "i_multiplier",
     "apply_i_operator",
     "sobolev_norm",
     "sup_sobolev_norm",
@@ -265,22 +264,6 @@ def project_perp(f: SpectralField, truncation: float) -> SpectralField:
     return SpectralField(f.spec, out, copy=False)
 
 
-def i_multiplier(s: float, truncation: float, n) -> float:
-    """Smoothing multiplier of the I-method at mode ``n``.
-
-    Equals 1 on ``|n| <= truncation`` and ``(truncation / |n|)**(1 - s)``
-    outside, which interpolates between ``H^s`` data and an ``H^1``-valued
-    smoothed field.  ``s`` must lie in ``(0, 1]``.
-    """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must be in (0, 1], got {s}")
-    n = np.asarray(n, dtype=np.float64)
-    r = float(np.sqrt(np.sum(n * n)))
-    if r <= truncation + 1e-12:
-        return 1.0
-    return (truncation / r) ** (1.0 - s)
-
-
 @lru_cache(maxsize=256)
 def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
     if not 0.0 < s <= 1.0:
@@ -294,7 +277,9 @@ def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
 
 
 def apply_i_operator(f: SpectralField, s: float, truncation: float) -> SpectralField:
-    """Multiply coefficients by the I-method profile ``i_multiplier(s, M, n)``."""
+    """Multiply by the I-method smoothing multiplier: 1 on ``|n| <= truncation``,
+    ``(truncation / |n|)**(1 - s)`` outside, so ``H^s`` data become ``H^1``;
+    ``s`` must lie in ``(0, 1]``."""
     prof = _i_profile(f.spec.n_grid, float(s), float(truncation))
     return SpectralField(f.spec, f.coeffs * prof, copy=False)
 

@@ -11,57 +11,22 @@ is the response to a unit velocity impulse; ``omega^2 <= 0`` occurs only for
 ``n = 0`` with ``m <= 1/4`` and is handled by continuing ``sin``/``cos`` to
 ``sinh``/``cosh`` (and to ``t``/``1`` at ``omega = 0``).
 
-The one-step integrator is an exponential trapezoid rule: the homogeneous
-2x2 flow is exact, the forcing is interpolated linearly inside the step,
-and both weight vectors come from closed-form integrals of the flow, so the
-only error is the quadrature error of the forcing, O(dt^3) per step.
+Three public functions make up the module: :func:`flow_entries` gives the
+homogeneous 2x2 flow (its ``s12`` entry is the kernel), :func:`duhamel_weights`
+the forcing weights of one step, and :func:`etd2_step` the step itself, an
+exponential trapezoid rule: the homogeneous flow is exact, the forcing is
+interpolated linearly inside the step, and both weight vectors come from
+closed-form integrals of the flow, so the only error is the quadrature error
+of the forcing, O(dt^3) per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import PairState, SpectralField
-
-__all__ = [
-    "ModeFrequency",
-    "mode_frequency",
-    "flow_entries",
-    "apply_damped_propagator",
-    "apply_homogeneous_flow",
-    "duhamel_weights",
-    "duhamel_increment",
-    "etd2_step",
-    "mode_quadratic_form",
-]
+__all__ = ["flow_entries", "duhamel_weights", "etd2_step"]
 
 _DEGENERATE_EPS = 1e-13
-
-
-@dataclass(frozen=True)
-class ModeFrequency:
-    """Shifted dispersion ``omega = sqrt(m - 1/4 + |n|^2)`` of one mode."""
-
-    omega_sq: float
-    mode: tuple[int, int]
-
-    @property
-    def omega(self) -> complex:
-        return complex(np.sqrt(complex(self.omega_sq)))
-
-    @property
-    def oscillatory(self) -> bool:
-        """False only on the hyperbolic-degenerate branch (n = 0, m <= 1/4)."""
-        return self.omega_sq > 0
-
-
-def mode_frequency(n, m: float) -> ModeFrequency:
-    if not m > 0:
-        raise ValueError(f"mass m must be positive, got {m}")
-    n1, n2 = int(n[0]), int(n[1])
-    return ModeFrequency(m - 0.25 + n1 * n1 + n2 * n2, (n1, n2))
 
 
 def _sc(t: float, omega_sq: np.ndarray) -> np.ndarray:
@@ -92,43 +57,22 @@ def _cc(t: float, omega_sq: np.ndarray) -> np.ndarray:
     return out
 
 
-def flow_entries(lam, t: float, gamma: float = 0.5, decay: bool = True):
+def flow_entries(lam, t: float, gamma: float = 0.5):
     """Entries of the per-mode 2x2 flow ``exp(t*[[0,1],[-lam,-2*gamma]])``.
 
     Returns ``(s11, s12, s21, s22)`` acting on ``(x, x')``; ``s12`` is the
-    damped propagator kernel.  ``decay=False`` drops the ``exp(-gamma*t)``
-    envelope (test-only variant; its per-mode quadratic form is conserved).
+    damped propagator kernel.  The flow is a group, so any real ``t`` works.
     """
     lam = np.asarray(lam, dtype=np.float64)
     w = lam - gamma * gamma
     sc = _sc(t, w)
     cc = _cc(t, w)
-    env = np.exp(-gamma * t) if decay else 1.0
+    env = np.exp(-gamma * t)
     s11 = env * (cc + gamma * sc)
     s12 = env * sc
     s21 = -lam * env * sc
     s22 = env * (cc - gamma * sc)
     return s11, s12, s21, s22
-
-
-def apply_damped_propagator(f: SpectralField, t: float) -> SpectralField:
-    """Kernel multiplier ``exp(-t/2) sin(t*omega_n)/omega_n`` per mode."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    w = f.spec.dispersion - 0.25
-    mult = np.exp(-0.5 * t) * _sc(t, w)
-    return SpectralField(f.spec, f.coeffs * mult, copy=False)
-
-
-def apply_homogeneous_flow(state: PairState, t: float, gamma: float = 0.5) -> PairState:
-    """Evolve a data pair by the homogeneous flow for time ``t``."""
-    spec = state.spec
-    s11, s12, s21, s22 = flow_entries(spec.dispersion, t, gamma)
-    f, g = state.pos.coeffs, state.vel.coeffs
-    return PairState(
-        SpectralField(spec, s11 * f + s12 * g, copy=False),
-        SpectralField(spec, s21 * f + s22 * g, copy=False),
-    )
 
 
 def duhamel_weights(lam, dt: float, gamma: float = 0.5):
@@ -151,22 +95,6 @@ def duhamel_weights(lam, dt: float, gamma: float = 0.5):
     w1x = gx - hx / dt
     w1v = gv - hv / dt
     return (gx, gv), (w1x, w1v)
-
-
-def duhamel_increment(
-    f0: SpectralField, f1: SpectralField, dt: float, gamma: float = 0.5
-) -> PairState:
-    """Approximate ``(integral_0^dt D(dt-s)F(s)ds, its d_t)`` from endpoint forcing:
-    one :func:`etd2_step` from zero data with the forcing ``f0``, ``f1``."""
-    spec = f0.spec
-    if f1.spec != spec:
-        raise ValueError("forcing fields on mismatched grids")
-    (gx, gv), (w1x, w1v) = duhamel_weights(spec.dispersion, dt, gamma)
-    tables = flow_entries(spec.dispersion, dt, gamma), (gx, gv, w1x, w1v)
-    zero = np.zeros_like(f0.coeffs)
-    forcing = (f0.coeffs, f1.coeffs)
-    pos, vel = etd2_step(zero, zero, lambda _, stage: forcing[stage], tables)
-    return PairState(SpectralField(spec, pos, copy=False), SpectralField(spec, vel, copy=False))
 
 
 def etd2_step(pos, vel, drift, tables, kick=None):
@@ -192,9 +120,3 @@ def etd2_step(pos, vel, drift, tables, kick=None):
         new_pos += kick[0]
         new_vel += kick[1]
     return new_pos, new_vel
-
-
-def mode_quadratic_form(lam, gamma, x, v):
-    """``lam x^2 + 2 gamma x v + v^2``: conserved by the no-decay flow variant,
-    and equal to ``exp(-2 gamma t)`` times its initial value under the true flow."""
-    return lam * x * x + 2.0 * gamma * x * v + v * v

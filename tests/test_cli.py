@@ -13,7 +13,8 @@ from sigma_wave.cli import (DEFAULTS, ConfigError, config_hash, coupled_distance
                             main, thread_map)
 from sigma_wave.diagnostics import _LLN_KINDS, difference_norms
 from sigma_wave.dynamics import step_linear_ensemble, step_renormalized_wave
-from sigma_wave.gibbs import GibbsSamplerConfig, coupled_gibbs_gaussian_pair
+from sigma_wave.gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
+                              gibbs_vs_gaussian_covariance, sample_gibbs)
 from sigma_wave.grid import GridSpec
 from sigma_wave.noise import NoiseKind, NoiseStream, alpha_m
 
@@ -273,6 +274,36 @@ def test_invariance_check_csv_header(tmp_path):
     assert main(["invariance-check", "--config", cfgp]) == 0
     head = (out / "invariance.csv").read_text().splitlines()[0]
     assert head == "observable,ks_stat,p_value,mean_t0,se_t0,mean_t1,se_t1"
+
+
+def test_invariance_check_needs_two_retained_samples(tmp_path, capsys):
+    # chain 80, burnin 20, thin 100 keeps one sample, which has no spread to compare
+    out = tmp_path / "out"
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 2\n"
+                               "[dynamics]\nN = 2\ndt = 0.1\nT = 0.2\n"
+                               "[gibbs]\nh = 0.3\nchain = 80\nburnin = 20\nthin = 100\n"
+                               f"[experiment]\nseed = 3\n[output]\ndir = {out}\n")
+    assert main(["invariance-check", "--config", cfgp]) == 2
+    assert "n_samples" in capsys.readouterr().err
+    assert not (out / "invariance.csv").exists()
+
+
+def test_gibbs_modes_se_counts_the_chain_autocorrelation(tmp_path):
+    # the criterion-11 chain: iact about 6 at thin 5, so the SE of independent
+    # draws grows by sqrt(iact / thin)
+    out = tmp_path / "out"
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 2\n"
+                               "[dynamics]\nN = 2\ndt = 0.1\nT = 0.4\nstride = 2\n"
+                               "[gibbs]\nh = 0.3\nchain = 80\nburnin = 20\nthin = 5\n"
+                               f"[experiment]\nseed = 13\n[output]\ndir = {out}\n")
+    assert main(["sample-gibbs", "--config", cfgp]) == 0
+    samples = sample_gibbs(GridSpec(16, 1.0), GibbsSamplerConfig(2, 2, 1.0, 0.3, 80, 20, thin=5), 13)
+    factor = np.sqrt(max(samples.iact / 5, 1.0))
+    assert factor > 1.05
+    table = np.loadtxt(out / "gibbs_modes.csv", delimiter=",", skiprows=1)
+    assert len(table) == 6
+    for n1, n2, _, se, _ in table:
+        assert se == gibbs_vs_gaussian_covariance(samples, 0, (int(n1), int(n2)))["se"] * factor
 
 
 def test_commutator_csv_header(tmp_path):

@@ -326,12 +326,14 @@ def test_renormalized_wave_second_order_in_dt():
         return renormalized_drift(ens, alpha, truncation=None)
 
     ref_pos, _ = reference_trajectory(u0.pos, u0.vel, drift, 0.5, t_end)
+    # a ball of radius n_grid holds every mode, and a zero kick turns the noise off
+    no_kick = (np.zeros_like(u0.pos), np.zeros_like(u0.pos))
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
         ens = u0.copy()
         for step in range(k):
-            ens = step_renormalized_wave(ens, (), step, dt, alpha, truncation=None)
+            ens = step_renormalized_wave(ens, (), step, dt, alpha, float(SPEC.n_grid), no_kick)
         errs.append(np.max(np.abs(ens.pos - ref_pos)))
         dts.append(dt)
     assert fitted_order(errs, dts) == pytest.approx(2.0, abs=0.3)

@@ -13,7 +13,6 @@ from sigma_wave.grid import (
     dealias_mask,
     hermitian_defect,
     hermitian_symmetrize,
-    i_multiplier,
     load_field,
     project,
     project_perp,
@@ -101,19 +100,24 @@ def test_project_complement_partition():
 
 
 def test_i_multiplier_branches():
-    assert i_multiplier(0.5, 4, (2, 0)) == 1.0
-    assert i_multiplier(0.5, 4, (0, 8)) == pytest.approx((4 / 8) ** 0.5, abs=1e-12)
-    assert i_multiplier(0.9, 1, (10, 0)) == pytest.approx(10 ** (-0.1), abs=1e-8)
+    # a unit single-mode field reads the multiplier off its mode n
+    assert apply_i_operator(single_mode(SPEC, (2, 0)), 0.5, 4).coeffs[2, 0] == 1.0
+    assert apply_i_operator(single_mode(SPEC, (0, 8)), 0.5, 4).coeffs[0, 8] == pytest.approx(
+        (4 / 8) ** 0.5, abs=1e-12)
+    assert apply_i_operator(single_mode(SPEC, (10, 0)), 0.9, 1).coeffs[10, 0] == pytest.approx(
+        10 ** (-0.1), abs=1e-8)
     # boundary mode |n| = M belongs to the flat branch
-    assert i_multiplier(0.7, 5, (3, 4)) == 1.0
+    assert apply_i_operator(single_mode(SPEC, (3, 4)), 0.7, 5).coeffs[3, 4] == 1.0
 
 
 def test_i_multiplier_monotone_radial():
+    spec = GridSpec(64, 1.0)  # holds |n| = 21 below nyquist
     radii = [1, 2, 3, 5, 8, 13, 21]
-    vals = [i_multiplier(0.6, 4, (r, 0)) for r in radii]
+    vals = [apply_i_operator(single_mode(spec, (r, 0)), 0.6, 4).coeffs[r, 0].real for r in radii]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     # radial symmetry: same |n|, different direction
-    assert i_multiplier(0.6, 2, (3, 4)) == pytest.approx(i_multiplier(0.6, 2, (5, 0)), rel=1e-12)
+    assert apply_i_operator(single_mode(SPEC, (3, 4)), 0.6, 2).coeffs[3, 4] == pytest.approx(
+        apply_i_operator(single_mode(SPEC, (5, 0)), 0.6, 2).coeffs[5, 0], rel=1e-12)
 
 
 def test_apply_i_operator_low_modes_unchanged():

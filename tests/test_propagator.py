@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from sigma_wave.grid import GridSpec, PairState, SpectralField, random_field
-from sigma_wave.propagator import (
-    apply_damped_propagator,
-    apply_homogeneous_flow,
-    duhamel_increment,
-    duhamel_weights,
-    etd2_step,
-    flow_entries,
-    mode_frequency,
-    mode_quadratic_form,
-)
+from sigma_wave.grid import GridSpec, SpectralField, random_field
+from sigma_wave.propagator import duhamel_weights, etd2_step, flow_entries
 
 SPEC = GridSpec(32, 1.0)
 
@@ -28,19 +19,20 @@ def solve_mode(lam, x0, v0, t, forcing=None, gamma=0.5):
 
 
 def test_mode_frequency_values():
-    assert mode_frequency((0, 0), 1.0).omega_sq == pytest.approx(0.75, abs=1e-15)
-    assert mode_frequency((0, 0), 1.0).omega.real == pytest.approx(np.sqrt(0.75), rel=1e-15)
-    assert mode_frequency((1, 0), 1.0).omega.real == pytest.approx(np.sqrt(1.75), rel=1e-15)
-    assert mode_frequency((1, 0), 1.0).oscillatory
+    # omega^2 = m - 1/4 + |n|^2 is the grid's dispersion less gamma^2 = 1/4
+    omega_sq = SPEC.dispersion - 0.25
+    assert omega_sq[0, 0] == pytest.approx(0.75, abs=1e-15)
+    assert omega_sq[1, 0] == pytest.approx(1.75, abs=1e-15)
+    assert omega_sq[1, 0] > 0
     with pytest.raises(ValueError):
-        mode_frequency((0, 0), 0.0)
+        GridSpec(32, 0.0)
 
 
 def test_degenerate_branch_solves_mode_ode():
     # m = 0.1 at n = 0: omega_sq = -0.15, kernel continues to sinh
-    nf = mode_frequency((0, 0), 0.1)
-    assert nf.omega_sq == pytest.approx(-0.15, abs=1e-15)
-    assert not nf.oscillatory
+    omega_sq = GridSpec(32, 0.1).dispersion[0, 0] - 0.25
+    assert omega_sq == pytest.approx(-0.15, abs=1e-15)
+    assert not omega_sq > 0
     g = np.sqrt(0.15)
     for t in np.linspace(0.05, 2.0, 9):
         x_ref, _ = solve_mode(0.1, 0.0, 1.0, t)
@@ -53,9 +45,7 @@ def test_degenerate_branch_solves_mode_ode():
 def test_damped_propagator_zero_time():
     gen = np.random.default_rng(0)
     f = random_field(SPEC, gen)
-    assert np.all(apply_damped_propagator(f, 0.0).coeffs == 0)
-    with pytest.raises(ValueError):
-        apply_damped_propagator(f, -0.1)
+    assert np.all(flow_entries(SPEC.dispersion, 0.0)[1] * f.coeffs == 0)
 
 
 def test_damped_propagator_single_mode_vs_ode():
@@ -65,7 +55,7 @@ def test_damped_propagator_single_mode_vs_ode():
         c = np.zeros(SPEC.shape(), complex)
         c[1, 2] = 1.0
         f = SpectralField(SPEC, c)
-        got = apply_damped_propagator(f, t).coeffs[1, 2].real
+        got = (flow_entries(SPEC.dispersion, t)[1] * f.coeffs)[1, 2].real
         assert abs(got - x_ref) <= 1e-8
 
 
@@ -74,8 +64,8 @@ def test_damped_propagator_decay_ratio():
     # per-mode ODE oracle and sits at the exp(-1) scale
     gen = np.random.default_rng(1)
     f = random_field(SPEC, gen, truncation=4.0)
-    n4 = np.sqrt(np.sum(np.abs(apply_damped_propagator(f, 4.0).coeffs) ** 2))
-    n2 = np.sqrt(np.sum(np.abs(apply_damped_propagator(f, 2.0).coeffs) ** 2))
+    n4 = np.sqrt(np.sum(np.abs(flow_entries(SPEC.dispersion, 4.0)[1] * f.coeffs) ** 2))
+    n2 = np.sqrt(np.sum(np.abs(flow_entries(SPEC.dispersion, 2.0)[1] * f.coeffs) ** 2))
     lams = np.unique(SPEC.dispersion[np.abs(f.coeffs) > 0])
     ref = {lam: (solve_mode(lam, 0.0, 1.0, 2.0)[0], solve_mode(lam, 0.0, 1.0, 4.0)[0]) for lam in lams}
     r2 = sum(np.sum(np.abs(f.coeffs[SPEC.dispersion == lam]) ** 2) * ref[lam][0] ** 2 for lam in lams)
@@ -86,10 +76,10 @@ def test_damped_propagator_decay_ratio():
 
 def test_homogeneous_flow_identity_at_zero():
     gen = np.random.default_rng(2)
-    st = PairState(random_field(SPEC, gen), random_field(SPEC, gen))
-    out = apply_homogeneous_flow(st, 0.0)
-    assert np.array_equal(out.pos.coeffs, st.pos.coeffs)
-    assert np.array_equal(out.vel.coeffs, st.vel.coeffs)
+    f, g = random_field(SPEC, gen).coeffs, random_field(SPEC, gen).coeffs
+    s11, s12, s21, s22 = flow_entries(SPEC.dispersion, 0.0)
+    assert np.array_equal(s11 * f + s12 * g, f)
+    assert np.array_equal(s21 * f + s22 * g, g)
 
 
 def test_homogeneous_flow_single_mode_vs_ode():
@@ -99,27 +89,34 @@ def test_homogeneous_flow_single_mode_vs_ode():
     c[3, 2] = 0.7
     d = np.zeros(SPEC.shape(), complex)
     d[3, 2] = -0.4
-    out = apply_homogeneous_flow(PairState(SpectralField(SPEC, c), SpectralField(SPEC, d)), 1.0)
-    assert abs(out.pos.coeffs[3, 2].real - x_ref) <= 1e-8
-    assert abs(out.vel.coeffs[3, 2].real - v_ref) <= 1e-8
+    s11, s12, s21, s22 = flow_entries(SPEC.dispersion, 1.0)
+    assert abs((s11 * c + s12 * d)[3, 2].real - x_ref) <= 1e-8
+    assert abs((s21 * c + s22 * d)[3, 2].real - v_ref) <= 1e-8
 
 
 def test_homogeneous_flow_semigroup():
     gen = np.random.default_rng(3)
-    st = PairState(random_field(SPEC, gen), random_field(SPEC, gen))
-    once = apply_homogeneous_flow(st, 0.9)
-    twice = apply_homogeneous_flow(apply_homogeneous_flow(st, 0.35), 0.55)
-    scale = np.max(np.abs(once.pos.coeffs)) + np.max(np.abs(once.vel.coeffs))
-    assert np.max(np.abs(once.pos.coeffs - twice.pos.coeffs)) <= 1e-12 * scale
-    assert np.max(np.abs(once.vel.coeffs - twice.vel.coeffs)) <= 1e-12 * scale
+    f, g = random_field(SPEC, gen).coeffs, random_field(SPEC, gen).coeffs
+    s11, s12, s21, s22 = flow_entries(SPEC.dispersion, 0.9)
+    once = s11 * f + s12 * g, s21 * f + s22 * g
+    for t in (0.35, 0.55):
+        s11, s12, s21, s22 = flow_entries(SPEC.dispersion, t)
+        f, g = s11 * f + s12 * g, s21 * f + s22 * g
+    twice = f, g
+    scale = np.max(np.abs(once[0])) + np.max(np.abs(once[1]))
+    assert np.max(np.abs(once[0] - twice[0])) <= 1e-12 * scale
+    assert np.max(np.abs(once[1] - twice[1])) <= 1e-12 * scale
 
 
 def test_duhamel_zero_forcing():
-    z = SpectralField.zeros(SPEC)
-    inc = duhamel_increment(z, z, 0.1)
-    assert np.all(inc.pos.coeffs == 0) and np.all(inc.vel.coeffs == 0)
+    # one ETD2 step from zero data is the Duhamel increment of its forcing
+    lam = SPEC.dispersion
+    z = np.zeros(SPEC.shape(), complex)
+    (gx, gv), (w1x, w1v) = duhamel_weights(lam, 0.1)
+    pos, vel = etd2_step(z, z, lambda p, stage: z, (flow_entries(lam, 0.1), (gx, gv, w1x, w1v)))
+    assert np.all(pos == 0) and np.all(vel == 0)
     with pytest.raises(ValueError):
-        duhamel_increment(z, z, 0.0)
+        duhamel_weights(lam, 0.0)
 
 
 def test_duhamel_constant_forcing_vs_quadrature():
@@ -136,10 +133,12 @@ def test_duhamel_constant_forcing_vs_quadrature():
         )[0]
         c = np.zeros(SPEC.shape(), complex)
         c[1, 1] = amp
-        f = SpectralField(SPEC, c)
-        inc = duhamel_increment(f, f, dt)
-        assert abs(inc.pos.coeffs[1, 1].real - amp * ix) <= 1e-10
-        assert abs(inc.vel.coeffs[1, 1].real - amp * iv) <= 1e-10
+        (gx, gv), (w1x, w1v) = duhamel_weights(SPEC.dispersion, dt)
+        tables = flow_entries(SPEC.dispersion, dt), (gx, gv, w1x, w1v)
+        zero = np.zeros_like(c)
+        pos, vel = etd2_step(zero, zero, lambda p, stage: c, tables)
+        assert abs(pos[1, 1].real - amp * ix) <= 1e-10
+        assert abs(vel[1, 1].real - amp * iv) <= 1e-10
 
 
 def test_duhamel_weights_degenerate_branch():
@@ -201,20 +200,21 @@ def test_etd2_manufactured_order_two():
 def test_quadratic_form_conservation_and_decay():
     lam = np.array([3.0, 17.0])
     x0, v0 = np.array([0.8, -0.3]), np.array([0.2, 1.1])
-    q0 = mode_quadratic_form(lam, 0.5, x0, v0)
-    # no-decay variant: exactly conserved
+    # undamped flow (gamma = 0, as step_deterministic_nlw runs): lam x^2 + v^2
+    # is exactly conserved
+    q0 = lam * x0 * x0 + v0 * v0
     x, v = x0.copy(), v0.copy()
     for _ in range(50):
-        s11, s12, s21, s22 = flow_entries(lam, 0.13, gamma=0.5, decay=False)
+        s11, s12, s21, s22 = flow_entries(lam, 0.13, gamma=0.0)
         x, v = s11 * x + s12 * v, s21 * x + s22 * v
-    assert np.max(np.abs(mode_quadratic_form(lam, 0.5, x, v) - q0)) <= 1e-10 * np.max(q0)
-    # with damping: strictly monotone decay on mode-pure states
+    assert np.max(np.abs(lam * x * x + v * v - q0)) <= 1e-10 * np.max(q0)
+    # with damping: lam x^2 + 2 gamma x v + v^2 decays strictly on mode-pure states
     x, v = x0.copy(), v0.copy()
-    prev = q0.copy()
+    prev = lam * x0 * x0 + x0 * v0 + v0 * v0
     for _ in range(50):
         s11, s12, s21, s22 = flow_entries(lam, 0.13, gamma=0.5)
         x, v = s11 * x + s12 * v, s21 * x + s22 * v
-        cur = mode_quadratic_form(lam, 0.5, x, v)
+        cur = lam * x * x + x * v + v * v
         assert np.all(cur < prev)
         prev = cur
 
