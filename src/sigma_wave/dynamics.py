@@ -9,9 +9,8 @@ in how the drift is assembled:
 
 * residual ensemble: the six-term renormalized coupling, which collapses
   algebraically to ``-(q + 2p + w - 2c/N) (v_j + psi_j)`` with the three
-  ensemble means q = <v^2>, p = <psi v>, w = <H_2(psi; c)>; the unfactored
-  double loop is kept as ``hlsm_rhs_reference`` and unit-tested against the
-  factored form,
+  ensemble means q = <v^2>, p = <psi v>, w = <H_2(psi; c)>; the tests
+  check the factored form against the unfactored double loop,
 * replica mean field: ``-(<v^2> + 2<psi v>) (v_r + psi_r)`` with replica
   averages in place of expectations,
 * renormalized interacting wave in the original variables:
@@ -41,7 +40,7 @@ from .grid import ComponentEnsemble, GridSpec, ball_mask, dealias_mask
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _draw_kick, _transition_tables,
                     stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
-from .wick import hermite
+from .wick import hermite  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 
 __all__ = [
     "BlowupError",
@@ -49,7 +48,6 @@ __all__ = [
     "MeanFieldState",
     "TrajectoryRecord",
     "hlsm_rhs",
-    "hlsm_rhs_reference",
     "step_hlsm",
     "meanfield_rhs",
     "step_meanfield",
@@ -216,28 +214,6 @@ def hlsm_rhs(state: _ResidualState) -> np.ndarray:
 meanfield_rhs = hlsm_rhs
 
 
-def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
-    """Unfactored six-term double loop; the oracle for ``hlsm_rhs``."""
-    c = state.renorm.sigma_at(state.step)
-    mask = _mask_for(state)
-    vg = _grids(_masked(state.v.pos, mask))
-    pg = _grids(_masked(state.psi.pos, mask))
-    n = state.n_components
-    out = np.empty_like(vg)
-    for j in range(n):
-        vj, pj = vg[j], pg[j]
-        acc = np.zeros_like(vj)
-        for k in range(n):
-            vk, pk = vg[k], pg[k]
-            h2k = hermite(2, pk, c)
-            pair_kj = hermite(2, pj, c) if k == j else pk * pj
-            triple_kj = hermite(3, pj, c) if k == j else h2k * pj
-            acc += (vk * vk * vj + 2.0 * pk * vk * vj + vk * vk * pj
-                    + h2k * vj + 2.0 * vk * pair_kj + triple_kj)
-        out[j] = -acc / n
-    return _coeffs(out, mask)
-
-
 def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
                truncation: float, chol) -> None:
     """Add one exact noise kick per stream into ``pos``/``vel``, in place.
@@ -313,8 +289,7 @@ def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
 step_meanfield = step_hlsm
 
 
-def renormalized_drift(ens: ComponentEnsemble, alpha: float,
-                       truncation: float | None = None) -> np.ndarray:
+def renormalized_drift(ens: ComponentEnsemble, alpha: float, truncation: float) -> np.ndarray:
     """Gibbs drift in the original variables: ``-(<u^2> - (N+2)a/N) u_j``.
 
     This is the negative gradient of the interaction
@@ -323,12 +298,11 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float,
     Criterion 05 checks the closed form against finite differences of the
     potential.
 
-    With ``truncation`` set, inputs and output are projected to the mode
-    ball, which is the sharp-cutoff system whose invariant measure is the
+    Inputs and output are projected to the mode ball ``|n| <= truncation``,
+    which is the sharp-cutoff system whose invariant measure is the
     truncated Gibbs ensemble (products must be grid-exact: n_grid > 4M).
     """
-    mask = ball_mask(ens.spec, truncation) if truncation is not None else None
-    return _renormalized_drift(ens.pos, alpha, mask)
+    return _renormalized_drift(ens.pos, alpha, ball_mask(ens.spec, truncation))
 
 
 def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,

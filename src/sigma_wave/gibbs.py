@@ -12,13 +12,19 @@ The sampler is MALA with the per-mode preconditioner ``(m+|n|^2)^{-1}``:
 the proposal is ``(1-h^2/2) U - (h^2/2) grad V / w + h Z`` with Z an
 equilibrium-shaped Gaussian, so the Gaussian part of the target is handled
 with a well-scaled step at every frequency.  All energies and proposal
-exponents are full-lattice sums; paired modes are counted twice on both
-sides of the accept ratio, which cancels.
+exponents are sums over the ball, which holds both modes of a mirror pair;
+paired modes are counted twice on both sides of the accept ratio, which
+cancels.
 
 A pair of unadjusted chains driven by common innovations, one interacting
 and one free, yields coupled (Gibbs, Gaussian) samples whose difference is
 controlled by the interaction gradient; this is the initial-data coupling
 used by the mean-field convergence experiment.
+
+Both samplers keep packed ``(N, n_ball)`` ball stacks, the layout of
+:class:`GibbsSamples`, and draw an iteration's N innovations in one call.
+Full grids are filled only for the drift and for the one ``ifft2`` per MALA
+proposal, which its potential and its ``series`` value share.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .dynamics import _renormalized_step, renormalized_drift
-from .grid import ComponentEnsemble, GridSpec, ball_mask
-from .noise import NoiseKind, NoiseStream, _sample_profile, alpha_m, stationary_ensemble
+from .grid import ComponentEnsemble, GridSpec, _ball_index, _unpack, ball_mask
+from .noise import (NoiseKind, NoiseStream, _sample_ball, _sample_profile, alpha_m,
+                    stationary_ensemble)
 from .noise import _draw_kick  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .wick import hermite
 
@@ -40,7 +47,6 @@ __all__ = [
     "GibbsSamples",
     "InvarianceReport",
     "gibbs_potential",
-    "gibbs_potential_reference",
     "sample_gibbs",
     "coupled_gibbs_gaussian_pair",
     "evolve_gibbs_samples",
@@ -62,24 +68,14 @@ def _potential_density(ug: np.ndarray, alpha: float) -> np.ndarray:
     return off_diag + np.sum(hermite(4, ug, alpha), axis=-3)
 
 
+def _potential(ug: np.ndarray, alpha: float) -> np.ndarray:
+    """Interaction of ``(..., N, n, n)`` grid values, one per leading index."""
+    return np.mean(_potential_density(ug, alpha), axis=(-2, -1)) / (4.0 * ug.shape[-3])
+
+
 def gibbs_potential(ens: ComponentEnsemble, alpha: float) -> float:
     """Renormalized quartic interaction, factored to one pass over components."""
-    ug = np.fft.ifft2(ens.pos, norm="forward").real
-    return float(np.mean(_potential_density(ug, alpha)) / (4.0 * len(ens)))
-
-
-def gibbs_potential_reference(ens: ComponentEnsemble, alpha: float) -> float:
-    """Unfactored double loop over component pairs; the oracle."""
-    ug = np.fft.ifft2(ens.pos, norm="forward").real
-    n = len(ens)
-    acc = np.zeros(ens.spec.shape())
-    for k in range(n):
-        for j in range(n):
-            if k == j:
-                acc += hermite(4, ug[j], alpha)
-            else:
-                acc += hermite(2, ug[k], alpha) * hermite(2, ug[j], alpha)
-    return float(np.mean(acc) / (4.0 * n))
+    return float(_potential(np.fft.ifft2(ens.pos, norm="forward").real, alpha))
 
 
 @dataclass(frozen=True)
@@ -132,9 +128,7 @@ class GibbsSamples:
 
     def _full(self, packed: np.ndarray) -> np.ndarray:
         """Scatter packed ``(..., n_ball)`` coefficients to full ``(..., n, n)`` grids."""
-        out = np.zeros(packed.shape[:-1] + (self.spec.n_grid ** 2,), dtype=np.complex128)
-        out[..., self.mode_idx] = packed
-        return out.reshape(packed.shape[:-1] + self.spec.shape())
+        return _unpack(packed, self.spec, self.mode_idx)
 
     def ensemble(self, k: int) -> ComponentEnsemble:
         return ComponentEnsemble(self.spec, self._full(self.positions[k]),
@@ -188,42 +182,51 @@ def mala_log_ratio(pos, prop, grad_pos, grad_prop, energy_pos, energy_prop,
             - _proposal_exponent(prop, pos, grad_prop, w_ball, inv_w, h))
 
 
-def _interaction_grad(pos: np.ndarray, spec: GridSpec, alpha: float,
-                      truncation: float) -> np.ndarray:
-    ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
-    return -renormalized_drift(ens, alpha, truncation)
+def _ball_grad(pos: np.ndarray, spec: GridSpec, alpha: float, truncation: float) -> np.ndarray:
+    """Interaction gradient of packed ``(N, n_ball)`` positions, packed alike;
+    full grids are filled only to call ``renormalized_drift`` (which reads no vel)."""
+    idx = _ball_index(spec.n_grid, float(truncation))
+    full = _unpack(pos, spec, idx)
+    drift = renormalized_drift(ComponentEnsemble(spec, full, full, copy=False), alpha, truncation)
+    return -drift.reshape(len(pos), -1)[:, idx]
+
+
+def _velocities(spec: GridSpec, M: int, root_seed: int, n: int, k: int) -> np.ndarray:
+    """Packed velocity refresh ``k``: n white-noise draws on the ball."""
+    gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(k)
+    prof = np.where(ball_mask(spec, M), 1.0, 0.0)
+    vel = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+    return vel.reshape(n, -1)[:, _ball_index(spec.n_grid, float(M))]
 
 
 def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> GibbsSamples:
     """Run one MALA chain and return thinned (position, velocity) samples.
 
+    The state is a packed ``(N, n_ball)`` stack; one ``ifft2`` per proposal
+    serves the potential and the ``series`` value (component 0's Wick square).
     Velocities are exact independent draws, so only positions are chained.
     Warns when the post-burn-in acceptance rate leaves the configured band.
     """
     if abs(cfg.m - spec.m) > 1e-12:
         raise ValueError(f"config mass {cfg.m} != grid mass {spec.m}")
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
-    mask = ball_mask(spec, M)
-    w = np.where(mask, spec.dispersion, 0.0)
-    prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    idx = _ball_index(spec.n_grid, float(M))
+    prof = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
+    w = spec.dispersion.reshape(-1)[idx]
+    inv_w = prof.reshape(-1)[idx]
     alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
 
-    pos = stationary_ensemble(spec, M, root_seed, n).pos
+    def state_of(p):
+        """Gradient, energy and grid values of packed positions ``p``."""
+        ug = np.fft.ifft2(_unpack(p, spec, idx), norm="forward").real
+        if not cfg.interaction:
+            return np.zeros_like(p), _gaussian_energy(p, w), ug
+        energy = _gaussian_energy(p, w) + float(_potential(ug, alpha))
+        return _ball_grad(p, spec, alpha, float(M)), energy, ug
+
+    pos = stationary_ensemble(spec, M, root_seed, n).pos.reshape(n, -1)[:, idx]
+    grad, energy, ug = state_of(pos)
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
-
-    def grad_of(p):
-        if not cfg.interaction:
-            return np.zeros_like(p)
-        return _interaction_grad(p, spec, alpha, float(M))
-
-    def potential_of(p):
-        if not cfg.interaction:
-            return 0.0
-        ens = ComponentEnsemble(spec, p, np.zeros_like(p), copy=False)
-        return gibbs_potential(ens, alpha)
-
-    grad = grad_of(pos)
-    energy = _gaussian_energy(pos, w) + potential_of(pos)
 
     keep_pos = []
     series = []
@@ -232,23 +235,21 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     beta = 1.0 - 0.5 * h * h
     for it in range(cfg.chain_length):
         gen = innovations.generator(it)
-        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+        z = _sample_ball(gen, spec, M, prof, n)
         prop = beta * pos - 0.5 * h * h * grad * inv_w + h * z
-        grad_prop = grad_of(prop)
-        energy_prop = _gaussian_energy(prop, w) + potential_of(prop)
+        grad_prop, energy_prop, ug_prop = state_of(prop)
         log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy, energy_prop,
                                    w, inv_w, h)
         if it >= cfg.burn_in:
             proposed += 1
         if np.log(gen.uniform()) < log_ratio:
-            pos, grad, energy = prop, grad_prop, energy_prop
+            pos, grad, energy, ug = prop, grad_prop, energy_prop, ug_prop
             if it >= cfg.burn_in:
                 accepted += 1
         if it >= cfg.burn_in:
-            u1 = np.fft.ifft2(pos[0], norm="forward").real
-            series.append(np.mean(u1 * u1) - alpha)
+            series.append(np.mean(ug[0] * ug[0]) - alpha)
             if (it - cfg.burn_in) % cfg.thin == 0:
-                keep_pos.append(pos.copy())
+                keep_pos.append(pos)
 
     accept_rate = accepted / max(proposed, 1)
     lo, hi = cfg.acceptance_band
@@ -259,16 +260,8 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
             f"MALA acceptance {accept_rate:.2f} outside [{lo}, {hi}]; "
             f"try step_size near {suggestion:.3g}", RuntimeWarning)
 
-    idx = np.flatnonzero(mask.reshape(-1))
-    k_total = len(keep_pos)
-    packed_pos = np.stack([p.reshape(n, -1)[:, idx] for p in keep_pos])
-    vel_prof = np.where(mask, 1.0, 0.0)
-    packed_vel = np.empty_like(packed_pos)
-    for k in range(k_total):
-        gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(k)
-        vel = np.stack([_sample_profile(gen, spec, M, vel_prof) for _ in range(n)])
-        packed_vel[k] = vel.reshape(n, -1)[:, idx]
-    return GibbsSamples(spec, M, idx, packed_pos, packed_vel,
+    packed_vel = np.stack([_velocities(spec, M, root_seed, n, k) for k in range(len(keep_pos))])
+    return GibbsSamples(spec, M, idx, np.stack(keep_pos), packed_vel,
                         accept_rate, integrated_autocorrelation(np.asarray(series)),
                         np.asarray(series))
 
@@ -279,23 +272,25 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     Both chains see the same Gaussian innovations; the free chain samples
     the truncated equilibrium, the interacting one its Gibbs counterpart,
     and the coupling keeps their difference of the order of the interaction
-    gradient.  Velocities are one shared equilibrium draw.  Returns a pair
-    of ensembles ``(gibbs, gaussian)``.  Of ``cfg`` it reads n_components,
-    truncation, step_size and chain_length only.
+    gradient.  Both states are packed ``(N, n_ball)`` stacks fed by one
+    :func:`_sample_ball` draw per iteration, unpacked once on return.
+    Velocities are one shared equilibrium draw.  Returns a pair of ensembles
+    ``(gibbs, gaussian)``.  Of ``cfg`` it reads n_components, truncation,
+    step_size and chain_length only.
     """
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
-    mask = ball_mask(spec, M)
-    prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    idx = _ball_index(spec.n_grid, float(M))
+    prof = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
+    inv_w = prof.reshape(-1)[idx]
     alpha = alpha_m(spec.m, M)
     beta = 1.0 - 0.5 * h * h
 
-    pos_a = stationary_ensemble(spec, M, root_seed, n).pos
+    pos_a = stationary_ensemble(spec, M, root_seed, n).pos.reshape(n, -1)[:, idx]
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
     for it in range(cfg.chain_length):
-        gen = innovations.generator(it)
-        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
-        grad = _interaction_grad(pos_a, spec, alpha, float(M))
+        z = _sample_ball(innovations.generator(it), spec, M, prof, n)
+        grad = _ball_grad(pos_a, spec, alpha, float(M))
         pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
         pos_b = beta * pos_b + h * z
 
@@ -303,11 +298,9 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
         # unadjusted proposals have no rejection safety net for the cubic drift
         raise ValueError(f"coupled chain diverged; step size {h} is too large "
                          f"for truncation {M}")
-    gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(0)
-    vel_prof = np.where(mask, 1.0, 0.0)
-    vel = np.stack([_sample_profile(gen, spec, M, vel_prof) for _ in range(n)])
-    gibbs = ComponentEnsemble(spec, pos_a, vel.copy(), copy=False)
-    gaussian = ComponentEnsemble(spec, pos_b, vel.copy(), copy=False)
+    vel = _unpack(_velocities(spec, M, root_seed, n, 0), spec, idx)
+    gibbs = ComponentEnsemble(spec, _unpack(pos_a, spec, idx), vel.copy(), copy=False)
+    gaussian = ComponentEnsemble(spec, _unpack(pos_b, spec, idx), vel, copy=False)
     return gibbs, gaussian
 
 
@@ -344,12 +337,12 @@ class InvarianceReport:
                                     "mean_t1", "se_t1")]) + "\n")
 
 
-def _invariance_observables(pos: np.ndarray, spec: GridSpec, alpha: float, n: int) -> dict:
+def _invariance_observables(pos: np.ndarray, spec: GridSpec, alpha: float) -> dict:
     ug = np.fft.ifft2(pos, norm="forward").real
     wick_sq = np.mean(ug[:, 0] ** 2, axis=(1, 2)) - alpha
     low = ball_mask(spec, 1.0).reshape(-1)
     low_energy = np.sum(np.abs(pos[:, 0].reshape(len(pos), -1)[:, low]) ** 2, axis=1)
-    potential = np.mean(_potential_density(ug, alpha), axis=(1, 2)) / (4.0 * n)
+    potential = _potential(ug, alpha)
     return {"wick_square_int": wick_sq, "low_mode_energy": low_energy,
             "potential": potential}
 
@@ -369,13 +362,12 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError(f"dt {dt} does not divide horizon {horizon}")
     samples = sample_gibbs(spec, cfg, root_seed)
-    n = cfg.n_components
     pos0, vel0 = samples._full(samples.positions), samples._full(samples.velocities)
     alpha = alpha_m(spec.m, cfg.truncation)
     pos1, _ = evolve_gibbs_samples(pos0, vel0, spec, alpha, float(cfg.truncation),
                                    dt, n_steps, root_seed + 1)
-    obs0 = _invariance_observables(pos0, spec, alpha, n)
-    obs1 = _invariance_observables(pos1, spec, alpha, n)
+    obs0 = _invariance_observables(pos0, spec, alpha)
+    obs1 = _invariance_observables(pos1, spec, alpha)
     rows = []
     for name in obs0:
         a, b = obs0[name], obs1[name]

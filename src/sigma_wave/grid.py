@@ -122,6 +122,21 @@ def ball_mask(spec: GridSpec, radius: float) -> np.ndarray:
     return _ball_mask(spec.n_grid, float(radius))
 
 
+@lru_cache(maxsize=256)
+def _ball_index(n_grid: int, radius: float) -> np.ndarray:
+    """Sorted flat indices of the ``|n| <= radius`` modes: the packed layout."""
+    idx = np.flatnonzero(_ball_mask(n_grid, radius))
+    idx.setflags(write=False)
+    return idx
+
+
+def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
+    """Scatter packed ``(..., len(idx))`` coefficients to full ``(..., n, n)`` grids."""
+    out = np.zeros(packed.shape[:-1] + (spec.n_grid ** 2,), dtype=np.complex128)
+    out[..., idx] = packed
+    return out.reshape(packed.shape[:-1] + spec.shape())
+
+
 def dealias_mask(spec: GridSpec) -> np.ndarray:
     """Mask for the 2/3-rule mode set, ``|n| <= (2/3) * nyquist``."""
     return _ball_mask(spec.n_grid, 2.0 * spec.nyquist / 3.0)

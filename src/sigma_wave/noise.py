@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField, _ball_mask,
-                   _mode_vectors, ball_mask)
+from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField, _ball_index,
+                   _ball_mask, _mode_vectors, _unpack, ball_mask)
 from .propagator import _cc, _sc, flow_entries
 
 __all__ = [
@@ -215,18 +215,37 @@ def _half_lattice(n_grid: int, radius: float):
     return self_idx, plus, minus
 
 
-def _sample_profile(gen, spec: GridSpec, radius: float, profile: np.ndarray) -> np.ndarray:
-    """Hermitian Gaussian coefficients with per-mode variance ``profile``."""
-    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
-    out = np.zeros(spec.n_grid * spec.n_grid, dtype=np.complex128)
+@lru_cache(maxsize=128)
+def _ball_slots(n_grid: int, radius: float):
+    """Packed positions of the :func:`_half_lattice` modes, in ``_ball_index`` order."""
+    ball = _ball_index(n_grid, radius)
+    slots = tuple(np.searchsorted(ball, arr) for arr in _half_lattice(n_grid, radius))
+    for arr in slots:
+        arr.setflags(write=False)
+    return slots
+
+
+def _sample_ball(gen, spec: GridSpec, radius: float, profile: np.ndarray, n: int) -> np.ndarray:
+    """n Hermitian Gaussian draws with per-mode variance ``profile``, packed
+    ``(n, n_ball)``; one ``standard_normal`` call takes, per draw, the plus-mode
+    real parts, imaginary parts and self-conjugate values, in that order."""
+    self_idx, plus, _ = _half_lattice(spec.n_grid, float(radius))
+    s_pos, p_pos, m_pos = _ball_slots(spec.n_grid, float(radius))
     p = profile.reshape(-1)
-    zr = gen.standard_normal(plus.size)
-    zi = gen.standard_normal(plus.size)
-    zs = gen.standard_normal(self_idx.size)
-    out[plus] = np.sqrt(p[plus] / 2.0) * (zr + 1j * zi)
-    out[minus] = np.conj(out[plus])
-    out[self_idx] = np.sqrt(p[self_idx]) * zs
-    return out.reshape(spec.shape())
+    z = gen.standard_normal(n * (2 * plus.size + self_idx.size)).reshape(n, -1)
+    zr, zi, zs = z[:, :plus.size], z[:, plus.size:2 * plus.size], z[:, 2 * plus.size:]
+    out = np.empty((n, self_idx.size + 2 * plus.size), dtype=np.complex128)
+    pair = np.sqrt(p[plus] / 2.0) * (zr + 1j * zi)
+    out[:, p_pos] = pair
+    out[:, m_pos] = np.conj(pair)
+    out[:, s_pos] = np.sqrt(p[self_idx]) * zs
+    return out
+
+
+def _sample_profile(gen, spec: GridSpec, radius: float, profile: np.ndarray) -> np.ndarray:
+    """One :func:`_sample_ball` draw on a full grid, zero off the ball."""
+    packed = _sample_ball(gen, spec, radius, profile, 1)[0]
+    return _unpack(packed, spec, _ball_index(spec.n_grid, float(radius)))
 
 
 @lru_cache(maxsize=32)

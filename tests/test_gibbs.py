@@ -7,20 +7,23 @@ from sigma_wave.dynamics import renormalized_drift, step_renormalized_wave
 from sigma_wave.gibbs import (
     GibbsSamplerConfig,
     GibbsSamples,
+    _ball_grad,
     _gaussian_energy,
-    _interaction_grad,
     coupled_gibbs_gaussian_pair,
     evolve_gibbs_samples,
     gibbs_potential,
-    gibbs_potential_reference,
     gibbs_vs_gaussian_covariance,
     integrated_autocorrelation,
     invariance_check,
     mala_log_ratio,
     sample_gibbs,
 )
-from sigma_wave.grid import ComponentEnsemble, GridSpec, ball_mask, random_field
-from sigma_wave.noise import NoiseKind, NoiseStream, _sample_profile, alpha_m
+from sigma_wave.grid import (ComponentEnsemble, GridSpec, _ball_index, _unpack, ball_mask,
+                             random_field)
+from sigma_wave.noise import (NoiseKind, NoiseStream, _half_lattice, _sample_ball,
+                              _sample_profile, alpha_m, stationary_ensemble)
+
+from oracles import gibbs_potential_reference
 
 
 def random_ensemble(spec, n, seed, amplitude=0.6, truncation=2.0):
@@ -29,6 +32,11 @@ def random_ensemble(spec, n, seed, amplitude=0.6, truncation=2.0):
                                  truncation=truncation).coeffs for _ in range(n)])
     vel = np.zeros_like(pos)
     return ComponentEnsemble(spec, pos, vel, copy=False)
+
+
+def full_ensemble(packed, spec, idx):
+    full = _unpack(packed, spec, idx)
+    return ComponentEnsemble(spec, full, np.zeros_like(full), copy=False)
 
 
 def test_potential_at_zero_field_matches_closed_forms():
@@ -86,25 +94,22 @@ def scalar_exponent(a, b, m, alpha, h):
 def test_mala_log_ratio_matches_scalar_densities():
     # M = 0 keeps a single real degree of freedom, so the full accept
     # arithmetic can be checked against explicit one-dimensional formulas
+    # packed on the ball, that degree of freedom is the one slot of (1, 1) arrays
     spec = GridSpec(8, m=1.3)
-    mask = ball_mask(spec, 0.0)
-    w = np.where(mask, spec.dispersion, 0.0)
-    inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    idx = _ball_index(spec.n_grid, 0.0)
+    w = spec.dispersion.reshape(-1)[idx]
+    inv_w = 1.0 / w
     alpha = 0.4
     h = 0.7
     gen = np.random.default_rng(3)
     for _ in range(10):
         a, b = gen.normal(size=2)
-        pa = np.zeros((1,) + spec.shape(), dtype=np.complex128)
-        pb = np.zeros_like(pa)
-        pa[0, 0, 0] = a
-        pb[0, 0, 0] = b
-        ga = _interaction_grad(pa, spec, alpha, 0.0)
-        gb = _interaction_grad(pb, spec, alpha, 0.0)
-        ea = _gaussian_energy(pa, w) + gibbs_potential(
-            ComponentEnsemble(spec, pa, np.zeros_like(pa), copy=False), alpha)
-        eb = _gaussian_energy(pb, w) + gibbs_potential(
-            ComponentEnsemble(spec, pb, np.zeros_like(pb), copy=False), alpha)
+        pa = np.full((1, 1), a, dtype=np.complex128)
+        pb = np.full((1, 1), b, dtype=np.complex128)
+        ga = _ball_grad(pa, spec, alpha, 0.0)
+        gb = _ball_grad(pb, spec, alpha, 0.0)
+        ea = _gaussian_energy(pa, w) + gibbs_potential(full_ensemble(pa, spec, idx), alpha)
+        eb = _gaussian_energy(pb, w) + gibbs_potential(full_ensemble(pb, spec, idx), alpha)
         got = mala_log_ratio(pa, pb, ga, gb, ea, eb, w, inv_w, h)
         want = (scalar_energy(a, spec.m, alpha) - scalar_energy(b, spec.m, alpha)
                 + scalar_exponent(a, b, spec.m, alpha, h)
@@ -139,21 +144,21 @@ def test_mala_log_ratio_vanishes_with_step_size():
     spec = GridSpec(8, m=1.0)
     M = 2
     mask = ball_mask(spec, M)
-    w = np.where(mask, spec.dispersion, 0.0)
-    inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    idx = _ball_index(spec.n_grid, float(M))
+    w = spec.dispersion.reshape(-1)[idx]
+    inv_w = 1.0 / w
     prof = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M)
     gen = np.random.default_rng(8)
-    pos = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(2)])
+    pos = _sample_ball(gen, spec, M, prof, 2)
     h = 1e-3
-    z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(2)])
-    grad = _interaction_grad(pos, spec, alpha, float(M))
+    z = _sample_ball(gen, spec, M, prof, 2)
+    grad = _ball_grad(pos, spec, alpha, float(M))
     prop = (1 - 0.5 * h * h) * pos - 0.5 * h * h * grad * inv_w + h * z
-    grad_prop = _interaction_grad(prop, spec, alpha, float(M))
+    grad_prop = _ball_grad(prop, spec, alpha, float(M))
 
     def energy(p):
-        ens = ComponentEnsemble(spec, p, np.zeros_like(p), copy=False)
-        return _gaussian_energy(p, w) + gibbs_potential(ens, alpha)
+        return _gaussian_energy(p, w) + gibbs_potential(full_ensemble(p, spec, idx), alpha)
 
     log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy(pos), energy(prop),
                                w, inv_w, h)
@@ -322,6 +327,147 @@ def test_coupled_pair_free_chain_is_the_linear_recursion():
     assert np.array_equal(gaussian.pos, pos)
     assert np.array_equal(gibbs.vel, gaussian.vel)
     assert not np.array_equal(gibbs.pos, gaussian.pos)
+
+
+def full_grid_grad(pos, spec, alpha, truncation):
+    ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
+    return -renormalized_drift(ens, alpha, truncation)
+
+
+def full_grid_pair(spec, cfg, root_seed):
+    """The full-grid ULA loop that ran before the chains were packed on the ball."""
+    n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
+    mask = ball_mask(spec, M)
+    prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    alpha = alpha_m(spec.m, M)
+    beta = 1.0 - 0.5 * h * h
+
+    pos_a = stationary_ensemble(spec, M, root_seed, n).pos
+    pos_b = pos_a.copy()
+    innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
+    for it in range(cfg.chain_length):
+        gen = innovations.generator(it)
+        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+        grad = full_grid_grad(pos_a, spec, alpha, float(M))
+        pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
+        pos_b = beta * pos_b + h * z
+    gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(0)
+    vel_prof = np.where(mask, 1.0, 0.0)
+    vel = np.stack([_sample_profile(gen, spec, M, vel_prof) for _ in range(n)])
+    return pos_a, pos_b, vel
+
+
+@pytest.mark.parametrize("n_grid, n, M, h, length", [(8, 2, 2, 0.5, 50), (32, 5, 7, 0.25, 30)])
+def test_coupled_pair_matches_the_full_grid_ula_loop(n_grid, n, M, h, length):
+    # packing both chains on the ball must not move a bit of either chain
+    spec = GridSpec(n_grid, m=1.0)
+    cfg = GibbsSamplerConfig(n, M, 1.0, h, length, 0, thin=1)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21)
+    pos_a, pos_b, vel = full_grid_pair(spec, cfg, 21)
+    assert gibbs.pos.tobytes() == pos_a.tobytes()
+    assert gaussian.pos.tobytes() == pos_b.tobytes()
+    assert gibbs.vel.tobytes() == vel.tobytes()
+    assert gaussian.vel.tobytes() == vel.tobytes()
+
+
+def full_grid_mala(spec, cfg, root_seed):
+    """The full-grid MALA loop that ran before the chain was packed on the ball:
+    thinned full-grid positions, the series and the acceptance rate."""
+    n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
+    mask = ball_mask(spec, M)
+    w = np.where(mask, spec.dispersion, 0.0)
+    prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
+
+    pos = stationary_ensemble(spec, M, root_seed, n).pos
+    innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
+
+    def grad_of(p):
+        if not cfg.interaction:
+            return np.zeros_like(p)
+        return full_grid_grad(p, spec, alpha, float(M))
+
+    def potential_of(p):
+        if not cfg.interaction:
+            return 0.0
+        ens = ComponentEnsemble(spec, p, np.zeros_like(p), copy=False)
+        return gibbs_potential(ens, alpha)
+
+    grad = grad_of(pos)
+    energy = _gaussian_energy(pos, w) + potential_of(pos)
+
+    keep_pos = []
+    series = []
+    accepted = 0
+    proposed = 0
+    beta = 1.0 - 0.5 * h * h
+    for it in range(cfg.chain_length):
+        gen = innovations.generator(it)
+        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+        prop = beta * pos - 0.5 * h * h * grad * inv_w + h * z
+        grad_prop = grad_of(prop)
+        energy_prop = _gaussian_energy(prop, w) + potential_of(prop)
+        log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy, energy_prop,
+                                   w, inv_w, h)
+        if it >= cfg.burn_in:
+            proposed += 1
+        if np.log(gen.uniform()) < log_ratio:
+            pos, grad, energy = prop, grad_prop, energy_prop
+            if it >= cfg.burn_in:
+                accepted += 1
+        if it >= cfg.burn_in:
+            u1 = np.fft.ifft2(pos[0], norm="forward").real
+            series.append(np.mean(u1 * u1) - alpha)
+            if (it - cfg.burn_in) % cfg.thin == 0:
+                keep_pos.append(pos.copy())
+    return np.stack(keep_pos), np.asarray(series), accepted / max(proposed, 1)
+
+
+@pytest.mark.parametrize("interaction", [True, False])
+def test_sample_gibbs_matches_the_full_grid_mala_loop(interaction):
+    # the packed energies sum in another order; the chain must still take
+    # the same accept decisions and land on the same bits
+    spec = GridSpec(16, m=1.0)
+    cfg = GibbsSamplerConfig(3, 3, 1.0, 0.5, 300, 50, thin=5, interaction=interaction,
+                             acceptance_band=(0.0, 1.0))
+    samples = sample_gibbs(spec, cfg, root_seed=31)
+    positions, series, accept_rate = full_grid_mala(spec, cfg, 31)
+    assert 0.0 < accept_rate < 1.0
+    assert samples._full(samples.positions).tobytes() == positions.tobytes()
+    assert samples.series.tobytes() == series.tobytes()
+    assert samples.accept_rate == accept_rate
+
+
+def scattered_profile_draw(gen, spec, radius, profile):
+    """The per-component draw as written before it was built on the packed
+    draw: it defines the draw order every stream has used."""
+    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
+    out = np.zeros(spec.n_grid * spec.n_grid, dtype=np.complex128)
+    p = profile.reshape(-1)
+    zr = gen.standard_normal(plus.size)
+    zi = gen.standard_normal(plus.size)
+    zs = gen.standard_normal(self_idx.size)
+    out[plus] = np.sqrt(p[plus] / 2.0) * (zr + 1j * zi)
+    out[minus] = np.conj(out[plus])
+    out[self_idx] = np.sqrt(p[self_idx]) * zs
+    return out.reshape(spec.shape())
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("radius", [0, 2, 7])
+def test_sample_ball_stacks_sequential_profile_draws(n, radius):
+    # radius 7 is nyquist - 1 on the 16-point grid
+    spec = GridSpec(16, m=1.0)
+    prof = np.where(ball_mask(spec, radius), 1.0 / spec.dispersion, 0.0)
+    stream = NoiseStream(4, 0, NoiseKind.CHAIN)
+    packed = _sample_ball(stream.generator(9), spec, radius, prof, n)
+    idx = _ball_index(spec.n_grid, float(radius))
+    assert packed.shape == (n, idx.size)
+    for draw in (_sample_profile, scattered_profile_draw):
+        gen = stream.generator(9)
+        full = np.stack([draw(gen, spec, radius, prof) for _ in range(n)])
+        assert np.array_equal(packed, full.reshape(n, -1)[:, idx])
+        assert not np.any(np.delete(full.reshape(n, -1), idx, axis=1))
 
 
 def test_coupled_pair_difference_is_small_relative_to_the_fields():
