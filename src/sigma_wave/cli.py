@@ -32,8 +32,8 @@ from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
                        step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
-from .grid import (ComponentEnsemble, GridSpec, SpectralField, load_field, rms,
-                   save_field, sobolev_norm)
+from .grid import (ComponentEnsemble, GridSpec, SpectralField, hermitian_defect, load_field,
+                   rms, save_field, sobolev_norm)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
 THREADS_ENV = "SIGMA_WAVE_THREADS"
@@ -192,12 +192,14 @@ def _ensemble_from_files(spec: GridSpec, n: int, directory: str) -> ComponentEns
         vel_path = root / f"field_du{j:03d}.sgwv"
         if not pos_path.exists() or not vel_path.exists():
             raise ConfigError(f"data_file {directory}: missing snapshots for component {j}")
-        field = load_field(pos_path, spec.m)
-        if field.spec.n_grid != spec.n_grid:
-            raise ConfigError(f"{pos_path}: snapshot grid {field.spec.n_grid} != "
-                              f"configured {spec.n_grid}")
-        pos.append(field.coeffs)
-        vel.append(load_field(vel_path, spec.m).coeffs)
+        for path, dest in ((pos_path, pos), (vel_path, vel)):
+            field = load_field(path, spec.m)
+            if field.spec.n_grid != spec.n_grid:
+                raise ConfigError(f"{path}: snapshot grid {field.spec.n_grid} != "
+                                  f"configured {spec.n_grid}")
+            if hermitian_defect(field) > 1e-12 * np.max(np.abs(field.coeffs)):
+                raise ConfigError(f"{path}: coefficients are not the spectrum of a real field")
+            dest.append(field.coeffs)
     return ComponentEnsemble(spec, np.stack(pos), np.stack(vel), copy=False)
 
 

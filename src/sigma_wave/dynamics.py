@@ -19,13 +19,12 @@ in how the drift is assembled:
 * conservative undamped wave: ``-<u^2> u_j``, no noise, energy-conserving;
   this is the renormalized drift at ``alpha = 0``.
 
-Components are vectorized (stacked FFTs), which makes reductions exactly
-deterministic; parallelism across runs lives in the experiment layer.
+Components are vectorized (stacked real FFTs), which makes reductions
+exactly deterministic; parallelism across runs lives in the experiment layer.
 
-Pointwise products are formed on the grid after a 2/3-rule truncation by
-default; the no-dealias mode exists because exact products are wanted when
-comparing against mode-space oracles and when the product of ball-limited
-fields is representable on the grid anyway.
+Drifts read and write only a kept mode ball (the 2/3-rule set by default,
+every mode without dealiasing) through ``irfft2``/``rfft2`` on the half
+spectrum; the conjugate mirror supplies the other half plane.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import ComponentEnsemble, GridSpec, ball_mask, dealias_mask
+from .grid import ComponentEnsemble, GridSpec, _half_spectrum_index
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _draw_kick, _transition_tables,
                     stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
@@ -81,55 +80,60 @@ def _drift_tables(spec: GridSpec, dt: float, gamma: float):
     return flow, (gx, gv, w1x, w1v)
 
 
-def _grids(coeff_stack: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(coeff_stack, norm="forward").real
+def _to_grid(coeffs: np.ndarray, radius: float | None) -> np.ndarray:
+    """Grid values of the ``|n| <= radius`` modes (every mode for None) of
+    Hermitian ``(..., n, n)`` coefficient stacks, through ``irfft2``."""
+    n, lead = coeffs.shape[-1], coeffs.shape[:-2]
+    full, half = _half_spectrum_index(n, radius)[:2]
+    spec = np.zeros(lead + (n * (n // 2 + 1),), dtype=np.complex128)
+    spec[..., half] = coeffs.reshape(lead + (n * n,))[..., full]
+    return np.fft.irfft2(spec.reshape(lead + (n, n // 2 + 1)), s=(n, n), norm="forward")
 
 
-def _coeffs(grid_stack: np.ndarray, mask) -> np.ndarray:
-    out = np.fft.fft2(grid_stack, norm="forward")
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
+def _to_coeffs(grid: np.ndarray, radius: float | None) -> np.ndarray:
+    """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks:
+    ``rfft2``, then the kept modes gathered into zeros, exactly Hermitian."""
+    n, lead = grid.shape[-1], grid.shape[:-2]
+    *_, full, half, n_direct = _half_spectrum_index(n, radius)
+    vals = np.fft.rfft2(grid, norm="forward").reshape(lead + (-1,))[..., half]
+    np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
+    out = np.zeros(lead + (n * n,), dtype=np.complex128)
+    out[..., full] = vals
+    return out.reshape(lead + (n, n))
 
 
-def _masked(coeff_stack: np.ndarray, mask) -> np.ndarray:
-    if mask is None:
-        return coeff_stack
-    return np.where(mask, coeff_stack, 0.0)
-
-
-def _ensemble_drift(v_pos: np.ndarray, psi_pos: np.ndarray, c: float, mask) -> np.ndarray:
+def _ensemble_drift(v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) -> np.ndarray:
     """Factored six-term coupling for the residual ensemble, in mode space."""
     n = v_pos.shape[0]
-    vg = _grids(_masked(v_pos, mask))
-    pg = _grids(_masked(psi_pos, mask))
+    vg = _to_grid(v_pos, radius)
+    pg = _to_grid(psi_pos, radius)
     q = np.mean(vg * vg, axis=0)
     p = np.mean(pg * vg, axis=0)
     w = np.mean(pg * pg, axis=0) - c
     g = q + 2.0 * p + w - 2.0 * c / n
-    return _coeffs(-g[None] * (vg + pg), mask)
+    return _to_coeffs(-g[None] * (vg + pg), radius)
 
 
-def _meanfield_drift(v_pos: np.ndarray, psi_pos: np.ndarray, mask) -> np.ndarray:
+def _meanfield_drift(v_pos: np.ndarray, psi_pos: np.ndarray, radius) -> np.ndarray:
     """Replica-averaged limit drift; every term carries v or a v-average."""
-    vg = _grids(_masked(v_pos, mask))
-    pg = _grids(_masked(psi_pos, mask))
+    vg = _to_grid(v_pos, radius)
+    pg = _to_grid(psi_pos, radius)
     a = np.mean(vg * vg, axis=0)
     b = np.mean(pg * vg, axis=0)
-    return _coeffs(-(a + 2.0 * b)[None] * (vg + pg), mask)
+    return _to_coeffs(-(a + 2.0 * b)[None] * (vg + pg), radius)
 
 
-def _renormalized_drift(pos: np.ndarray, alpha: float, mask) -> np.ndarray:
+def _renormalized_drift(pos: np.ndarray, alpha: float, radius) -> np.ndarray:
     """Gibbs drift of a ``(..., N, n, n)`` stack; the mean runs over axis -3."""
     n = pos.shape[-3]
-    ug = _grids(_masked(pos, mask))
+    ug = _to_grid(pos, radius)
     mean_sq = np.mean(ug * ug, axis=-3, keepdims=True)
-    shift = (n + 2.0) * alpha / n
-    return _coeffs(-(mean_sq - shift) * ug, mask)
+    ug *= -(mean_sq - (n + 2.0) * alpha / n)  # in place: one grid stack fewer per call
+    return _to_coeffs(ug, radius)
 
 
-def _mask_for(state) -> np.ndarray | None:
-    return dealias_mask(state.v.spec) if state.dealias else None
+def _radius_for(state) -> float | None:
+    return state.v.spec.dealias_radius if state.dealias else None
 
 
 @dataclass(frozen=True)
@@ -188,8 +192,8 @@ class _ResidualState:
 class HlsmState(_ResidualState):
     """Residual ensemble of the N-component system; six-term coupled drift."""
 
-    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, mask) -> np.ndarray:
-        return _ensemble_drift(v_pos, psi_pos, c, mask)
+    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) -> np.ndarray:
+        return _ensemble_drift(v_pos, psi_pos, c, radius)
 
 
 class MeanFieldState(_ResidualState):
@@ -200,15 +204,15 @@ class MeanFieldState(_ResidualState):
     the convergence experiments.
     """
 
-    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, mask) -> np.ndarray:
-        return _meanfield_drift(v_pos, psi_pos, mask)
+    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) -> np.ndarray:
+        return _meanfield_drift(v_pos, psi_pos, radius)
 
 
 def hlsm_rhs(state: _ResidualState) -> np.ndarray:
     """Drift of a residual system, as a stacked coefficient array;
     ``meanfield_rhs`` is the same function."""
     c = state.renorm.sigma_at(state.step)
-    return state.drift(state.v.pos, state.psi.pos, c, _mask_for(state))
+    return state.drift(state.v.pos, state.psi.pos, c, _radius_for(state))
 
 
 meanfield_rhs = hlsm_rhs
@@ -276,11 +280,11 @@ def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
         raise ValueError("renormalization table exhausted; build it with more steps")
     spec = state.v.spec
     c = state.renorm.sigma_at(state.step), state.renorm.sigma_at(state.step + 1)
-    mask = _mask_for(state)
+    radius = _radius_for(state)
     psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt, float(state.renorm.M))
     psi = (state.psi.pos, psi1.pos)
     pos, vel = etd2_step(state.v.pos, state.v.vel,
-                         lambda p, stage: state.drift(p, psi[stage], c[stage], mask),
+                         lambda p, stage: state.drift(p, psi[stage], c[stage], radius),
                          _drift_tables(spec, dt, 0.5))
     return replace(state, v=ComponentEnsemble(spec, pos, vel, copy=False),
                    psi=psi1, time=state.time + dt, step=state.step + 1)
@@ -298,21 +302,20 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float, truncation: float) 
     Criterion 05 checks the closed form against finite differences of the
     potential.
 
-    Inputs and output are projected to the mode ball ``|n| <= truncation``,
-    which is the sharp-cutoff system whose invariant measure is the
-    truncated Gibbs ensemble (products must be grid-exact: n_grid > 4M).
+    Only the Hermitian modes of ``|n| <= truncation`` are read and written,
+    via the half spectrum: the sharp-cutoff system whose invariant measure is
+    the truncated Gibbs ensemble (products must be grid-exact: n_grid > 4M).
     """
-    return _renormalized_drift(ens.pos, alpha, ball_mask(ens.spec, truncation))
+    return _renormalized_drift(ens.pos, alpha, truncation)
 
 
 def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
                        dt: float, alpha: float, truncation: float, kick=None):
     """:func:`step_renormalized_wave` on ``(..., N, n, n)`` stacks, one stream
     per leading index in row-major order."""
-    mask = ball_mask(spec, truncation)
     if kick is None:
         kick = _kick_pair(pos, streams, step, spec, dt, truncation)
-    return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, mask),
+    return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, truncation),
                      _drift_tables(spec, dt, 0.5), kick)
 
 
@@ -338,8 +341,8 @@ def step_deterministic_nlw(ens: ComponentEnsemble, dt: float, dealias: bool = Tr
     Read over replicas instead of components it is the conservative
     mean-field wave, whose replica averages estimate E[u^2].
     """
-    mask = dealias_mask(ens.spec) if dealias else None
-    pos, vel = etd2_step(ens.pos, ens.vel, lambda p, _: _renormalized_drift(p, 0.0, mask),
+    radius = ens.spec.dealias_radius if dealias else None
+    pos, vel = etd2_step(ens.pos, ens.vel, lambda p, _: _renormalized_drift(p, 0.0, radius),
                          _drift_tables(ens.spec, dt, 0.0))
     return ComponentEnsemble(ens.spec, pos, vel, copy=False)
 

@@ -103,6 +103,10 @@ class GridSpec:
         out.setflags(write=False)
         return out
 
+    @property
+    def dealias_radius(self) -> float:  # of the 2/3-rule mode set
+        return 2.0 * self.nyquist / 3.0
+
     def shape(self) -> tuple[int, int]:
         return (self.n_grid, self.n_grid)
 
@@ -130,6 +134,26 @@ def _ball_index(n_grid: int, radius: float) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=256)
+def _half_spectrum_index(n_grid: int, radius: float | None) -> tuple:
+    """Flat indices of the ``|n| <= radius`` modes (all for None) in the full
+    ``(n, n)`` and the ``rfft2`` ``(n, n/2+1)`` layouts: ``(full_in, half_in)``
+    where the half spectrum stores them, and ``(full_out, half_out, n_direct)``
+    to read them back, all but the first ``n_direct`` as conjugate mirrors (the
+    lower halves of columns 0 and n/2 too, so the result is exactly Hermitian)."""
+    n, h = n_grid, n_grid // 2 + 1
+    full = _ball_index(n_grid, np.inf if radius is None else float(radius))
+    i, j = np.divmod(full, n)
+    stored = j < h
+    direct = stored & ~((j % (n // 2) == 0) & (i > n // 2))
+    mirror = ((-i) % n) * h + (-j) % n
+    out = (full[stored], (i * h + j)[stored], np.concatenate([full[direct], full[~direct]]),
+           np.concatenate([(i * h + j)[direct], mirror[~direct]]))
+    for arr in out:
+        arr.setflags(write=False)
+    return out + (int(np.sum(direct)),)
+
+
 def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
     """Scatter packed ``(..., len(idx))`` coefficients to full ``(..., n, n)`` grids."""
     out = np.zeros(packed.shape[:-1] + (spec.n_grid ** 2,), dtype=np.complex128)
@@ -139,7 +163,7 @@ def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 
 def dealias_mask(spec: GridSpec) -> np.ndarray:
     """Mask for the 2/3-rule mode set, ``|n| <= (2/3) * nyquist``."""
-    return _ball_mask(spec.n_grid, 2.0 * spec.nyquist / 3.0)
+    return _ball_mask(spec.n_grid, spec.dealias_radius)
 
 
 class SpectralField:

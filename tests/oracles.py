@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sigma_wave.dynamics import HlsmState, _coeffs, _grids, _mask_for, _masked
-from sigma_wave.grid import ComponentEnsemble
+from sigma_wave.dynamics import HlsmState
+from sigma_wave.grid import ComponentEnsemble, dealias_mask
 from sigma_wave.wick import hermite
 
 
@@ -25,11 +25,14 @@ def gibbs_potential_reference(ens: ComponentEnsemble, alpha: float) -> float:
 
 
 def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
-    """Unfactored six-term double loop; the oracle for ``hlsm_rhs``."""
+    """Unfactored six-term double loop; the oracle for ``hlsm_rhs``.
+
+    Products are formed on full complex-FFT grids, independently of the
+    half-spectrum transforms of the program."""
     c = state.renorm.sigma_at(state.step)
-    mask = _mask_for(state)
-    vg = _grids(_masked(state.v.pos, mask))
-    pg = _grids(_masked(state.psi.pos, mask))
+    mask = dealias_mask(state.v.spec) if state.dealias else True
+    vg = np.fft.ifft2(np.where(mask, state.v.pos, 0.0), norm="forward").real
+    pg = np.fft.ifft2(np.where(mask, state.psi.pos, 0.0), norm="forward").real
     n = state.n_components
     out = np.empty_like(vg)
     for j in range(n):
@@ -43,4 +46,4 @@ def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
             acc += (vk * vk * vj + 2.0 * pk * vk * vj + vk * vk * pj
                     + h2k * vj + 2.0 * vk * pair_kj + triple_kj)
         out[j] = -acc / n
-    return _coeffs(out, mask)
+    return np.where(mask, np.fft.fft2(out, norm="forward"), 0.0)

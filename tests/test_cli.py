@@ -15,7 +15,7 @@ from sigma_wave.diagnostics import _LLN_KINDS, difference_norms
 from sigma_wave.dynamics import step_linear_ensemble, step_renormalized_wave
 from sigma_wave.gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                               gibbs_vs_gaussian_covariance, sample_gibbs)
-from sigma_wave.grid import GridSpec
+from sigma_wave.grid import GridSpec, load_field, save_field
 from sigma_wave.noise import NoiseKind, NoiseStream, alpha_m
 
 
@@ -224,6 +224,24 @@ def test_simulate_from_file_data_roundtrip(tmp_path, capsys):
     first = dict(zip(header, map(float, rows[1].split(","))))
     # the loaded field is the previous run's endpoint, so the energy is nonzero at t=0
     assert first["energy_en"] > 0
+
+
+def test_file_data_that_is_not_a_real_field_is_rejected(tmp_path, capsys):
+    src = tmp_path / "src"
+    cfgp = write_ini(tmp_path, SMALL.format(out=src) + "formats = csv,fields\n")
+    assert main(["simulate-hlsm", "--config", cfgp]) == 0
+    bad = src / "field_u001.sgwv"
+    field = load_field(bad, 1.0)
+    field.coeffs[1, 2] += 0.5j * np.max(np.abs(field.coeffs))  # its mirror (-1, -2) stays
+    save_field(field, bad)
+    cfg2 = write_ini(tmp_path,
+                     SMALL.format(out=tmp_path / "next").replace(
+                         "stride = 2", f"stride = 2\ndata = file\ndata_file = {src}"),
+                     name="next.ini")
+    capsys.readouterr()
+    assert main(["simulate-hlsm", "--config", cfg2]) == 2
+    err = capsys.readouterr().err
+    assert "field_u001.sgwv" in err and "real field" in err
 
 
 def test_file_data_requires_path_and_snapshots(tmp_path, capsys):

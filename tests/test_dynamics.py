@@ -6,6 +6,8 @@ from scipy.integrate import solve_ivp
 
 from sigma_wave.dynamics import (
     BlowupError,
+    _to_coeffs,
+    _to_grid,
     HlsmState,
     MeanFieldState,
     hlsm_rhs,
@@ -18,7 +20,8 @@ from sigma_wave.dynamics import (
     step_meanfield,
     step_renormalized_wave,
 )
-from sigma_wave.grid import ComponentEnsemble, GridSpec, dealias_mask, random_field
+from sigma_wave.grid import (ComponentEnsemble, GridSpec, SpectralField, ball_mask, dealias_mask,
+                             hermitian_defect, random_field)
 from sigma_wave.noise import (
     ConvolutionState,
     NoiseKind,
@@ -52,6 +55,31 @@ def hlsm_state(n, seed, dt=0.1, n_steps=20, dealias=True, noisy=True):
     v = random_ensemble(SPEC, n, seed + 1)
     psi = random_ensemble(SPEC, n, seed + 2) if noisy else state.psi
     return HlsmState(v, psi, state.streams, 0.0, 0, renorm, dealias)
+
+
+@pytest.mark.parametrize("n_grid", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["zero", "two", "below_nyquist", "dealias", "every"])
+def test_half_spectrum_transforms_match_full_complex_ffts(n_grid, kind):
+    spec = GridSpec(n_grid, 1.0)
+    radius = {"zero": 0.0, "two": 2.0, "below_nyquist": spec.nyquist - 1.0,
+              "dealias": spec.dealias_radius, "every": None}[kind]
+    mask = np.ones(spec.shape(), bool) if radius is None else ball_mask(spec, radius)
+    gen = np.random.default_rng(n_grid)
+    for lead in ((3,), (2, 3)):
+        g = gen.standard_normal(lead + spec.shape())
+        coeffs = np.fft.fft2(g, norm="forward")
+        want = np.fft.ifft2(np.where(mask, coeffs, 0.0), norm="forward").real
+        got = _to_grid(coeffs, radius)
+        assert got.shape == g.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = np.where(mask, coeffs, 0.0)
+        got = _to_coeffs(g, radius)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
+        assert np.all(got[..., ~mask] == 0.0)
+        for c in got.reshape((-1,) + spec.shape()):
+            assert hermitian_defect(SpectralField(spec, c, copy=False)) == 0.0
+        assert np.all(_to_grid(np.zeros_like(coeffs), radius) == 0.0)
+        assert np.all(_to_coeffs(np.zeros_like(g), radius) == 0.0)
 
 
 def test_factored_rhs_matches_double_loop():
@@ -232,11 +260,9 @@ def fitted_order(errors, dts):
 def test_step_hlsm_second_order_in_dt():
     n, t_end = 2, 0.75
     v0 = random_ensemble(SPEC, n, seed=71)
-    mask = dealias_mask(SPEC)
-
     def drift(p):
         from sigma_wave.dynamics import _ensemble_drift
-        return _ensemble_drift(p, np.zeros_like(p), 0.0, mask)
+        return _ensemble_drift(p, np.zeros_like(p), 0.0, SPEC.dealias_radius)
 
     ref_pos, _ = reference_trajectory(v0.pos, v0.vel, drift, 0.5, t_end)
     errs, dts = [], []
@@ -276,11 +302,9 @@ def test_step_hlsm_second_order_with_time_dependent_wick_constant():
 def test_step_meanfield_second_order_in_dt():
     n, t_end = 2, 0.75
     v0 = random_ensemble(SPEC, n, seed=72)
-    mask = dealias_mask(SPEC)
-
     def drift(p):
         from sigma_wave.dynamics import _meanfield_drift
-        return _meanfield_drift(p, np.zeros_like(p), mask)
+        return _meanfield_drift(p, np.zeros_like(p), SPEC.dealias_radius)
 
     ref_pos, _ = reference_trajectory(v0.pos, v0.vel, drift, 0.5, t_end)
     errs, dts = [], []
@@ -300,11 +324,9 @@ def test_step_meanfield_second_order_in_dt():
 def test_deterministic_nlw_second_order_in_dt():
     n, t_end = 2, 0.75
     u0 = random_ensemble(SPEC, n, seed=73)
-    mask = dealias_mask(SPEC)
-
     def drift(p):
         from sigma_wave.dynamics import _renormalized_drift
-        return _renormalized_drift(p, 0.0, mask)
+        return _renormalized_drift(p, 0.0, SPEC.dealias_radius)
 
     ref_pos, _ = reference_trajectory(u0.pos, u0.vel, drift, 0.0, t_end)
     errs, dts = [], []
