@@ -1,0 +1,166 @@
+"""Write a change's benchmark record, ``BENCH_<n>.json``.
+
+    python3 scripts/bench_record.py --number N --parent PARENT --change CHANGE \\
+        --tier1-log tier1.log [--claim WORKLOAD:METRIC] [--title TEXT]
+
+PARENT and CHANGE are the roots of two checkouts on which
+``perfbench/run.py`` has run; their ``.perfbench_work/results/*.json``
+records are the runs.  A (workload, seed) measured untraced on both sides is
+one pair.  The record holds every run, tagged with its side and its place in
+the order the runs finished; per workload and end-to-end metric, each side's
+median and quartiles over the pairs and the number of pairs the change won;
+the per-layer metrics of every traced pair; the claim, when one is named,
+judged by the rule below; a machine stamp; and the ``--durations`` lines of
+the saved tier-1 log.
+
+A claimed gain holds when the change is better in at least nine tenths of
+the pairs and the two medians differ by more than the parent's interquartile
+range.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import sys
+from importlib import metadata
+from pathlib import Path
+
+END_TO_END = ("setup_s", "run_s", "peak_rss_mb")
+DURATION = re.compile(r"^\s*\d+(\.\d+)?s (call|setup|teardown)\s")
+HOW = ("python3 perfbench/run.py --workload W --seed S --seconds 27 --trace T, run from the "
+       "root of the parent checkout and of the change checkout on the same machine with the "
+       "same perfbench code; run_index is the order in which the runs finished.")
+
+
+def load_runs(root: Path, side: str) -> list:
+    """Every result record under ``root``, with its side and finish time."""
+    runs = []
+    for path in sorted((root / ".perfbench_work" / "results").glob("*.json")):
+        runs.append({"side": side, "finished": path.stat().st_mtime,
+                     "record": json.loads(path.read_text())})
+    return runs
+
+
+def quartiles(values: list) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pairs_of(runs: list, trace: int) -> dict:
+    """``{(workload, seed): {"parent": record, "change": record}}`` for pairs
+    measured on both sides."""
+    found = {}
+    for run in runs:
+        rec = run["record"]
+        if rec["trace"] == trace:
+            found.setdefault((rec["workload"], rec["seed"]), {})[run["side"]] = rec
+    return {key: sides for key, sides in sorted(found.items()) if len(sides) == 2}
+
+
+def better_directions(change_root: Path) -> dict:
+    path = change_root / "BENCHMARK.json"
+    if not path.is_file():
+        return {name: "lower" for name in END_TO_END}
+    spec = json.loads(path.read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+
+
+def summarize(pairs: dict, better: dict) -> list:
+    rows = []
+    for workload in sorted({w for w, _ in pairs}):
+        mine = {seed: sides for (w, seed), sides in pairs.items() if w == workload}
+        for metric in END_TO_END:
+            vals = {side: [mine[s][side]["metrics"][metric]["value"] for s in mine]
+                    for side in ("parent", "change")}
+            sign = 1.0 if better.get(metric, "lower") == "lower" else -1.0
+            wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
+            parent, change = quartiles(vals["parent"]), quartiles(vals["change"])
+            rows.append({
+                "workload": workload, "metric": metric, "pairs": len(mine),
+                "seeds": sorted(mine), "parent": parent, "change": change,
+                "change_over_parent": change["median"] / parent["median"],
+                "change_better_pairs": wins,
+                "all_correct": all(sides[s]["failed"] == 0
+                                   for sides in mine.values() for s in sides)})
+    return rows
+
+
+def judge(claim: str, summary: list) -> dict:
+    workload, metric = claim.split(":")
+    row = next((r for r in summary if (r["workload"], r["metric"]) == (workload, metric)), None)
+    if row is None:
+        return {"workload": workload, "metric": metric, "met": False, "why": "no pairs"}
+    iqr = row["parent"]["q3"] - row["parent"]["q1"]
+    gap = abs(row["change"]["median"] - row["parent"]["median"])
+    wins = row["change_better_pairs"]
+    return {"workload": workload, "metric": metric, "pairs": row["pairs"],
+            "change_better_pairs": wins, "median_gap": gap, "parent_iqr": iqr,
+            "rule": "change better in >= 9/10 of the pairs and medians apart by more "
+                    "than the parent IQR",
+            "met": wins >= 0.9 * row["pairs"] and gap > iqr and row["all_correct"]}
+
+
+def traced(pairs: dict) -> dict:
+    return {f"{w}@{seed}": {side: rec["metrics"] for side, rec in sides.items()}
+            for (w, seed), sides in pairs.items()}
+
+
+def machine() -> dict:
+    def version(name):
+        try:
+            return metadata.version(name)
+        except metadata.PackageNotFoundError:
+            return None
+    return {"python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy"), "cpu_count": os.cpu_count(),
+            "platform": platform.platform()}
+
+
+def durations(log_path: Path) -> list:
+    return [line.strip() for line in log_path.read_text().splitlines() if DURATION.match(line)]
+
+
+def build(number: int, parent: Path, change: Path, tier1_log: Path, claim=None,
+          title: str = "") -> dict:
+    runs = sorted(load_runs(parent, "parent") + load_runs(change, "change"),
+                  key=lambda run: run["finished"])
+    summary = summarize(pairs_of(runs, 0), better_directions(change))
+    out = {"number": number, "change": title, "how": HOW, "machine": machine(),
+           "summary": summary, "traced_metrics": traced(pairs_of(runs, 1)),
+           "tier1_durations": durations(tier1_log),
+           "runs": [{"side": run["side"], "run_index": i, "record": run["record"]}
+                    for i, run in enumerate(runs)]}
+    if claim:
+        out["claimed"] = judge(claim, summary)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--number", type=int, required=True, help="the N of BENCH_<N>.json")
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout root")
+    parser.add_argument("--change", type=Path, required=True, help="change checkout root")
+    parser.add_argument("--tier1-log", type=Path, required=True,
+                        help="saved output of a tier-1 pytest run with --durations")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
+    parser.add_argument("--title", default="", help="one line naming the change")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<N>.json here")
+    args = parser.parse_args(argv)
+    record = build(args.number, args.parent, args.change, args.tier1_log, args.claim,
+                   args.title)
+    out = args.out or Path(f"BENCH_{args.number}.json")
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}: {len(record['runs'])} runs, "
+          f"{len(record['summary'])} summary rows", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

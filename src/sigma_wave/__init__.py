@@ -4,7 +4,7 @@ invariant Gibbs dynamics."""
 
 __version__ = "0.1.0"
 
-from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField,
+from .grid import (BallEnsemble, ComponentEnsemble, GridSpec, PairState, SpectralField,
                    apply_i_operator, ball_mask, dealias_mask, load_field, project,
                    random_field, rms, save_field, sobolev_norm, sup_sobolev_norm)
 from .propagator import duhamel_weights, etd2_step, flow_entries
@@ -29,7 +29,7 @@ from .diagnostics import (RateFit, commutator_defect, difference_norms, energy_e
 __all__ = [
     "__version__",
     # grid
-    "GridSpec", "SpectralField", "PairState", "ComponentEnsemble", "project",
+    "GridSpec", "SpectralField", "PairState", "ComponentEnsemble", "BallEnsemble", "project",
     "apply_i_operator", "ball_mask", "dealias_mask", "random_field", "rms",
     "sobolev_norm", "sup_sobolev_norm", "save_field", "load_field",
     # propagator

@@ -32,8 +32,8 @@ from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
                        step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
-from .grid import (ComponentEnsemble, GridSpec, SpectralField, hermitian_defect, load_field,
-                   rms, save_field, sobolev_norm)
+from .grid import (BallEnsemble, ComponentEnsemble, GridSpec, SpectralField, hermitian_defect,
+                   load_field, rms, save_field, sobolev_norm)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
 THREADS_ENV = "SIGMA_WAVE_THREADS"
@@ -293,23 +293,24 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
     """C_T script-H^s distance of one coupled (interacting, free) run, component 1.
 
     The coupled (Gibbs, Gaussian) data pair of ``cfg`` starts the interacting
-    renormalized wave and the free wave; each step's kicks are drawn once
-    and passed to both, and the two are compared every ``stride`` steps.
+    renormalized wave and the free wave, which stays packed on the noise
+    ball; each step's kicks are drawn once and passed to both, and the two
+    are compared every ``stride`` steps.
     """
     gibbs, gauss = coupled_gibbs_gaussian_pair(spec, cfg, root)
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(cfg.n_components))
     alpha = alpha_m(spec.m, cfg.truncation)
     M = float(cfg.truncation)
     times, states_n, states_l = [0.0], [gibbs], [gauss]
-    a, b = gibbs, gauss
+    a, b = gibbs, BallEnsemble.from_full(gauss, M)
     for k in range(n_steps):
-        kick = _kick_pair(a.pos, streams, k, spec, dt, M)
+        kick = _kick_pair((len(streams),), streams, k, spec, dt, M)
         a = step_renormalized_wave(a, streams, k, dt, alpha, M, kick)
-        b = step_linear_ensemble(b, streams, k, dt, M, kick)
+        b = step_linear_ensemble(b, streams, k, dt, kick)
         if (k + 1) % stride == 0:
             times.append((k + 1) * dt)
             states_n.append(a)
-            states_l.append(b)
+            states_l.append(b.full())
     traj_n = SimpleNamespace(times=np.asarray(times), states=states_n)
     traj_l = SimpleNamespace(times=np.asarray(times), states=states_l)
     return difference_norms(traj_n, traj_l, s, 0)[0]
@@ -339,7 +340,8 @@ def cmd_lln_decay(cfg: dict, out_dir: Path, threads: int) -> None:
     g, ex, d = cfg["grid"], cfg["experiment"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
     tables = lln_estimator(spec, _LLN_KINDS, ex["N_list"], cfg["truncation"]["M"],
-                           d["T"], ex["reps"], ex["eps"], ex["seed"], dt=d["dt"])
+                           d["T"], ex["reps"], ex["eps"], ex["seed"], dt=d["dt"],
+                           map_fn=lambda fn, items: thread_map(fn, items, threads))
     for kind, rows in tables.items():
         write_csv(out_dir / f"lln_{kind}.csv", "N,mean_norm,se", rows)
         print(f"wrote {out_dir / f'lln_{kind}.csv'}" + _write_fit(out_dir / f"fit_{kind}.csv", rows))
@@ -429,7 +431,7 @@ def _epilog() -> str:
             parts.append(f"{key} ({kind}, default {shown})")
         lines.append(f"  [{section}]  " + "; ".join(parts))
     lines.append(f"threads come from --threads or ${THREADS_ENV}; only convergence-rate "
-                 "uses them, and results do not depend on them")
+                 "and lln-decay use them, and results do not depend on them")
     return "\n".join(lines)
 
 

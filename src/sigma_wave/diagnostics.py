@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import step_linear_ensemble
+from .dynamics import _ball_to_grid, _to_grid, step_linear_ensemble
 from .grid import (
+    BallEnsemble,
     ComponentEnsemble,
     GridSpec,
     SpectralField,
@@ -71,10 +72,11 @@ def modified_energy(ens: ComponentEnsemble, m: float, s: float, truncation: floa
     return _ensemble_energy(ens.pos * prof, ens.vel * prof, m, ens.spec)
 
 
-def _sup_proxy(coeffs: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
-    """Collocation max of ``<grad>^s f`` along the leading axes."""
-    w = _bracket_pow(spec.n_grid, float(s))
-    smoothed = np.fft.ifft2(w * coeffs, norm="forward").real
+def _sup_proxy(z: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
+    """Collocation max of ``<grad>^s z`` for real grid values ``z``, along
+    the leading axes, through ``rfft2``/``irfft2``."""
+    w = _bracket_pow(spec.n_grid, float(s))[:, :spec.nyquist + 1]
+    smoothed = np.fft.irfft2(w * np.fft.rfft2(z, norm="forward"), s=spec.shape(), norm="forward")
     return np.max(np.abs(smoothed), axis=(-2, -1))
 
 
@@ -99,17 +101,15 @@ def zn_norm(nodes, eps: float, c_values) -> float:
     best2 = np.zeros((n, n))
     best3 = np.zeros((n, n))
     for ens, c in zip(nodes, c_arr):
-        best1 = np.maximum(best1, _sup_proxy(ens.pos, spec, -eps))
-        pg = np.fft.ifft2(ens.pos, norm="forward").real
+        pg = _to_grid(ens.pos, None)
+        best1 = np.maximum(best1, _sup_proxy(pg, spec, -eps))
         pair = pg[:, None] * pg[None, :]
         pair[np.arange(n), np.arange(n)] -= c
-        pair_hat = np.fft.fft2(pair, norm="forward")
         # :psi_k^2 psi_j: = H2(psi_k) psi_j off the diagonal, H3 on it
         triple = (pg * pg - c)[:, None] * pg[None, :]
         triple[np.arange(n), np.arange(n)] -= 2.0 * c * pg
-        triple_hat = np.fft.fft2(triple, norm="forward")
-        m2 = _sup_proxy(pair_hat, spec, -eps)
-        m3 = _sup_proxy(triple_hat, spec, -eps)
+        m2 = _sup_proxy(pair, spec, -eps)
+        m3 = _sup_proxy(triple, spec, -eps)
         best2 = np.maximum(best2, m2)
         best3 = np.maximum(best3, m3)
         best2d = np.maximum(best2d, np.diagonal(m2))
@@ -128,17 +128,20 @@ def _mean_row(n: int, norms: np.ndarray) -> dict:
 
 
 def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
-                  reps: int, eps: float, root_seed: int, dt: float = 0.1) -> dict:
+                  reps: int, eps: float, root_seed: int, dt: float = 0.1,
+                  map_fn=map) -> dict:
     """Mean L^2_T W^{-eps,inf}-proxy norm of averaged Wick estimators per N.
 
     ``kinds`` is a tuple of names from ``_LLN_KINDS``; the result maps each
     to its rows ``{"N": ..., "mean_norm": ..., "se": ...}``, the table that
     feeds :func:`fit_rate` and the ``N,mean_norm,se`` CSV.  Components ride
-    stationary free trajectories, so the Wick variance is the constant
-    ``alpha_M`` and norms are time-homogeneous.  Every kind reads one shared
-    trajectory per (N, rep): the ensemble, its noise streams, its grid
-    values and ``sum_k H2(psi_k)`` are computed once per step, so a kind's
-    rows are those of a call that asks for it alone.
+    stationary free trajectories, packed on the ball ``|n| <= truncation``,
+    so the Wick variance is the constant ``alpha_M`` and norms are
+    time-homogeneous.  Every kind reads one shared trajectory per (N, rep):
+    the ensemble, its noise streams, its grid values and ``sum_k H2(psi_k)``
+    are computed once per step, so a kind's rows are those of a call that
+    asks for it alone.  The (N, rep) tasks own their seeds and go through
+    ``map_fn(task, items)``, an order-preserving map such as a thread pool's.
     """
     kinds = tuple(kinds)
     for kind in kinds:
@@ -152,32 +155,33 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
         raise ValueError(f"dt {dt} does not divide T {T}")
     c = alpha_m(spec.m, truncation)
     times = dt * np.arange(n_steps + 1)
-    norms = np.empty((len(kinds), len(N_list), reps))
-    for n_idx, n in enumerate(N_list):
-        for rep in range(reps):
-            base = (n_idx * reps + rep) * n
-            ens = stationary_ensemble(spec, float(truncation), root_seed, n, base)
-            streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE)
-                       for j in range(n)]
-            vals = np.empty((len(kinds), n_steps + 1))
-            for step in range(n_steps + 1):
-                if step > 0:
-                    ens = step_linear_ensemble(ens, streams, step - 1, dt,
-                                               float(truncation))
-                pg = np.fft.ifft2(ens.pos, norm="forward").real
-                h2_sum = np.sum(pg * pg - c, axis=0)
-                for i, kind in enumerate(kinds):
-                    if kind == "wick_square_avg":
-                        z = h2_sum / n
-                    elif kind == "wick_triple_avg":
-                        z = (h2_sum * pg[0] - 2.0 * c * pg[0]) / n
-                    else:
-                        z = (h2_sum[None] * pg - 2.0 * c * pg) / n
-                    sup = _sup_proxy(np.fft.fft2(z, norm="forward"), spec, -eps)
-                    vals[i, step] = rms(sup) if kind == "wick_triple_avg_an" else sup
-            for i, v in enumerate(vals):
-                norms[i, n_idx, rep] = np.sqrt(np.trapezoid(v * v, times))
-    return {kind: [_mean_row(n, norms[i, n_idx]) for n_idx, n in enumerate(N_list)]
+    M = float(truncation)
+
+    def task(item):
+        n, base = item
+        ens = BallEnsemble.from_full(stationary_ensemble(spec, M, root_seed, n, base), M)
+        streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE) for j in range(n)]
+        vals = np.empty((len(kinds), n_steps + 1))
+        for step in range(n_steps + 1):
+            if step > 0:
+                ens = step_linear_ensemble(ens, streams, step - 1, dt)
+            pg = _ball_to_grid(ens)
+            h2_sum = np.sum(pg * pg - c, axis=0)
+            for i, kind in enumerate(kinds):
+                if kind == "wick_square_avg":
+                    z = h2_sum / n
+                elif kind == "wick_triple_avg":
+                    z = (h2_sum * pg[0] - 2.0 * c * pg[0]) / n
+                else:
+                    z = (h2_sum[None] * pg - 2.0 * c * pg) / n
+                sup = _sup_proxy(z, spec, -eps)
+                vals[i, step] = rms(sup) if kind == "wick_triple_avg_an" else sup
+        return np.sqrt(np.trapezoid(vals * vals, times, axis=1))
+
+    items = [(n, (n_idx * reps + rep) * n) for n_idx, n in enumerate(N_list)
+             for rep in range(reps)]
+    norms = np.asarray(list(map_fn(task, items))).reshape(len(N_list), reps, len(kinds))
+    return {kind: [_mean_row(n, norms[n_idx, :, i]) for n_idx, n in enumerate(N_list)]
             for i, kind in enumerate(kinds)}
 
 

@@ -21,6 +21,8 @@ in how the drift is assembled:
 
 Components are vectorized (stacked real FFTs), which makes reductions
 exactly deterministic; parallelism across runs lives in the experiment layer.
+The stochastic convolutions psi and the free linear ensemble are stepped
+packed on their noise ball (``grid.BallEnsemble``), with packed kicks.
 
 Drifts read and write only a kept mode ball (the 2/3-rule set by default,
 every mode without dealiasing) through ``irfft2``/``rfft2`` on the half
@@ -35,8 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import ComponentEnsemble, GridSpec, _half_spectrum_index
-from .noise import (NoiseKind, NoiseStream, RenormConstants, _draw_kick, _transition_tables,
+from .grid import (BallEnsemble, ComponentEnsemble, GridSpec, _ball_index, _half_spectrum_index,
+                   _unpack)
+from .noise import (NoiseKind, NoiseStream, RenormConstants, _ball_tables, _draw_kick,
                     stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
 from .wick import hermite  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
@@ -80,14 +83,29 @@ def _drift_tables(spec: GridSpec, dt: float, gamma: float):
     return flow, (gx, gv, w1x, w1v)
 
 
+def _half_to_grid(vals: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
+    """``irfft2`` of the ``(n, n/2+1)`` half spectra that hold ``vals`` at the
+    flat positions ``half`` and zeros elsewhere."""
+    spec = np.zeros(vals.shape[:-1] + (n * (n // 2 + 1),), dtype=np.complex128)
+    spec[..., half] = vals
+    return np.fft.irfft2(spec.reshape(vals.shape[:-1] + (n, n // 2 + 1)), s=(n, n),
+                         norm="forward")
+
+
 def _to_grid(coeffs: np.ndarray, radius: float | None) -> np.ndarray:
     """Grid values of the ``|n| <= radius`` modes (every mode for None) of
     Hermitian ``(..., n, n)`` coefficient stacks, through ``irfft2``."""
-    n, lead = coeffs.shape[-1], coeffs.shape[:-2]
+    n = coeffs.shape[-1]
     full, half = _half_spectrum_index(n, radius)[:2]
-    spec = np.zeros(lead + (n * (n // 2 + 1),), dtype=np.complex128)
-    spec[..., half] = coeffs.reshape(lead + (n * n,))[..., full]
-    return np.fft.irfft2(spec.reshape(lead + (n, n // 2 + 1)), s=(n, n), norm="forward")
+    return _half_to_grid(coeffs.reshape(coeffs.shape[:-2] + (n * n,))[..., full], half, n)
+
+
+def _ball_to_grid(ens: BallEnsemble) -> np.ndarray:
+    """Grid values of the packed positions of ``ens``; bit for bit
+    ``_to_grid`` of the scattered stack at any radius that holds the ball."""
+    n = ens.spec.n_grid
+    stored = ens.index % n <= n // 2  # the ball modes the half spectrum holds
+    return _half_to_grid(ens.pos[:, stored], _half_spectrum_index(n, ens.radius)[1], n)
 
 
 def _to_coeffs(grid: np.ndarray, radius: float | None) -> np.ndarray:
@@ -102,11 +120,11 @@ def _to_coeffs(grid: np.ndarray, radius: float | None) -> np.ndarray:
     return out.reshape(lead + (n, n))
 
 
-def _ensemble_drift(v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) -> np.ndarray:
+def _ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> np.ndarray:
     """Factored six-term coupling for the residual ensemble, in mode space."""
     n = v_pos.shape[0]
     vg = _to_grid(v_pos, radius)
-    pg = _to_grid(psi_pos, radius)
+    pg = _ball_to_grid(psi)
     q = np.mean(vg * vg, axis=0)
     p = np.mean(pg * vg, axis=0)
     w = np.mean(pg * pg, axis=0) - c
@@ -114,10 +132,10 @@ def _ensemble_drift(v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) ->
     return _to_coeffs(-g[None] * (vg + pg), radius)
 
 
-def _meanfield_drift(v_pos: np.ndarray, psi_pos: np.ndarray, radius) -> np.ndarray:
+def _meanfield_drift(v_pos: np.ndarray, psi: BallEnsemble, radius) -> np.ndarray:
     """Replica-averaged limit drift; every term carries v or a v-average."""
     vg = _to_grid(v_pos, radius)
-    pg = _to_grid(psi_pos, radius)
+    pg = _ball_to_grid(psi)
     a = np.mean(vg * vg, axis=0)
     b = np.mean(pg * vg, axis=0)
     return _to_coeffs(-(a + 2.0 * b)[None] * (vg + pg), radius)
@@ -141,15 +159,15 @@ class _ResidualState:
     """Residual fields ``v`` coupled to per-component stochastic convolutions.
 
     The physical field of component j is ``psi_j + v_j``; the convolutions
-    are advanced by the exact transition and live in the mode ball of the
-    renormalization truncation, so the Wick constants of ``renorm`` match
-    the fields they renormalize.  ``psi`` starts from zero data with
+    are advanced by the exact transition and live, packed, in the mode ball
+    of the renormalization truncation, so the Wick constants of ``renorm``
+    match the fields they renormalize.  ``psi`` starts from zero data with
     ``zero`` and from the Gaussian equilibrium with ``stationary``.  The
     two systems below differ only in ``drift``.
     """
 
     v: ComponentEnsemble
-    psi: ComponentEnsemble
+    psi: BallEnsemble
     streams: tuple
     time: float
     step: int
@@ -164,6 +182,10 @@ class _ResidualState:
             )
         if self.v.spec != self.psi.spec:
             raise ValueError("v and psi live on different grids")
+        if self.psi.radius != self.renorm.M:
+            raise ValueError(f"psi lives on the ball {self.psi.radius:g}, not M = {self.renorm.M}")
+        if self.dealias and self.renorm.M > self.v.spec.dealias_radius:
+            raise ValueError(f"M = {self.renorm.M} exceeds the dealias radius of the grid")
 
     @property
     def n_components(self) -> int:
@@ -174,26 +196,28 @@ class _ResidualState:
              root_seed: int, dealias: bool = True):
         streams = tuple(NoiseStream(root_seed, j, NoiseKind.DRIVE) for j in range(n_components))
         return cls(ComponentEnsemble.zeros(spec, n_components),
-                   ComponentEnsemble.zeros(spec, n_components),
+                   BallEnsemble.zeros(spec, renorm.M, n_components),
                    streams, 0.0, 0, renorm, dealias)
 
     @classmethod
     def stationary(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
                    root_seed: int, dealias: bool = True):
         state = cls.zero(spec, n_components, renorm, root_seed, dealias)
-        return replace(state, psi=stationary_ensemble(spec, renorm.M, root_seed, n_components))
+        psi = stationary_ensemble(spec, renorm.M, root_seed, n_components)
+        return replace(state, psi=BallEnsemble.from_full(psi, renorm.M))
 
     def combined(self) -> ComponentEnsemble:
         """The physical ensemble u = psi + v."""
-        return ComponentEnsemble(self.v.spec, self.v.pos + self.psi.pos,
-                                 self.v.vel + self.psi.vel, copy=False)
+        psi = self.psi.full()
+        return ComponentEnsemble(self.v.spec, self.v.pos + psi.pos,
+                                 self.v.vel + psi.vel, copy=False)
 
 
 class HlsmState(_ResidualState):
     """Residual ensemble of the N-component system; six-term coupled drift."""
 
-    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) -> np.ndarray:
-        return _ensemble_drift(v_pos, psi_pos, c, radius)
+    def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> np.ndarray:
+        return _ensemble_drift(v_pos, psi, c, radius)
 
 
 class MeanFieldState(_ResidualState):
@@ -204,15 +228,15 @@ class MeanFieldState(_ResidualState):
     the convergence experiments.
     """
 
-    def drift(self, v_pos: np.ndarray, psi_pos: np.ndarray, c: float, radius) -> np.ndarray:
-        return _meanfield_drift(v_pos, psi_pos, radius)
+    def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> np.ndarray:
+        return _meanfield_drift(v_pos, psi, radius)
 
 
 def hlsm_rhs(state: _ResidualState) -> np.ndarray:
     """Drift of a residual system, as a stacked coefficient array;
     ``meanfield_rhs`` is the same function."""
     c = state.renorm.sigma_at(state.step)
-    return state.drift(state.v.pos, state.psi.pos, c, _radius_for(state))
+    return state.drift(state.v.pos, state.psi, c, _radius_for(state))
 
 
 meanfield_rhs = hlsm_rhs
@@ -222,48 +246,48 @@ def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridS
                truncation: float, chol) -> None:
     """Add one exact noise kick per stream into ``pos``/``vel``, in place.
 
-    Streams run over the flattened leading axes of the ``(..., n, n)``
-    stacks, one per component; a count that differs raises.  Every stepper
-    draws its noise here, so systems that share streams and a step index see
-    identical kicks.
+    The stacks are packed ``(..., n_ball)`` on the ``|n| <= truncation``
+    ball; streams run over their flattened leading axes, one per component,
+    and a count that differs raises.  Every stepper draws its noise here, so
+    systems that share streams and a step index see identical kicks.
     """
-    n_comp = math.prod(pos.shape[:-2])
+    n_comp = math.prod(pos.shape[:-1])
     if len(streams) != n_comp:
         raise ValueError(f"{len(streams)} noise streams for {n_comp} components")
-    for idx, stream in zip(np.ndindex(pos.shape[:-2]), streams):
+    for idx, stream in zip(np.ndindex(pos.shape[:-1]), streams):
         ex, ev = _draw_kick(stream.generator(step), spec, truncation, chol)
         pos[idx] += ex
         vel[idx] += ev
 
 
-def _kick_pair(pos: np.ndarray, streams, step: int, spec: GridSpec, dt: float,
+def _kick_pair(lead: tuple, streams, step: int, spec: GridSpec, dt: float,
                truncation: float) -> tuple:
     """The exact noise kicks of one step, drawn into a zeroed ``(pos, vel)``
-    pair shaped like ``pos``."""
-    kick = (np.zeros_like(pos), np.zeros_like(pos))
-    _add_kicks(*kick, streams, step, spec, truncation, _transition_tables(spec, dt)[1])
+    pair of ``lead + (n_ball,)`` stacks packed on the ``|n| <= truncation`` ball."""
+    shape = lead + (_ball_index(spec.n_grid, float(truncation)).size,)
+    kick = (np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+    _add_kicks(*kick, streams, step, spec, truncation, _ball_tables(spec, dt, float(truncation))[1])
     return kick
 
 
-def step_linear_ensemble(ens: ComponentEnsemble, streams, step: int, dt: float,
-                         truncation: float, kick: tuple | None = None) -> ComponentEnsemble:
-    """One exact transition of the free damped wave ensemble.
+def step_linear_ensemble(ens: BallEnsemble, streams, step: int, dt: float,
+                         kick: tuple | None = None) -> BallEnsemble:
+    """One exact transition of the free damped wave ensemble on its ball.
 
     This is the coupling partner of :func:`step_renormalized_wave`: with the
     same streams and step index both consume identical noise.  A ``kick``
     pair from ``_kick_pair`` is added instead of drawing from ``streams``,
     so a coupled run draws each kick once and hands it to both steps.
     """
-    spec = ens.spec
-    (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
+    (s11, s12, s21, s22), chol = _ball_tables(ens.spec, dt, ens.radius)
     pos = s11 * ens.pos + s12 * ens.vel
     vel = s21 * ens.pos + s22 * ens.vel
     if kick is None:
-        _add_kicks(pos, vel, streams, step, spec, truncation, chol)
+        _add_kicks(pos, vel, streams, step, ens.spec, ens.radius, chol)
     else:
         pos += kick[0]
         vel += kick[1]
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+    return BallEnsemble(ens.spec, ens.radius, pos, vel)
 
 
 def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
@@ -281,8 +305,8 @@ def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
     spec = state.v.spec
     c = state.renorm.sigma_at(state.step), state.renorm.sigma_at(state.step + 1)
     radius = _radius_for(state)
-    psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt, float(state.renorm.M))
-    psi = (state.psi.pos, psi1.pos)
+    psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt)
+    psi = (state.psi, psi1)
     pos, vel = etd2_step(state.v.pos, state.v.vel,
                          lambda p, stage: state.drift(p, psi[stage], c[stage], radius),
                          _drift_tables(spec, dt, 0.5))
@@ -312,9 +336,11 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float, truncation: float) 
 def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
                        dt: float, alpha: float, truncation: float, kick=None):
     """:func:`step_renormalized_wave` on ``(..., N, n, n)`` stacks, one stream
-    per leading index in row-major order."""
+    per leading index in row-major order; the packed kick is scattered once."""
     if kick is None:
-        kick = _kick_pair(pos, streams, step, spec, dt, truncation)
+        kick = _kick_pair(pos.shape[:-2], streams, step, spec, dt, truncation)
+    idx = _ball_index(spec.n_grid, float(truncation))
+    kick = [_unpack(k, spec, idx) for k in kick]
     return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, truncation),
                      _drift_tables(spec, dt, 0.5), kick)
 

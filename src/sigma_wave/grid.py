@@ -29,6 +29,7 @@ __all__ = [
     "SpectralField",
     "PairState",
     "ComponentEnsemble",
+    "BallEnsemble",
     "ball_mask",
     "dealias_mask",
     "project",
@@ -289,6 +290,45 @@ class ComponentEnsemble:
 
     def copy(self) -> "ComponentEnsemble":
         return ComponentEnsemble(self.spec, self.pos, self.vel)
+
+
+class BallEnsemble:
+    """N pair states supported on the mode ball ``|n| <= radius``, packed as
+    ``(N, n_ball)`` stacks in ``_ball_index`` order; :meth:`full` scatters
+    them to a :class:`ComponentEnsemble`."""
+
+    __slots__ = ("spec", "radius", "pos", "vel")
+
+    def __init__(self, spec: GridSpec, radius: float, pos: np.ndarray, vel: np.ndarray):
+        self.spec, self.radius, self.pos, self.vel = spec, float(radius), pos, vel
+        if pos.ndim != 2 or pos.shape != vel.shape or pos.shape[1] != self.index.size:
+            raise ValueError(f"need matching (N, {self.index.size}) stacks")
+
+    @property
+    def index(self) -> np.ndarray:
+        return _ball_index(self.spec.n_grid, self.radius)
+
+    @classmethod
+    def zeros(cls, spec: GridSpec, radius: float, n_components: int) -> "BallEnsemble":
+        shape = (n_components, _ball_index(spec.n_grid, float(radius)).size)
+        return cls(spec, radius, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+
+    @classmethod
+    def from_full(cls, ens: ComponentEnsemble, radius: float) -> "BallEnsemble":
+        """Gather a full ensemble onto the ball; data off the ball raise."""
+        idx = _ball_index(ens.spec.n_grid, float(radius))
+        out = cls(ens.spec, radius, *(a.reshape(len(ens), -1)[:, idx] for a in (ens.pos, ens.vel)))
+        if np.count_nonzero(ens.pos) + np.count_nonzero(ens.vel) != (
+                np.count_nonzero(out.pos) + np.count_nonzero(out.vel)):
+            raise ValueError(f"ensemble has coefficients outside the ball |n| <= {radius}")
+        return out
+
+    def __len__(self) -> int:
+        return self.pos.shape[0]
+
+    def full(self) -> ComponentEnsemble:
+        return ComponentEnsemble(self.spec, _unpack(self.pos, self.spec, self.index),
+                                 _unpack(self.vel, self.spec, self.index), copy=False)
 
 
 def project(f: SpectralField, truncation: float) -> SpectralField:

@@ -14,7 +14,9 @@ the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
-components or replicas parallelizes without any order dependence.
+components or replicas parallelizes without any order dependence.  A kick
+is drawn packed on its mode ball (``grid.BallEnsemble`` layout), with
+tables gathered once per (grid, dt, ball); full-grid steppers scatter it.
 
 Renormalization constants are lattice sums over the integer mode ball
 ``|n| <= M``.  They match grid-sampled fields exactly as long as the
@@ -261,30 +263,43 @@ def _transition_tables(spec: GridSpec, dt: float):
     return flow, (l11, l21, l22)
 
 
-def _draw_kick(gen, spec: GridSpec, radius: float, chol):
-    """Correlated pair of Hermitian Gaussian arrays with covariance Q_n(dt).
+@lru_cache(maxsize=32)
+def _ball_tables(spec: GridSpec, dt: float, radius: float):
+    """:func:`_transition_tables` for stacks packed on the ``|n| <= radius``
+    ball: the flow entries in ``_ball_index`` order, and the Cholesky factors
+    on the plus, then the self-conjugate modes of :func:`_half_lattice`."""
+    flow, chol = _transition_tables(spec, dt)
+    self_idx, plus, _ = _half_lattice(spec.n_grid, radius)
+    ball, half = _ball_index(spec.n_grid, radius), np.concatenate([plus, self_idx])
+    out = tuple(f.reshape(-1)[ball] for f in flow), tuple(f.reshape(-1)[half] for f in chol)
+    for arr in out[0] + out[1]:
+        arr.setflags(write=False)
+    return out
 
-    Every stepper that shares a stream must draw through this one function,
-    in the same order, so coupled systems see identical noise.
-    """
-    l11, l21, l22 = chol
-    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
-    n2 = spec.n_grid * spec.n_grid
-    ex = np.zeros(n2, dtype=np.complex128)
-    ev = np.zeros(n2, dtype=np.complex128)
-    a, b, c = l11.reshape(-1), l21.reshape(-1), l22.reshape(-1)
-    # complex standard normals on the canonical half, real on self-conjugate slots
-    z1 = (gen.standard_normal(plus.size) + 1j * gen.standard_normal(plus.size)) / np.sqrt(2.0)
-    z2 = (gen.standard_normal(plus.size) + 1j * gen.standard_normal(plus.size)) / np.sqrt(2.0)
-    s1 = gen.standard_normal(self_idx.size)
-    s2 = gen.standard_normal(self_idx.size)
-    ex[plus] = a[plus] * z1
-    ev[plus] = b[plus] * z1 + c[plus] * z2
-    ex[minus] = np.conj(ex[plus])
-    ev[minus] = np.conj(ev[plus])
-    ex[self_idx] = a[self_idx] * s1
-    ev[self_idx] = b[self_idx] * s1 + c[self_idx] * s2
-    return ex.reshape(spec.shape()), ev.reshape(spec.shape())
+
+def _draw_kick(gen, spec: GridSpec, radius: float, chol):
+    """Correlated pair of Hermitian Gaussian stacks with covariance Q_n(dt),
+    packed on the ``|n| <= radius`` ball; ``chol`` is ``_ball_tables(spec,
+    dt, radius)[1]``.  One ``standard_normal`` call holds z1 and z2 (real,
+    then imaginary parts) and then s1 and s2.  Every stepper that shares a
+    stream draws through this one function, so coupled systems see identical
+    noise."""
+    a, b, c = chol
+    s_pos, p_pos, m_pos = _ball_slots(spec.n_grid, float(radius))
+    p, s = p_pos.size, s_pos.size
+    z = gen.standard_normal(4 * p + 2 * s)
+    z1 = (z[:p] + 1j * z[p:2 * p]) / np.sqrt(2.0)
+    z2 = (z[2 * p:3 * p] + 1j * z[3 * p:4 * p]) / np.sqrt(2.0)
+    s1, s2 = z[4 * p:4 * p + s], z[4 * p + s:]
+    ex = np.empty(2 * p + s, dtype=np.complex128)
+    ev = np.empty_like(ex)
+    ex[p_pos] = a[:p] * z1
+    ev[p_pos] = b[:p] * z1 + c[:p] * z2
+    ex[m_pos] = np.conj(ex[p_pos])
+    ev[m_pos] = np.conj(ev[p_pos])
+    ex[s_pos] = a[p:] * s1
+    ev[s_pos] = b[p:] * s1 + c[p:] * s2
+    return ex, ev
 
 
 def sample_mu1_mu0_pair(spec: GridSpec, M: float, stream: NoiseStream, step: int = 0) -> PairState:
@@ -338,9 +353,11 @@ def step_convolution(cs: ConvolutionState, dt: float) -> ConvolutionState:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     spec = cs.state.spec
-    (s11, s12, s21, s22), chol = _transition_tables(spec, dt)
+    s11, s12, s21, s22 = _transition_tables(spec, dt)[0]
     gen = cs.stream.generator(cs.step)
-    ex, ev = _draw_kick(gen, spec, cs.truncation, chol)
+    idx = _ball_index(spec.n_grid, cs.truncation)
+    ex, ev = (_unpack(e, spec, idx) for e in
+              _draw_kick(gen, spec, cs.truncation, _ball_tables(spec, dt, cs.truncation)[1]))
     p, v = cs.state.pos.coeffs, cs.state.vel.coeffs
     pos = SpectralField(spec, s11 * p + s12 * v + ex, copy=False)
     vel = SpectralField(spec, s21 * p + s22 * v + ev, copy=False)

@@ -1,0 +1,81 @@
+"""``scripts/bench_record.py`` gathers the benchmark runs of a parent and a
+change checkout into one record; fed fabricated result files, its medians,
+pair counts, claim and duration lines are checked by hand."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+
+
+def load():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_result(root, workload, seed, trace, run_s, finished, failed=0):
+    results = root / ".perfbench_work" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    metrics = {"setup_s": {"value": 1.0, "unit": "s"},
+               "run_s": {"value": run_s, "unit": "s"},
+               "peak_rss_mb": {"value": 150.0, "unit": "MB"}}
+    if trace:
+        metrics = {"fft.calls": {"value": 252, "unit": "count"}}
+    path = results / f"{workload}-seed{seed}-trace{trace}.json"
+    path.write_text(json.dumps({"workload": workload, "seed": seed, "trace": trace,
+                                "metrics": metrics, "attempted": 5, "failed": failed}))
+    os.utime(path, (finished, finished))
+
+
+def test_record_of_fabricated_runs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_result(parent, "lln-linear", 1, 0, 1.0, finished=100)
+    write_result(change, "lln-linear", 1, 0, 0.5, finished=200)
+    write_result(change, "lln-linear", 9, 0, 0.4, finished=300)  # no parent run: no pair
+    write_result(parent, "lln-linear", 2, 1, 0.0, finished=400)
+    write_result(change, "lln-linear", 2, 1, 0.0, finished=50)
+    log = tmp_path / "tier1.log"
+    log.write_text("header\n12.50s call     tests/test_a.py::test_x\n"
+                   "0.01s setup    tests/test_a.py::test_y\n3 passed in 13.0s\n")
+    out = tmp_path / "BENCH_3.json"
+    args = ["--number", "3", "--parent", str(parent), "--change", str(change),
+            "--tier1-log", str(log), "--claim", "lln-linear:run_s", "--out", str(out)]
+    assert load().main(args) == 0
+    record = json.loads(out.read_text())
+    assert [(r["side"], r["record"]["seed"]) for r in record["runs"]] == [
+        ("change", 2), ("parent", 1), ("change", 1), ("change", 9), ("parent", 2)]
+    assert [r["run_index"] for r in record["runs"]] == [0, 1, 2, 3, 4]
+    run_s = next(r for r in record["summary"] if r["metric"] == "run_s")
+    assert run_s["pairs"] == 1 and run_s["seeds"] == [1]
+    assert run_s["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert run_s["change"]["median"] == 0.5 and run_s["change_over_parent"] == 0.5
+    assert run_s["change_better_pairs"] == 1 and run_s["all_correct"]
+    setup = next(r for r in record["summary"] if r["metric"] == "setup_s")
+    assert setup["change_better_pairs"] == 0  # a tie counts for neither side
+    assert record["claimed"]["met"] is True
+    assert record["traced_metrics"] == {"lln-linear@2": {
+        "parent": {"fft.calls": {"value": 252, "unit": "count"}},
+        "change": {"fft.calls": {"value": 252, "unit": "count"}}}}
+    assert record["tier1_durations"] == ["12.50s call     tests/test_a.py::test_x",
+                                         "0.01s setup    tests/test_a.py::test_y"]
+    assert set(record["machine"]) >= {"python", "numpy", "scipy", "cpu_count"}
+
+
+def test_claim_fails_when_the_change_loses_pairs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (p, c) in enumerate([(1.0, 0.5), (1.0, 1.1), (1.0, 0.6)]):
+        write_result(parent, "coupled-rate", seed, 0, p, finished=10 * seed)
+        write_result(change, "coupled-rate", seed, 0, c, finished=10 * seed + 5)
+    record = load().build(4, parent, change, _empty_log(tmp_path), "coupled-rate:run_s")
+    assert record["claimed"]["change_better_pairs"] == 2
+    assert record["claimed"]["met"] is False
+
+
+def _empty_log(tmp_path):
+    log = tmp_path / "empty.log"
+    log.write_text("")
+    return log

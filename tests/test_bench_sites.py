@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sigma_wave import dynamics, gibbs
-from sigma_wave.grid import ComponentEnsemble, GridSpec, random_field
+from sigma_wave import diagnostics, dynamics, gibbs
+from sigma_wave.grid import BallEnsemble, ComponentEnsemble, GridSpec, random_field
 from sigma_wave.noise import NoiseKind, NoiseStream, RenormConstants
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,9 +54,8 @@ def test_every_chain_gradient_goes_through_the_traced_drift(monkeypatch):
     assert np.all(np.isfinite(samples.positions))
 
 
-def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
-    # the benchmark's fft layer wraps numpy.fft by attribute; a drift that
-    # moved to untraced or complex transforms would change what it measures
+def count_real_ffts(monkeypatch):
+    """Count rfft2/irfft2 calls; a complex full-grid fft2/ifft2 raises."""
     calls = {"rfft2": 0, "irfft2": 0}
 
     def counted(name):
@@ -68,12 +67,19 @@ def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
         return wrapper
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a drift called a complex full-grid FFT")
+        raise AssertionError("a complex full-grid FFT was called")
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
     monkeypatch.setattr(np.fft, "fft2", forbidden)
     monkeypatch.setattr(np.fft, "ifft2", forbidden)
+    return calls
+
+
+def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
+    # the benchmark's fft layer wraps numpy.fft by attribute; a drift that
+    # moved to untraced or complex transforms would change what it measures
+    calls = count_real_ffts(monkeypatch)
     spec, n = GridSpec(16, 1.0), 3
     gen = np.random.default_rng(5)
     pos = np.stack([random_field(spec, gen, truncation=3.0).coeffs for _ in range(n)])
@@ -86,10 +92,43 @@ def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
         return calls["irfft2"], calls["rfft2"]
 
     assert counts(lambda: dynamics.renormalized_drift(ens, 0.2, 3.0)) == (1, 1)
-    renorm = RenormConstants.zero(1.0, 0.1, 4)
+    renorm = RenormConstants.build(1.0, 3, 0.1, 4)
     for system in (dynamics.HlsmState, dynamics.MeanFieldState):
         state = system.zero(spec, n, renorm, root_seed=2)
-        state = replace(state, v=ens, psi=ens)
+        state = replace(state, v=ens, psi=BallEnsemble.from_full(ens, 3.0))
         assert counts(lambda: dynamics.hlsm_rhs(state)) == (2, 1)
     streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(n)]
     assert counts(lambda: dynamics.step_renormalized_wave(ens, streams, 0, 0.1, 0.2, 3.0)) == (2, 2)
+
+
+def test_lln_estimator_draws_every_kick_through_the_traced_name(monkeypatch):
+    # the selftest's kick-retry break patches dynamics._draw_kick; the free
+    # steps of lln-decay must look it up there at call time
+    calls = []
+    draw = dynamics._draw_kick
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_draw_kick", counted)
+    N_list, reps, n_steps = [1, 3], 2, 3
+    diagnostics.lln_estimator(GridSpec(16, 1.0), ("wick_square_avg",), N_list, 2,
+                              n_steps * 0.1, reps, 0.1, 5, dt=0.1)
+    assert len(calls) == n_steps * sum(N_list) * reps
+
+
+def test_lln_estimator_and_the_residual_step_use_real_ffts_only(monkeypatch):
+    calls = count_real_ffts(monkeypatch)
+    N_list, reps, n_steps = [2, 3], 1, 2
+    diagnostics.lln_estimator(GridSpec(16, 1.0), diagnostics._LLN_KINDS, N_list, 2,
+                              n_steps * 0.1, reps, 0.1, 5, dt=0.1)
+    # per task and node: psi's grid values, then rfft2 and irfft2 per kind
+    nodes = len(N_list) * reps * (n_steps + 1)
+    assert (calls["irfft2"], calls["rfft2"]) == (4 * nodes, 3 * nodes)
+    spec = GridSpec(16, 1.0)
+    state = dynamics.HlsmState.stationary(spec, 2, RenormConstants.build(1.0, 3, 0.1, 2), 4)
+    for name in calls:
+        calls[name] = 0
+    dynamics.step_hlsm(state, 0.1)
+    assert (calls["irfft2"], calls["rfft2"]) == (4, 2)

@@ -15,7 +15,7 @@ from sigma_wave.diagnostics import _LLN_KINDS, difference_norms
 from sigma_wave.dynamics import step_linear_ensemble, step_renormalized_wave
 from sigma_wave.gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                               gibbs_vs_gaussian_covariance, sample_gibbs)
-from sigma_wave.grid import GridSpec, load_field, save_field
+from sigma_wave.grid import BallEnsemble, GridSpec, load_field, save_field
 from sigma_wave.noise import NoiseKind, NoiseStream, alpha_m
 
 
@@ -163,7 +163,9 @@ def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch):
         if not extra:
             monkeypatch.setenv("SIGMA_WAVE_THREADS", "2")
         assert main(["convergence-rate", "--config", cfgp] + extra) == 0
-        texts.append((out / "convergence.csv").read_bytes())
+        assert main(["lln-decay", "--config", cfgp] + extra) == 0
+        texts.append([(out / name).read_bytes() for name in
+                      ["convergence.csv"] + [f"lln_{kind}.csv" for kind in _LLN_KINDS]])
     assert texts[0] == texts[1] == texts[2]
 
 
@@ -197,13 +199,14 @@ def test_coupled_distance_matches_steps_that_draw_their_own_kicks():
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(3))
     alpha = alpha_m(spec.m, M)
     times, states_n, states_l = [0.0], [a], [b]
+    b = BallEnsemble.from_full(b, float(M))
     for k in range(n_steps):
         a = step_renormalized_wave(a, streams, k, dt, alpha, float(M))
-        b = step_linear_ensemble(b, streams, k, dt, float(M))
+        b = step_linear_ensemble(b, streams, k, dt)
         if (k + 1) % stride == 0:
             times.append((k + 1) * dt)
             states_n.append(a)
-            states_l.append(b)
+            states_l.append(b.full())
     want = difference_norms(SimpleNamespace(times=np.asarray(times), states=states_n),
                             SimpleNamespace(times=np.asarray(times), states=states_l), s, 0)[0]
     assert coupled_distance(spec, cfg, root, dt, n_steps, stride, s) == want

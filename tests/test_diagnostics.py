@@ -6,6 +6,7 @@ import pytest
 from sigma_wave.diagnostics import (
     _LLN_KINDS,
     RateFit,
+    _sup_proxy,
     commutator_defect,
     difference_norms,
     energy_en,
@@ -21,6 +22,7 @@ from sigma_wave.grid import (
     ComponentEnsemble,
     GridSpec,
     SpectralField,
+    _bracket_pow,
     random_field,
     sup_sobolev_norm,
 )
@@ -141,6 +143,19 @@ def test_zn_norm_zero_and_reference_recomputation():
     want = (np.sqrt(np.mean(best1**2)) + np.sqrt(np.mean(np.diag(best2) ** 2))
             + np.sqrt(np.mean(best2**2)) + np.sqrt(np.mean(best3**2)))
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n_grid", [8, 32, 64])
+def test_sup_proxy_matches_the_complex_full_grid_formula(n_grid):
+    spec = GridSpec(n_grid, 1.0)
+    z = np.random.default_rng(n_grid).standard_normal((2, 3) + spec.shape())
+    for s in (-0.1, 0.0, 0.7):
+        w = _bracket_pow(n_grid, s)
+        field = np.fft.ifft2(w * np.fft.fft2(z, norm="forward"), norm="forward").real
+        want = np.max(np.abs(field), axis=(-2, -1))
+        got = _sup_proxy(z, spec, s)
+        assert got.shape == (2, 3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(field))
 
 
 def test_lln_estimator_rows_and_rough_decay():

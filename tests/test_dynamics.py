@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from sigma_wave.dynamics import (
     BlowupError,
+    _ball_to_grid,
     _to_coeffs,
     _to_grid,
     HlsmState,
@@ -20,8 +21,8 @@ from sigma_wave.dynamics import (
     step_meanfield,
     step_renormalized_wave,
 )
-from sigma_wave.grid import (ComponentEnsemble, GridSpec, SpectralField, ball_mask, dealias_mask,
-                             hermitian_defect, random_field)
+from sigma_wave.grid import (BallEnsemble, ComponentEnsemble, GridSpec, SpectralField, _unpack,
+                             ball_mask, dealias_mask, hermitian_defect, random_field)
 from sigma_wave.noise import (
     ConvolutionState,
     NoiseKind,
@@ -53,7 +54,7 @@ def hlsm_state(n, seed, dt=0.1, n_steps=20, dealias=True, noisy=True):
     renorm = table(1.0, dt, n_steps) if noisy else RenormConstants.zero(1.0, dt, n_steps)
     state = HlsmState.zero(SPEC, n, renorm, root_seed=seed, dealias=dealias)
     v = random_ensemble(SPEC, n, seed + 1)
-    psi = random_ensemble(SPEC, n, seed + 2) if noisy else state.psi
+    psi = BallEnsemble.from_full(random_ensemble(SPEC, n, seed + 2), 4.0) if noisy else state.psi
     return HlsmState(v, psi, state.streams, 0.0, 0, renorm, dealias)
 
 
@@ -82,6 +83,17 @@ def test_half_spectrum_transforms_match_full_complex_ffts(n_grid, kind):
         assert np.all(_to_coeffs(np.zeros_like(g), radius) == 0.0)
 
 
+@pytest.mark.parametrize("n_grid", [8, 16, 64])
+def test_packed_grid_entry_is_the_scattered_transform_bit_for_bit(n_grid):
+    spec = GridSpec(n_grid, 1.0)
+    for M in (-1.0, 0.0, 2.0, float(int(spec.dealias_radius))):
+        ens = BallEnsemble.from_full(random_ensemble(spec, 3, seed=n_grid, truncation=M), M)
+        got = _ball_to_grid(ens)
+        full = _unpack(ens.pos, spec, ens.index)
+        for radius in (M, spec.dealias_radius, None):
+            assert np.array_equal(got, _to_grid(full, radius))
+
+
 def test_factored_rhs_matches_double_loop():
     for dealias in (True, False):
         state = hlsm_state(3, seed=11, dealias=dealias)
@@ -93,7 +105,7 @@ def test_factored_rhs_matches_double_loop():
 def test_single_component_rhs_is_wick_cubic():
     state = hlsm_state(1, seed=5, dealias=False)
     c = state.renorm.sigma_at(0)
-    u = np.fft.ifft2(state.v.pos[0] + state.psi.pos[0], norm="forward").real
+    u = np.fft.ifft2(state.v.pos[0] + state.psi.full().pos[0], norm="forward").real
     expected = np.fft.fft2(-hermite(3, u, c), norm="forward")
     got = hlsm_rhs(state)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
@@ -132,7 +144,7 @@ def test_meanfield_rhs_antisymmetric_pair():
     p1 = random_field(SPEC, np.random.Generator(np.random.Philox(41)), truncation=3).coeffs
     v = ComponentEnsemble(SPEC, np.stack([v1, -v1]), np.zeros((2,) + SPEC.shape(), complex))
     psi = ComponentEnsemble(SPEC, np.stack([p1, -p1]), np.zeros((2,) + SPEC.shape(), complex))
-    state = MeanFieldState(v, psi, base.streams, 0.0, 0, renorm)
+    state = MeanFieldState(v, BallEnsemble.from_full(psi, 4.0), base.streams, 0.0, 0, renorm)
     rhs = meanfield_rhs(state)
     assert np.max(np.abs(rhs[0] + rhs[1])) <= 1e-13
 
@@ -143,7 +155,7 @@ def test_permutation_equivariance():
     perm = [2, 0, 1]
     permuted = HlsmState(
         ComponentEnsemble(SPEC, state.v.pos[perm], state.v.vel[perm]),
-        ComponentEnsemble(SPEC, state.psi.pos[perm], state.psi.vel[perm]),
+        BallEnsemble(SPEC, state.psi.radius, state.psi.pos[perm], state.psi.vel[perm]),
         tuple(state.streams[p] for p in perm),
         state.time, state.step, state.renorm, state.dealias)
     a, b = state, permuted
@@ -175,22 +187,30 @@ def test_step_validates_dt_and_table_length():
 def test_state_validates_component_counts():
     renorm = table(1.0, 0.1, 4)
     v = ComponentEnsemble.zeros(SPEC, 3)
-    psi = ComponentEnsemble.zeros(SPEC, 2)
+    streams = (NoiseStream(0, 0, NoiseKind.DRIVE),) * 3
     with pytest.raises(ValueError):
-        HlsmState(v, psi, (NoiseStream(0, 0, NoiseKind.DRIVE),) * 3, 0.0, 0, renorm)
+        HlsmState(v, BallEnsemble.zeros(SPEC, 4.0, 2), streams, 0.0, 0, renorm)
+    with pytest.raises(ValueError, match="ball"):
+        HlsmState(v, BallEnsemble.zeros(SPEC, 3.0, 3), streams, 0.0, 0, renorm)
+    # M = 6 lies beyond the 2/3-rule radius 16/3: allowed only without dealiasing
+    wide = table(1.0, 0.1, 4, M=6)
+    HlsmState(v, BallEnsemble.zeros(SPEC, 6.0, 3), streams, 0.0, 0, wide, False)
+    with pytest.raises(ValueError, match="dealias"):
+        HlsmState(v, BallEnsemble.zeros(SPEC, 6.0, 3), streams, 0.0, 0, wide, True)
 
 
 def test_linear_ensemble_matches_per_component_transitions():
     streams = tuple(NoiseStream(50, j, NoiseKind.DRIVE) for j in range(3))
-    ens = ComponentEnsemble.zeros(SPEC, 3)
+    ens = BallEnsemble.zeros(SPEC, 4.0, 3)
     for step in range(4):
-        ens = step_linear_ensemble(ens, streams, step, 0.25, truncation=4.0)
+        ens = step_linear_ensemble(ens, streams, step, 0.25)
+    full = ens.full()
     for j, stream in enumerate(streams):
         cs = ConvolutionState.zero(SPEC, stream, truncation=4.0)
         for _ in range(4):
             cs = step_convolution(cs, 0.25)
-        assert np.array_equal(ens.pos[j], cs.state.pos.coeffs)
-        assert np.array_equal(ens.vel[j], cs.state.vel.coeffs)
+        assert np.array_equal(full.pos[j], cs.state.pos.coeffs)
+        assert np.array_equal(full.vel[j], cs.state.vel.coeffs)
 
 
 def test_kick_loop_rejects_a_stream_count_other_than_the_components():
@@ -199,7 +219,7 @@ def test_kick_loop_rejects_a_stream_count_other_than_the_components():
     for count in (2, 4):
         streams = tuple(NoiseStream(50, j, NoiseKind.DRIVE) for j in range(count))
         with pytest.raises(ValueError, match="streams"):
-            step_linear_ensemble(zero, streams, 0, 0.25, truncation=4.0)
+            step_linear_ensemble(BallEnsemble.zeros(SPEC, 4.0, 3), streams, 0, 0.25)
         with pytest.raises(ValueError, match="streams"):
             step_renormalized_wave(zero, streams, 0, 0.25, alpha=0.0, truncation=4.0)
 
@@ -212,7 +232,7 @@ def test_renormalized_wave_shares_noise_with_linear_step():
     streams = tuple(NoiseStream(8, j, NoiseKind.DRIVE) for j in range(2))
     zero = ComponentEnsemble.zeros(SPEC, 2)
     a = step_renormalized_wave(zero, streams, 0, 0.2, alpha=0.0, truncation=4.0)
-    b = step_linear_ensemble(zero, streams, 0, 0.2, truncation=4.0)
+    b = step_linear_ensemble(BallEnsemble.zeros(SPEC, 4.0, 2), streams, 0, 0.2).full()
     f1 = renormalized_drift(b, 0.0, truncation=4.0)
     _, (gx, gv, w1x, w1v) = _drift_tables(SPEC, 0.2, 0.5)
     assert np.max(np.abs(a.pos - (b.pos + w1x[None] * f1))) <= 1e-15
@@ -262,14 +282,14 @@ def test_step_hlsm_second_order_in_dt():
     v0 = random_ensemble(SPEC, n, seed=71)
     def drift(p):
         from sigma_wave.dynamics import _ensemble_drift
-        return _ensemble_drift(p, np.zeros_like(p), 0.0, SPEC.dealias_radius)
+        return _ensemble_drift(p, BallEnsemble.zeros(SPEC, -1, n), 0.0, SPEC.dealias_radius)
 
     ref_pos, _ = reference_trajectory(v0.pos, v0.vel, drift, 0.5, t_end)
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
         renorm = RenormConstants.zero(1.0, dt, k)
-        state = HlsmState(v0.copy(), ComponentEnsemble.zeros(SPEC, n),
+        state = HlsmState(v0.copy(), BallEnsemble.zeros(SPEC, -1, n),
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
                           0.0, 0, renorm, True)
         for _ in range(k):
@@ -288,7 +308,7 @@ def test_step_hlsm_second_order_with_time_dependent_wick_constant():
     for k in (8, 16, 32, 64, 512):
         dt = t_end / k
         renorm = replace(RenormConstants.build(1.0, 4, dt, k), M=-1)
-        state = HlsmState(v0.copy(), ComponentEnsemble.zeros(SPEC, n),
+        state = HlsmState(v0.copy(), BallEnsemble.zeros(SPEC, -1, n),
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
                           0.0, 0, renorm, True)
         for _ in range(k):
@@ -304,14 +324,14 @@ def test_step_meanfield_second_order_in_dt():
     v0 = random_ensemble(SPEC, n, seed=72)
     def drift(p):
         from sigma_wave.dynamics import _meanfield_drift
-        return _meanfield_drift(p, np.zeros_like(p), SPEC.dealias_radius)
+        return _meanfield_drift(p, BallEnsemble.zeros(SPEC, -1, n), SPEC.dealias_radius)
 
     ref_pos, _ = reference_trajectory(v0.pos, v0.vel, drift, 0.5, t_end)
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
         renorm = RenormConstants.zero(1.0, dt, k)
-        state = MeanFieldState(v0.copy(), ComponentEnsemble.zeros(SPEC, n),
+        state = MeanFieldState(v0.copy(), BallEnsemble.zeros(SPEC, -1, n),
                                tuple(NoiseStream(0, r, NoiseKind.DRIVE) for r in range(n)),
                                0.0, 0, renorm, True)
         for _ in range(k):
@@ -350,7 +370,7 @@ def test_renormalized_wave_second_order_in_dt():
 
     ref_pos, _ = reference_trajectory(u0.pos, u0.vel, drift, 0.5, t_end)
     # a ball of radius n_grid holds every mode, and a zero kick turns the noise off
-    no_kick = (np.zeros_like(u0.pos), np.zeros_like(u0.pos))
+    no_kick = (np.zeros((n, SPEC.n_grid ** 2), complex), np.zeros((n, SPEC.n_grid ** 2), complex))
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k

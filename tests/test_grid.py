@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigma_wave.grid import (
+    BallEnsemble,
     ComponentEnsemble,
     GridSpec,
     PairState,
@@ -232,6 +233,28 @@ def test_component_ensemble_round_trip():
         assert np.array_equal(ens[j].vel.coeffs, s.vel.coeffs)
     with pytest.raises(ValueError):
         ComponentEnsemble.from_components([])
+
+
+def test_ball_ensemble_round_trips_and_rejects_data_off_the_ball():
+    spec, radius = GridSpec(16, 1.0), 3.0
+    gen = np.random.default_rng(4)
+    pos = np.stack([random_field(spec, gen, truncation=radius).coeffs for _ in range(3)])
+    vel = np.stack([random_field(spec, gen, truncation=2.0).coeffs for _ in range(3)])
+    ens = ComponentEnsemble(spec, pos, vel)
+    packed = BallEnsemble.from_full(ens, radius)
+    assert len(packed) == 3 and packed.pos.shape == (3, int(np.sum(ball_mask(spec, radius))))
+    back = packed.full()
+    assert np.array_equal(back.pos, pos) and np.array_equal(back.vel, vel)
+    again = BallEnsemble.from_full(back, radius)
+    assert np.array_equal(again.pos, packed.pos) and np.array_equal(again.vel, packed.vel)
+    assert np.all(BallEnsemble.zeros(spec, radius, 2).full().pos == 0)
+    for field in ("pos", "vel"):
+        off = ens.copy()
+        getattr(off, field)[1, 4, 0] = 1e-300  # |n| = 4, just off the ball
+        with pytest.raises(ValueError, match="outside the ball"):
+            BallEnsemble.from_full(off, radius)
+    with pytest.raises(ValueError):
+        BallEnsemble(spec, 2.0, packed.pos, packed.vel)
 
 
 def test_snapshot_round_trip(tmp_path):

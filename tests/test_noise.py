@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sigma_wave.grid import GridSpec, ball_mask
+from sigma_wave.grid import GridSpec, _ball_index, ball_mask
 from sigma_wave.noise import (
     ConvolutionState,
     NoiseKind,
     NoiseStream,
     RenormConstants,
+    _ball_tables,
+    _draw_kick,
     _half_lattice,
+    _transition_tables,
     alpha_m,
     sample_mu1_mu0_pair,
     sigma_m,
@@ -19,6 +22,8 @@ from sigma_wave.noise import (
     transition_covariance,
 )
 from sigma_wave.propagator import flow_entries
+
+from oracles import draw_kick_full_grid
 
 SPEC = GridSpec(32, 1.0)
 
@@ -268,6 +273,23 @@ def test_half_lattice_partitions_the_ball_into_mirror_pairs(n_grid):
         assert np.array_equal(mirror[self_idx], self_idx)
         assert np.array_equal(mirror[plus], minus)
         assert np.all(plus < minus)
+
+
+@pytest.mark.parametrize("n_grid", [8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["empty", "zero", "two", "below_nyquist"])
+def test_packed_kick_is_the_full_grid_kick_on_the_ball(n_grid, kind):
+    spec, dt = GridSpec(n_grid, 1.0), 0.05
+    radius = {"empty": -1.0, "zero": 0.0, "two": 2.0, "below_nyquist": spec.nyquist - 1.0}[kind]
+    idx = _ball_index(n_grid, radius)
+    for step in range(3):
+        stream = NoiseStream(12, 3, NoiseKind.DRIVE)
+        packed = _draw_kick(stream.generator(step), spec, radius, _ball_tables(spec, dt, radius)[1])
+        full = draw_kick_full_grid(stream.generator(step), spec, radius,
+                                   _transition_tables(spec, dt)[1])
+        for got, want in zip(packed, full):
+            assert got.shape == idx.shape
+            assert np.array_equal(got, want.reshape(-1)[idx])
+            assert np.all(np.delete(want.reshape(-1), idx) == 0)
 
 
 def test_stationary_start_keeps_pointwise_variance():
