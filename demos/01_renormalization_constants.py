@@ -5,8 +5,8 @@ and a Monte Carlo check of the pointwise identity E[Psi(t,x)^2] = sigma_M(t).
 
 import numpy as np
 
-from sigma_wave import (ConvolutionState, GridSpec, NoiseKind, NoiseStream,
-                        RenormConstants, alpha_m, sigma_m, step_convolution)
+from sigma_wave import (BallEnsemble, GridSpec, NoiseKind, NoiseStream, RenormConstants,
+                        alpha_m, sigma_m, step_linear_ensemble)
 
 m, M = 1.0, 8
 rc = RenormConstants.build(m, M, dt=0.25, n_steps=16)
@@ -28,11 +28,9 @@ for trunc in (2, 4, 8, 16, 32):
 # law, so a single step of size t produces an exact sample of Psi(t)
 spec = GridSpec(32, m)
 n_mc, t = 4000, 1.0
-vals = np.empty(n_mc)
-for k in range(n_mc):
-    cs = ConvolutionState.zero(spec, NoiseStream(7, k, NoiseKind.DRIVE), truncation=float(M))
-    cs = step_convolution(cs, t)
-    vals[k] = np.real(np.sum(cs.state.pos.coeffs)) ** 2   # u(0,0)^2
+streams = [NoiseStream(7, k, NoiseKind.DRIVE) for k in range(n_mc)]
+ens = step_linear_ensemble(BallEnsemble.zeros(spec, float(M), n_mc), streams, 0, t)
+vals = np.real(np.sum(ens.pos, axis=1)) ** 2   # u(0,0)^2
 mean, se = vals.mean(), vals.std(ddof=1) / np.sqrt(n_mc)
 print(f"\nMC E[Psi({t},x)^2] = {mean:.4f} +/- {se:.4f}, "
       f"analytic sigma_M({t}) = {sigma_m(t, m, M):.4f}")

@@ -4,13 +4,12 @@ invariant Gibbs dynamics."""
 
 __version__ = "0.1.0"
 
-from .grid import (BallEnsemble, ComponentEnsemble, GridSpec, PairState, SpectralField,
-                   apply_i_operator, ball_mask, dealias_mask, load_field, project,
-                   random_field, rms, save_field, sobolev_norm, sup_sobolev_norm)
+from .grid import (BallEnsemble, GridSpec, SpectralField, apply_i_operator, ball_mask,
+                   dealias_mask, load_field, project, random_field, rms, save_field,
+                   sobolev_norm, sup_sobolev_norm)
 from .propagator import duhamel_weights, etd2_step, flow_entries
-from .noise import (ConvolutionState, NoiseKind, NoiseStream, RenormConstants,
-                    alpha_m, sample_mu1_mu0_pair, sigma_m, stationary_ensemble,
-                    step_convolution, transition_covariance)
+from .noise import (NoiseKind, NoiseStream, RenormConstants, alpha_m, sigma_m,
+                    stationary_ensemble, transition_covariance)
 from .wick import (WickContext, hermite, wick_cube, wick_pair, wick_quartic,
                    wick_square, wick_triple)
 from .dynamics import (BlowupError, HlsmState, MeanFieldState, TrajectoryRecord,
@@ -29,15 +28,14 @@ from .diagnostics import (RateFit, commutator_defect, difference_norms, energy_e
 __all__ = [
     "__version__",
     # grid
-    "GridSpec", "SpectralField", "PairState", "ComponentEnsemble", "BallEnsemble", "project",
+    "GridSpec", "SpectralField", "BallEnsemble", "project",
     "apply_i_operator", "ball_mask", "dealias_mask", "random_field", "rms",
     "sobolev_norm", "sup_sobolev_norm", "save_field", "load_field",
     # propagator
     "flow_entries", "duhamel_weights", "etd2_step",
     # noise
     "NoiseKind", "NoiseStream", "alpha_m", "sigma_m", "RenormConstants",
-    "transition_covariance", "sample_mu1_mu0_pair", "stationary_ensemble",
-    "ConvolutionState", "step_convolution",
+    "transition_covariance", "stationary_ensemble",
     # wick
     "WickContext", "hermite", "wick_pair", "wick_triple", "wick_square",
     "wick_cube", "wick_quartic",

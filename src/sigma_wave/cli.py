@@ -32,7 +32,7 @@ from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
                        step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
-from .grid import (BallEnsemble, ComponentEnsemble, GridSpec, SpectralField, hermitian_defect,
+from .grid import (BallEnsemble, GridSpec, SpectralField, ball_mask, hermitian_defect,
                    load_field, rms, save_field, sobolev_norm)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
@@ -184,30 +184,36 @@ def _require_exact_ball(cfg: dict, command: str) -> None:
                           f"products; got n_grid = {n_grid}, M = {M}")
 
 
-def _ensemble_from_files(spec: GridSpec, n: int, directory: str) -> ComponentEnsemble:
+def _ensemble_from_files(spec: GridSpec, n: int, directory: str, radius: float) -> BallEnsemble:
+    """The snapshot pairs in ``directory``, packed on the ball ``|n| <= radius``
+    that the residual evolves on; data off that ball raise."""
     root = Path(directory)
-    pos, vel = [], []
+    ens, off_ball = BallEnsemble.zeros(spec, radius, n), ~ball_mask(spec, radius)
     for j in range(n):
         pos_path = root / f"field_u{j:03d}.sgwv"
         vel_path = root / f"field_du{j:03d}.sgwv"
         if not pos_path.exists() or not vel_path.exists():
             raise ConfigError(f"data_file {directory}: missing snapshots for component {j}")
-        for path, dest in ((pos_path, pos), (vel_path, vel)):
+        for path, dest in ((pos_path, ens.pos), (vel_path, ens.vel)):
             field = load_field(path, spec.m)
             if field.spec.n_grid != spec.n_grid:
                 raise ConfigError(f"{path}: snapshot grid {field.spec.n_grid} != "
                                   f"configured {spec.n_grid}")
             if hermitian_defect(field) > 1e-12 * np.max(np.abs(field.coeffs)):
                 raise ConfigError(f"{path}: coefficients are not the spectrum of a real field")
-            dest.append(field.coeffs)
-    return ComponentEnsemble(spec, np.stack(pos), np.stack(vel), copy=False)
+            if np.any(field.coeffs[off_ball]):
+                raise ConfigError(f"{path}: non-zero coefficients outside the dealias ball "
+                                  f"|n| <= {radius:g} that the residual evolves on; "
+                                  "set dealias = false to keep every mode")
+            dest[j] = field.coeffs.reshape(-1)[ens.index]
+    return ens
 
 
-def _write_field_snapshots(out_dir: Path, ens: ComponentEnsemble) -> None:
+def _write_field_snapshots(out_dir: Path, ens: BallEnsemble) -> None:
+    pos, vel = ens.full()
     for j in range(len(ens)):
-        state = ens[j]
-        save_field(state.pos, out_dir / f"field_u{j:03d}.sgwv")
-        save_field(state.vel, out_dir / f"field_du{j:03d}.sgwv")
+        save_field(SpectralField(ens.spec, pos[j], copy=False), out_dir / f"field_u{j:03d}.sgwv")
+        save_field(SpectralField(ens.spec, vel[j], copy=False), out_dir / f"field_du{j:03d}.sgwv")
 
 
 def _component_norms(coeffs: np.ndarray, spec: GridSpec, s: float) -> float:
@@ -228,13 +234,12 @@ def _write_fit(path: Path, rows) -> str:
 def _run_observables(m: float):
     def u1_wick_int(state):
         c = state.renorm.sigma_at(state.step)
-        u = state.combined()
-        ug = np.fft.ifft2(u.pos[0], norm="forward").real
+        ug = np.fft.ifft2(state.combined().full()[0][0], norm="forward").real
         return float(np.mean(ug * ug) - c)
 
     return {
-        "v_h1": lambda st: _component_norms(st.v.pos, st.v.spec, 1.0),
-        "vdot_l2": lambda st: _component_norms(st.v.vel, st.v.spec, 0.0),
+        "v_h1": lambda st: _component_norms(st.v.full()[0], st.v.spec, 1.0),
+        "vdot_l2": lambda st: _component_norms(st.v.full()[1], st.v.spec, 0.0),
         "u1_wick_int": u1_wick_int,
         "energy_en": lambda st: energy_en(st.combined(), m),
     }
@@ -260,7 +265,7 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     start = cls.stationary if d["data"] == "gaussian" else cls.zero
     state = start(spec, n, rc, seed, d["dealias"])
     if d["data"] == "file":
-        state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"]))
+        state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"], state.v.radius))
     record = run_trajectory(state, d["dt"], n_steps, stride,
                             observables=_run_observables(g["m"]),
                             keep_states="fields" in cfg["output"]["formats"])
@@ -293,24 +298,22 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
     """C_T script-H^s distance of one coupled (interacting, free) run, component 1.
 
     The coupled (Gibbs, Gaussian) data pair of ``cfg`` starts the interacting
-    renormalized wave and the free wave, which stays packed on the noise
-    ball; each step's kicks are drawn once and passed to both, and the two
-    are compared every ``stride`` steps.
+    renormalized wave and the free wave, both packed on the noise ball; each
+    step's kicks are drawn once and passed to both, and the two are compared
+    every ``stride`` steps.
     """
-    gibbs, gauss = coupled_gibbs_gaussian_pair(spec, cfg, root)
+    a, b = coupled_gibbs_gaussian_pair(spec, cfg, root)
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(cfg.n_components))
     alpha = alpha_m(spec.m, cfg.truncation)
-    M = float(cfg.truncation)
-    times, states_n, states_l = [0.0], [gibbs], [gauss]
-    a, b = gibbs, BallEnsemble.from_full(gauss, M)
+    times, states_n, states_l = [0.0], [a], [b]
     for k in range(n_steps):
-        kick = _kick_pair((len(streams),), streams, k, spec, dt, M)
-        a = step_renormalized_wave(a, streams, k, dt, alpha, M, kick)
+        kick = _kick_pair((len(streams),), streams, k, spec, dt, b.radius)
+        a = step_renormalized_wave(a, streams, k, dt, alpha, kick)
         b = step_linear_ensemble(b, streams, k, dt, kick)
         if (k + 1) % stride == 0:
             times.append((k + 1) * dt)
             states_n.append(a)
-            states_l.append(b.full())
+            states_l.append(b)
     traj_n = SimpleNamespace(times=np.asarray(times), states=states_n)
     traj_l = SimpleNamespace(times=np.asarray(times), states=states_l)
     return difference_norms(traj_n, traj_l, s, 0)[0]

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _ball_to_grid, _to_grid, step_linear_ensemble
+from .dynamics import _to_grid, step_linear_ensemble
 from .grid import (
     BallEnsemble,
-    ComponentEnsemble,
     GridSpec,
     SpectralField,
     _bracket_pow,
@@ -52,24 +51,25 @@ def _ensemble_energy(pos: np.ndarray, vel: np.ndarray, m: float, spec: GridSpec)
     return float(0.5 * quad + 0.25 * np.mean(mean_sq * mean_sq))
 
 
-def energy_en(ens: ComponentEnsemble, m: float) -> float:
+def energy_en(ens: BallEnsemble, m: float) -> float:
     """Component-averaged energy: quadratic part in mode space, quartic part
     as the squared pointwise mean of ``u_j^2`` on the grid.
 
     Read over replicas it is the energy of the mean-field flow with the
     empirical replica average, ``energy_meanfield``.
     """
-    return _ensemble_energy(ens.pos, ens.vel, m, ens.spec)
+    return _ensemble_energy(*ens.full(), m, ens.spec)
 
 
 energy_meanfield = energy_en
 
 
-def modified_energy(ens: ComponentEnsemble, m: float, s: float, truncation: float) -> float:
+def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) -> float:
     """Energy of the I-smoothed ensemble; equals :func:`energy_en` once the
     threshold clears ``nyquist * sqrt(2)`` and the multiplier is 1 everywhere."""
     prof = _i_profile(ens.spec.n_grid, float(s), float(truncation))
-    return _ensemble_energy(ens.pos * prof, ens.vel * prof, m, ens.spec)
+    pos, vel = ens.full()
+    return _ensemble_energy(pos * prof, vel * prof, m, ens.spec)
 
 
 def _sup_proxy(z: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
@@ -83,7 +83,7 @@ def _sup_proxy(z: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
 def zn_norm(nodes, eps: float, c_values) -> float:
     """Enhanced-data norm of a saved linear-ensemble trajectory.
 
-    ``nodes`` is a sequence of component ensembles at increasing times and
+    ``nodes`` is a sequence of ball ensembles at increasing times and
     ``c_values`` the Wick variance at each node (scalar for stationary
     data).  The four summands are the l2-averaged C_T W^{-eps,inf} norms of
     psi_j, of the diagonal squares :psi_k^2:, and of the off-diagonal-
@@ -101,7 +101,7 @@ def zn_norm(nodes, eps: float, c_values) -> float:
     best2 = np.zeros((n, n))
     best3 = np.zeros((n, n))
     for ens, c in zip(nodes, c_arr):
-        pg = _to_grid(ens.pos, None)
+        pg = _to_grid(ens.pos, spec.n_grid, ens.radius)
         best1 = np.maximum(best1, _sup_proxy(pg, spec, -eps))
         pair = pg[:, None] * pg[None, :]
         pair[np.arange(n), np.arange(n)] -= c
@@ -159,13 +159,13 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
 
     def task(item):
         n, base = item
-        ens = BallEnsemble.from_full(stationary_ensemble(spec, M, root_seed, n, base), M)
+        ens = stationary_ensemble(spec, M, root_seed, n, base)
         streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE) for j in range(n)]
         vals = np.empty((len(kinds), n_steps + 1))
         for step in range(n_steps + 1):
             if step > 0:
                 ens = step_linear_ensemble(ens, streams, step - 1, dt)
-            pg = _ball_to_grid(ens)
+            pg = _to_grid(ens.pos, spec.n_grid, ens.radius)
             h2_sum = np.sum(pg * pg - c, axis=0)
             for i, kind in enumerate(kinds):
                 if kind == "wick_square_avg":
@@ -226,7 +226,8 @@ def difference_norms(traj_n, traj_limit, s: float, j: int):
 
     Returns the component-j norm and the l2-average over components; both
     are maxima over the shared recording nodes of
-    ``(||du||_{H^s}^2 + ||dv||_{H^{s-1}}^2)^{1/2}``.
+    ``(||du||_{H^s}^2 + ||dv||_{H^{s-1}}^2)^{1/2}``.  The states are ball
+    ensembles, each scattered once to full grids.
     """
     if len(traj_n.states) != len(traj_limit.states) or not traj_n.states:
         raise ValueError("trajectories must share their recording nodes")
@@ -236,9 +237,10 @@ def difference_norms(traj_n, traj_limit, s: float, j: int):
     best = np.zeros(n)
     for a, b in zip(traj_n.states, traj_limit.states):
         spec = a.spec
+        (pos_a, vel_a), (pos_b, vel_b) = a.full(), b.full()
         for comp in range(n):
-            du = SpectralField(spec, a.pos[comp] - b.pos[comp], copy=False)
-            dv = SpectralField(spec, a.vel[comp] - b.vel[comp], copy=False)
+            du = SpectralField(spec, pos_a[comp] - pos_b[comp], copy=False)
+            dv = SpectralField(spec, vel_a[comp] - vel_b[comp], copy=False)
             val = np.hypot(sobolev_norm(du, s), sobolev_norm(dv, s - 1.0))
             if not np.isfinite(val):
                 # max() would silently drop a NaN node

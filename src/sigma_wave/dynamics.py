@@ -21,12 +21,13 @@ in how the drift is assembled:
 
 Components are vectorized (stacked real FFTs), which makes reductions
 exactly deterministic; parallelism across runs lives in the experiment layer.
-The stochastic convolutions psi and the free linear ensemble are stepped
-packed on their noise ball (``grid.BallEnsemble``), with packed kicks.
-
-Drifts read and write only a kept mode ball (the 2/3-rule set by default,
-every mode without dealiasing) through ``irfft2``/``rfft2`` on the half
-spectrum; the conjugate mirror supplies the other half plane.
+Every system steps packed ``(..., N, n_ball)`` stacks (``grid.BallEnsemble``)
+with packed kicks: psi and the free ensemble on their noise ball, the
+residual ``v`` on the 2/3-rule ball (every mode without dealiasing), the
+interacting waves on their truncation ball.  The ball a stack carries is the
+ball its drift reads and writes, through ``irfft2``/``rfft2`` on the half
+spectrum; the conjugate mirror supplies the other half plane.  No stepper
+fills a full ``(n, n)`` coefficient grid.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (BallEnsemble, ComponentEnsemble, GridSpec, _ball_index, _half_spectrum_index,
-                   _unpack)
+from .grid import BallEnsemble, GridSpec, _ball_index, _half_spectrum_index
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _ball_tables, _draw_kick,
                     stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
@@ -83,48 +83,46 @@ def _drift_tables(spec: GridSpec, dt: float, gamma: float):
     return flow, (gx, gv, w1x, w1v)
 
 
-def _half_to_grid(vals: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
-    """``irfft2`` of the ``(n, n/2+1)`` half spectra that hold ``vals`` at the
-    flat positions ``half`` and zeros elsewhere."""
-    spec = np.zeros(vals.shape[:-1] + (n * (n // 2 + 1),), dtype=np.complex128)
-    spec[..., half] = vals
-    return np.fft.irfft2(spec.reshape(vals.shape[:-1] + (n, n // 2 + 1)), s=(n, n),
-                         norm="forward")
+@lru_cache(maxsize=64)
+def _ball_drift_tables(spec: GridSpec, dt: float, gamma: float, radius: float):
+    """:func:`_drift_tables` gathered on the ``|n| <= radius`` ball, in
+    ``_ball_index`` order, for packed stacks."""
+    idx = _ball_index(spec.n_grid, radius)
+    flow, weights = _drift_tables(spec, dt, gamma)
+    out = tuple(f.reshape(-1)[idx] for f in flow), tuple(w.reshape(-1)[idx] for w in weights)
+    for arr in out[0] + out[1]:
+        arr.setflags(write=False)
+    return out
 
 
-def _to_grid(coeffs: np.ndarray, radius: float | None) -> np.ndarray:
-    """Grid values of the ``|n| <= radius`` modes (every mode for None) of
-    Hermitian ``(..., n, n)`` coefficient stacks, through ``irfft2``."""
-    n = coeffs.shape[-1]
-    full, half = _half_spectrum_index(n, radius)[:2]
-    return _half_to_grid(coeffs.reshape(coeffs.shape[:-2] + (n * n,))[..., full], half, n)
+def _to_grid(packed: np.ndarray, n: int, radius: float) -> np.ndarray:
+    """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
+    ball of an ``n x n`` grid: the half spectrum holds their stored modes
+    and zeros elsewhere, through ``irfft2``."""
+    stored, half = _half_spectrum_index(n, radius)[:2]
+    lead = packed.shape[:-1]
+    spec = np.zeros(lead + (n * (n // 2 + 1),), dtype=np.complex128)
+    spec[..., half] = packed[..., stored]
+    return np.fft.irfft2(spec.reshape(lead + (n, n // 2 + 1)), s=(n, n), norm="forward")
 
 
-def _ball_to_grid(ens: BallEnsemble) -> np.ndarray:
-    """Grid values of the packed positions of ``ens``; bit for bit
-    ``_to_grid`` of the scattered stack at any radius that holds the ball."""
-    n = ens.spec.n_grid
-    stored = ens.index % n <= n // 2  # the ball modes the half spectrum holds
-    return _half_to_grid(ens.pos[:, stored], _half_spectrum_index(n, ens.radius)[1], n)
-
-
-def _to_coeffs(grid: np.ndarray, radius: float | None) -> np.ndarray:
-    """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks:
-    ``rfft2``, then the kept modes gathered into zeros, exactly Hermitian."""
+def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
+    """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks,
+    packed: ``rfft2``, then the kept modes gathered, exactly Hermitian."""
     n, lead = grid.shape[-1], grid.shape[:-2]
-    *_, full, half, n_direct = _half_spectrum_index(n, radius)
+    *_, half, packed, n_direct = _half_spectrum_index(n, radius)
     vals = np.fft.rfft2(grid, norm="forward").reshape(lead + (-1,))[..., half]
     np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
-    out = np.zeros(lead + (n * n,), dtype=np.complex128)
-    out[..., full] = vals
-    return out.reshape(lead + (n, n))
+    out = np.empty(lead + (packed.size,), dtype=np.complex128)
+    out[..., packed] = vals
+    return out
 
 
-def _ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> np.ndarray:
+def _ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float, radius: float) -> np.ndarray:
     """Factored six-term coupling for the residual ensemble, in mode space."""
-    n = v_pos.shape[0]
-    vg = _to_grid(v_pos, radius)
-    pg = _ball_to_grid(psi)
+    n, n_grid = v_pos.shape[0], psi.spec.n_grid
+    vg = _to_grid(v_pos, n_grid, radius)
+    pg = _to_grid(psi.pos, n_grid, psi.radius)
     q = np.mean(vg * vg, axis=0)
     p = np.mean(pg * vg, axis=0)
     w = np.mean(pg * pg, axis=0) - c
@@ -132,47 +130,45 @@ def _ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> n
     return _to_coeffs(-g[None] * (vg + pg), radius)
 
 
-def _meanfield_drift(v_pos: np.ndarray, psi: BallEnsemble, radius) -> np.ndarray:
+def _meanfield_drift(v_pos: np.ndarray, psi: BallEnsemble, radius: float) -> np.ndarray:
     """Replica-averaged limit drift; every term carries v or a v-average."""
-    vg = _to_grid(v_pos, radius)
-    pg = _ball_to_grid(psi)
+    vg = _to_grid(v_pos, psi.spec.n_grid, radius)
+    pg = _to_grid(psi.pos, psi.spec.n_grid, psi.radius)
     a = np.mean(vg * vg, axis=0)
     b = np.mean(pg * vg, axis=0)
     return _to_coeffs(-(a + 2.0 * b)[None] * (vg + pg), radius)
 
 
-def _renormalized_drift(pos: np.ndarray, alpha: float, radius) -> np.ndarray:
-    """Gibbs drift of a ``(..., N, n, n)`` stack; the mean runs over axis -3."""
-    n = pos.shape[-3]
-    ug = _to_grid(pos, radius)
+def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: float) -> np.ndarray:
+    """Gibbs drift of a packed ``(..., N, n_ball)`` stack; the mean runs over
+    the component axis."""
+    n = pos.shape[-2]
+    ug = _to_grid(pos, n_grid, radius)
     mean_sq = np.mean(ug * ug, axis=-3, keepdims=True)
     ug *= -(mean_sq - (n + 2.0) * alpha / n)  # in place: one grid stack fewer per call
     return _to_coeffs(ug, radius)
-
-
-def _radius_for(state) -> float | None:
-    return state.v.spec.dealias_radius if state.dealias else None
 
 
 @dataclass(frozen=True)
 class _ResidualState:
     """Residual fields ``v`` coupled to per-component stochastic convolutions.
 
-    The physical field of component j is ``psi_j + v_j``; the convolutions
-    are advanced by the exact transition and live, packed, in the mode ball
-    of the renormalization truncation, so the Wick constants of ``renorm``
-    match the fields they renormalize.  ``psi`` starts from zero data with
-    ``zero`` and from the Gaussian equilibrium with ``stationary``.  The
-    two systems below differ only in ``drift``.
+    The physical field of component j is ``psi_j + v_j``.  ``v`` lives on the
+    ball its drift reads and writes: the 2/3-rule ball with dealiasing, every
+    mode (radius ``inf``) without.  The convolutions are advanced by the
+    exact transition and live in the ball of the renormalization truncation,
+    so the Wick constants of ``renorm`` match the fields they renormalize.
+    ``psi`` starts from zero data with ``zero`` and from the Gaussian
+    equilibrium with ``stationary``.  The two systems below differ only in
+    ``drift``.
     """
 
-    v: ComponentEnsemble
+    v: BallEnsemble
     psi: BallEnsemble
     streams: tuple
     time: float
     step: int
     renorm: RenormConstants
-    dealias: bool = True
 
     def __post_init__(self) -> None:
         if not (len(self.v) == len(self.psi) == len(self.streams)):
@@ -184,8 +180,9 @@ class _ResidualState:
             raise ValueError("v and psi live on different grids")
         if self.psi.radius != self.renorm.M:
             raise ValueError(f"psi lives on the ball {self.psi.radius:g}, not M = {self.renorm.M}")
-        if self.dealias and self.renorm.M > self.v.spec.dealias_radius:
-            raise ValueError(f"M = {self.renorm.M} exceeds the dealias radius of the grid")
+        if self.psi.radius > self.v.radius:
+            raise ValueError(f"M = {self.renorm.M} exceeds the ball {self.v.radius:g} of v, "
+                             "the dealias radius of the grid with dealiasing on")
 
     @property
     def n_components(self) -> int:
@@ -195,28 +192,30 @@ class _ResidualState:
     def zero(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
              root_seed: int, dealias: bool = True):
         streams = tuple(NoiseStream(root_seed, j, NoiseKind.DRIVE) for j in range(n_components))
-        return cls(ComponentEnsemble.zeros(spec, n_components),
+        radius = spec.dealias_radius if dealias else np.inf
+        return cls(BallEnsemble.zeros(spec, radius, n_components),
                    BallEnsemble.zeros(spec, renorm.M, n_components),
-                   streams, 0.0, 0, renorm, dealias)
+                   streams, 0.0, 0, renorm)
 
     @classmethod
     def stationary(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
                    root_seed: int, dealias: bool = True):
         state = cls.zero(spec, n_components, renorm, root_seed, dealias)
-        psi = stationary_ensemble(spec, renorm.M, root_seed, n_components)
-        return replace(state, psi=BallEnsemble.from_full(psi, renorm.M))
+        return replace(state, psi=stationary_ensemble(spec, renorm.M, root_seed, n_components))
 
-    def combined(self) -> ComponentEnsemble:
-        """The physical ensemble u = psi + v."""
-        psi = self.psi.full()
-        return ComponentEnsemble(self.v.spec, self.v.pos + psi.pos,
-                                 self.v.vel + psi.vel, copy=False)
+    def combined(self) -> BallEnsemble:
+        """The physical ensemble u = psi + v, on the ball of v."""
+        psi = BallEnsemble.zeros(self.v.spec, self.v.radius, len(self.v))
+        slots = np.searchsorted(self.v.index, self.psi.index)
+        psi.pos[:, slots], psi.vel[:, slots] = self.psi.pos, self.psi.vel
+        return BallEnsemble(self.v.spec, self.v.radius, self.v.pos + psi.pos,
+                            self.v.vel + psi.vel)
 
 
 class HlsmState(_ResidualState):
     """Residual ensemble of the N-component system; six-term coupled drift."""
 
-    def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> np.ndarray:
+    def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius: float) -> np.ndarray:
         return _ensemble_drift(v_pos, psi, c, radius)
 
 
@@ -228,15 +227,15 @@ class MeanFieldState(_ResidualState):
     the convergence experiments.
     """
 
-    def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius) -> np.ndarray:
+    def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius: float) -> np.ndarray:
         return _meanfield_drift(v_pos, psi, radius)
 
 
 def hlsm_rhs(state: _ResidualState) -> np.ndarray:
-    """Drift of a residual system, as a stacked coefficient array;
+    """Drift of a residual system, packed on the ball of ``v``;
     ``meanfield_rhs`` is the same function."""
     c = state.renorm.sigma_at(state.step)
-    return state.drift(state.v.pos, state.psi, c, _radius_for(state))
+    return state.drift(state.v.pos, state.psi, c, state.v.radius)
 
 
 meanfield_rhs = hlsm_rhs
@@ -302,22 +301,21 @@ def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
         raise ValueError(f"dt = {dt} does not match the renormalization grid dt = {state.renorm.dt}")
     if state.step + 1 >= len(state.renorm.sigma):
         raise ValueError("renormalization table exhausted; build it with more steps")
-    spec = state.v.spec
+    spec, radius = state.v.spec, state.v.radius
     c = state.renorm.sigma_at(state.step), state.renorm.sigma_at(state.step + 1)
-    radius = _radius_for(state)
     psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt)
     psi = (state.psi, psi1)
     pos, vel = etd2_step(state.v.pos, state.v.vel,
                          lambda p, stage: state.drift(p, psi[stage], c[stage], radius),
-                         _drift_tables(spec, dt, 0.5))
-    return replace(state, v=ComponentEnsemble(spec, pos, vel, copy=False),
+                         _ball_drift_tables(spec, dt, 0.5, radius))
+    return replace(state, v=BallEnsemble(spec, radius, pos, vel),
                    psi=psi1, time=state.time + dt, step=state.step + 1)
 
 
 step_meanfield = step_hlsm
 
 
-def renormalized_drift(ens: ComponentEnsemble, alpha: float, truncation: float) -> np.ndarray:
+def renormalized_drift(ens: BallEnsemble, alpha: float) -> np.ndarray:
     """Gibbs drift in the original variables: ``-(<u^2> - (N+2)a/N) u_j``.
 
     This is the negative gradient of the interaction
@@ -326,51 +324,50 @@ def renormalized_drift(ens: ComponentEnsemble, alpha: float, truncation: float) 
     Criterion 05 checks the closed form against finite differences of the
     potential.
 
-    Only the Hermitian modes of ``|n| <= truncation`` are read and written,
-    via the half spectrum: the sharp-cutoff system whose invariant measure is
-    the truncated Gibbs ensemble (products must be grid-exact: n_grid > 4M).
+    Only the Hermitian modes of the ensemble's ball are read and written,
+    packed alike, via the half spectrum: the sharp-cutoff system whose
+    invariant measure is the truncated Gibbs ensemble (products must be
+    grid-exact: n_grid > 4M).
     """
-    return _renormalized_drift(ens.pos, alpha, truncation)
+    return _renormalized_drift(ens.pos, ens.spec.n_grid, alpha, ens.radius)
 
 
 def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
-                       dt: float, alpha: float, truncation: float, kick=None):
-    """:func:`step_renormalized_wave` on ``(..., N, n, n)`` stacks, one stream
-    per leading index in row-major order; the packed kick is scattered once."""
+                       dt: float, alpha: float, radius: float, kick=None):
+    """:func:`step_renormalized_wave` on ``(..., N, n_ball)`` stacks packed on
+    the ``|n| <= radius`` ball, one stream per leading index in row-major order."""
     if kick is None:
-        kick = _kick_pair(pos.shape[:-2], streams, step, spec, dt, truncation)
-    idx = _ball_index(spec.n_grid, float(truncation))
-    kick = [_unpack(k, spec, idx) for k in kick]
-    return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, alpha, truncation),
-                     _drift_tables(spec, dt, 0.5), kick)
+        kick = _kick_pair(pos.shape[:-1], streams, step, spec, dt, radius)
+    return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, spec.n_grid, alpha, radius),
+                     _ball_drift_tables(spec, dt, 0.5, radius), kick)
 
 
-def step_renormalized_wave(ens: ComponentEnsemble, streams, step: int, dt: float,
-                           alpha: float, truncation: float,
-                           kick: tuple | None = None) -> ComponentEnsemble:
+def step_renormalized_wave(ens: BallEnsemble, streams, step: int, dt: float, alpha: float,
+                           kick: tuple | None = None) -> BallEnsemble:
     """One step of the interacting damped wave in the original variables.
 
     Exact linear flow and noise kick plus ETD2 on the renormalized drift,
-    all projected to the ball ``|n| <= truncation``; shares noise draws with
+    all on the ensemble's ball; shares noise draws with
     :func:`step_linear_ensemble` by construction.  A ``kick`` pair from
     ``_kick_pair`` replaces the draw from ``streams``, so the coupled run
     passes one draw to both steps.
     """
-    pos, vel = _renormalized_step(ens.pos, ens.vel, streams, step, ens.spec, dt,
-                                  alpha, truncation, kick)
-    return ComponentEnsemble(ens.spec, pos, vel, copy=False)
+    pos, vel = _renormalized_step(ens.pos, ens.vel, streams, step, ens.spec, dt, alpha,
+                                  ens.radius, kick)
+    return BallEnsemble(ens.spec, ens.radius, pos, vel)
 
 
-def step_deterministic_nlw(ens: ComponentEnsemble, dt: float, dealias: bool = True) -> ComponentEnsemble:
-    """Undamped conservative wave with the empirical-average coupling.
+def step_deterministic_nlw(ens: BallEnsemble, dt: float) -> BallEnsemble:
+    """Undamped conservative wave with the empirical-average coupling, on the
+    ensemble's ball (the 2/3-rule ball dealiases; radius ``inf`` keeps every mode).
 
     Read over replicas instead of components it is the conservative
     mean-field wave, whose replica averages estimate E[u^2].
     """
-    radius = ens.spec.dealias_radius if dealias else None
-    pos, vel = etd2_step(ens.pos, ens.vel, lambda p, _: _renormalized_drift(p, 0.0, radius),
-                         _drift_tables(ens.spec, dt, 0.0))
-    return ComponentEnsemble(ens.spec, pos, vel, copy=False)
+    pos, vel = etd2_step(ens.pos, ens.vel,
+                         lambda p, _: _renormalized_drift(p, ens.spec.n_grid, 0.0, ens.radius),
+                         _ball_drift_tables(ens.spec, dt, 0.0, ens.radius))
+    return BallEnsemble(ens.spec, ens.radius, pos, vel)
 
 
 step_deterministic_meanfield = step_deterministic_nlw

@@ -21,10 +21,13 @@ and one free, yields coupled (Gibbs, Gaussian) samples whose difference is
 controlled by the interaction gradient; this is the initial-data coupling
 used by the mean-field convergence experiment.
 
-Both samplers keep packed ``(N, n_ball)`` ball stacks, the layout of
-:class:`GibbsSamples`, and draw an iteration's N innovations in one call.
-Full grids are filled only for the drift and for the one ``ifft2`` per MALA
-proposal, which its potential and its ``series`` value share.
+Both samplers, and the evolution of their samples, keep packed
+``(N, n_ball)`` ball stacks (``grid.BallEnsemble``, the layout of
+:class:`GibbsSamples`) and draw an iteration's N innovations in one call;
+the drift transforms the packed stacks directly.  Full grids are filled
+only for the one ``ifft2`` per MALA proposal, which its potential and its
+``series`` value share, for :func:`gibbs_potential` and for the invariance
+observables.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .dynamics import _renormalized_step, renormalized_drift
-from .grid import ComponentEnsemble, GridSpec, _ball_index, _unpack, ball_mask
+from .grid import BallEnsemble, GridSpec, _ball_index, _unpack, ball_mask
 from .noise import (NoiseKind, NoiseStream, _sample_ball, _sample_profile, alpha_m,
                     stationary_ensemble)
 from .noise import _draw_kick  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
@@ -73,9 +76,9 @@ def _potential(ug: np.ndarray, alpha: float) -> np.ndarray:
     return np.mean(_potential_density(ug, alpha), axis=(-2, -1)) / (4.0 * ug.shape[-3])
 
 
-def gibbs_potential(ens: ComponentEnsemble, alpha: float) -> float:
+def gibbs_potential(ens: BallEnsemble, alpha: float) -> float:
     """Renormalized quartic interaction, factored to one pass over components."""
-    return float(_potential(np.fft.ifft2(ens.pos, norm="forward").real, alpha))
+    return float(_potential(np.fft.ifft2(ens.full()[0], norm="forward").real, alpha))
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,8 @@ class GibbsSamples:
     """Thinned draws packed on the mode ball, plus chain health numbers.
 
     ``positions[k, j]`` holds the ball-mode coefficients of component j of
-    sample k, in the flat-index order of ``mode_idx``; ``ensemble`` scatters
-    one sample back to full coefficient arrays.
+    sample k, in the flat-index order of ``mode_idx``; ``ensemble`` gives
+    one sample as a :class:`~sigma_wave.grid.BallEnsemble`.
     """
 
     spec: GridSpec
@@ -130,9 +133,8 @@ class GibbsSamples:
         """Scatter packed ``(..., n_ball)`` coefficients to full ``(..., n, n)`` grids."""
         return _unpack(packed, self.spec, self.mode_idx)
 
-    def ensemble(self, k: int) -> ComponentEnsemble:
-        return ComponentEnsemble(self.spec, self._full(self.positions[k]),
-                                 self._full(self.velocities[k]), copy=False)
+    def ensemble(self, k: int) -> BallEnsemble:
+        return BallEnsemble(self.spec, self.truncation, self.positions[k], self.velocities[k])
 
     def mode_values(self, j: int, mode: tuple) -> np.ndarray:
         flat = (mode[0] % self.spec.n_grid) * self.spec.n_grid + (mode[1] % self.spec.n_grid)
@@ -183,20 +185,16 @@ def mala_log_ratio(pos, prop, grad_pos, grad_prop, energy_pos, energy_prop,
 
 
 def _ball_grad(pos: np.ndarray, spec: GridSpec, alpha: float, truncation: float) -> np.ndarray:
-    """Interaction gradient of packed ``(N, n_ball)`` positions, packed alike;
-    full grids are filled only to call ``renormalized_drift`` (which reads no vel)."""
-    idx = _ball_index(spec.n_grid, float(truncation))
-    full = _unpack(pos, spec, idx)
-    drift = renormalized_drift(ComponentEnsemble(spec, full, full, copy=False), alpha, truncation)
-    return -drift.reshape(len(pos), -1)[:, idx]
+    """Interaction gradient of packed ``(N, n_ball)`` positions, packed alike,
+    through ``renormalized_drift`` (which reads no vel)."""
+    return -renormalized_drift(BallEnsemble(spec, truncation, pos, pos), alpha)
 
 
 def _velocities(spec: GridSpec, M: int, root_seed: int, n: int, k: int) -> np.ndarray:
     """Packed velocity refresh ``k``: n white-noise draws on the ball."""
     gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(k)
-    prof = np.where(ball_mask(spec, M), 1.0, 0.0)
-    vel = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
-    return vel.reshape(n, -1)[:, _ball_index(spec.n_grid, float(M))]
+    prof = np.ones(spec.shape())
+    return np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
 
 
 def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> GibbsSamples:
@@ -224,7 +222,7 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
         energy = _gaussian_energy(p, w) + float(_potential(ug, alpha))
         return _ball_grad(p, spec, alpha, float(M)), energy, ug
 
-    pos = stationary_ensemble(spec, M, root_seed, n).pos.reshape(n, -1)[:, idx]
+    pos = stationary_ensemble(spec, M, root_seed, n).pos
     grad, energy, ug = state_of(pos)
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
 
@@ -273,9 +271,9 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     the truncated equilibrium, the interacting one its Gibbs counterpart,
     and the coupling keeps their difference of the order of the interaction
     gradient.  Both states are packed ``(N, n_ball)`` stacks fed by one
-    :func:`_sample_ball` draw per iteration, unpacked once on return.
-    Velocities are one shared equilibrium draw.  Returns a pair of ensembles
-    ``(gibbs, gaussian)``.  Of ``cfg`` it reads n_components, truncation,
+    :func:`_sample_ball` draw per iteration.  Velocities are one shared
+    equilibrium draw.  Returns a pair of ball ensembles ``(gibbs, gaussian)``.
+    Of ``cfg`` it reads n_components, truncation,
     step_size and chain_length only.
     """
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
@@ -285,7 +283,7 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     alpha = alpha_m(spec.m, M)
     beta = 1.0 - 0.5 * h * h
 
-    pos_a = stationary_ensemble(spec, M, root_seed, n).pos.reshape(n, -1)[:, idx]
+    pos_a = stationary_ensemble(spec, M, root_seed, n).pos
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
     for it in range(cfg.chain_length):
@@ -298,10 +296,8 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
         # unadjusted proposals have no rejection safety net for the cubic drift
         raise ValueError(f"coupled chain diverged; step size {h} is too large "
                          f"for truncation {M}")
-    vel = _unpack(_velocities(spec, M, root_seed, n, 0), spec, idx)
-    gibbs = ComponentEnsemble(spec, _unpack(pos_a, spec, idx), vel.copy(), copy=False)
-    gaussian = ComponentEnsemble(spec, _unpack(pos_b, spec, idx), vel, copy=False)
-    return gibbs, gaussian
+    vel = _velocities(spec, M, root_seed, n, 0)
+    return BallEnsemble(spec, M, pos_a, vel.copy()), BallEnsemble(spec, M, pos_b, vel)
 
 
 def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: GridSpec,
@@ -309,9 +305,10 @@ def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: Gr
                          noise_seed: int) -> tuple:
     """Advance a batch of K independent N-component systems in lockstep.
 
-    Arrays are (K, N, n, n) coefficient stacks, advanced by the batched form
-    of the interacting wave stepper with noise streams keyed by flattened
-    sample-component index; bit-identical to stepping each system alone.
+    Arrays are (K, N, n_ball) stacks packed on the ``|n| <= truncation``
+    ball, advanced by the batched form of the interacting wave stepper with
+    noise streams keyed by flattened sample-component index; bit-identical
+    to stepping each system alone.
     """
     n_streams = positions.shape[0] * positions.shape[1]
     streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(n_streams)]
@@ -337,7 +334,9 @@ class InvarianceReport:
                                     "mean_t1", "se_t1")]) + "\n")
 
 
-def _invariance_observables(pos: np.ndarray, spec: GridSpec, alpha: float) -> dict:
+def _invariance_observables(samples: GibbsSamples, packed: np.ndarray, alpha: float) -> dict:
+    """Observables of packed ``(K, N, n_ball)`` samples, on full grids."""
+    spec, pos = samples.spec, samples._full(packed)
     ug = np.fft.ifft2(pos, norm="forward").real
     wick_sq = np.mean(ug[:, 0] ** 2, axis=(1, 2)) - alpha
     low = ball_mask(spec, 1.0).reshape(-1)
@@ -362,12 +361,11 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     if abs(n_steps * dt - horizon) > 1e-9:
         raise ValueError(f"dt {dt} does not divide horizon {horizon}")
     samples = sample_gibbs(spec, cfg, root_seed)
-    pos0, vel0 = samples._full(samples.positions), samples._full(samples.velocities)
     alpha = alpha_m(spec.m, cfg.truncation)
-    pos1, _ = evolve_gibbs_samples(pos0, vel0, spec, alpha, float(cfg.truncation),
-                                   dt, n_steps, root_seed + 1)
-    obs0 = _invariance_observables(pos0, spec, alpha)
-    obs1 = _invariance_observables(pos1, spec, alpha)
+    pos1, _ = evolve_gibbs_samples(samples.positions, samples.velocities, spec, alpha,
+                                   float(cfg.truncation), dt, n_steps, root_seed + 1)
+    obs0 = _invariance_observables(samples, samples.positions, alpha)
+    obs1 = _invariance_observables(samples, pos1, alpha)
     rows = []
     for name in obs0:
         a, b = obs0[name], obs1[name]

@@ -13,7 +13,11 @@ integer modes.  Conventions, fixed once here:
   with index arithmetic mod ``n_grid``.  Random sampling keeps exact
   realness by drawing only a half lattice and mirroring; modes on the
   Nyquist lines that have no mirror partner inside the sampled mode ball
-  are kept real or zero.
+  are kept real or zero;
+* an ensemble of N components has one layout, :class:`BallEnsemble`: packed
+  ``(N, n_ball)`` stacks on a mode ball.  Full ``(n, n)`` grids remain only
+  in single :class:`SpectralField` snapshots and in the observables, which
+  scatter once with :meth:`BallEnsemble.full`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "SpectralField",
-    "PairState",
-    "ComponentEnsemble",
     "BallEnsemble",
     "ball_mask",
     "dealias_mask",
@@ -136,20 +138,22 @@ def _ball_index(n_grid: int, radius: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _half_spectrum_index(n_grid: int, radius: float | None) -> tuple:
-    """Flat indices of the ``|n| <= radius`` modes (all for None) in the full
-    ``(n, n)`` and the ``rfft2`` ``(n, n/2+1)`` layouts: ``(full_in, half_in)``
-    where the half spectrum stores them, and ``(full_out, half_out, n_direct)``
-    to read them back, all but the first ``n_direct`` as conjugate mirrors (the
-    lower halves of columns 0 and n/2 too, so the result is exactly Hermitian)."""
+def _half_spectrum_index(n_grid: int, radius: float) -> tuple:
+    """Where the ``|n| <= radius`` modes, packed in ``_ball_index`` order, sit in
+    the ``rfft2`` ``(n, n/2+1)`` layout: ``(stored, half_in)``, the packed
+    positions the half spectrum stores and their flat half positions, and
+    ``(half_out, packed_out, n_direct)`` to read every packed mode back, all
+    but the first ``n_direct`` as conjugate mirrors (the lower halves of
+    columns 0 and n/2 too, so the result is exactly Hermitian)."""
     n, h = n_grid, n_grid // 2 + 1
-    full = _ball_index(n_grid, np.inf if radius is None else float(radius))
-    i, j = np.divmod(full, n)
+    i, j = np.divmod(_ball_index(n_grid, float(radius)), n)
+    packed = np.arange(i.size)
     stored = j < h
     direct = stored & ~((j % (n // 2) == 0) & (i > n // 2))
     mirror = ((-i) % n) * h + (-j) % n
-    out = (full[stored], (i * h + j)[stored], np.concatenate([full[direct], full[~direct]]),
-           np.concatenate([(i * h + j)[direct], mirror[~direct]]))
+    out = (packed[stored], (i * h + j)[stored],
+           np.concatenate([(i * h + j)[direct], mirror[~direct]]),
+           np.concatenate([packed[direct], packed[~direct]]))
     for arr in out:
         arr.setflags(write=False)
     return out + (int(np.sum(direct)),)
@@ -223,79 +227,12 @@ class SpectralField:
             raise ValueError(f"mismatched grid specs: {self.spec} vs {other.spec}")
 
 
-@dataclass
-class PairState:
-    """Position/velocity pair ``(u, du/dt)`` on a shared grid."""
-
-    pos: SpectralField
-    vel: SpectralField
-
-    def __post_init__(self) -> None:
-        if self.pos.spec != self.vel.spec:
-            raise ValueError("pos and vel live on different grids")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.pos.spec
-
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "PairState":
-        return cls(SpectralField.zeros(spec), SpectralField.zeros(spec))
-
-    def copy(self) -> "PairState":
-        return PairState(self.pos.copy(), self.vel.copy())
-
-
-class ComponentEnsemble:
-    """Ordered collection of N pair states sharing one grid.
-
-    Stored as stacked ``(N, n_grid, n_grid)`` coefficient arrays so that
-    vectorized dynamics can broadcast per-mode multipliers; ``ens[j]``
-    recovers the j-th :class:`PairState` as a copy.
-    """
-
-    __slots__ = ("spec", "pos", "vel")
-
-    def __init__(self, spec: GridSpec, pos: np.ndarray, vel: np.ndarray, copy: bool = True):
-        pos = np.asarray(pos, dtype=np.complex128)
-        vel = np.asarray(vel, dtype=np.complex128)
-        if pos.ndim != 3 or pos.shape[1:] != spec.shape() or pos.shape != vel.shape:
-            raise ValueError(f"need matching (N, {spec.n_grid}, {spec.n_grid}) stacks")
-        self.spec = spec
-        self.pos = pos.copy() if copy else pos
-        self.vel = vel.copy() if copy else vel
-
-    @classmethod
-    def zeros(cls, spec: GridSpec, n_components: int) -> "ComponentEnsemble":
-        shape = (n_components,) + spec.shape()
-        return cls(spec, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128), copy=False)
-
-    @classmethod
-    def from_components(cls, states: list[PairState]) -> "ComponentEnsemble":
-        if not states:
-            raise ValueError("empty ensemble")
-        spec = states[0].spec
-        pos = np.stack([s.pos.coeffs for s in states])
-        vel = np.stack([s.vel.coeffs for s in states])
-        return cls(spec, pos, vel, copy=False)
-
-    def __len__(self) -> int:
-        return self.pos.shape[0]
-
-    def __getitem__(self, j: int) -> PairState:
-        return PairState(
-            SpectralField(self.spec, self.pos[j]),
-            SpectralField(self.spec, self.vel[j]),
-        )
-
-    def copy(self) -> "ComponentEnsemble":
-        return ComponentEnsemble(self.spec, self.pos, self.vel)
-
-
 class BallEnsemble:
     """N pair states supported on the mode ball ``|n| <= radius``, packed as
-    ``(N, n_ball)`` stacks in ``_ball_index`` order; :meth:`full` scatters
-    them to a :class:`ComponentEnsemble`."""
+    ``(N, n_ball)`` stacks in ``_ball_index`` order: the one ensemble layout
+    that every stepper, drift and chain reads and writes.  Radius ``inf``
+    holds every mode, in flat grid order.  :meth:`full` scatters to ``(N, n,
+    n)`` grids, for observables and snapshots."""
 
     __slots__ = ("spec", "radius", "pos", "vel")
 
@@ -313,22 +250,12 @@ class BallEnsemble:
         shape = (n_components, _ball_index(spec.n_grid, float(radius)).size)
         return cls(spec, radius, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
-    @classmethod
-    def from_full(cls, ens: ComponentEnsemble, radius: float) -> "BallEnsemble":
-        """Gather a full ensemble onto the ball; data off the ball raise."""
-        idx = _ball_index(ens.spec.n_grid, float(radius))
-        out = cls(ens.spec, radius, *(a.reshape(len(ens), -1)[:, idx] for a in (ens.pos, ens.vel)))
-        if np.count_nonzero(ens.pos) + np.count_nonzero(ens.vel) != (
-                np.count_nonzero(out.pos) + np.count_nonzero(out.vel)):
-            raise ValueError(f"ensemble has coefficients outside the ball |n| <= {radius}")
-        return out
-
     def __len__(self) -> int:
         return self.pos.shape[0]
 
-    def full(self) -> ComponentEnsemble:
-        return ComponentEnsemble(self.spec, _unpack(self.pos, self.spec, self.index),
-                                 _unpack(self.vel, self.spec, self.index), copy=False)
+    def full(self) -> tuple:
+        """``(pos, vel)`` scattered to ``(N, n, n)`` coefficient grids, zero off the ball."""
+        return _unpack(self.pos, self.spec, self.index), _unpack(self.vel, self.spec, self.index)
 
 
 def project(f: SpectralField, truncation: float) -> SpectralField:

@@ -14,9 +14,10 @@ the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
-components or replicas parallelizes without any order dependence.  A kick
-is drawn packed on its mode ball (``grid.BallEnsemble`` layout), with
-tables gathered once per (grid, dt, ball); full-grid steppers scatter it.
+components or replicas parallelizes without any order dependence.  Every
+draw is packed on its mode ball, the ``grid.BallEnsemble`` layout: the
+kicks, with tables gathered once per (grid, dt, ball), and the equilibrium
+pairs of :func:`stationary_ensemble`.  No draw fills a full grid.
 
 Renormalization constants are lattice sums over the integer mode ball
 ``|n| <= M``.  They match grid-sampled fields exactly as long as the
@@ -26,28 +27,24 @@ folds the two lattice modes ``(+-nyquist, 0)`` onto one slot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import (ComponentEnsemble, GridSpec, PairState, SpectralField, _ball_index,
-                   _ball_mask, _mode_vectors, _unpack, ball_mask)
+from .grid import BallEnsemble, GridSpec, _ball_index, _ball_mask, _mode_vectors
 from .propagator import _cc, _sc, flow_entries
 
 __all__ = [
     "NoiseKind",
     "NoiseStream",
     "RenormConstants",
-    "ConvolutionState",
     "alpha_m",
     "sigma_m",
     "transition_covariance",
-    "sample_mu1_mu0_pair",
     "stationary_ensemble",
-    "step_convolution",
 ]
 
 _DEGENERATE_EPS = 1e-10
@@ -245,9 +242,8 @@ def _sample_ball(gen, spec: GridSpec, radius: float, profile: np.ndarray, n: int
 
 
 def _sample_profile(gen, spec: GridSpec, radius: float, profile: np.ndarray) -> np.ndarray:
-    """One :func:`_sample_ball` draw on a full grid, zero off the ball."""
-    packed = _sample_ball(gen, spec, radius, profile, 1)[0]
-    return _unpack(packed, spec, _ball_index(spec.n_grid, float(radius)))
+    """One :func:`_sample_ball` draw, packed ``(n_ball,)``."""
+    return _sample_ball(gen, spec, radius, profile, 1)[0]
 
 
 @lru_cache(maxsize=32)
@@ -302,63 +298,16 @@ def _draw_kick(gen, spec: GridSpec, radius: float, chol):
     return ex, ev
 
 
-def sample_mu1_mu0_pair(spec: GridSpec, M: float, stream: NoiseStream, step: int = 0) -> PairState:
-    """Draw ``(phi0, phi1)`` with per-mode variances ``1/(m+|n|^2)`` and 1, ball-truncated."""
-    gen = stream.generator(step)
-    prof1 = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
-    prof0 = np.where(ball_mask(spec, M), 1.0, 0.0)
-    pos = _sample_profile(gen, spec, M, prof1)
-    vel = _sample_profile(gen, spec, M, prof0)
-    return PairState(SpectralField(spec, pos, copy=False), SpectralField(spec, vel, copy=False))
-
-
 def stationary_ensemble(spec: GridSpec, M: float, root_seed: int, n: int,
-                        base: int = 0) -> ComponentEnsemble:
-    """Equilibrium draws :func:`sample_mu1_mu0_pair` of components
-    ``base, ..., base + n - 1``, each from its own ``INITIAL`` stream."""
-    return ComponentEnsemble.from_components(
-        [sample_mu1_mu0_pair(spec, M, NoiseStream(root_seed, base + j, NoiseKind.INITIAL))
-         for j in range(n)])
-
-
-@dataclass(frozen=True)
-class ConvolutionState:
-    """Running stochastic convolution: data pair, clock, and owning stream.
-
-    ``truncation`` bounds the populated mode ball; modes outside stay zero
-    for the state's whole life.  Analysis truncations ``M <= truncation``
-    then see the correctly truncated law.
-    """
-
-    state: PairState
-    time: float
-    step: int
-    stream: NoiseStream
-    truncation: float
-
-    @classmethod
-    def zero(cls, spec: GridSpec, stream: NoiseStream, truncation: float | None = None) -> "ConvolutionState":
-        trunc = float(spec.nyquist) if truncation is None else float(truncation)
-        return cls(PairState.zeros(spec), 0.0, 0, stream, trunc)
-
-    @classmethod
-    def stationary(cls, spec: GridSpec, stream: NoiseStream, truncation: float | None = None) -> "ConvolutionState":
-        trunc = float(spec.nyquist) if truncation is None else float(truncation)
-        init = NoiseStream(stream.root_seed, stream.component, NoiseKind.INITIAL)
-        return cls(sample_mu1_mu0_pair(spec, trunc, init), 0.0, 0, stream, trunc)
-
-
-def step_convolution(cs: ConvolutionState, dt: float) -> ConvolutionState:
-    """Advance by the exact-in-law Gaussian transition over one step of dt."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    spec = cs.state.spec
-    s11, s12, s21, s22 = _transition_tables(spec, dt)[0]
-    gen = cs.stream.generator(cs.step)
-    idx = _ball_index(spec.n_grid, cs.truncation)
-    ex, ev = (_unpack(e, spec, idx) for e in
-              _draw_kick(gen, spec, cs.truncation, _ball_tables(spec, dt, cs.truncation)[1]))
-    p, v = cs.state.pos.coeffs, cs.state.vel.coeffs
-    pos = SpectralField(spec, s11 * p + s12 * v + ex, copy=False)
-    vel = SpectralField(spec, s21 * p + s22 * v + ev, copy=False)
-    return replace(cs, state=PairState(pos, vel), time=cs.time + dt, step=cs.step + 1)
+                        base: int = 0) -> BallEnsemble:
+    """Equilibrium pairs ``(phi0, phi1)`` with per-mode variances
+    ``1/(m+|n|^2)`` and 1 on the ball ``|n| <= M``, packed, for components
+    ``base, ..., base + n - 1``: each draws its position, then its velocity,
+    from step 0 of its own ``INITIAL`` stream."""
+    ens = BallEnsemble.zeros(spec, M, n)
+    unit = np.ones(spec.shape())
+    for j in range(n):
+        gen = NoiseStream(root_seed, base + j, NoiseKind.INITIAL).generator(0)
+        ens.pos[j] = _sample_profile(gen, spec, M, 1.0 / spec.dispersion)
+        ens.vel[j] = _sample_profile(gen, spec, M, unit)
+    return ens

@@ -1,19 +1,31 @@
 """Independent implementations that tests compare the production code
-against.  The program never runs them."""
+against, and the full-grid helper that builds their inputs.  The program
+never runs them."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from sigma_wave.dynamics import HlsmState
-from sigma_wave.grid import ComponentEnsemble, GridSpec, dealias_mask
+from sigma_wave.grid import BallEnsemble, GridSpec, _ball_index, ball_mask
 from sigma_wave.noise import _half_lattice
 from sigma_wave.wick import hermite
 
 
-def gibbs_potential_reference(ens: ComponentEnsemble, alpha: float) -> float:
+def ball_ensemble(spec: GridSpec, pos, vel=None, radius: float = np.inf) -> BallEnsemble:
+    """Full ``(N, n, n)`` coefficient stacks (``vel`` zero by default) packed on
+    the ball ``|n| <= radius``, every mode by default; data off the ball raise."""
+    vel = np.zeros_like(pos) if vel is None else vel
+    idx = _ball_index(spec.n_grid, float(radius))
+    flat = [np.asarray(a, dtype=np.complex128).reshape(len(a), -1) for a in (pos, vel)]
+    if any(np.any(np.delete(a, idx, axis=1)) for a in flat):
+        raise ValueError(f"coefficients outside the ball |n| <= {radius}")
+    return BallEnsemble(spec, radius, flat[0][:, idx], flat[1][:, idx])
+
+
+def gibbs_potential_reference(ens: BallEnsemble, alpha: float) -> float:
     """Unfactored double loop over component pairs; the oracle."""
-    ug = np.fft.ifft2(ens.pos, norm="forward").real
+    ug = np.fft.ifft2(ens.full()[0], norm="forward").real
     n = len(ens)
     acc = np.zeros(ens.spec.shape())
     for k in range(n):
@@ -26,14 +38,15 @@ def gibbs_potential_reference(ens: ComponentEnsemble, alpha: float) -> float:
 
 
 def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
-    """Unfactored six-term double loop; the oracle for ``hlsm_rhs``.
+    """Unfactored six-term double loop; the oracle for ``hlsm_rhs``, packed
+    alike on the ball of ``v``.
 
     Products are formed on full complex-FFT grids, independently of the
     half-spectrum transforms of the program."""
     c = state.renorm.sigma_at(state.step)
-    mask = dealias_mask(state.v.spec) if state.dealias else True
-    vg = np.fft.ifft2(np.where(mask, state.v.pos, 0.0), norm="forward").real
-    pg = np.fft.ifft2(np.where(mask, state.psi.full().pos, 0.0), norm="forward").real
+    mask = ball_mask(state.v.spec, state.v.radius)
+    vg = np.fft.ifft2(np.where(mask, state.v.full()[0], 0.0), norm="forward").real
+    pg = np.fft.ifft2(np.where(mask, state.psi.full()[0], 0.0), norm="forward").real
     n = state.n_components
     out = np.empty_like(vg)
     for j in range(n):
@@ -47,7 +60,7 @@ def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
             acc += (vk * vk * vj + 2.0 * pk * vk * vj + vk * vk * pj
                     + h2k * vj + 2.0 * vk * pair_kj + triple_kj)
         out[j] = -acc / n
-    return np.where(mask, np.fft.fft2(out, norm="forward"), 0.0)
+    return np.fft.fft2(out, norm="forward").reshape(n, -1)[:, state.v.index]
 
 
 def draw_kick_full_grid(gen, spec: GridSpec, radius: float, chol):
@@ -74,3 +87,20 @@ def draw_kick_full_grid(gen, spec: GridSpec, radius: float, chol):
     ex[self_idx] = a[self_idx] * s1
     ev[self_idx] = b[self_idx] * s1 + c[self_idx] * s2
     return ex.reshape(spec.shape()), ev.reshape(spec.shape())
+
+
+
+def sample_profile_full_grid(gen, spec: GridSpec, radius: float, profile: np.ndarray):
+    """The per-component draw as written before it was built on the packed
+    draw, on a full grid, zero off the ball: it defines the draw order every
+    stream has used, and is the oracle for ``noise._sample_ball``."""
+    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
+    out = np.zeros(spec.n_grid * spec.n_grid, dtype=np.complex128)
+    p = profile.reshape(-1)
+    zr = gen.standard_normal(plus.size)
+    zi = gen.standard_normal(plus.size)
+    zs = gen.standard_normal(self_idx.size)
+    out[plus] = np.sqrt(p[plus] / 2.0) * (zr + 1j * zi)
+    out[minus] = np.conj(out[plus])
+    out[self_idx] = np.sqrt(p[self_idx]) * zs
+    return out.reshape(spec.shape())

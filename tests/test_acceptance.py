@@ -16,13 +16,13 @@ from sigma_wave.diagnostics import (commutator_defect, energy_en,
                                     energy_meanfield, fit_rate, lln_estimator)
 from sigma_wave.dynamics import (MeanFieldState, renormalized_drift,
                                  step_deterministic_meanfield, step_deterministic_nlw,
-                                 step_meanfield)
+                                 step_linear_ensemble, step_meanfield)
 from sigma_wave.gibbs import (GibbsSamplerConfig, gibbs_potential,
                               gibbs_vs_gaussian_covariance, invariance_check,
                               sample_gibbs)
-from sigma_wave.grid import ComponentEnsemble, GridSpec, random_field
-from sigma_wave.noise import (ConvolutionState, NoiseKind, NoiseStream, RenormConstants,
-                              alpha_m, sigma_m, step_convolution)
+from sigma_wave.grid import BallEnsemble, GridSpec, random_field
+from sigma_wave.noise import (NoiseKind, NoiseStream, RenormConstants, alpha_m, sigma_m,
+                              stationary_ensemble)
 
 
 def report(num: int, detail: str) -> None:
@@ -36,13 +36,10 @@ def test_criterion_01_renormalization_identity():
     t0 = time.perf_counter()
     spec = GridSpec(32, 1.0)
     n_mc = 10_000
-    vals = np.empty(n_mc)
-    for k in range(n_mc):
-        cs = ConvolutionState.zero(spec, NoiseStream(101, k, NoiseKind.DRIVE),
-                                   truncation=8.0)
-        cs = step_convolution(cs, 1.0)
-        u = np.real(np.sum(cs.state.pos.coeffs))   # collocation value at x = (0, 0)
-        vals[k] = u * u
+    streams = [NoiseStream(101, k, NoiseKind.DRIVE) for k in range(n_mc)]
+    ens = step_linear_ensemble(BallEnsemble.zeros(spec, 8.0, n_mc), streams, 0, 1.0)
+    u = np.real(np.sum(ens.pos, axis=1))   # collocation values at x = (0, 0)
+    vals = u * u
     target = sigma_m(1.0, 1.0, 8)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n_mc))
@@ -64,16 +61,16 @@ def test_criterion_02_stationary_convolution_variances():
     modes = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if a * a + b * b <= 16]
     flat = np.array([(a % 32) * 32 + (b % 32) for a, b in modes])
     acc = np.zeros((4, len(modes)))
-    for k in range(n_mc):
-        cs = ConvolutionState.stationary(spec, NoiseStream(202, k, NoiseKind.DRIVE),
-                                         truncation=8.0)
-        rec = 0
-        for stepk in range(5):          # nodes t = 0, 0.5, 1, 2 on a dt = 0.5 clock
-            if stepk in (0, 1, 2, 4):
-                acc[rec] += np.abs(cs.state.pos.coeffs.ravel()[flat]) ** 2
-                rec += 1
-            if stepk < 4:
-                cs = step_convolution(cs, 0.5)
+    ens = stationary_ensemble(spec, 8.0, 202, n_mc)
+    slots = np.searchsorted(ens.index, flat)
+    streams = [NoiseStream(202, k, NoiseKind.DRIVE) for k in range(n_mc)]
+    rec = 0
+    for stepk in range(5):              # nodes t = 0, 0.5, 1, 2 on a dt = 0.5 clock
+        if stepk in (0, 1, 2, 4):
+            acc[rec] += np.sum(np.abs(ens.pos[:, slots]) ** 2, axis=0)
+            rec += 1
+        if stepk < 4:
+            ens = step_linear_ensemble(ens, streams, stepk, 0.5)
     est = acc / n_mc
     worst = 0.0
     for i, (a, b) in enumerate(modes):
@@ -85,14 +82,15 @@ def test_criterion_02_stationary_convolution_variances():
     report(2, f"worst dev {worst:.2f} SE over {4 * len(modes)} mode/time checks")
 
 
-def _h1_ensemble(spec: GridSpec, n: int, seed: int) -> ComponentEnsemble:
+def _h1_ensemble(spec: GridSpec, n: int, seed: int) -> BallEnsemble:
+    # radius inf: every mode, no dealiasing
     pos, vel = [], []
     for j in range(n):
         pos.append(random_field(spec, np.random.default_rng(seed + 2 * j),
-                                decay=3.0).coeffs)
+                                decay=3.0).coeffs.reshape(-1))
         vel.append(random_field(spec, np.random.default_rng(seed + 2 * j + 1),
-                                decay=4.0).coeffs)
-    return ComponentEnsemble(spec, np.stack(pos), np.stack(vel))
+                                decay=4.0).coeffs.reshape(-1))
+    return BallEnsemble(spec, np.inf, np.stack(pos), np.stack(vel))
 
 
 def test_criterion_03_deterministic_energy_conservation():
@@ -108,7 +106,7 @@ def test_criterion_03_deterministic_energy_conservation():
             e0 = efn(ens, 1.0)
             worst = 0.0
             for k in range(int(round(1.0 / dt))):
-                ens = stepper(ens, dt, dealias=False)
+                ens = stepper(ens, dt)
                 if (k + 1) % 100 == 0:
                     worst = max(worst, abs(efn(ens, 1.0) - e0))
             drifts.append(worst / abs(e0))
@@ -139,16 +137,18 @@ def test_criterion_05_gibbs_drift_matches_potential():
     n, M = 3, 2
     alpha = alpha_m(spec.m, M)
     gen = np.random.default_rng(505)
+    ball = BallEnsemble.zeros(spec, float(M), n)   # coefficients on |n| <= M, packed
     pos = np.stack([random_field(spec, gen, decay=1.0, amplitude=0.6,
-                                 truncation=float(M)).coeffs for _ in range(n)])
-    ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
-    drift = renormalized_drift(ens, alpha, truncation=float(M))
+                                 truncation=float(M)).coeffs.reshape(-1)[ball.index]
+                    for _ in range(n)])
+    ens = BallEnsemble(spec, M, pos, np.zeros_like(pos))
+    drift = renormalized_drift(ens, alpha)
     eps, worst = 1e-5, 0.0
     for _ in range(20):
         w = np.stack([random_field(spec, gen, decay=0.5, truncation=float(M)).coeffs
-                      for _ in range(n)])
-        plus = ComponentEnsemble(spec, ens.pos + eps * w, ens.vel, copy=False)
-        minus = ComponentEnsemble(spec, ens.pos - eps * w, ens.vel, copy=False)
+                      .reshape(-1)[ball.index] for _ in range(n)])
+        plus = BallEnsemble(spec, M, ens.pos + eps * w, ens.vel)
+        minus = BallEnsemble(spec, M, ens.pos - eps * w, ens.vel)
         fd = (gibbs_potential(plus, alpha) - gibbs_potential(minus, alpha)) / (2 * eps)
         exact = -np.sum(drift * np.conj(w)).real
         rel = abs(fd - exact) / max(1.0, abs(exact))

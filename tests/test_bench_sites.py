@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from sigma_wave import diagnostics, dynamics, gibbs
-from sigma_wave.grid import BallEnsemble, ComponentEnsemble, GridSpec, random_field
+from sigma_wave.grid import GridSpec, random_field
 from sigma_wave.noise import NoiseKind, NoiseStream, RenormConstants
+
+from oracles import ball_ensemble
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -83,7 +85,7 @@ def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
     spec, n = GridSpec(16, 1.0), 3
     gen = np.random.default_rng(5)
     pos = np.stack([random_field(spec, gen, truncation=3.0).coeffs for _ in range(n)])
-    ens = ComponentEnsemble(spec, pos, pos.copy())
+    ens = ball_ensemble(spec, pos, pos, 3.0)
 
     def counts(run):
         for name in calls:
@@ -91,14 +93,14 @@ def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
         run()
         return calls["irfft2"], calls["rfft2"]
 
-    assert counts(lambda: dynamics.renormalized_drift(ens, 0.2, 3.0)) == (1, 1)
+    assert counts(lambda: dynamics.renormalized_drift(ens, 0.2)) == (1, 1)
     renorm = RenormConstants.build(1.0, 3, 0.1, 4)
     for system in (dynamics.HlsmState, dynamics.MeanFieldState):
         state = system.zero(spec, n, renorm, root_seed=2)
-        state = replace(state, v=ens, psi=BallEnsemble.from_full(ens, 3.0))
+        state = replace(state, v=ball_ensemble(spec, pos, pos, state.v.radius), psi=ens)
         assert counts(lambda: dynamics.hlsm_rhs(state)) == (2, 1)
     streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(n)]
-    assert counts(lambda: dynamics.step_renormalized_wave(ens, streams, 0, 0.1, 0.2, 3.0)) == (2, 2)
+    assert counts(lambda: dynamics.step_renormalized_wave(ens, streams, 0, 0.1, 0.2)) == (2, 2)
 
 
 def test_lln_estimator_draws_every_kick_through_the_traced_name(monkeypatch):

@@ -15,7 +15,7 @@ from sigma_wave.diagnostics import _LLN_KINDS, difference_norms
 from sigma_wave.dynamics import step_linear_ensemble, step_renormalized_wave
 from sigma_wave.gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                               gibbs_vs_gaussian_covariance, sample_gibbs)
-from sigma_wave.grid import BallEnsemble, GridSpec, load_field, save_field
+from sigma_wave.grid import GridSpec, load_field, save_field
 from sigma_wave.noise import NoiseKind, NoiseStream, alpha_m
 
 
@@ -199,14 +199,13 @@ def test_coupled_distance_matches_steps_that_draw_their_own_kicks():
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(3))
     alpha = alpha_m(spec.m, M)
     times, states_n, states_l = [0.0], [a], [b]
-    b = BallEnsemble.from_full(b, float(M))
     for k in range(n_steps):
-        a = step_renormalized_wave(a, streams, k, dt, alpha, float(M))
+        a = step_renormalized_wave(a, streams, k, dt, alpha)
         b = step_linear_ensemble(b, streams, k, dt)
         if (k + 1) % stride == 0:
             times.append((k + 1) * dt)
             states_n.append(a)
-            states_l.append(b.full())
+            states_l.append(b)
     want = difference_norms(SimpleNamespace(times=np.asarray(times), states=states_n),
                             SimpleNamespace(times=np.asarray(times), states=states_l), s, 0)[0]
     assert coupled_distance(spec, cfg, root, dt, n_steps, stride, s) == want
@@ -245,6 +244,27 @@ def test_file_data_that_is_not_a_real_field_is_rejected(tmp_path, capsys):
     assert main(["simulate-hlsm", "--config", cfg2]) == 2
     err = capsys.readouterr().err
     assert "field_u001.sgwv" in err and "real field" in err
+
+
+def test_file_data_off_the_dealias_ball_is_rejected(tmp_path, capsys):
+    # the residual evolves on the 2/3-rule ball; a mode off it would only
+    # ride the free flow, uncoupled, so the loader names the file instead
+    src = tmp_path / "src"
+    cfgp = write_ini(tmp_path, SMALL.format(out=src) + "formats = csv,fields\n")
+    assert main(["simulate-hlsm", "--config", cfgp]) == 0
+    bad = src / "field_du000.sgwv"
+    field = load_field(bad, 1.0)
+    field.coeffs[6, 0] = field.coeffs[-6, 0] = 1e-3  # |n| = 6 > 16/3, a real pair
+    save_field(field, bad)
+    text = SMALL.format(out=tmp_path / "next").replace(
+        "stride = 2", f"stride = 2\ndata = file\ndata_file = {src}")
+    capsys.readouterr()
+    assert main(["simulate-hlsm", "--config", write_ini(tmp_path, text, name="next.ini")]) == 2
+    err = capsys.readouterr().err
+    assert "field_du000.sgwv" in err and "dealias" in err
+    # without dealiasing the residual holds every mode, and the run goes ahead
+    text = text.replace("stride = 2", "stride = 2\ndealias = false")
+    assert main(["simulate-hlsm", "--config", write_ini(tmp_path, text, name="wide.ini")]) == 0
 
 
 def test_file_data_requires_path_and_snapshots(tmp_path, capsys):

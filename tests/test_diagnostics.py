@@ -19,33 +19,34 @@ from sigma_wave.diagnostics import (
 )
 from sigma_wave.dynamics import TrajectoryRecord, step_deterministic_nlw
 from sigma_wave.grid import (
-    ComponentEnsemble,
+    BallEnsemble,
     GridSpec,
     SpectralField,
     _bracket_pow,
     random_field,
     sup_sobolev_norm,
 )
-from sigma_wave.noise import NoiseKind, NoiseStream, alpha_m, sample_mu1_mu0_pair
 from sigma_wave.wick import WickContext, wick_pair, wick_triple
 
+from oracles import ball_ensemble
 
-def random_ensemble(spec, n, seed, amplitude=0.5, truncation=None, decay=2.0):
+
+def random_ensemble(spec, n, seed, amplitude=0.5, truncation=None, decay=2.0, radius=np.inf):
     gen = np.random.default_rng(seed)
     pos = np.stack([random_field(spec, gen, decay=decay, amplitude=amplitude,
                                  truncation=truncation).coeffs for _ in range(n)])
     vel = np.stack([random_field(spec, gen, decay=decay, amplitude=amplitude,
                                  truncation=truncation).coeffs for _ in range(n)])
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+    return ball_ensemble(spec, pos, vel, radius)
 
 
 def test_energy_zero_and_constant_field():
     spec = GridSpec(16, m=1.4)
-    assert energy_en(ComponentEnsemble.zeros(spec, 3), spec.m) == 0.0
+    assert energy_en(BallEnsemble.zeros(spec, np.inf, 3), spec.m) == 0.0
     c = 0.83
     pos = np.zeros((1,) + spec.shape(), dtype=np.complex128)
     pos[0, 0, 0] = c
-    ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
+    ens = ball_ensemble(spec, pos)
     want = spec.m * c**2 / 2 + c**4 / 4
     assert abs(energy_en(ens, spec.m) - want) < 1e-14
 
@@ -53,8 +54,8 @@ def test_energy_zero_and_constant_field():
 def test_energy_of_identical_copies_matches_single_component():
     spec = GridSpec(16, m=1.0)
     one = random_ensemble(spec, 1, seed=3)
-    four = ComponentEnsemble(spec, np.repeat(one.pos, 4, axis=0),
-                             np.repeat(one.vel, 4, axis=0), copy=False)
+    four = BallEnsemble(spec, one.radius, np.repeat(one.pos, 4, axis=0),
+                        np.repeat(one.vel, 4, axis=0))
     assert abs(energy_en(four, spec.m) - energy_en(one, spec.m)) < 1e-12
 
 
@@ -66,7 +67,7 @@ def test_meanfield_energy_of_antisymmetric_replicas_by_hand():
     pos[0, 1, 0] = amp / 2
     pos[0, -1, 0] = amp / 2
     pos[1] = -pos[0]
-    replicas = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
+    replicas = ball_ensemble(spec, pos)
     want = (1 + spec.m) * amp**2 / 4 + 3 * amp**4 / 32
     assert abs(energy_meanfield(replicas, spec.m) - want) < 1e-12
     assert abs(energy_meanfield(replicas, spec.m) - energy_en(replicas, spec.m)) == 0.0
@@ -75,11 +76,11 @@ def test_meanfield_energy_of_antisymmetric_replicas_by_hand():
 def test_energy_drift_small_and_second_order_in_dt():
     spec = GridSpec(16, m=1.0)
     ens0 = random_ensemble(spec, 2, seed=9, amplitude=0.4,
-                           truncation=2 * spec.nyquist / 3.0)
+                           truncation=2 * spec.nyquist / 3.0, radius=spec.dealias_radius)
     e0 = energy_en(ens0, spec.m)
 
     def drift(dt, t_end=0.25):
-        ens = ens0.copy()
+        ens = ens0
         worst = 0.0
         for _ in range(int(round(t_end / dt))):
             ens = step_deterministic_nlw(ens, dt)
@@ -99,14 +100,14 @@ def test_modified_energy_identity_above_nyquist_threshold():
     a = modified_energy(ens, spec.m, 0.7, big)
     b = energy_en(ens, spec.m)
     assert abs(a - b) <= 1e-12 * abs(b)
-    assert modified_energy(ComponentEnsemble.zeros(spec, 2), spec.m, 0.7, 4.0) == 0.0
+    assert modified_energy(BallEnsemble.zeros(spec, np.inf, 2), spec.m, 0.7, 4.0) == 0.0
 
 
 def test_modified_quadratic_energy_monotone_in_threshold():
     spec = GridSpec(32, m=1.0)
     gen = np.random.default_rng(2)
     vel = np.stack([random_field(spec, gen, decay=1.0).coeffs for _ in range(2)])
-    ens = ComponentEnsemble(spec, np.zeros_like(vel), vel, copy=False)
+    ens = ball_ensemble(spec, np.zeros_like(vel), vel)
     vals = [modified_energy(ens, spec.m, 0.8, M) for M in (2.0, 4.0, 8.0)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -114,10 +115,10 @@ def test_modified_quadratic_energy_monotone_in_threshold():
 def test_zn_norm_zero_and_reference_recomputation():
     spec = GridSpec(32, m=1.0)
     M = 4.0
-    zero_nodes = [ComponentEnsemble.zeros(spec, 3) for _ in range(2)]
+    zero_nodes = [BallEnsemble.zeros(spec, M, 3) for _ in range(2)]
     assert zn_norm(zero_nodes, 0.1, 0.0) == 0.0
 
-    nodes = [random_ensemble(spec, 3, seed=s, amplitude=0.8, truncation=M)
+    nodes = [random_ensemble(spec, 3, seed=s, amplitude=0.8, truncation=M, radius=M)
              for s in (1, 2)]
     c = 0.31
     eps = 0.1
@@ -130,7 +131,7 @@ def test_zn_norm_zero_and_reference_recomputation():
     best2 = np.zeros((n, n))
     best3 = np.zeros((n, n))
     for ens in nodes:
-        fields = [SpectralField(spec, ens.pos[j]) for j in range(n)]
+        fields = [SpectralField(spec, c) for c in ens.full()[0]]
         for j in range(n):
             best1[j] = max(best1[j], sup_sobolev_norm(fields[j], -eps))
         for k in range(n):
@@ -226,8 +227,8 @@ def test_difference_norms_identical_and_shifted():
     shifted = []
     for ens in states:
         pos = ens.pos.copy()
-        pos[2, 0, 0] += delta
-        shifted.append(ComponentEnsemble(spec, pos, ens.vel.copy(), copy=False))
+        pos[2, 0] += delta  # mode (0, 0); radius inf packs the flat grid
+        shifted.append(BallEnsemble(spec, ens.radius, pos, ens.vel))
     d_j, d_an = difference_norms(traj, make_trajectory(spec, shifted), 0.9, j=2)
     assert abs(d_j - delta) < 1e-14
     assert abs(d_an - delta / 2.0) < 1e-14   # l2-average over 4 components
@@ -256,8 +257,8 @@ def test_difference_norms_rejects_non_finite_nodes():
     # max() against NaN would silently keep the running value
     spec = GridSpec(16, m=1.0)
     ens = random_ensemble(spec, 2, seed=1)
-    broken = ComponentEnsemble(spec, ens.pos.copy(), ens.vel.copy())
-    broken.pos[1, 0, 0] = np.nan
+    broken = BallEnsemble(spec, ens.radius, ens.pos.copy(), ens.vel)
+    broken.pos[1, 0] = np.nan
     a = make_trajectory(spec, [ens, ens])
     b = make_trajectory(spec, [ens, broken])
     with pytest.raises(ValueError, match="non-finite"):

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from sigma_wave import dynamics, gibbs, grid, noise
 from sigma_wave.dynamics import (
     BlowupError,
-    _ball_to_grid,
+    _drift_tables,
+    _ensemble_drift,
+    _meanfield_drift,
+    _renormalized_drift,
     _to_coeffs,
     _to_grid,
     HlsmState,
@@ -21,29 +25,28 @@ from sigma_wave.dynamics import (
     step_meanfield,
     step_renormalized_wave,
 )
-from sigma_wave.grid import (BallEnsemble, ComponentEnsemble, GridSpec, SpectralField, _unpack,
+from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _unpack,
                              ball_mask, dealias_mask, hermitian_defect, random_field)
 from sigma_wave.noise import (
-    ConvolutionState,
     NoiseKind,
     NoiseStream,
     RenormConstants,
-    step_convolution,
+    _transition_tables,
 )
 from sigma_wave.wick import hermite
 
-from oracles import hlsm_rhs_reference
+from oracles import ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference
 
 SPEC = GridSpec(16, 1.0)
 
 
-def random_ensemble(spec, n, seed, amplitude=0.5, truncation=3.0):
+def random_ensemble(spec, n, seed, amplitude=0.5, truncation=3.0, radius=np.inf):
     gen = np.random.Generator(np.random.Philox(seed))
     pos = np.stack([random_field(spec, gen, decay=2.5, amplitude=amplitude,
                                  truncation=truncation).coeffs for _ in range(n)])
     vel = np.stack([random_field(spec, gen, decay=2.5, amplitude=amplitude,
                                  truncation=truncation).coeffs for _ in range(n)])
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+    return ball_ensemble(spec, pos, vel, radius)
 
 
 def table(m, dt, n_steps, M=4):
@@ -53,9 +56,9 @@ def table(m, dt, n_steps, M=4):
 def hlsm_state(n, seed, dt=0.1, n_steps=20, dealias=True, noisy=True):
     renorm = table(1.0, dt, n_steps) if noisy else RenormConstants.zero(1.0, dt, n_steps)
     state = HlsmState.zero(SPEC, n, renorm, root_seed=seed, dealias=dealias)
-    v = random_ensemble(SPEC, n, seed + 1)
-    psi = BallEnsemble.from_full(random_ensemble(SPEC, n, seed + 2), 4.0) if noisy else state.psi
-    return HlsmState(v, psi, state.streams, 0.0, 0, renorm, dealias)
+    v = random_ensemble(SPEC, n, seed + 1, radius=state.v.radius)
+    psi = random_ensemble(SPEC, n, seed + 2, radius=4.0) if noisy else state.psi
+    return HlsmState(v, psi, state.streams, 0.0, 0, renorm)
 
 
 @pytest.mark.parametrize("n_grid", [4, 8, 16, 32, 64])
@@ -63,35 +66,38 @@ def hlsm_state(n, seed, dt=0.1, n_steps=20, dealias=True, noisy=True):
 def test_half_spectrum_transforms_match_full_complex_ffts(n_grid, kind):
     spec = GridSpec(n_grid, 1.0)
     radius = {"zero": 0.0, "two": 2.0, "below_nyquist": spec.nyquist - 1.0,
-              "dealias": spec.dealias_radius, "every": None}[kind]
-    mask = np.ones(spec.shape(), bool) if radius is None else ball_mask(spec, radius)
+              "dealias": spec.dealias_radius, "every": np.inf}[kind]
+    mask, idx = ball_mask(spec, radius), _ball_index(n_grid, radius)
     gen = np.random.default_rng(n_grid)
     for lead in ((3,), (2, 3)):
         g = gen.standard_normal(lead + spec.shape())
         coeffs = np.fft.fft2(g, norm="forward")
+        packed = coeffs.reshape(lead + (-1,))[..., idx]
         want = np.fft.ifft2(np.where(mask, coeffs, 0.0), norm="forward").real
-        got = _to_grid(coeffs, radius)
+        got = _to_grid(packed, n_grid, radius)
         assert got.shape == g.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        want = np.where(mask, coeffs, 0.0)
         got = _to_coeffs(g, radius)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
-        assert np.all(got[..., ~mask] == 0.0)
-        for c in got.reshape((-1,) + spec.shape()):
+        assert got.shape == packed.shape
+        assert np.max(np.abs(got - packed)) <= 1e-13 * np.max(np.abs(g))
+        for c in _unpack(got, spec, idx).reshape((-1,) + spec.shape()):
             assert hermitian_defect(SpectralField(spec, c, copy=False)) == 0.0
-        assert np.all(_to_grid(np.zeros_like(coeffs), radius) == 0.0)
+        assert np.all(_to_grid(np.zeros_like(packed), n_grid, radius) == 0.0)
         assert np.all(_to_coeffs(np.zeros_like(g), radius) == 0.0)
 
 
 @pytest.mark.parametrize("n_grid", [8, 16, 64])
 def test_packed_grid_entry_is_the_scattered_transform_bit_for_bit(n_grid):
+    # the grid values of a stack packed on its ball are those of the same
+    # data packed on any larger ball, bit for bit
     spec = GridSpec(n_grid, 1.0)
     for M in (-1.0, 0.0, 2.0, float(int(spec.dealias_radius))):
-        ens = BallEnsemble.from_full(random_ensemble(spec, 3, seed=n_grid, truncation=M), M)
-        got = _ball_to_grid(ens)
-        full = _unpack(ens.pos, spec, ens.index)
-        for radius in (M, spec.dealias_radius, None):
-            assert np.array_equal(got, _to_grid(full, radius))
+        ens = random_ensemble(spec, 3, seed=n_grid, truncation=M, radius=M)
+        got = _to_grid(ens.pos, n_grid, M)
+        full = ens.full()[0].reshape(3, -1)
+        for radius in (M, spec.dealias_radius, np.inf):
+            wider = full[:, _ball_index(n_grid, radius)]
+            assert np.array_equal(got, _to_grid(wider, n_grid, radius))
 
 
 def test_factored_rhs_matches_double_loop():
@@ -105,17 +111,17 @@ def test_factored_rhs_matches_double_loop():
 def test_single_component_rhs_is_wick_cubic():
     state = hlsm_state(1, seed=5, dealias=False)
     c = state.renorm.sigma_at(0)
-    u = np.fft.ifft2(state.v.pos[0] + state.psi.full().pos[0], norm="forward").real
-    expected = np.fft.fft2(-hermite(3, u, c), norm="forward")
+    u = np.fft.ifft2(state.combined().full()[0][0], norm="forward").real
+    expected = np.fft.fft2(-hermite(3, u, c), norm="forward").reshape(-1)
     got = hlsm_rhs(state)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_rhs_with_zero_noise_is_plain_cubic_coupling():
     state = hlsm_state(3, seed=9, dealias=False, noisy=False)
-    vg = np.fft.ifft2(state.v.pos, norm="forward").real
+    vg = np.fft.ifft2(state.v.full()[0], norm="forward").real
     expected = np.fft.fft2(-np.mean(vg * vg, axis=0)[None] * vg, norm="forward")
-    assert np.max(np.abs(hlsm_rhs(state) - expected)) <= 1e-14
+    assert np.max(np.abs(hlsm_rhs(state) - expected.reshape(3, -1))) <= 1e-14
 
 
 def test_zero_state_is_fixed_point_of_step():
@@ -142,9 +148,9 @@ def test_meanfield_rhs_antisymmetric_pair():
     base = MeanFieldState.zero(SPEC, 2, renorm, root_seed=7)
     v1 = random_field(SPEC, np.random.Generator(np.random.Philox(40)), truncation=3).coeffs
     p1 = random_field(SPEC, np.random.Generator(np.random.Philox(41)), truncation=3).coeffs
-    v = ComponentEnsemble(SPEC, np.stack([v1, -v1]), np.zeros((2,) + SPEC.shape(), complex))
-    psi = ComponentEnsemble(SPEC, np.stack([p1, -p1]), np.zeros((2,) + SPEC.shape(), complex))
-    state = MeanFieldState(v, BallEnsemble.from_full(psi, 4.0), base.streams, 0.0, 0, renorm)
+    v = ball_ensemble(SPEC, np.stack([v1, -v1]), radius=base.v.radius)
+    psi = ball_ensemble(SPEC, np.stack([p1, -p1]), radius=4.0)
+    state = MeanFieldState(v, psi, base.streams, 0.0, 0, renorm)
     rhs = meanfield_rhs(state)
     assert np.max(np.abs(rhs[0] + rhs[1])) <= 1e-13
 
@@ -154,10 +160,10 @@ def test_permutation_equivariance():
     state = hlsm_state(n, seed=21)
     perm = [2, 0, 1]
     permuted = HlsmState(
-        ComponentEnsemble(SPEC, state.v.pos[perm], state.v.vel[perm]),
+        BallEnsemble(SPEC, state.v.radius, state.v.pos[perm], state.v.vel[perm]),
         BallEnsemble(SPEC, state.psi.radius, state.psi.pos[perm], state.psi.vel[perm]),
         tuple(state.streams[p] for p in perm),
-        state.time, state.step, state.renorm, state.dealias)
+        state.time, state.step, state.renorm)
     a, b = state, permuted
     for _ in range(3):
         a = step_hlsm(a, 0.1)
@@ -169,9 +175,11 @@ def test_permutation_equivariance():
 def test_dealias_output_has_no_high_modes():
     state = hlsm_state(2, seed=33, dealias=True)
     out = step_hlsm(state, 0.1)
+    assert out.v.pos.shape == (2, int(np.sum(dealias_mask(SPEC))))
+    pos, vel = out.v.full()
     high = ~dealias_mask(SPEC)
-    assert np.all(out.v.pos[:, high] == 0)
-    assert np.all(out.v.vel[:, high] == 0)
+    assert np.all(pos[:, high] == 0)
+    assert np.all(vel[:, high] == 0)
 
 
 def test_step_validates_dt_and_table_length():
@@ -186,55 +194,59 @@ def test_step_validates_dt_and_table_length():
 
 def test_state_validates_component_counts():
     renorm = table(1.0, 0.1, 4)
-    v = ComponentEnsemble.zeros(SPEC, 3)
+    v = BallEnsemble.zeros(SPEC, SPEC.dealias_radius, 3)
     streams = (NoiseStream(0, 0, NoiseKind.DRIVE),) * 3
     with pytest.raises(ValueError):
         HlsmState(v, BallEnsemble.zeros(SPEC, 4.0, 2), streams, 0.0, 0, renorm)
     with pytest.raises(ValueError, match="ball"):
         HlsmState(v, BallEnsemble.zeros(SPEC, 3.0, 3), streams, 0.0, 0, renorm)
-    # M = 6 lies beyond the 2/3-rule radius 16/3: allowed only without dealiasing
+    # M = 6 lies beyond the 2/3-rule radius 16/3: allowed only without
+    # dealiasing, where v holds every mode
     wide = table(1.0, 0.1, 4, M=6)
-    HlsmState(v, BallEnsemble.zeros(SPEC, 6.0, 3), streams, 0.0, 0, wide, False)
+    HlsmState(BallEnsemble.zeros(SPEC, np.inf, 3), BallEnsemble.zeros(SPEC, 6.0, 3), streams,
+              0.0, 0, wide)
     with pytest.raises(ValueError, match="dealias"):
-        HlsmState(v, BallEnsemble.zeros(SPEC, 6.0, 3), streams, 0.0, 0, wide, True)
+        HlsmState(v, BallEnsemble.zeros(SPEC, 6.0, 3), streams, 0.0, 0, wide)
 
 
 def test_linear_ensemble_matches_per_component_transitions():
+    # oracle: the full-grid exact transition, one component at a time
     streams = tuple(NoiseStream(50, j, NoiseKind.DRIVE) for j in range(3))
     ens = BallEnsemble.zeros(SPEC, 4.0, 3)
     for step in range(4):
         ens = step_linear_ensemble(ens, streams, step, 0.25)
-    full = ens.full()
+    pos, vel = ens.full()
+    (s11, s12, s21, s22), chol = _transition_tables(SPEC, 0.25)
     for j, stream in enumerate(streams):
-        cs = ConvolutionState.zero(SPEC, stream, truncation=4.0)
-        for _ in range(4):
-            cs = step_convolution(cs, 0.25)
-        assert np.array_equal(full.pos[j], cs.state.pos.coeffs)
-        assert np.array_equal(full.vel[j], cs.state.vel.coeffs)
+        p = v = np.zeros(SPEC.shape(), complex)
+        for step in range(4):
+            ex, ev = draw_kick_full_grid(stream.generator(step), SPEC, 4.0, chol)
+            p, v = s11 * p + s12 * v + ex, s21 * p + s22 * v + ev
+        assert np.array_equal(pos[j], p)
+        assert np.array_equal(vel[j], v)
 
 
 def test_kick_loop_rejects_a_stream_count_other_than_the_components():
     # with two streams for three components, component 2 used to stay at zero
-    zero = ComponentEnsemble.zeros(SPEC, 3)
+    zero = BallEnsemble.zeros(SPEC, 4.0, 3)
     for count in (2, 4):
         streams = tuple(NoiseStream(50, j, NoiseKind.DRIVE) for j in range(count))
         with pytest.raises(ValueError, match="streams"):
-            step_linear_ensemble(BallEnsemble.zeros(SPEC, 4.0, 3), streams, 0, 0.25)
+            step_linear_ensemble(zero, streams, 0, 0.25)
         with pytest.raises(ValueError, match="streams"):
-            step_renormalized_wave(zero, streams, 0, 0.25, alpha=0.0, truncation=4.0)
+            step_renormalized_wave(zero, streams, 0, 0.25, alpha=0.0)
 
 
 def test_renormalized_wave_shares_noise_with_linear_step():
     # from a zero state the linear output IS the kick, so the interacting
     # output must differ from it by the corrector drift stage alone
-    from sigma_wave.dynamics import _drift_tables
-
     streams = tuple(NoiseStream(8, j, NoiseKind.DRIVE) for j in range(2))
-    zero = ComponentEnsemble.zeros(SPEC, 2)
-    a = step_renormalized_wave(zero, streams, 0, 0.2, alpha=0.0, truncation=4.0)
-    b = step_linear_ensemble(BallEnsemble.zeros(SPEC, 4.0, 2), streams, 0, 0.2).full()
-    f1 = renormalized_drift(b, 0.0, truncation=4.0)
+    zero = BallEnsemble.zeros(SPEC, 4.0, 2)
+    a = step_renormalized_wave(zero, streams, 0, 0.2, alpha=0.0)
+    b = step_linear_ensemble(zero, streams, 0, 0.2)
+    f1 = renormalized_drift(b, 0.0)
     _, (gx, gv, w1x, w1v) = _drift_tables(SPEC, 0.2, 0.5)
+    w1x, w1v = w1x.reshape(-1)[b.index], w1v.reshape(-1)[b.index]
     assert np.max(np.abs(a.pos - (b.pos + w1x[None] * f1))) <= 1e-15
     assert np.max(np.abs(a.vel - (b.vel + w1v[None] * f1))) <= 1e-15
 
@@ -242,25 +254,25 @@ def test_renormalized_wave_shares_noise_with_linear_step():
 def test_renormalized_drift_single_component_is_wick_cubic():
     ens = random_ensemble(SPEC, 1, seed=61)
     alpha = 0.8
-    ug = np.fft.ifft2(ens.pos[0], norm="forward").real
-    expected = np.fft.fft2(-hermite(3, ug, alpha), norm="forward")
-    got = renormalized_drift(ens, alpha, truncation=float(SPEC.n_grid))[0]
+    ug = np.fft.ifft2(ens.full()[0][0], norm="forward").real
+    expected = np.fft.fft2(-hermite(3, ug, alpha), norm="forward").reshape(-1)
+    got = renormalized_drift(ens, alpha)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-def reference_trajectory(pos0, vel0, drift, gamma, t_end):
-    """High-accuracy method-of-lines reference for the semidiscrete system."""
-    spec_shape = pos0.shape
-    lam = SPEC.dispersion
+def reference_trajectory(ens0, drift, gamma, t_end):
+    """High-accuracy method-of-lines reference for the semidiscrete system on
+    the ball of ``ens0``; ``drift`` maps packed positions to packed forcing."""
+    shape, size = ens0.pos.shape, ens0.pos.size
+    lam = SPEC.dispersion.reshape(-1)[ens0.index]
 
     def pack(p, v):
         return np.concatenate([p.real.ravel(), p.imag.ravel(),
                                v.real.ravel(), v.imag.ravel()])
 
     def unpack(y):
-        n = pos0.size
-        pr, pi, vr, vi = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
-        return ((pr + 1j * pi).reshape(spec_shape), (vr + 1j * vi).reshape(spec_shape))
+        pr, pi, vr, vi = y[:size], y[size:2 * size], y[2 * size:3 * size], y[3 * size:]
+        return ((pr + 1j * pi).reshape(shape), (vr + 1j * vi).reshape(shape))
 
     def rhs(_, y):
         p, v = unpack(y)
@@ -268,7 +280,7 @@ def reference_trajectory(pos0, vel0, drift, gamma, t_end):
         dv = -2.0 * gamma * v - lam[None] * p + f
         return pack(v, dv)
 
-    sol = solve_ivp(rhs, (0.0, t_end), pack(pos0, vel0), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, t_end), pack(ens0.pos, ens0.vel), method="DOP853",
                     rtol=1e-11, atol=1e-12)
     return unpack(sol.y[:, -1])
 
@@ -279,19 +291,20 @@ def fitted_order(errors, dts):
 
 def test_step_hlsm_second_order_in_dt():
     n, t_end = 2, 0.75
-    v0 = random_ensemble(SPEC, n, seed=71)
-    def drift(p):
-        from sigma_wave.dynamics import _ensemble_drift
-        return _ensemble_drift(p, BallEnsemble.zeros(SPEC, -1, n), 0.0, SPEC.dealias_radius)
+    v0 = random_ensemble(SPEC, n, seed=71, radius=SPEC.dealias_radius)
+    empty = BallEnsemble.zeros(SPEC, -1, n)
 
-    ref_pos, _ = reference_trajectory(v0.pos, v0.vel, drift, 0.5, t_end)
+    def drift(p):
+        return _ensemble_drift(p, empty, 0.0, SPEC.dealias_radius)
+
+    ref_pos, _ = reference_trajectory(v0, drift, 0.5, t_end)
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
         renorm = RenormConstants.zero(1.0, dt, k)
-        state = HlsmState(v0.copy(), BallEnsemble.zeros(SPEC, -1, n),
+        state = HlsmState(v0, empty,
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
-                          0.0, 0, renorm, True)
+                          0.0, 0, renorm)
         for _ in range(k):
             state = step_hlsm(state, dt)
         errs.append(np.max(np.abs(state.v.pos - ref_pos)))
@@ -303,14 +316,14 @@ def test_step_hlsm_second_order_with_time_dependent_wick_constant():
     # sigma_M(t) grows from 0, so each drift stage must read it at its own
     # time; M = -1 empties the noise ball and keeps the run deterministic
     n, t_end = 2, 0.5
-    v0 = random_ensemble(SPEC, n, seed=75)
+    v0 = random_ensemble(SPEC, n, seed=75, radius=SPEC.dealias_radius)
     finals = {}
     for k in (8, 16, 32, 64, 512):
         dt = t_end / k
         renorm = replace(RenormConstants.build(1.0, 4, dt, k), M=-1)
-        state = HlsmState(v0.copy(), BallEnsemble.zeros(SPEC, -1, n),
+        state = HlsmState(v0, BallEnsemble.zeros(SPEC, -1, n),
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
-                          0.0, 0, renorm, True)
+                          0.0, 0, renorm)
         for _ in range(k):
             state = step_hlsm(state, dt)
         finals[k] = state.v.pos
@@ -321,19 +334,20 @@ def test_step_hlsm_second_order_with_time_dependent_wick_constant():
 
 def test_step_meanfield_second_order_in_dt():
     n, t_end = 2, 0.75
-    v0 = random_ensemble(SPEC, n, seed=72)
-    def drift(p):
-        from sigma_wave.dynamics import _meanfield_drift
-        return _meanfield_drift(p, BallEnsemble.zeros(SPEC, -1, n), SPEC.dealias_radius)
+    v0 = random_ensemble(SPEC, n, seed=72, radius=SPEC.dealias_radius)
+    empty = BallEnsemble.zeros(SPEC, -1, n)
 
-    ref_pos, _ = reference_trajectory(v0.pos, v0.vel, drift, 0.5, t_end)
+    def drift(p):
+        return _meanfield_drift(p, empty, SPEC.dealias_radius)
+
+    ref_pos, _ = reference_trajectory(v0, drift, 0.5, t_end)
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
         renorm = RenormConstants.zero(1.0, dt, k)
-        state = MeanFieldState(v0.copy(), BallEnsemble.zeros(SPEC, -1, n),
+        state = MeanFieldState(v0, empty,
                                tuple(NoiseStream(0, r, NoiseKind.DRIVE) for r in range(n)),
-                               0.0, 0, renorm, True)
+                               0.0, 0, renorm)
         for _ in range(k):
             state = step_meanfield(state, dt)
         errs.append(np.max(np.abs(state.v.pos - ref_pos)))
@@ -343,16 +357,16 @@ def test_step_meanfield_second_order_in_dt():
 
 def test_deterministic_nlw_second_order_in_dt():
     n, t_end = 2, 0.75
-    u0 = random_ensemble(SPEC, n, seed=73)
-    def drift(p):
-        from sigma_wave.dynamics import _renormalized_drift
-        return _renormalized_drift(p, 0.0, SPEC.dealias_radius)
+    u0 = random_ensemble(SPEC, n, seed=73, radius=SPEC.dealias_radius)
 
-    ref_pos, _ = reference_trajectory(u0.pos, u0.vel, drift, 0.0, t_end)
+    def drift(p):
+        return _renormalized_drift(p, SPEC.n_grid, 0.0, SPEC.dealias_radius)
+
+    ref_pos, _ = reference_trajectory(u0, drift, 0.0, t_end)
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
-        ens = u0.copy()
+        ens = u0
         for _ in range(k):
             ens = step_deterministic_nlw(ens, dt)
         errs.append(np.max(np.abs(ens.pos - ref_pos)))
@@ -361,22 +375,21 @@ def test_deterministic_nlw_second_order_in_dt():
 
 
 def test_renormalized_wave_second_order_in_dt():
+    # a ball of radius n_grid holds every mode, and a zero kick turns the noise off
     n, t_end, alpha = 2, 0.75, 0.6
-    u0 = random_ensemble(SPEC, n, seed=74)
+    u0 = random_ensemble(SPEC, n, seed=74, radius=float(SPEC.n_grid))
 
     def drift(p):
-        ens = ComponentEnsemble(SPEC, p, np.zeros_like(p), copy=False)
-        return renormalized_drift(ens, alpha, truncation=float(SPEC.n_grid))
+        return renormalized_drift(BallEnsemble(SPEC, u0.radius, p, p), alpha)
 
-    ref_pos, _ = reference_trajectory(u0.pos, u0.vel, drift, 0.5, t_end)
-    # a ball of radius n_grid holds every mode, and a zero kick turns the noise off
-    no_kick = (np.zeros((n, SPEC.n_grid ** 2), complex), np.zeros((n, SPEC.n_grid ** 2), complex))
+    ref_pos, _ = reference_trajectory(u0, drift, 0.5, t_end)
+    no_kick = (np.zeros_like(u0.pos), np.zeros_like(u0.pos))
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
-        ens = u0.copy()
+        ens = u0
         for step in range(k):
-            ens = step_renormalized_wave(ens, (), step, dt, alpha, float(SPEC.n_grid), no_kick)
+            ens = step_renormalized_wave(ens, (), step, dt, alpha, no_kick)
         errs.append(np.max(np.abs(ens.pos - ref_pos)))
         dts.append(dt)
     assert fitted_order(errs, dts) == pytest.approx(2.0, abs=0.3)
@@ -403,7 +416,7 @@ def test_run_trajectory_records_and_reproduces():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_trajectory_detects_blowup(tmp_path):
     state = hlsm_state(2, seed=91, dt=0.1, n_steps=30)
-    huge = ComponentEnsemble(SPEC, state.v.pos + 1e200, state.v.vel)
+    huge = BallEnsemble(SPEC, state.v.radius, state.v.pos + 1e200, state.v.vel)
     state = HlsmState(huge, state.psi, state.streams, 0.0, 0, state.renorm)
     with pytest.raises(BlowupError):
         run_trajectory(state, 0.1, 4)
@@ -414,3 +427,39 @@ def test_run_trajectory_detects_blowup(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,one"
     assert len(lines) == 6
+
+
+def test_hlsm_component_and_meanfield_replica_share_their_convolution():
+    # HLSM component j and replica j key their DRIVE streams alike, so a
+    # general-data comparison of the two systems sees the same psi_j
+    renorm = table(1.0, 0.1, 5)
+    a = HlsmState.zero(SPEC, 2, renorm, root_seed=404)
+    b = MeanFieldState.zero(SPEC, 3, renorm, root_seed=404)
+    for _ in range(5):
+        a, b = step_hlsm(a, 0.1), step_meanfield(b, 0.1)
+    assert not np.all(a.psi.pos == 0)
+    assert np.array_equal(a.psi.pos, b.psi.pos[:2])
+    assert np.array_equal(a.psi.vel, b.psi.vel[:2])
+
+
+def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
+    # every stepper, drift and chain runs on packed ball stacks; only the
+    # observables, snapshots and the MALA/invariance boundary scatter
+    def scatter(*args, **kwargs):
+        raise AssertionError("a stepper scattered to a full grid")
+
+    for module in (grid, noise, dynamics, gibbs):
+        monkeypatch.setattr(module, "_unpack", scatter, raising=False)
+    for system in (HlsmState, MeanFieldState):
+        for dealias in (True, False):
+            state = system.stationary(SPEC, 2, table(1.0, 0.1, 2), 6, dealias)
+            state = replace(state, v=random_ensemble(SPEC, 2, 7, radius=state.v.radius))
+            assert np.all(np.isfinite(step_hlsm(state, 0.1).v.pos))
+    streams = tuple(NoiseStream(8, j, NoiseKind.DRIVE) for j in range(2))
+    ens = random_ensemble(SPEC, 2, 9, truncation=2.0, radius=2.0)
+    step_renormalized_wave(ens, streams, 0, 0.1, 0.3)
+    step_linear_ensemble(ens, streams, 0, 0.1)
+    pos = np.stack([ens.pos, ens.pos])
+    gibbs.evolve_gibbs_samples(pos, pos, SPEC, 0.3, 2.0, 0.1, 1, 5)
+    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.3, 3, 0, thin=1)
+    gibbs.coupled_gibbs_gaussian_pair(SPEC, cfg, 5)

@@ -18,32 +18,29 @@ from sigma_wave.gibbs import (
     mala_log_ratio,
     sample_gibbs,
 )
-from sigma_wave.grid import (ComponentEnsemble, GridSpec, _ball_index, _unpack, ball_mask,
-                             random_field)
-from sigma_wave.noise import (NoiseKind, NoiseStream, _half_lattice, _sample_ball,
-                              _sample_profile, alpha_m, stationary_ensemble)
+from sigma_wave.grid import BallEnsemble, GridSpec, _ball_index, _unpack, ball_mask, random_field
+from sigma_wave.noise import (NoiseKind, NoiseStream, _sample_ball, _sample_profile, alpha_m,
+                              stationary_ensemble)
 
-from oracles import gibbs_potential_reference
+from oracles import ball_ensemble, gibbs_potential_reference, sample_profile_full_grid
 
 
 def random_ensemble(spec, n, seed, amplitude=0.6, truncation=2.0):
     gen = np.random.default_rng(seed)
     pos = np.stack([random_field(spec, gen, decay=1.0, amplitude=amplitude,
                                  truncation=truncation).coeffs for _ in range(n)])
-    vel = np.zeros_like(pos)
-    return ComponentEnsemble(spec, pos, vel, copy=False)
+    return ball_ensemble(spec, pos, radius=truncation)
 
 
-def full_ensemble(packed, spec, idx):
-    full = _unpack(packed, spec, idx)
-    return ComponentEnsemble(spec, full, np.zeros_like(full), copy=False)
+def at_rest(packed, spec, radius):
+    return BallEnsemble(spec, radius, packed, np.zeros_like(packed))
 
 
 def test_potential_at_zero_field_matches_closed_forms():
     spec = GridSpec(8, m=1.0)
     alpha = 0.37
-    zero2 = ComponentEnsemble.zeros(spec, 2)
-    zero1 = ComponentEnsemble.zeros(spec, 1)
+    zero2 = BallEnsemble.zeros(spec, 2.0, 2)
+    zero1 = BallEnsemble.zeros(spec, 2.0, 1)
     assert abs(gibbs_potential(zero2, alpha) - alpha**2) < 1e-14
     assert abs(gibbs_potential(zero1, alpha) - 0.75 * alpha**2) < 1e-14
 
@@ -64,14 +61,15 @@ def test_drift_matches_finite_differences_of_potential():
     n, M = 3, 2
     alpha = alpha_m(spec.m, M)
     ens = random_ensemble(spec, n, seed=5, truncation=float(M))
-    drift = renormalized_drift(ens, alpha, truncation=float(M))
+    drift = renormalized_drift(ens, alpha)
     gen = np.random.default_rng(99)
     eps = 1e-5
     for _ in range(20):
         w = np.stack([random_field(spec, gen, decay=0.5, amplitude=1.0,
                                    truncation=float(M)).coeffs for _ in range(n)])
-        plus = ComponentEnsemble(spec, ens.pos + eps * w, ens.vel, copy=False)
-        minus = ComponentEnsemble(spec, ens.pos - eps * w, ens.vel, copy=False)
+        w = w.reshape(n, -1)[:, ens.index]
+        plus = BallEnsemble(spec, M, ens.pos + eps * w, ens.vel)
+        minus = BallEnsemble(spec, M, ens.pos - eps * w, ens.vel)
         fd = (gibbs_potential(plus, alpha) - gibbs_potential(minus, alpha)) / (2 * eps)
         # L2 pairing against the normalized measure is the plain coefficient sum
         exact = -np.sum(drift * np.conj(w)).real
@@ -108,8 +106,8 @@ def test_mala_log_ratio_matches_scalar_densities():
         pb = np.full((1, 1), b, dtype=np.complex128)
         ga = _ball_grad(pa, spec, alpha, 0.0)
         gb = _ball_grad(pb, spec, alpha, 0.0)
-        ea = _gaussian_energy(pa, w) + gibbs_potential(full_ensemble(pa, spec, idx), alpha)
-        eb = _gaussian_energy(pb, w) + gibbs_potential(full_ensemble(pb, spec, idx), alpha)
+        ea = _gaussian_energy(pa, w) + gibbs_potential(at_rest(pa, spec, 0.0), alpha)
+        eb = _gaussian_energy(pb, w) + gibbs_potential(at_rest(pb, spec, 0.0), alpha)
         got = mala_log_ratio(pa, pb, ga, gb, ea, eb, w, inv_w, h)
         want = (scalar_energy(a, spec.m, alpha) - scalar_energy(b, spec.m, alpha)
                 + scalar_exponent(a, b, spec.m, alpha, h)
@@ -130,8 +128,8 @@ def test_free_mala_log_ratio_equals_quarter_h2_energy_drop():
     prof = np.where(mask, 1.0 / spec.dispersion, 0.0)
     gen = np.random.default_rng(12)
     for h in (0.3, 0.9):
-        pos = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(2)])
-        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(2)])
+        pos = np.stack([sample_profile_full_grid(gen, spec, M, prof) for _ in range(2)])
+        z = np.stack([sample_profile_full_grid(gen, spec, M, prof) for _ in range(2)])
         prop = (1 - 0.5 * h * h) * pos + h * z
         zero = np.zeros_like(pos)
         k0 = _gaussian_energy(pos, w)
@@ -158,7 +156,7 @@ def test_mala_log_ratio_vanishes_with_step_size():
     grad_prop = _ball_grad(prop, spec, alpha, float(M))
 
     def energy(p):
-        return _gaussian_energy(p, w) + gibbs_potential(full_ensemble(p, spec, idx), alpha)
+        return _gaussian_energy(p, w) + gibbs_potential(at_rest(p, spec, M), alpha)
 
     log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy(pos), energy(prop),
                                w, inv_w, h)
@@ -330,8 +328,11 @@ def test_coupled_pair_free_chain_is_the_linear_recursion():
 
 
 def full_grid_grad(pos, spec, alpha, truncation):
-    ens = ComponentEnsemble(spec, pos, np.zeros_like(pos), copy=False)
-    return -renormalized_drift(ens, alpha, truncation)
+    """The chain gradient of full-grid positions, zero off the ball; the drift
+    itself is the program's."""
+    idx = _ball_index(spec.n_grid, float(truncation))
+    drift = renormalized_drift(at_rest(pos.reshape(len(pos), -1)[:, idx], spec, truncation), alpha)
+    return -_unpack(drift, spec, idx)
 
 
 def full_grid_pair(spec, cfg, root_seed):
@@ -342,18 +343,18 @@ def full_grid_pair(spec, cfg, root_seed):
     alpha = alpha_m(spec.m, M)
     beta = 1.0 - 0.5 * h * h
 
-    pos_a = stationary_ensemble(spec, M, root_seed, n).pos
+    pos_a = stationary_ensemble(spec, M, root_seed, n).full()[0]
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
     for it in range(cfg.chain_length):
         gen = innovations.generator(it)
-        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+        z = np.stack([sample_profile_full_grid(gen, spec, M, prof) for _ in range(n)])
         grad = full_grid_grad(pos_a, spec, alpha, float(M))
         pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
         pos_b = beta * pos_b + h * z
     gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(0)
     vel_prof = np.where(mask, 1.0, 0.0)
-    vel = np.stack([_sample_profile(gen, spec, M, vel_prof) for _ in range(n)])
+    vel = np.stack([sample_profile_full_grid(gen, spec, M, vel_prof) for _ in range(n)])
     return pos_a, pos_b, vel
 
 
@@ -363,7 +364,10 @@ def test_coupled_pair_matches_the_full_grid_ula_loop(n_grid, n, M, h, length):
     spec = GridSpec(n_grid, m=1.0)
     cfg = GibbsSamplerConfig(n, M, 1.0, h, length, 0, thin=1)
     gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21)
-    pos_a, pos_b, vel = full_grid_pair(spec, cfg, 21)
+    full = full_grid_pair(spec, cfg, 21)
+    idx = _ball_index(n_grid, float(M))
+    assert not any(np.any(np.delete(a.reshape(n, -1), idx, axis=1)) for a in full)
+    pos_a, pos_b, vel = (a.reshape(n, -1)[:, idx] for a in full)
     assert gibbs.pos.tobytes() == pos_a.tobytes()
     assert gaussian.pos.tobytes() == pos_b.tobytes()
     assert gibbs.vel.tobytes() == vel.tobytes()
@@ -379,7 +383,7 @@ def full_grid_mala(spec, cfg, root_seed):
     prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
 
-    pos = stationary_ensemble(spec, M, root_seed, n).pos
+    pos = stationary_ensemble(spec, M, root_seed, n).full()[0]
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
 
     def grad_of(p):
@@ -390,8 +394,7 @@ def full_grid_mala(spec, cfg, root_seed):
     def potential_of(p):
         if not cfg.interaction:
             return 0.0
-        ens = ComponentEnsemble(spec, p, np.zeros_like(p), copy=False)
-        return gibbs_potential(ens, alpha)
+        return gibbs_potential(ball_ensemble(spec, p, radius=M), alpha)
 
     grad = grad_of(pos)
     energy = _gaussian_energy(pos, w) + potential_of(pos)
@@ -403,7 +406,7 @@ def full_grid_mala(spec, cfg, root_seed):
     beta = 1.0 - 0.5 * h * h
     for it in range(cfg.chain_length):
         gen = innovations.generator(it)
-        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+        z = np.stack([sample_profile_full_grid(gen, spec, M, prof) for _ in range(n)])
         prop = beta * pos - 0.5 * h * h * grad * inv_w + h * z
         grad_prop = grad_of(prop)
         energy_prop = _gaussian_energy(prop, w) + potential_of(prop)
@@ -438,21 +441,6 @@ def test_sample_gibbs_matches_the_full_grid_mala_loop(interaction):
     assert samples.accept_rate == accept_rate
 
 
-def scattered_profile_draw(gen, spec, radius, profile):
-    """The per-component draw as written before it was built on the packed
-    draw: it defines the draw order every stream has used."""
-    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
-    out = np.zeros(spec.n_grid * spec.n_grid, dtype=np.complex128)
-    p = profile.reshape(-1)
-    zr = gen.standard_normal(plus.size)
-    zi = gen.standard_normal(plus.size)
-    zs = gen.standard_normal(self_idx.size)
-    out[plus] = np.sqrt(p[plus] / 2.0) * (zr + 1j * zi)
-    out[minus] = np.conj(out[plus])
-    out[self_idx] = np.sqrt(p[self_idx]) * zs
-    return out.reshape(spec.shape())
-
-
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("radius", [0, 2, 7])
 def test_sample_ball_stacks_sequential_profile_draws(n, radius):
@@ -463,11 +451,13 @@ def test_sample_ball_stacks_sequential_profile_draws(n, radius):
     packed = _sample_ball(stream.generator(9), spec, radius, prof, n)
     idx = _ball_index(spec.n_grid, float(radius))
     assert packed.shape == (n, idx.size)
-    for draw in (_sample_profile, scattered_profile_draw):
-        gen = stream.generator(9)
-        full = np.stack([draw(gen, spec, radius, prof) for _ in range(n)])
-        assert np.array_equal(packed, full.reshape(n, -1)[:, idx])
-        assert not np.any(np.delete(full.reshape(n, -1), idx, axis=1))
+    gen = stream.generator(9)
+    assert np.array_equal(packed, np.stack([_sample_profile(gen, spec, radius, prof)
+                                            for _ in range(n)]))
+    gen = stream.generator(9)
+    full = np.stack([sample_profile_full_grid(gen, spec, radius, prof) for _ in range(n)])
+    assert np.array_equal(packed, full.reshape(n, -1)[:, idx])
+    assert not np.any(np.delete(full.reshape(n, -1), idx, axis=1))
 
 
 def test_coupled_pair_difference_is_small_relative_to_the_fields():
@@ -497,20 +487,16 @@ def test_batched_evolution_matches_per_sample_stepper():
                              acceptance_band=(0.0, 1.0))
     samples = sample_gibbs(spec, cfg, root_seed=17)
     assert len(samples) >= k_total
-    shape = (k_total, n) + spec.shape()
-    pos0 = np.zeros(shape, dtype=np.complex128)
-    vel0 = np.zeros(shape, dtype=np.complex128)
-    pos0.reshape(k_total, n, -1)[:, :, samples.mode_idx] = samples.positions[:k_total]
-    vel0.reshape(k_total, n, -1)[:, :, samples.mode_idx] = samples.velocities[:k_total]
+    pos0, vel0 = samples.positions[:k_total], samples.velocities[:k_total]
     alpha = alpha_m(spec.m, M)
 
     pos1, vel1 = evolve_gibbs_samples(pos0, vel0, spec, alpha, float(M), dt, steps,
                                       noise_seed=900)
     for k in range(k_total):
-        ens = ComponentEnsemble(spec, pos0[k], vel0[k], copy=False)
+        ens = samples.ensemble(k)
         streams = [NoiseStream(900, k * n + j, NoiseKind.DRIVE) for j in range(n)]
         for s in range(steps):
-            ens = step_renormalized_wave(ens, streams, s, dt, alpha, float(M))
+            ens = step_renormalized_wave(ens, streams, s, dt, alpha)
         assert np.array_equal(ens.pos, pos1[k])
         assert np.array_equal(ens.vel, vel1[k])
 

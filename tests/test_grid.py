@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from sigma_wave.grid import (
     BallEnsemble,
-    ComponentEnsemble,
     GridSpec,
-    PairState,
     SpectralField,
     apply_i_operator,
     ball_mask,
@@ -23,6 +21,8 @@ from sigma_wave.grid import (
     sobolev_norm,
     sup_sobolev_norm,
 )
+
+from oracles import ball_ensemble
 
 SPEC = GridSpec(32, 1.0)
 
@@ -51,8 +51,9 @@ def test_mismatched_specs_rejected():
     g = SpectralField.zeros(GridSpec(16, 1.0))
     with pytest.raises(ValueError):
         _ = f + g
+    packed = BallEnsemble.zeros(SPEC, 4.0, 2)
     with pytest.raises(ValueError):
-        PairState(f, SpectralField.zeros(GridSpec(32, 2.0)))
+        BallEnsemble(SPEC, 4.0, packed.pos, packed.vel[:1])
 
 
 def test_fft_round_trip():
@@ -221,18 +222,16 @@ def test_dealias_mask_radius():
     assert np.array_equal(ball_mask(SPEC, 4), SPEC.mode_norm_sq <= 16 + 1e-9)
 
 
-def test_component_ensemble_round_trip():
+def test_ball_ensemble_scatters_each_component_to_its_grid():
     gen = np.random.default_rng(17)
-    states = [
-        PairState(random_field(SPEC, gen), random_field(SPEC, gen)) for _ in range(3)
-    ]
-    ens = ComponentEnsemble.from_components(states)
-    assert len(ens) == 3
-    for j, s in enumerate(states):
-        assert np.array_equal(ens[j].pos.coeffs, s.pos.coeffs)
-        assert np.array_equal(ens[j].vel.coeffs, s.vel.coeffs)
-    with pytest.raises(ValueError):
-        ComponentEnsemble.from_components([])
+    fields = [(random_field(SPEC, gen), random_field(SPEC, gen)) for _ in range(3)]
+    ens = ball_ensemble(SPEC, np.stack([f.coeffs for f, _ in fields]),
+                        np.stack([g.coeffs for _, g in fields]))
+    assert len(ens) == 3 and ens.pos.shape == (3, SPEC.n_grid ** 2)
+    pos, vel = ens.full()
+    for j, (f, g) in enumerate(fields):
+        assert np.array_equal(pos[j], f.coeffs)
+        assert np.array_equal(vel[j], g.coeffs)
 
 
 def test_ball_ensemble_round_trips_and_rejects_data_off_the_ball():
@@ -240,19 +239,17 @@ def test_ball_ensemble_round_trips_and_rejects_data_off_the_ball():
     gen = np.random.default_rng(4)
     pos = np.stack([random_field(spec, gen, truncation=radius).coeffs for _ in range(3)])
     vel = np.stack([random_field(spec, gen, truncation=2.0).coeffs for _ in range(3)])
-    ens = ComponentEnsemble(spec, pos, vel)
-    packed = BallEnsemble.from_full(ens, radius)
+    packed = ball_ensemble(spec, pos, vel, radius)
     assert len(packed) == 3 and packed.pos.shape == (3, int(np.sum(ball_mask(spec, radius))))
+    assert np.array_equal(packed.index, np.flatnonzero(ball_mask(spec, radius)))
     back = packed.full()
-    assert np.array_equal(back.pos, pos) and np.array_equal(back.vel, vel)
-    again = BallEnsemble.from_full(back, radius)
+    assert np.array_equal(back[0], pos) and np.array_equal(back[1], vel)
+    again = ball_ensemble(spec, *back, radius)
     assert np.array_equal(again.pos, packed.pos) and np.array_equal(again.vel, packed.vel)
-    assert np.all(BallEnsemble.zeros(spec, radius, 2).full().pos == 0)
-    for field in ("pos", "vel"):
-        off = ens.copy()
-        getattr(off, field)[1, 4, 0] = 1e-300  # |n| = 4, just off the ball
-        with pytest.raises(ValueError, match="outside the ball"):
-            BallEnsemble.from_full(off, radius)
+    assert np.all(BallEnsemble.zeros(spec, radius, 2).full()[0] == 0)
+    # every mode: radius inf packs the flat grid
+    assert np.array_equal(ball_ensemble(spec, pos, vel).pos, pos.reshape(3, -1))
+    # a stack packed on the 3-ball holds data off the 2-ball
     with pytest.raises(ValueError):
         BallEnsemble(spec, 2.0, packed.pos, packed.vel)
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sigma_wave.grid import GridSpec, _ball_index, ball_mask
+from sigma_wave.dynamics import step_linear_ensemble
+from sigma_wave.grid import BallEnsemble, GridSpec, _ball_index, ball_mask
 from sigma_wave.noise import (
-    ConvolutionState,
     NoiseKind,
     NoiseStream,
     RenormConstants,
@@ -15,15 +15,13 @@ from sigma_wave.noise import (
     _half_lattice,
     _transition_tables,
     alpha_m,
-    sample_mu1_mu0_pair,
     sigma_m,
     stationary_ensemble,
-    step_convolution,
     transition_covariance,
 )
 from sigma_wave.propagator import flow_entries
 
-from oracles import draw_kick_full_grid
+from oracles import draw_kick_full_grid, sample_profile_full_grid
 
 SPEC = GridSpec(32, 1.0)
 
@@ -183,30 +181,33 @@ def test_stream_steps_independent_of_evaluation_order():
         assert np.array_equal(forward[k], backward[5 - k])
 
 
+def convolution(streams, radius, dt, n_steps, start=None):
+    """The stochastic convolutions driven by ``streams`` after ``n_steps``
+    exact transitions of ``dt``, from rest unless a ``start`` is given."""
+    ens = BallEnsemble.zeros(SPEC, radius, len(streams)) if start is None else start
+    for step in range(n_steps):
+        ens = step_linear_ensemble(ens, streams, step, dt)
+    return ens
+
+
 def test_convolution_path_regenerates_bit_identically():
     def run():
-        cs = ConvolutionState.zero(SPEC, NoiseStream(17, 2, NoiseKind.DRIVE), truncation=8)
-        for _ in range(3):
-            cs = step_convolution(cs, 0.25)
-        return cs
+        return convolution([NoiseStream(17, 2, NoiseKind.DRIVE)], 8.0, 0.25, 3)
 
     a, b = run(), run()
-    assert np.array_equal(a.state.pos.coeffs, b.state.pos.coeffs)
-    assert np.array_equal(a.state.vel.coeffs, b.state.vel.coeffs)
-    assert a.time == b.time and a.step == b.step
+    assert np.array_equal(a.pos, b.pos)
+    assert np.array_equal(a.vel, b.vel)
 
 
 def test_convolution_keeps_modes_outside_truncation_zero():
-    cs = ConvolutionState.zero(SPEC, NoiseStream(1, 0, NoiseKind.DRIVE), truncation=4)
-    for _ in range(4):
-        cs = step_convolution(cs, 0.3)
+    ens = convolution([NoiseStream(1, 0, NoiseKind.DRIVE)], 4.0, 0.3, 4)
+    pos, vel = (a[0] for a in ens.full())
     n = (np.fft.fftfreq(32) * 32).astype(int)
     n1, n2 = np.meshgrid(n, n, indexing="ij")
     outside = n1 * n1 + n2 * n2 > 16
-    assert np.all(cs.state.pos.coeffs[outside] == 0)
-    assert np.all(cs.state.vel.coeffs[outside] == 0)
-    defect = np.max(np.abs(cs.state.pos.coeffs - np.conj(np.flip(np.roll(
-        np.roll(cs.state.pos.coeffs, -1, 0), -1, 1), (0, 1)))))
+    assert np.all(pos[outside] == 0)
+    assert np.all(vel[outside] == 0)
+    defect = np.max(np.abs(pos - np.conj(np.flip(np.roll(np.roll(pos, -1, 0), -1, 1), (0, 1)))))
     assert defect == 0.0
 
 
@@ -215,11 +216,8 @@ def test_convolution_variance_and_wick_mean():
     # centers the Wick square
     draws = 10_000
     t, M = 1.0, 8
-    vals = np.empty(draws)
-    for k in range(draws):
-        cs = ConvolutionState.zero(SPEC, NoiseStream(123, k, NoiseKind.DRIVE), truncation=M)
-        cs = step_convolution(cs, t)
-        vals[k] = np.sum(cs.state.pos.coeffs).real  # field value at x = 0
+    streams = [NoiseStream(123, k, NoiseKind.DRIVE) for k in range(draws)]
+    vals = np.sum(convolution(streams, M, t, 1).pos, axis=1).real  # field values at x = 0
     sig = sigma_m(t, 1.0, M)
     assert np.mean(vals) == pytest.approx(0.0, abs=4.0 * np.sqrt(sig / draws))
     assert np.var(vals) == pytest.approx(sig, rel=4.0 * np.sqrt(2.0 / draws))
@@ -230,17 +228,12 @@ def test_convolution_variance_and_wick_mean():
 def test_mu_pair_mode_marginals():
     draws = 4000
     M = 8
-    stream = NoiseStream(7, 0, NoiseKind.INITIAL)
-    c_pair = np.empty(draws, dtype=np.complex128)
-    c_self = np.empty(draws)
-    v_pair = np.empty(draws, dtype=np.complex128)
-    at_zero = np.empty(draws)
-    for k in range(draws):
-        pair = sample_mu1_mu0_pair(SPEC, M, stream, step=k)
-        c_pair[k] = pair.pos.coeffs[1, 2]
-        c_self[k] = pair.pos.coeffs[0, 0].real
-        v_pair[k] = pair.vel.coeffs[1, 2]
-        at_zero[k] = np.sum(pair.pos.coeffs).real
+    ens = stationary_ensemble(SPEC, M, root_seed=7, n=draws)
+    pair, zero = np.searchsorted(ens.index, [1 * 32 + 2, 0])  # modes (1, 2) and (0, 0)
+    c_pair = ens.pos[:, pair]
+    c_self = ens.pos[:, zero].real
+    v_pair = ens.vel[:, pair]
+    at_zero = np.sum(ens.pos, axis=1).real
     se = 4.0 / np.sqrt(draws)
     assert np.mean(np.abs(c_pair) ** 2) == pytest.approx(1.0 / 6.0, rel=se * np.sqrt(2))
     assert np.var(c_self) == pytest.approx(1.0, rel=se * np.sqrt(2))
@@ -252,12 +245,14 @@ def test_mu_pair_mode_marginals():
 
 
 def test_stationary_ensemble_stacks_the_per_component_draws():
+    # oracle: each component's full-grid draws, position then velocity
     ens = stationary_ensemble(SPEC, 4, root_seed=12, n=3, base=5)
-    assert len(ens) == 3
+    assert len(ens) == 3 and ens.radius == 4.0
+    pos, vel = ens.full()
     for j in range(3):
-        pair = sample_mu1_mu0_pair(SPEC, 4, NoiseStream(12, 5 + j, NoiseKind.INITIAL))
-        assert np.array_equal(ens.pos[j], pair.pos.coeffs)
-        assert np.array_equal(ens.vel[j], pair.vel.coeffs)
+        gen = NoiseStream(12, 5 + j, NoiseKind.INITIAL).generator(0)
+        assert np.array_equal(pos[j], sample_profile_full_grid(gen, SPEC, 4, 1.0 / SPEC.dispersion))
+        assert np.array_equal(vel[j], sample_profile_full_grid(gen, SPEC, 4, np.ones(SPEC.shape())))
 
 
 @pytest.mark.parametrize("n_grid", [8, 16, 32])
@@ -296,18 +291,14 @@ def test_stationary_start_keeps_pointwise_variance():
     draws = 2000
     M = 8
     alpha = alpha_m(1.0, M)
-    vals = {0: np.empty(draws), 2: np.empty(draws), 4: np.empty(draws)}
-    other = np.empty(draws)
-    for k in range(draws):
-        cs = ConvolutionState.stationary(SPEC, NoiseStream(31, 2 * k, NoiseKind.DRIVE), truncation=M)
-        peer = ConvolutionState.stationary(SPEC, NoiseStream(31, 2 * k + 1, NoiseKind.DRIVE), truncation=M)
-        vals[0][k] = np.sum(cs.state.pos.coeffs).real
-        for step in range(4):
-            cs = step_convolution(cs, 0.5)
-            if step == 1:
-                vals[2][k] = np.sum(cs.state.pos.coeffs).real
-        vals[4][k] = np.sum(cs.state.pos.coeffs).real
-        other[k] = np.sum(peer.state.pos.coeffs).real
+    # components 2k ride the clock; components 2k + 1 are their independent peers
+    start = stationary_ensemble(SPEC, M, 31, 2 * draws)
+    streams = [NoiseStream(31, 2 * k, NoiseKind.DRIVE) for k in range(draws)]
+    ens = BallEnsemble(SPEC, M, start.pos[::2], start.vel[::2])
+    vals = {0: np.sum(ens.pos, axis=1).real}
+    for steps in (2, 4):
+        vals[steps] = np.sum(convolution(streams, M, 0.5, steps, ens).pos, axis=1).real
+    other = np.sum(start.pos[1::2], axis=1).real
     rel = 4.0 * np.sqrt(2.0 / draws)
     for t_vals in vals.values():
         assert np.var(t_vals) == pytest.approx(alpha, rel=rel)
@@ -317,9 +308,8 @@ def test_stationary_start_keeps_pointwise_variance():
 
 
 def test_transition_rejects_bad_dt():
-    cs = ConvolutionState.zero(SPEC, NoiseStream(0, 0, NoiseKind.DRIVE))
     with pytest.raises(ValueError):
-        step_convolution(cs, 0.0)
+        convolution([NoiseStream(0, 0, NoiseKind.DRIVE)], float(SPEC.nyquist), 0.0, 1)
     with pytest.raises(ValueError):
         transition_covariance(np.array([1.0]), -0.1)
 

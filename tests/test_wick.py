@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigma_wave.grid import GridSpec, SpectralField, hermitian_defect
+from sigma_wave.dynamics import step_linear_ensemble
+from sigma_wave.grid import BallEnsemble, GridSpec, SpectralField, hermitian_defect
 from sigma_wave.noise import (
-    ConvolutionState,
     NoiseKind,
     NoiseStream,
     alpha_m,
-    sample_mu1_mu0_pair,
     sigma_m,
-    step_convolution,
+    stationary_ensemble,
 )
 from sigma_wave.wick import (
     WickContext,
@@ -72,12 +71,13 @@ def test_wick_triple_of_zero_is_zero():
     assert np.max(np.abs(out.coeffs)) == 0.0
 
 
-def convolution_sample(k, t=1.0, dt=0.5):
-    cs = ConvolutionState.zero(SPEC, NoiseStream(2024, k, NoiseKind.DRIVE), truncation=M)
-    steps = int(round(t / dt))
-    for _ in range(steps):
-        cs = step_convolution(cs, dt)
-    return cs.state.pos
+def convolution_samples(draws, t=1.0, dt=0.5):
+    """Stochastic convolutions of components 0, ..., draws - 1 at time t, from rest."""
+    streams = [NoiseStream(2024, k, NoiseKind.DRIVE) for k in range(draws)]
+    ens = BallEnsemble.zeros(SPEC, M, draws)
+    for step in range(int(round(t / dt))):
+        ens = step_linear_ensemble(ens, streams, step, dt)
+    return [SpectralField(SPEC, c, copy=False) for c in ens.full()[0]]
 
 
 def spatial_mean(f: SpectralField) -> float:
@@ -92,9 +92,9 @@ def test_wick_pair_and_triple_mc_means_vanish():
     cross_pair = np.empty(draws)
     same_triple = np.empty(draws)
     cross_triple = np.empty(draws)
+    fields = convolution_samples(2 * draws)
     for k in range(draws):
-        a = convolution_sample(2 * k)
-        b = convolution_sample(2 * k + 1)
+        a, b = fields[2 * k], fields[2 * k + 1]
         same_pair[k] = spatial_mean(wick_pair(a, a, ctx, same_component=True))
         cross_pair[k] = spatial_mean(wick_pair(a, b, ctx, same_component=False))
         same_triple[k] = spatial_mean(wick_triple(a, a, ctx, same_component=True))
@@ -106,28 +106,22 @@ def test_wick_pair_and_triple_mc_means_vanish():
 
 def test_wick_square_of_equilibrium_sample_is_centered():
     alpha = alpha_m(1.0, M)
-    stream = NoiseStream(77, 0, NoiseKind.INITIAL)
     draws = 400
+    pos = stationary_ensemble(SPEC, M, 77, draws).full()[0]
     vals = np.empty(draws)
     for k in range(draws):
-        u = sample_mu1_mu0_pair(SPEC, M, stream, step=k).pos
+        u = SpectralField(SPEC, pos[k], copy=False)
         vals[k] = spatial_mean(wick_square(u, alpha))
     assert np.mean(vals) == pytest.approx(0.0, abs=4.0 * np.std(vals) / np.sqrt(draws))
 
 
 def test_chaos_orthogonality_of_independent_squares():
     alpha = alpha_m(1.0, M)
-    stream_a = NoiseStream(11, 0, NoiseKind.INITIAL)
-    stream_b = NoiseStream(11, 1, NoiseKind.INITIAL)
     draws = 10_000
-    a = np.empty(draws)
-    b = np.empty(draws)
-    for k in range(draws):
-        ua = sample_mu1_mu0_pair(SPEC, M, stream_a, step=k).pos
-        ub = sample_mu1_mu0_pair(SPEC, M, stream_b, step=k).pos
-        # value of :u^2: at x = 0 without a transform
-        a[k] = np.sum(ua.coeffs).real ** 2 - alpha
-        b[k] = np.sum(ub.coeffs).real ** 2 - alpha
+    # value of :u^2: at x = 0 without a transform, components 2k against 2k + 1
+    at_zero = np.sum(stationary_ensemble(SPEC, M, 11, 2 * draws).pos, axis=1).real
+    a = at_zero[::2] ** 2 - alpha
+    b = at_zero[1::2] ** 2 - alpha
     cov = np.mean(a * b) - np.mean(a) * np.mean(b)
     se = np.sqrt(np.var(a) * np.var(b) / draws)
     assert cov == pytest.approx(0.0, abs=4.0 * se)
@@ -152,8 +146,7 @@ def test_wick_cube_homogeneity():
 
 
 def test_wick_output_is_hermitian():
-    a = convolution_sample(0)
-    b = convolution_sample(1)
+    a, b = convolution_samples(2)
     ctx = WickContext(sigma_m(1.0, 1.0, M), M)
     for out in (
         wick_triple(a, b, ctx, same_component=False),
