@@ -32,8 +32,8 @@ from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
                        step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
-from .grid import (BallEnsemble, GridSpec, SpectralField, ball_mask, hermitian_defect,
-                   load_field, rms, save_field, sobolev_norm)
+from .grid import (BallEnsemble, GridSpec, SpectralField, _unpack, ball_mask,
+                   hermitian_defect, load_field, rms, save_field, sobolev_norm)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
 THREADS_ENV = "SIGMA_WAVE_THREADS"
@@ -232,16 +232,33 @@ def _write_fit(path: Path, rows) -> str:
 
 
 def _run_observables(m: float):
+    """The trajectory columns.  Each recording node builds the combined
+    ensemble and scatters ``v`` once, and every column reads those; the
+    energy column, the last, lets them go, so nothing is held while the run
+    steps."""
+    node = {}
+
+    def at(state):
+        if node.get("state") is not state:
+            node.update(state=state, u=state.combined(), v=state.v.full())
+        return node
+
+    def energy(state):
+        u = at(state)["u"]
+        node.clear()
+        return energy_en(u, m)
+
     def u1_wick_int(state):
         c = state.renorm.sigma_at(state.step)
-        ug = np.fft.ifft2(state.combined().full()[0][0], norm="forward").real
+        u = at(state)["u"]
+        ug = np.fft.ifft2(_unpack(u.pos[0], u.spec, u.index), norm="forward").real
         return float(np.mean(ug * ug) - c)
 
     return {
-        "v_h1": lambda st: _component_norms(st.v.full()[0], st.v.spec, 1.0),
-        "vdot_l2": lambda st: _component_norms(st.v.full()[1], st.v.spec, 0.0),
+        "v_h1": lambda st: _component_norms(at(st)["v"][0], st.v.spec, 1.0),
+        "vdot_l2": lambda st: _component_norms(at(st)["v"][1], st.v.spec, 0.0),
         "u1_wick_int": u1_wick_int,
-        "energy_en": lambda st: energy_en(st.combined(), m),
+        "energy_en": energy,
     }
 
 
@@ -388,7 +405,8 @@ def cmd_invariance_check(cfg: dict, out_dir: Path, threads: int) -> None:
     spec = GridSpec(cfg["grid"]["n_grid"], cfg["grid"]["m"])
     d = cfg["dynamics"]
     report = invariance_check(spec, _gibbs_config(cfg), cfg["experiment"]["seed"],
-                              d["T"], d["dt"])
+                              d["T"], d["dt"], slices=threads,
+                              map_fn=lambda fn, items: thread_map(fn, items, threads))
     report.to_csv(out_dir / "invariance.csv")
     worst = min(row["p_value"] for row in report.rows)
     print(f"wrote {out_dir / 'invariance.csv'}; smallest KS p-value = {worst:.4f}")
@@ -409,7 +427,8 @@ COMMANDS = {
     "simulate-meanfield": (cmd_simulate_meanfield, "integrate the limiting replica system"),
     "convergence-rate": (cmd_convergence_rate, "coupled N-vs-limit distance over N_list with a rate fit"),
     "lln-decay": (cmd_lln_decay, "averaged Wick estimator norms over N_list with rate fits"),
-    "sample-gibbs": (cmd_sample_gibbs, "MALA chain for the truncated Gibbs ensemble"),
+    "sample-gibbs": (cmd_sample_gibbs, "MALA chain for the truncated Gibbs ensemble "
+                     "(one chain, so one thread)"),
     "invariance-check": (cmd_invariance_check, "evolve Gibbs samples and compare observable laws"),
     "commutator": (cmd_commutator, "smoothing-operator commutator defect over a threshold sweep"),
 }
@@ -433,8 +452,9 @@ def _epilog() -> str:
                 kind, shown = "str", default or "(empty)"
             parts.append(f"{key} ({kind}, default {shown})")
         lines.append(f"  [{section}]  " + "; ".join(parts))
-    lines.append(f"threads come from --threads or ${THREADS_ENV}; only convergence-rate "
-                 "and lln-decay use them, and results do not depend on them")
+    lines.append(f"threads come from --threads or ${THREADS_ENV}; convergence-rate, "
+                 "lln-decay and the evolution of invariance-check use them, sample-gibbs "
+                 "is one chain on one thread, and results do not depend on them")
     return "\n".join(lines)
 
 
@@ -477,6 +497,13 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["output"]["dir"] = args.out
         _validate(cfg)
+        if args.command == "invariance-check":
+            # the KS test's scipy.stats loads here, so a missing scipy fails
+            # before the chain runs; every other command starts without it
+            try:
+                import scipy.stats  # noqa: F401
+            except ImportError as err:
+                raise ConfigError(f"invariance-check needs scipy: {err}") from None
         threads = _resolve_threads(args.threads)
         out_dir = Path(cfg["output"]["dir"])
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .dynamics import _renormalized_step, renormalized_drift
 from .grid import BallEnsemble, GridSpec, _ball_index, _unpack, ball_mask
@@ -302,20 +301,33 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
 
 def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: GridSpec,
                          alpha: float, truncation: float, dt: float, n_steps: int,
-                         noise_seed: int) -> tuple:
+                         noise_seed: int, slices: int = 1, map_fn=map) -> tuple:
     """Advance a batch of K independent N-component systems in lockstep.
 
     Arrays are (K, N, n_ball) stacks packed on the ``|n| <= truncation``
     ball, advanced by the batched form of the interacting wave stepper with
     noise streams keyed by flattened sample-component index; bit-identical
-    to stepping each system alone.
+    to stepping each system alone.  With ``slices > 1`` the K axis is cut
+    into that many contiguous slices, which ``map_fn(fn, items)`` evolves in
+    order (a thread map runs them in parallel); each slice keeps the streams
+    of its own flattened indices, so the result does not depend on ``slices``.
     """
-    n_streams = positions.shape[0] * positions.shape[1]
-    streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(n_streams)]
-    pos, vel = positions.copy(), velocities.copy()
-    for step in range(n_steps):
-        pos, vel = _renormalized_step(pos, vel, streams, step, spec, dt, alpha, truncation)
-    return pos, vel
+    k, n = positions.shape[:2]
+
+    def evolve(bounds):
+        lo, hi = bounds
+        streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(lo * n, hi * n)]
+        pos, vel = positions[lo:hi].copy(), velocities[lo:hi].copy()
+        for step in range(n_steps):
+            pos, vel = _renormalized_step(pos, vel, streams, step, spec, dt, alpha, truncation)
+        return pos, vel
+
+    slices = min(slices, k)
+    if slices <= 1:
+        return evolve((0, k))
+    cuts = [k * i // slices for i in range(slices + 1)]
+    parts = list(map_fn(evolve, zip(cuts[:-1], cuts[1:])))
+    return (np.concatenate([p for p, _ in parts]), np.concatenate([v for _, v in parts]))
 
 
 @dataclass
@@ -347,13 +359,18 @@ def _invariance_observables(samples: GibbsSamples, packed: np.ndarray, alpha: fl
 
 
 def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
-                     horizon: float, dt: float) -> InvarianceReport:
+                     horizon: float, dt: float, slices: int = 1,
+                     map_fn=map) -> InvarianceReport:
     """Draw Gibbs samples, evolve to the horizon, compare observable laws.
 
     The truncated dynamics and the sampled measure share the truncation and
     the Wick constant, so for an exact sampler and exact flow the two sample
     sets are equal in law; KS and mean shifts quantify the residual bias.
+    ``slices`` and ``map_fn`` split the evolution as in
+    :func:`evolve_gibbs_samples`; the chain is one sequential run.
     """
+    from scipy.stats import ks_2samp  # here, so that importing sigma_wave skips scipy
+
     if cfg.n_samples < 2:
         raise ValueError(f"invariance check needs cfg.n_samples >= 2 retained samples, "
                          f"got {cfg.n_samples}; lengthen the chain or lower thin")
@@ -363,7 +380,8 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     samples = sample_gibbs(spec, cfg, root_seed)
     alpha = alpha_m(spec.m, cfg.truncation)
     pos1, _ = evolve_gibbs_samples(samples.positions, samples.velocities, spec, alpha,
-                                   float(cfg.truncation), dt, n_steps, root_seed + 1)
+                                   float(cfg.truncation), dt, n_steps, root_seed + 1,
+                                   slices, map_fn)
     obs0 = _invariance_observables(samples, samples.positions, alpha)
     obs1 = _invariance_observables(samples, pos1, alpha)
     rows = []

@@ -32,7 +32,6 @@ from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import BallEnsemble, GridSpec, _ball_index, _ball_mask, _mode_vectors
 from .propagator import _cc, _sc, flow_entries
@@ -152,7 +151,8 @@ def transition_covariance(lam, dt: float):
     ``Q(dt) = integral_0^dt e^{As} B B^T e^{A^T s} ds`` with ``A`` the damped
     companion matrix and ``B = (0, sqrt(2))``; equivalently twice the
     integrals of ``d^2``, ``d d'``, ``d'^2`` for the impulse response d.
-    Closed form away from ``w = lam - 1/4 = 0``, quadrature inside the window.
+    Closed form away from ``w = lam - 1/4 = 0``, quadrature inside the window
+    ``|w| <= 1e-10``; scipy is imported only there, so no other caller loads it.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -174,6 +174,8 @@ def transition_covariance(lam, dt: float):
 
     bad = np.flatnonzero(np.abs(w) <= _DEGENERATE_EPS)
     if bad.size:
+        from scipy.integrate import quad
+
         for i in bad:
             wi = np.array([w.flat[i]])
 

@@ -164,8 +164,10 @@ def test_results_do_not_depend_on_thread_count(tmp_path, monkeypatch):
             monkeypatch.setenv("SIGMA_WAVE_THREADS", "2")
         assert main(["convergence-rate", "--config", cfgp] + extra) == 0
         assert main(["lln-decay", "--config", cfgp] + extra) == 0
+        assert main(["invariance-check", "--config", cfgp] + extra) == 0
         texts.append([(out / name).read_bytes() for name in
-                      ["convergence.csv"] + [f"lln_{kind}.csv" for kind in _LLN_KINDS]])
+                      ["convergence.csv", "invariance.csv"]
+                      + [f"lln_{kind}.csv" for kind in _LLN_KINDS]])
     assert texts[0] == texts[1] == texts[2]
 
 
