@@ -32,8 +32,9 @@ from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
                        step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
-from .grid import (BallEnsemble, GridSpec, SpectralField, _unpack, ball_mask,
-                   hermitian_defect, load_field, rms, save_field, sobolev_norm)
+from .grid import (BallEnsemble, GridSpec, SpectralField, _sobolev_norms, _to_grid, ball_mask,
+                   hermitian_defect, load_field, rms, save_field)
+from .grid import sobolev_norm  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
 THREADS_ENV = "SIGMA_WAVE_THREADS"
@@ -216,12 +217,6 @@ def _write_field_snapshots(out_dir: Path, ens: BallEnsemble) -> None:
         save_field(SpectralField(ens.spec, vel[j], copy=False), out_dir / f"field_du{j:03d}.sgwv")
 
 
-def _component_norms(coeffs: np.ndarray, spec: GridSpec, s: float) -> float:
-    vals = [sobolev_norm(SpectralField(spec, coeffs[j], copy=False), s)
-            for j in range(coeffs.shape[0])]
-    return float(rms(np.asarray(vals)))
-
-
 def _write_fit(path: Path, rows) -> str:
     """Write the log-log fit points when ``rows`` has three or more; return the rate."""
     if len(rows) < 3:
@@ -232,31 +227,33 @@ def _write_fit(path: Path, rows) -> str:
 
 
 def _run_observables(m: float):
-    """The trajectory columns.  Each recording node builds the combined
-    ensemble and scatters ``v`` once, and every column reads those; the
-    energy column, the last, lets them go, so nothing is held while the run
+    """The trajectory columns, all on packed stacks.  Each recording node
+    builds the combined ensemble once for the two columns that read it; the
+    energy column, the last, lets it go, so nothing is held while the run
     steps."""
     node = {}
 
-    def at(state):
+    def combined(state):
         if node.get("state") is not state:
-            node.update(state=state, u=state.combined(), v=state.v.full())
-        return node
+            node.update(state=state, u=state.combined())
+        return node["u"]
 
     def energy(state):
-        u = at(state)["u"]
+        u = combined(state)
         node.clear()
         return energy_en(u, m)
 
     def u1_wick_int(state):
-        c = state.renorm.sigma_at(state.step)
-        u = at(state)["u"]
-        ug = np.fft.ifft2(_unpack(u.pos[0], u.spec, u.index), norm="forward").real
-        return float(np.mean(ug * ug) - c)
+        u = combined(state)
+        ug = _to_grid(u.pos[0], u.spec.n_grid, u.radius)
+        return float(np.mean(ug * ug) - state.renorm.sigma_at(state.step))
+
+    def norms(state, stack, s):
+        return float(rms(_sobolev_norms(stack, state.v.spec.n_grid, state.v.radius, s)))
 
     return {
-        "v_h1": lambda st: _component_norms(at(st)["v"][0], st.v.spec, 1.0),
-        "vdot_l2": lambda st: _component_norms(at(st)["v"][1], st.v.spec, 0.0),
+        "v_h1": lambda st: norms(st, st.v.pos, 1.0),
+        "vdot_l2": lambda st: norms(st, st.v.vel, 0.0),
         "u1_wick_int": u1_wick_int,
         "energy_en": energy,
     }
@@ -507,8 +504,9 @@ def main(argv=None) -> int:
         threads = _resolve_threads(args.threads)
         out_dir = Path(cfg["output"]["dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(out_dir, args.command, cfg)
         COMMANDS[args.command][0](cfg, out_dir, threads)
+        # after the command, so a config it rejects leaves no manifest behind
+        write_manifest(out_dir, args.command, cfg)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _to_grid, step_linear_ensemble
+from .dynamics import step_linear_ensemble
 from .grid import (
     BallEnsemble,
     GridSpec,
     SpectralField,
     _bracket_pow,
     _i_profile,
+    _sobolev_norms,
+    _to_grid,
     apply_i_operator,
     random_field,
     rms,
@@ -42,11 +44,13 @@ __all__ = [
 ]
 
 
-def _ensemble_energy(pos: np.ndarray, vel: np.ndarray, m: float, spec: GridSpec) -> float:
-    mode_sq = spec.mode_norm_sq
-    quad = np.mean(np.sum((mode_sq + m) * np.abs(pos) ** 2
-                          + np.abs(vel) ** 2, axis=(1, 2)))
-    ug = np.fft.ifft2(pos, norm="forward").real
+def _ensemble_energy(ens: BallEnsemble, m: float, prof=1.0) -> float:
+    """Energy of ``prof`` times the packed stacks of ``ens``; ``prof`` is a
+    per-mode multiplier gathered on the ensemble's ball."""
+    pos, vel = prof * ens.pos, prof * ens.vel
+    dispersion = ens.spec.mode_norm_sq.reshape(-1)[ens.index] + m
+    quad = np.mean(np.sum(dispersion * np.abs(pos) ** 2 + np.abs(vel) ** 2, axis=-1))
+    ug = _to_grid(pos, ens.spec.n_grid, ens.radius)
     mean_sq = np.mean(ug * ug, axis=0)
     return float(0.5 * quad + 0.25 * np.mean(mean_sq * mean_sq))
 
@@ -58,7 +62,7 @@ def energy_en(ens: BallEnsemble, m: float) -> float:
     Read over replicas it is the energy of the mean-field flow with the
     empirical replica average, ``energy_meanfield``.
     """
-    return _ensemble_energy(*ens.full(), m, ens.spec)
+    return _ensemble_energy(ens, m)
 
 
 energy_meanfield = energy_en
@@ -67,9 +71,8 @@ energy_meanfield = energy_en
 def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) -> float:
     """Energy of the I-smoothed ensemble; equals :func:`energy_en` once the
     threshold clears ``nyquist * sqrt(2)`` and the multiplier is 1 everywhere."""
-    prof = _i_profile(ens.spec.n_grid, float(s), float(truncation))
-    pos, vel = ens.full()
-    return _ensemble_energy(pos * prof, vel * prof, m, ens.spec)
+    prof = _i_profile(ens.spec.n_grid, float(s), float(truncation)).reshape(-1)[ens.index]
+    return _ensemble_energy(ens, m, prof)
 
 
 def _sup_proxy(z: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
@@ -201,21 +204,16 @@ def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,
     for _ in range(trials):
         f = random_field(spec, gen, decay=2.0, truncation=base_ball)
         g = random_field(spec, gen, decay=2.0, truncation=base_ball)
-        fg2_hat = None
+        fgrid, ggrid = f.to_grid(), g.to_grid()
+        fg2 = SpectralField.from_grid(spec, fgrid * fgrid * ggrid)
         for M in M_list:
             i_f = apply_i_operator(f, s, float(M))
             i_g = apply_i_operator(g, s, float(M))
             nf = sobolev_norm(i_f, 1.0)
             ng = sobolev_norm(i_g, 1.0)
-            if fg2_hat is None:
-                fgrid = f.to_grid()
-                ggrid = g.to_grid()
-                fg2_hat = np.fft.fft2(fgrid * fgrid * ggrid, norm="forward")
-            lhs = apply_i_operator(SpectralField(spec, fg2_hat, copy=False),
-                                   s, float(M)).coeffs
-            ifg = np.fft.ifft2(i_f.coeffs, norm="forward").real
-            igg = np.fft.ifft2(i_g.coeffs, norm="forward").real
-            rhs = np.fft.fft2(ifg * ifg * igg, norm="forward")
+            lhs = apply_i_operator(fg2, s, float(M)).coeffs
+            ifg, igg = i_f.to_grid(), i_g.to_grid()
+            rhs = SpectralField.from_grid(spec, ifg * ifg * igg).coeffs
             defect = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / (nf * nf * ng)
             worst[int(M)] = max(worst[int(M)], float(defect))
     return [{"M": M, "defect_max": worst[M]} for M in sorted(worst)]
@@ -227,25 +225,25 @@ def difference_norms(traj_n, traj_limit, s: float, j: int):
     Returns the component-j norm and the l2-average over components; both
     are maxima over the shared recording nodes of
     ``(||du||_{H^s}^2 + ||dv||_{H^{s-1}}^2)^{1/2}``.  The states are ball
-    ensembles, each scattered once to full grids.
+    ensembles, all on one ball, differenced packed.
     """
     if len(traj_n.states) != len(traj_limit.states) or not traj_n.states:
         raise ValueError("trajectories must share their recording nodes")
     if not np.allclose(traj_n.times, traj_limit.times):
         raise ValueError("trajectories must share their recording times")
-    n = len(traj_n.states[0])
-    best = np.zeros(n)
+    balls = {(x.spec.n_grid, x.radius) for x in [*traj_n.states, *traj_limit.states]}
+    if len(balls) > 1:
+        raise ValueError(f"trajectory states sit on different balls: {sorted(balls)}")
+    (n_grid, radius), = balls
+    best = np.zeros(len(traj_n.states[0]))
     for a, b in zip(traj_n.states, traj_limit.states):
-        spec = a.spec
-        (pos_a, vel_a), (pos_b, vel_b) = a.full(), b.full()
-        for comp in range(n):
-            du = SpectralField(spec, pos_a[comp] - pos_b[comp], copy=False)
-            dv = SpectralField(spec, vel_a[comp] - vel_b[comp], copy=False)
-            val = np.hypot(sobolev_norm(du, s), sobolev_norm(dv, s - 1.0))
-            if not np.isfinite(val):
-                # max() would silently drop a NaN node
-                raise ValueError(f"non-finite fields at a recording node (component {comp})")
-            best[comp] = max(best[comp], val)
+        val = np.hypot(_sobolev_norms(a.pos - b.pos, n_grid, radius, s),
+                       _sobolev_norms(a.vel - b.vel, n_grid, radius, s - 1.0))
+        bad = np.flatnonzero(~np.isfinite(val))
+        if bad.size:
+            # max() would silently drop a NaN node
+            raise ValueError(f"non-finite fields at a recording node (component {bad[0]})")
+        best = np.maximum(best, val)
     return float(best[j]), float(rms(best))
 
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallEnsemble, GridSpec, _ball_index, _half_spectrum_index
+from .grid import BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _ball_tables, _draw_kick,
                     stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
@@ -92,29 +92,6 @@ def _ball_drift_tables(spec: GridSpec, dt: float, gamma: float, radius: float):
     out = tuple(f.reshape(-1)[idx] for f in flow), tuple(w.reshape(-1)[idx] for w in weights)
     for arr in out[0] + out[1]:
         arr.setflags(write=False)
-    return out
-
-
-def _to_grid(packed: np.ndarray, n: int, radius: float) -> np.ndarray:
-    """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
-    ball of an ``n x n`` grid: the half spectrum holds their stored modes
-    and zeros elsewhere, through ``irfft2``."""
-    stored, half = _half_spectrum_index(n, radius)[:2]
-    lead = packed.shape[:-1]
-    spec = np.zeros(lead + (n * (n // 2 + 1),), dtype=np.complex128)
-    spec[..., half] = packed[..., stored]
-    return np.fft.irfft2(spec.reshape(lead + (n, n // 2 + 1)), s=(n, n), norm="forward")
-
-
-def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
-    """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks,
-    packed: ``rfft2``, then the kept modes gathered, exactly Hermitian."""
-    n, lead = grid.shape[-1], grid.shape[:-2]
-    *_, half, packed, n_direct = _half_spectrum_index(n, radius)
-    vals = np.fft.rfft2(grid, norm="forward").reshape(lead + (-1,))[..., half]
-    np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
-    out = np.empty(lead + (packed.size,), dtype=np.complex128)
-    out[..., packed] = vals
     return out
 
 
@@ -332,29 +309,24 @@ def renormalized_drift(ens: BallEnsemble, alpha: float) -> np.ndarray:
     return _renormalized_drift(ens.pos, ens.spec.n_grid, alpha, ens.radius)
 
 
-def _renormalized_step(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
-                       dt: float, alpha: float, radius: float, kick=None):
-    """:func:`step_renormalized_wave` on ``(..., N, n_ball)`` stacks packed on
-    the ``|n| <= radius`` ball, one stream per leading index in row-major order."""
-    if kick is None:
-        kick = _kick_pair(pos.shape[:-1], streams, step, spec, dt, radius)
-    return etd2_step(pos, vel, lambda p, _: _renormalized_drift(p, spec.n_grid, alpha, radius),
-                     _ball_drift_tables(spec, dt, 0.5, radius), kick)
-
-
 def step_renormalized_wave(ens: BallEnsemble, streams, step: int, dt: float, alpha: float,
                            kick: tuple | None = None) -> BallEnsemble:
     """One step of the interacting damped wave in the original variables.
 
     Exact linear flow and noise kick plus ETD2 on the renormalized drift,
     all on the ensemble's ball; shares noise draws with
-    :func:`step_linear_ensemble` by construction.  A ``kick`` pair from
+    :func:`step_linear_ensemble` by construction.  A batched ensemble takes
+    one stream per leading index, in row-major order.  A ``kick`` pair from
     ``_kick_pair`` replaces the draw from ``streams``, so the coupled run
     passes one draw to both steps.
     """
-    pos, vel = _renormalized_step(ens.pos, ens.vel, streams, step, ens.spec, dt, alpha,
-                                  ens.radius, kick)
-    return BallEnsemble(ens.spec, ens.radius, pos, vel)
+    spec, radius = ens.spec, ens.radius
+    if kick is None:
+        kick = _kick_pair(ens.pos.shape[:-1], streams, step, spec, dt, radius)
+    pos, vel = etd2_step(ens.pos, ens.vel,
+                         lambda p, _: _renormalized_drift(p, spec.n_grid, alpha, radius),
+                         _ball_drift_tables(spec, dt, 0.5, radius), kick)
+    return BallEnsemble(spec, radius, pos, vel)
 
 
 def step_deterministic_nlw(ens: BallEnsemble, dt: float) -> BallEnsemble:

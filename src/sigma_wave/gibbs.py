@@ -21,13 +21,13 @@ and one free, yields coupled (Gibbs, Gaussian) samples whose difference is
 controlled by the interaction gradient; this is the initial-data coupling
 used by the mean-field convergence experiment.
 
-Both samplers, and the evolution of their samples, keep packed
-``(N, n_ball)`` ball stacks (``grid.BallEnsemble``, the layout of
-:class:`GibbsSamples`) and draw an iteration's N innovations in one call;
-the drift transforms the packed stacks directly.  Full grids are filled
-only for the one ``ifft2`` per MALA proposal, which its potential and its
-``series`` value share, for :func:`gibbs_potential` and for the invariance
-observables.
+Both samplers, the evolution of their samples and the invariance
+observables keep packed ``(..., N, n_ball)`` ball stacks
+(``grid.BallEnsemble``, the layout of :class:`GibbsSamples`) and draw an
+iteration's N innovations in one call; drift, potential and observables
+reach grid values through real FFTs on the half spectrum.  A full grid is
+filled only for the one ``ifft2`` per MALA proposal, which its potential and
+its ``series`` value share.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _renormalized_step, renormalized_drift
-from .grid import BallEnsemble, GridSpec, _ball_index, _unpack, ball_mask
+from .dynamics import renormalized_drift, step_renormalized_wave
+from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, _unpack, ball_mask
 from .noise import (NoiseKind, NoiseStream, _sample_ball, _sample_profile, alpha_m,
                     stationary_ensemble)
 from .noise import _draw_kick  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
@@ -77,7 +77,7 @@ def _potential(ug: np.ndarray, alpha: float) -> np.ndarray:
 
 def gibbs_potential(ens: BallEnsemble, alpha: float) -> float:
     """Renormalized quartic interaction, factored to one pass over components."""
-    return float(_potential(np.fft.ifft2(ens.full()[0], norm="forward").real, alpha))
+    return float(_potential(_to_grid(ens.pos, ens.spec.n_grid, ens.radius), alpha))
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,6 @@ class GibbsSamples:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def _full(self, packed: np.ndarray) -> np.ndarray:
-        """Scatter packed ``(..., n_ball)`` coefficients to full ``(..., n, n)`` grids."""
-        return _unpack(packed, self.spec, self.mode_idx)
 
     def ensemble(self, k: int) -> BallEnsemble:
         return BallEnsemble(self.spec, self.truncation, self.positions[k], self.velocities[k])
@@ -305,8 +301,8 @@ def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: Gr
     """Advance a batch of K independent N-component systems in lockstep.
 
     Arrays are (K, N, n_ball) stacks packed on the ``|n| <= truncation``
-    ball, advanced by the batched form of the interacting wave stepper with
-    noise streams keyed by flattened sample-component index; bit-identical
+    ball, advanced as one batched ensemble by the interacting wave stepper
+    with noise streams keyed by flattened sample-component index; bit-identical
     to stepping each system alone.  With ``slices > 1`` the K axis is cut
     into that many contiguous slices, which ``map_fn(fn, items)`` evolves in
     order (a thread map runs them in parallel); each slice keeps the streams
@@ -317,10 +313,10 @@ def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: Gr
     def evolve(bounds):
         lo, hi = bounds
         streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(lo * n, hi * n)]
-        pos, vel = positions[lo:hi].copy(), velocities[lo:hi].copy()
+        ens = BallEnsemble(spec, truncation, positions[lo:hi], velocities[lo:hi])
         for step in range(n_steps):
-            pos, vel = _renormalized_step(pos, vel, streams, step, spec, dt, alpha, truncation)
-        return pos, vel
+            ens = step_renormalized_wave(ens, streams, step, dt, alpha)
+        return ens.pos, ens.vel
 
     slices = min(slices, k)
     if slices <= 1:
@@ -347,12 +343,12 @@ class InvarianceReport:
 
 
 def _invariance_observables(samples: GibbsSamples, packed: np.ndarray, alpha: float) -> dict:
-    """Observables of packed ``(K, N, n_ball)`` samples, on full grids."""
-    spec, pos = samples.spec, samples._full(packed)
-    ug = np.fft.ifft2(pos, norm="forward").real
+    """Observables of packed ``(K, N, n_ball)`` samples."""
+    spec = samples.spec
+    ug = _to_grid(packed, spec.n_grid, samples.truncation)
     wick_sq = np.mean(ug[:, 0] ** 2, axis=(1, 2)) - alpha
-    low = ball_mask(spec, 1.0).reshape(-1)
-    low_energy = np.sum(np.abs(pos[:, 0].reshape(len(pos), -1)[:, low]) ** 2, axis=1)
+    low = ball_mask(spec, 1.0).reshape(-1)[samples.mode_idx]
+    low_energy = np.sum(np.abs(packed[:, 0, low]) ** 2, axis=1)
     potential = _potential(ug, alpha)
     return {"wick_square_int": wick_sq, "low_mode_energy": low_energy,
             "potential": potential}

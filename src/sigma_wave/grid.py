@@ -15,9 +15,11 @@ integer modes.  Conventions, fixed once here:
   Nyquist lines that have no mirror partner inside the sampled mode ball
   are kept real or zero;
 * an ensemble of N components has one layout, :class:`BallEnsemble`: packed
-  ``(N, n_ball)`` stacks on a mode ball.  Full ``(n, n)`` grids remain only
-  in single :class:`SpectralField` snapshots and in the observables, which
-  scatter once with :meth:`BallEnsemble.full`.
+  ``(..., N, n_ball)`` stacks on a mode ball.  ``_to_grid`` and ``_to_coeffs``
+  move such stacks to grid values and back through real FFTs on the half
+  spectrum; steppers, drifts, chains and observables all read them so.  Full
+  ``(n, n)`` coefficient grids remain only for snapshots
+  (:meth:`BallEnsemble.full`, :class:`SpectralField`) and the MALA proposal.
 """
 
 from __future__ import annotations
@@ -166,6 +168,29 @@ def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
     return out.reshape(packed.shape[:-1] + spec.shape())
 
 
+def _to_grid(packed: np.ndarray, n: int, radius: float) -> np.ndarray:
+    """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
+    ball of an ``n x n`` grid: the half spectrum holds their stored modes
+    and zeros elsewhere, through ``irfft2``."""
+    stored, half = _half_spectrum_index(n, radius)[:2]
+    lead = packed.shape[:-1]
+    spec = np.zeros(lead + (n * (n // 2 + 1),), dtype=np.complex128)
+    spec[..., half] = packed[..., stored]
+    return np.fft.irfft2(spec.reshape(lead + (n, n // 2 + 1)), s=(n, n), norm="forward")
+
+
+def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
+    """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks,
+    packed: ``rfft2``, then the kept modes gathered, exactly Hermitian."""
+    n, lead = grid.shape[-1], grid.shape[:-2]
+    *_, half, packed, n_direct = _half_spectrum_index(n, radius)
+    vals = np.fft.rfft2(grid, norm="forward").reshape(lead + (-1,))[..., half]
+    np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
+    out = np.empty(lead + (packed.size,), dtype=np.complex128)
+    out[..., packed] = vals
+    return out
+
+
 def dealias_mask(spec: GridSpec) -> np.ndarray:
     """Mask for the 2/3-rule mode set, ``|n| <= (2/3) * nyquist``."""
     return _ball_mask(spec.n_grid, spec.dealias_radius)
@@ -229,17 +254,18 @@ class SpectralField:
 
 class BallEnsemble:
     """N pair states supported on the mode ball ``|n| <= radius``, packed as
-    ``(N, n_ball)`` stacks in ``_ball_index`` order: the one ensemble layout
-    that every stepper, drift and chain reads and writes.  Radius ``inf``
-    holds every mode, in flat grid order.  :meth:`full` scatters to ``(N, n,
-    n)`` grids, for observables and snapshots."""
+    ``(..., N, n_ball)`` stacks in ``_ball_index`` order: the one ensemble
+    layout that every stepper, drift, chain and observable reads and writes.
+    Leading axes batch independent ensembles; ``len`` is N.  Radius ``inf``
+    holds every mode, in flat grid order.  :meth:`full` scatters to ``(...,
+    N, n, n)`` grids, for snapshots."""
 
     __slots__ = ("spec", "radius", "pos", "vel")
 
     def __init__(self, spec: GridSpec, radius: float, pos: np.ndarray, vel: np.ndarray):
         self.spec, self.radius, self.pos, self.vel = spec, float(radius), pos, vel
-        if pos.ndim != 2 or pos.shape != vel.shape or pos.shape[1] != self.index.size:
-            raise ValueError(f"need matching (N, {self.index.size}) stacks")
+        if pos.ndim < 2 or pos.shape != vel.shape or pos.shape[-1] != self.index.size:
+            raise ValueError(f"need matching (..., N, {self.index.size}) stacks")
 
     @property
     def index(self) -> np.ndarray:
@@ -251,10 +277,10 @@ class BallEnsemble:
         return cls(spec, radius, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
     def __len__(self) -> int:
-        return self.pos.shape[0]
+        return self.pos.shape[-2]
 
     def full(self) -> tuple:
-        """``(pos, vel)`` scattered to ``(N, n, n)`` coefficient grids, zero off the ball."""
+        """``(pos, vel)`` scattered to ``(..., N, n, n)`` coefficient grids, zero off the ball."""
         return _unpack(self.pos, self.spec, self.index), _unpack(self.vel, self.spec, self.index)
 
 
@@ -297,10 +323,16 @@ def _bracket_pow(n_grid: int, s: float) -> np.ndarray:
     return out
 
 
+def _sobolev_norms(packed: np.ndarray, n_grid: int, radius: float, s: float) -> np.ndarray:
+    """``H^s`` norms of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
+    ball, one per leading index."""
+    w = _bracket_pow(n_grid, float(s)).reshape(-1)[_ball_index(n_grid, float(radius))]
+    return np.sqrt(np.sum((w * np.abs(packed)) ** 2, axis=-1))
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """``H^s`` norm, ``(sum <n>^{2s} |fhat(n)|^2)^{1/2}`` with ``<n>^2 = 1 + |n|^2``."""
-    w = _bracket_pow(f.spec.n_grid, float(s))
-    return float(np.sqrt(np.sum((w * np.abs(f.coeffs)) ** 2)))
+    return float(_sobolev_norms(f.coeffs.reshape(-1), f.spec.n_grid, np.inf, s))
 
 
 def sup_sobolev_norm(f: SpectralField, s: float) -> float:

@@ -286,6 +286,17 @@ def test_exact_ball_guard_for_gibbs_commands(tmp_path, capsys):
     assert "n_grid" in err and "4*M" in err
 
 
+def test_a_config_the_command_rejects_leaves_no_manifest(tmp_path, capsys):
+    # both checks run inside the command, after the shared validation
+    cases = (("lln-decay", "alias"), ("commutator", "needs n_grid > 18"))
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 3\n")
+    for command, message in cases:
+        out = tmp_path / command
+        assert main([command, "--config", cfgp, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 def test_grid_below_four_points_is_rejected(tmp_path, capsys):
     cfgp = write_ini(tmp_path, "[grid]\nn_grid = 2\n")
     assert main(["renorm-table", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2

@@ -253,6 +253,17 @@ def test_difference_norms_rejects_mismatched_nodes():
         difference_norms(a, b, 0.8, 0)
 
 
+def test_difference_norms_rejects_states_on_different_balls():
+    # the packed difference needs one ball; the coupled runs keep both on M
+    spec = GridSpec(16, m=1.0)
+    wide = random_ensemble(spec, 2, seed=1, truncation=3.0)
+    narrow = ball_ensemble(spec, *wide.full(), 3.0)
+    other_grid = BallEnsemble.zeros(GridSpec(32, m=1.0), 3.0, 2)
+    for a, b in ((wide, narrow), (narrow, other_grid)):
+        with pytest.raises(ValueError, match="different balls"):
+            difference_norms(make_trajectory(spec, [a]), make_trajectory(spec, [b]), 0.8, 0)
+
+
 def test_difference_norms_rejects_non_finite_nodes():
     # max() against NaN would silently keep the running value
     spec = GridSpec(16, m=1.0)

@@ -1,18 +1,18 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sigma_wave import dynamics, gibbs, grid, noise
+from sigma_wave import cli, dynamics, gibbs, grid, noise
+from sigma_wave.diagnostics import difference_norms, energy_en, modified_energy
 from sigma_wave.dynamics import (
     BlowupError,
     _drift_tables,
     _ensemble_drift,
     _meanfield_drift,
     _renormalized_drift,
-    _to_coeffs,
-    _to_grid,
     HlsmState,
     MeanFieldState,
     hlsm_rhs,
@@ -25,8 +25,9 @@ from sigma_wave.dynamics import (
     step_meanfield,
     step_renormalized_wave,
 )
-from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _unpack,
-                             ball_mask, dealias_mask, hermitian_defect, random_field)
+from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _to_coeffs,
+                             _to_grid, _unpack, ball_mask, dealias_mask, hermitian_defect,
+                             random_field)
 from sigma_wave.noise import (
     NoiseKind,
     NoiseStream,
@@ -36,6 +37,7 @@ from sigma_wave.noise import (
 from sigma_wave.wick import hermite
 
 from oracles import ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference
+from test_bench_sites import count_real_ffts
 
 SPEC = GridSpec(16, 1.0)
 
@@ -443,23 +445,32 @@ def test_hlsm_component_and_meanfield_replica_share_their_convolution():
 
 
 def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
-    # every stepper, drift and chain runs on packed ball stacks; only the
-    # observables, snapshots and the MALA/invariance boundary scatter
+    # every stepper, drift, chain and observable runs on packed ball stacks
+    # through real FFTs; only snapshots and the MALA proposal scatter
     def scatter(*args, **kwargs):
-        raise AssertionError("a stepper scattered to a full grid")
+        raise AssertionError("a stepper or an observable scattered to a full grid")
 
-    for module in (grid, noise, dynamics, gibbs):
+    for module in (grid, noise, dynamics, gibbs, cli):
         monkeypatch.setattr(module, "_unpack", scatter, raising=False)
+    count_real_ffts(monkeypatch)
     for system in (HlsmState, MeanFieldState):
         for dealias in (True, False):
             state = system.stationary(SPEC, 2, table(1.0, 0.1, 2), 6, dealias)
             state = replace(state, v=random_ensemble(SPEC, 2, 7, radius=state.v.radius))
-            assert np.all(np.isfinite(step_hlsm(state, 0.1).v.pos))
+            state = step_hlsm(state, 0.1)
+            assert np.all(np.isfinite(state.v.pos))
+            assert all(np.isfinite(fn(state)) for fn in cli._run_observables(1.0).values())
     streams = tuple(NoiseStream(8, j, NoiseKind.DRIVE) for j in range(2))
     ens = random_ensemble(SPEC, 2, 9, truncation=2.0, radius=2.0)
-    step_renormalized_wave(ens, streams, 0, 0.1, 0.3)
+    moved = step_renormalized_wave(ens, streams, 0, 0.1, 0.3)
     step_linear_ensemble(ens, streams, 0, 0.1)
     pos = np.stack([ens.pos, ens.pos])
     gibbs.evolve_gibbs_samples(pos, pos, SPEC, 0.3, 2.0, 0.1, 1, 5)
     cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.3, 3, 0, thin=1)
     gibbs.coupled_gibbs_gaussian_pair(SPEC, cfg, 5)
+    traj = [SimpleNamespace(times=np.zeros(1), states=[e]) for e in (ens, moved)]
+    samples = gibbs.GibbsSamples(SPEC, 2, ens.index, pos, pos, 1.0, 1.0, np.zeros(1))
+    values = [energy_en(ens, 1.0), modified_energy(ens, 1.0, 0.5, 1.0),
+              *difference_norms(*traj, 0.9, 0), gibbs.gibbs_potential(ens, 0.3),
+              *gibbs._invariance_observables(samples, pos, 0.3).values()]
+    assert all(np.all(np.isfinite(v)) for v in values)

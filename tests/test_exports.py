@@ -1,12 +1,17 @@
 """Every exported name resolves, so a function deleted from a module but
-left in an ``__all__`` list fails here, not only at ``import *``."""
+left in an ``__all__`` list fails here, not only at ``import *``; and every
+module-level import is used, so a stale import fails here too."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import sigma_wave
+
+from test_bench_sites import load
 
 MODULES = [sigma_wave] + [importlib.import_module(f"sigma_wave.{info.name}")
                           for info in pkgutil.iter_modules(sigma_wave.__path__)]
@@ -17,3 +22,24 @@ def test_every_name_in_all_resolves(module):
     names = getattr(module, "__all__", [])
     assert len(names) == len(set(names)), "duplicate names in __all__"
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def unused_imports(module) -> set:
+    """Names bound by the module's top-level imports that its code never
+    reads and its ``__all__`` does not export."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read - set(getattr(module, "__all__", []))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_import_is_used_exported_or_traced(module):
+    # the benchmark traces some names where a module imports them
+    # (perfbench/tracer.py SITES); those imports stay even when unread
+    traced = {site.partition(":")[2].partition(".")[0]
+              for sites in load("tracer").SITES.values() for site in sites
+              if site.partition(":")[0] == module.__name__}
+    assert unused_imports(module) - traced == set()

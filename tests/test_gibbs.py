@@ -436,7 +436,7 @@ def test_sample_gibbs_matches_the_full_grid_mala_loop(interaction):
     samples = sample_gibbs(spec, cfg, root_seed=31)
     positions, series, accept_rate = full_grid_mala(spec, cfg, 31)
     assert 0.0 < accept_rate < 1.0
-    assert samples._full(samples.positions).tobytes() == positions.tobytes()
+    assert _unpack(samples.positions, spec, samples.mode_idx).tobytes() == positions.tobytes()
     assert samples.series.tobytes() == series.tobytes()
     assert samples.accept_rate == accept_rate
 

@@ -247,6 +247,11 @@ def test_ball_ensemble_round_trips_and_rejects_data_off_the_ball():
     again = ball_ensemble(spec, *back, radius)
     assert np.array_equal(again.pos, packed.pos) and np.array_equal(again.vel, packed.vel)
     assert np.all(BallEnsemble.zeros(spec, radius, 2).full()[0] == 0)
+    # a batch of ensembles keeps its component count and scatters per ensemble
+    batch = BallEnsemble(spec, radius, np.stack([packed.pos, packed.vel]),
+                         np.stack([packed.vel, packed.pos]))
+    assert len(batch) == 3
+    assert np.array_equal(batch.full()[0], np.stack(back)) and len(batch.full()[1]) == 2
     # every mode: radius inf packs the flat grid
     assert np.array_equal(ball_ensemble(spec, pos, vel).pos, pos.reshape(3, -1))
     # a stack packed on the 3-ball holds data off the 2-ball
