@@ -12,10 +12,10 @@ PARENT and CHANGE are the roots of two checkouts.  Each runs, with its own
 
 Each run has its own temporary working directory and writes to the same
 relative output directory, so the manifests compare equal too.  Every file
-whose bytes differ is listed, with the largest relative difference between
-the numbers of a CSV, and so is every file present on one side only and
-every run that fails.  Exits 1 when anything differs, else 0.  Standard
-library only.
+whose bytes differ is listed, with the largest difference between the
+numbers of a CSV relative to the largest magnitude in their column, and so
+is every file present on one side only and every run that fails.  Exits 1
+when anything differs, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -57,23 +58,28 @@ def _numbers(path: Path) -> list:
 
 
 def csv_difference(a: Path, b: Path) -> float:
-    """Largest relative difference between the cells of two CSV files; inf
-    when their shapes or non-numeric cells differ."""
+    """Largest difference between the cells of two CSV files, each relative
+    to the largest magnitude in its column across both files, so a cell that
+    cancels to near zero does not inflate a rounding change; inf when their
+    shapes or non-numeric cells differ, or a number turns non-finite."""
     rows_a, rows_b = _numbers(a), _numbers(b)
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return float("inf")
-    worst = 0.0
+    scale, diffs = {}, []
     for row_a, row_b in zip(rows_a, rows_b):
-        for x, y in zip(row_a, row_b):
-            if x == y:
-                continue
+        for col, (x, y) in enumerate(zip(row_a, row_b)):
             try:
                 fx, fy = float(x), float(y)
             except ValueError:
+                if x == y:
+                    continue
                 return float("inf")
-            scale = max(abs(fx), abs(fy))
-            worst = max(worst, abs(fx - fy) / scale if scale > 0 else 0.0)
-    return worst
+            scale[col] = max(scale.get(col, 0.0), abs(fx), abs(fy))
+            if x != y:
+                if not math.isfinite(fx - fy):
+                    return float("inf")
+                diffs.append((col, abs(fx - fy)))
+    return max((d / scale[col] for col, d in diffs if scale[col] > 0), default=0.0)
 
 
 def compare(label: str, dir_a: Path, dir_b: Path) -> list:

@@ -5,13 +5,11 @@ invariant Gibbs dynamics."""
 __version__ = "0.1.0"
 
 from .grid import (BallEnsemble, GridSpec, SpectralField, apply_i_operator, ball_mask,
-                   dealias_mask, load_field, project, random_field, rms, save_field,
-                   sobolev_norm, sup_sobolev_norm)
+                   load_field, project, random_field, rms, save_field, sobolev_norm)
 from .propagator import duhamel_weights, etd2_step, flow_entries
 from .noise import (NoiseKind, NoiseStream, RenormConstants, alpha_m, sigma_m,
                     stationary_ensemble, transition_covariance)
-from .wick import (WickContext, hermite, wick_cube, wick_pair, wick_quartic,
-                   wick_square, wick_triple)
+from .wick import hermite
 from .dynamics import (BlowupError, HlsmState, MeanFieldState, TrajectoryRecord,
                        renormalized_drift, run_trajectory,
                        step_deterministic_meanfield, step_deterministic_nlw,
@@ -29,16 +27,15 @@ __all__ = [
     "__version__",
     # grid
     "GridSpec", "SpectralField", "BallEnsemble", "project",
-    "apply_i_operator", "ball_mask", "dealias_mask", "random_field", "rms",
-    "sobolev_norm", "sup_sobolev_norm", "save_field", "load_field",
+    "apply_i_operator", "ball_mask", "random_field", "rms",
+    "sobolev_norm", "save_field", "load_field",
     # propagator
     "flow_entries", "duhamel_weights", "etd2_step",
     # noise
     "NoiseKind", "NoiseStream", "alpha_m", "sigma_m", "RenormConstants",
     "transition_covariance", "stationary_ensemble",
     # wick
-    "WickContext", "hermite", "wick_pair", "wick_triple", "wick_square",
-    "wick_cube", "wick_quartic",
+    "hermite",
     # dynamics
     "HlsmState", "MeanFieldState", "TrajectoryRecord", "BlowupError",
     "run_trajectory", "step_hlsm", "step_meanfield", "renormalized_drift",

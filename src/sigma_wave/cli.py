@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (_LLN_KINDS, _mean_row, commutator_defect, difference_norms,
                           energy_en, fit_rate, lln_estimator, write_csv)
-from .dynamics import (HlsmState, MeanFieldState, _kick_pair, run_trajectory,
+from .dynamics import (BlowupError, HlsmState, MeanFieldState, _kick_pair, run_trajectory,
                        step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
@@ -200,6 +200,8 @@ def _ensemble_from_files(spec: GridSpec, n: int, directory: str, radius: float) 
             if field.spec.n_grid != spec.n_grid:
                 raise ConfigError(f"{path}: snapshot grid {field.spec.n_grid} != "
                                   f"configured {spec.n_grid}")
+            if not np.all(np.isfinite(field.coeffs)):
+                raise ConfigError(f"{path}: non-finite coefficients")
             if hermitian_defect(field) > 1e-12 * np.max(np.abs(field.coeffs)):
                 raise ConfigError(f"{path}: coefficients are not the spectrum of a real field")
             if np.any(field.coeffs[off_ball]):
@@ -227,36 +229,21 @@ def _write_fit(path: Path, rows) -> str:
 
 
 def _run_observables(m: float):
-    """The trajectory columns, all on packed stacks.  Each recording node
-    builds the combined ensemble once for the two columns that read it; the
-    energy column, the last, lets it go, so nothing is held while the run
-    steps."""
-    node = {}
+    """The ``observe`` hook of a trajectory: every column of one recording
+    node, read from packed stacks and the combined ensemble u = psi + v,
+    which is built once per node and let go when the row is made."""
+    def observe(state) -> dict:
+        u = state.combined()
+        n_grid, radius = u.spec.n_grid, u.radius
+        ug = _to_grid(u.pos[0], n_grid, radius)
+        return {
+            "v_h1": float(rms(_sobolev_norms(state.v.pos, n_grid, radius, 1.0))),
+            "vdot_l2": float(rms(_sobolev_norms(state.v.vel, n_grid, radius, 0.0))),
+            "u1_wick_int": float(np.mean(ug * ug) - state.renorm.sigma_at(state.step)),
+            "energy_en": energy_en(u, m),
+        }
 
-    def combined(state):
-        if node.get("state") is not state:
-            node.update(state=state, u=state.combined())
-        return node["u"]
-
-    def energy(state):
-        u = combined(state)
-        node.clear()
-        return energy_en(u, m)
-
-    def u1_wick_int(state):
-        u = combined(state)
-        ug = _to_grid(u.pos[0], u.spec.n_grid, u.radius)
-        return float(np.mean(ug * ug) - state.renorm.sigma_at(state.step))
-
-    def norms(state, stack, s):
-        return float(rms(_sobolev_norms(stack, state.v.spec.n_grid, state.v.radius, s)))
-
-    return {
-        "v_h1": lambda st: norms(st, st.v.pos, 1.0),
-        "vdot_l2": lambda st: norms(st, st.v.vel, 0.0),
-        "u1_wick_int": u1_wick_int,
-        "energy_en": energy,
-    }
+    return observe
 
 
 def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
@@ -281,7 +268,7 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     if d["data"] == "file":
         state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"], state.v.radius))
     record = run_trajectory(state, d["dt"], n_steps, stride,
-                            observables=_run_observables(g["m"]),
+                            observe=_run_observables(g["m"]),
                             keep_states="fields" in cfg["output"]["formats"])
     record.to_csv(out_dir / "trajectory.csv")
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(record.times)} nodes)")
@@ -507,7 +494,7 @@ def main(argv=None) -> int:
         COMMANDS[args.command][0](cfg, out_dir, threads)
         # after the command, so a config it rejects leaves no manifest behind
         write_manifest(out_dir, args.command, cfg)
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, BlowupError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

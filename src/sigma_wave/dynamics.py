@@ -51,7 +51,6 @@ __all__ = [
     "TrajectoryRecord",
     "hlsm_rhs",
     "step_hlsm",
-    "meanfield_rhs",
     "step_meanfield",
     "step_linear_ensemble",
     "renormalized_drift",
@@ -209,13 +208,10 @@ class MeanFieldState(_ResidualState):
 
 
 def hlsm_rhs(state: _ResidualState) -> np.ndarray:
-    """Drift of a residual system, packed on the ball of ``v``;
-    ``meanfield_rhs`` is the same function."""
+    """Drift of either residual system (``HlsmState`` or ``MeanFieldState``),
+    packed on the ball of ``v``."""
     c = state.renorm.sigma_at(state.step)
     return state.drift(state.v.pos, state.psi, c, state.v.radius)
-
-
-meanfield_rhs = hlsm_rhs
 
 
 def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
@@ -353,9 +349,6 @@ class TrajectoryRecord:
     series: dict
     states: list
 
-    def running_max(self, name: str) -> float:
-        return float(np.max(self.series[name]))
-
     def to_csv(self, path) -> None:
         names = list(self.series)
         with open(path, "w") as fh:
@@ -366,30 +359,32 @@ class TrajectoryRecord:
 
 
 def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
-                   observables: dict | None = None,
-                   keep_states: bool = False) -> TrajectoryRecord:
+                   observe=None, keep_states: bool = False) -> TrajectoryRecord:
     """Integrate an HLSM or mean-field state, recording every ``stride`` steps.
 
-    Observables map names to functions of the state.  Non-finite fields at a
-    recording node raise :class:`BlowupError`; nothing is clipped.
+    ``observe(state)`` returns the named values of one recording node, the
+    same names at every node; they become the series.  Non-finite fields at
+    a recording node, the start included, raise :class:`BlowupError`;
+    nothing is clipped.
     """
     if n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide n_steps {n_steps}")
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
-    observables = observables or {}
-    times = [state.time]
-    series = {k: [fn(state)] for k, fn in observables.items()}
-    states = [state] if keep_states else []
+    times, rows, states = [], [], []
+
+    def record(state) -> None:
+        if not (np.all(np.isfinite(state.v.pos)) and np.all(np.isfinite(state.v.vel))):
+            raise BlowupError(state.time)
+        times.append(state.time)
+        rows.append(observe(state) if observe else {})
+        if keep_states:
+            states.append(state)
+
+    record(state)
     for k in range(n_steps):
         state = step_hlsm(state, dt)
         if (k + 1) % stride == 0:
-            if not (np.all(np.isfinite(state.v.pos)) and np.all(np.isfinite(state.v.vel))):
-                raise BlowupError(state.time)
-            times.append(state.time)
-            for name, fn in observables.items():
-                series[name].append(fn(state))
-            if keep_states:
-                states.append(state)
-    return TrajectoryRecord(np.asarray(times),
-                            {k: np.asarray(v) for k, v in series.items()}, states)
+            record(state)
+    series = {name: np.asarray([row[name] for row in rows]) for name in rows[0]}
+    return TrajectoryRecord(np.asarray(times), series, states)

@@ -19,7 +19,8 @@ integer modes.  Conventions, fixed once here:
   move such stacks to grid values and back through real FFTs on the half
   spectrum; steppers, drifts, chains and observables all read them so.  Full
   ``(n, n)`` coefficient grids remain only for snapshots
-  (:meth:`BallEnsemble.full`, :class:`SpectralField`) and the MALA proposal.
+  (:meth:`BallEnsemble.full`, :class:`SpectralField`), the commutator
+  experiment (:class:`SpectralField`) and the MALA proposal.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ __all__ = [
     "SpectralField",
     "BallEnsemble",
     "ball_mask",
-    "dealias_mask",
     "project",
     "apply_i_operator",
     "sobolev_norm",
-    "sup_sobolev_norm",
     "rms",
     "hermitian_defect",
     "hermitian_symmetrize",
@@ -191,17 +190,13 @@ def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def dealias_mask(spec: GridSpec) -> np.ndarray:
-    """Mask for the 2/3-rule mode set, ``|n| <= (2/3) * nyquist``."""
-    return _ball_mask(spec.n_grid, spec.dealias_radius)
-
-
 class SpectralField:
-    """A real scalar field stored through its Fourier coefficients.
+    """A real scalar field stored through its full ``(n, n)`` Fourier
+    coefficients: the snapshot format and the commutator's fields.
 
-    The coefficient array is owned by the instance; arithmetic returns new
-    fields.  Realness of the represented field is a property of the data
-    (Hermitian symmetry), checked on demand via :func:`hermitian_defect`.
+    The coefficient array is owned by the instance unless ``copy=False``.
+    Realness of the represented field is a property of the data (Hermitian
+    symmetry), checked on demand via :func:`hermitian_defect`.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -227,29 +222,6 @@ class SpectralField:
     def to_grid(self) -> np.ndarray:
         """Collocation values; the imaginary residual is dropped."""
         return np.fft.ifft2(self.coeffs, norm="forward").real
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.spec, self.coeffs)
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check(other)
-        return SpectralField(self.spec, self.coeffs + other.coeffs, copy=False)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check(other)
-        return SpectralField(self.spec, self.coeffs - other.coeffs, copy=False)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.spec, self.coeffs * scalar, copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.spec, -self.coeffs, copy=False)
-
-    def _check(self, other: "SpectralField") -> None:
-        if other.spec != self.spec:
-            raise ValueError(f"mismatched grid specs: {self.spec} vs {other.spec}")
 
 
 class BallEnsemble:
@@ -290,12 +262,6 @@ def project(f: SpectralField, truncation: float) -> SpectralField:
     return SpectralField(f.spec, out, copy=False)
 
 
-def project_perp(f: SpectralField, truncation: float) -> SpectralField:
-    """Complement of :func:`project`: keeps ``|n| > truncation`` only."""
-    out = np.where(ball_mask(f.spec, truncation), 0.0, f.coeffs)
-    return SpectralField(f.spec, out, copy=False)
-
-
 @lru_cache(maxsize=256)
 def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
     if not 0.0 < s <= 1.0:
@@ -333,17 +299,6 @@ def _sobolev_norms(packed: np.ndarray, n_grid: int, radius: float, s: float) -> 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """``H^s`` norm, ``(sum <n>^{2s} |fhat(n)|^2)^{1/2}`` with ``<n>^2 = 1 + |n|^2``."""
     return float(_sobolev_norms(f.coeffs.reshape(-1), f.spec.n_grid, np.inf, s))
-
-
-def sup_sobolev_norm(f: SpectralField, s: float) -> float:
-    """``W^{s,inf}`` proxy: sup over collocation points of ``<grad>^s f``.
-
-    For negative ``s`` this is the low-regularity sup norm used to measure
-    Wick products and their empirical averages.
-    """
-    w = _bracket_pow(f.spec.n_grid, float(s))
-    smoothed = np.fft.ifft2(w * f.coeffs, norm="forward").real
-    return float(np.max(np.abs(smoothed)))
 
 
 def rms(values) -> float:

@@ -1,10 +1,11 @@
-"""Hermite polynomials with a variance parameter and pointwise Wick products.
+"""Hermite polynomials with a variance parameter (pointwise Wick powers).
 
-A Wick product subtracts from a polynomial of a Gaussian field exactly the
+A Wick power subtracts from a power of a Gaussian field exactly the
 contractions that would make its expectation blow up as the truncation is
-removed.  On the grid this is pointwise: project to the mode ball, evaluate
-the Hermite polynomial with the matching variance parameter at every grid
-point, transform back.  The variance parameter is ``sigma_m(t)`` for fields
+removed.  On the grid this is pointwise: the Gibbs potential evaluates
+:func:`hermite` with the matching variance parameter at the grid values of
+packed stacks, and the drifts and estimators write the same polynomials out
+in factored form.  The variance parameter is ``sigma_m(t)`` for fields
 produced by the running convolution and ``alpha_m`` for equilibrium fields;
 picking the wrong one leaves an O(1) bias that the mean-zero tests catch.
 
@@ -15,33 +16,7 @@ below Monte Carlo resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .grid import SpectralField, project
-
-__all__ = [
-    "WickContext",
-    "hermite",
-    "wick_pair",
-    "wick_triple",
-    "wick_square",
-    "wick_cube",
-    "wick_quartic",
-]
-
-
-@dataclass(frozen=True)
-class WickContext:
-    """Variance parameter and mode-ball truncation shared by a family of products."""
-
-    c: float
-    truncation: float
-
-    def __post_init__(self) -> None:
-        if self.c < 0:
-            raise ValueError(f"variance parameter must be >= 0, got {self.c}")
+__all__ = ["hermite"]
 
 
 def hermite(k: int, x, c):
@@ -58,45 +33,3 @@ def hermite(k: int, x, c):
         x2 = x * x
         return x2 * (x2 - 6.0 * c) + 3.0 * c * c
     raise ValueError(f"hermite degree must be in 0..4, got {k}")
-
-
-def _grid(f: SpectralField, truncation: float) -> np.ndarray:
-    return project(f, truncation).to_grid()
-
-
-def wick_pair(psi_k: SpectralField, psi_j: SpectralField, ctx: WickContext,
-              same_component: bool) -> SpectralField:
-    """Renormalized product of two convolution components.
-
-    The contraction E[psi psi] = c only arises within one component, so the
-    cross term is the plain product.
-    """
-    spec = psi_j.spec
-    if same_component:
-        out = hermite(2, _grid(psi_j, ctx.truncation), ctx.c)
-    else:
-        out = _grid(psi_k, ctx.truncation) * _grid(psi_j, ctx.truncation)
-    return SpectralField.from_grid(spec, out)
-
-
-def wick_triple(psi_k: SpectralField, psi_j: SpectralField, ctx: WickContext,
-                same_component: bool) -> SpectralField:
-    """Renormalized psi_k^2 psi_j: H_3 within a component, H_2 * psi across."""
-    spec = psi_j.spec
-    if same_component:
-        out = hermite(3, _grid(psi_j, ctx.truncation), ctx.c)
-    else:
-        out = hermite(2, _grid(psi_k, ctx.truncation), ctx.c) * _grid(psi_j, ctx.truncation)
-    return SpectralField.from_grid(spec, out)
-
-
-def wick_square(u: SpectralField, c: float) -> SpectralField:
-    return SpectralField.from_grid(u.spec, hermite(2, u.to_grid(), c))
-
-
-def wick_cube(u: SpectralField, c: float) -> SpectralField:
-    return SpectralField.from_grid(u.spec, hermite(3, u.to_grid(), c))
-
-
-def wick_quartic(u: SpectralField, c: float) -> SpectralField:
-    return SpectralField.from_grid(u.spec, hermite(4, u.to_grid(), c))

@@ -4,10 +4,13 @@ never runs them."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from sigma_wave.dynamics import HlsmState
-from sigma_wave.grid import BallEnsemble, GridSpec, _ball_index, ball_mask
+from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _bracket_pow,
+                             ball_mask, project)
 from sigma_wave.noise import _half_lattice
 from sigma_wave.wick import hermite
 
@@ -104,3 +107,56 @@ def sample_profile_full_grid(gen, spec: GridSpec, radius: float, profile: np.nda
     out[minus] = np.conj(out[plus])
     out[self_idx] = np.sqrt(p[self_idx]) * zs
     return out.reshape(spec.shape())
+
+
+@dataclass(frozen=True)
+class WickContext:
+    """Variance parameter and mode-ball truncation shared by a family of products."""
+
+    c: float
+    truncation: float
+
+    def __post_init__(self) -> None:
+        if self.c < 0:
+            raise ValueError(f"variance parameter must be >= 0, got {self.c}")
+
+
+def _grid(f: SpectralField, truncation: float) -> np.ndarray:
+    return project(f, truncation).to_grid()
+
+
+def wick_pair(psi_k: SpectralField, psi_j: SpectralField, ctx: WickContext,
+              same_component: bool) -> SpectralField:
+    """Renormalized product of two convolution components.
+
+    The contraction E[psi psi] = c only arises within one component, so the
+    cross term is the plain product.
+    """
+    spec = psi_j.spec
+    if same_component:
+        out = hermite(2, _grid(psi_j, ctx.truncation), ctx.c)
+    else:
+        out = _grid(psi_k, ctx.truncation) * _grid(psi_j, ctx.truncation)
+    return SpectralField.from_grid(spec, out)
+
+
+def wick_triple(psi_k: SpectralField, psi_j: SpectralField, ctx: WickContext,
+                same_component: bool) -> SpectralField:
+    """Renormalized psi_k^2 psi_j: H_3 within a component, H_2 * psi across."""
+    spec = psi_j.spec
+    if same_component:
+        out = hermite(3, _grid(psi_j, ctx.truncation), ctx.c)
+    else:
+        out = hermite(2, _grid(psi_k, ctx.truncation), ctx.c) * _grid(psi_j, ctx.truncation)
+    return SpectralField.from_grid(spec, out)
+
+
+def sup_sobolev_norm(f: SpectralField, s: float) -> float:
+    """``W^{s,inf}`` proxy: sup over collocation points of ``<grad>^s f``.
+
+    For negative ``s`` this is the low-regularity sup norm used to measure
+    Wick products and their empirical averages.
+    """
+    w = _bracket_pow(f.spec.n_grid, float(s))
+    smoothed = np.fft.ifft2(w * f.coeffs, norm="forward").real
+    return float(np.max(np.abs(smoothed)))

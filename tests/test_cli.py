@@ -269,6 +269,46 @@ def test_file_data_off_the_dealias_ball_is_rejected(tmp_path, capsys):
     assert main(["simulate-hlsm", "--config", write_ini(tmp_path, text, name="wide.ini")]) == 0
 
 
+def file_data_run(tmp_path, edit):
+    """A simulate-hlsm run started from the snapshots of a first run, after
+    ``edit(coeffs)`` changed the position of component 0: its exit code and
+    output directory."""
+    src = tmp_path / "src"
+    cfgp = write_ini(tmp_path, SMALL.format(out=src) + "formats = csv,fields\n")
+    assert main(["simulate-hlsm", "--config", cfgp]) == 0
+    field = load_field(src / "field_u000.sgwv", 1.0)
+    edit(field.coeffs)
+    save_field(field, src / "field_u000.sgwv")
+    text = SMALL.format(out=tmp_path / "next").replace(
+        "stride = 2", f"stride = 2\ndata = file\ndata_file = {src}")
+    code = main(["simulate-hlsm", "--config", write_ini(tmp_path, text, name="next.ini")])
+    return code, tmp_path / "next"
+
+
+def test_file_data_that_is_not_finite_is_rejected(tmp_path, capsys):
+    def put_nan(coeffs):
+        coeffs[0, 0] = np.nan
+
+    code, out = file_data_run(tmp_path, put_nan)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "field_u000.sgwv" in err and "non-finite" in err
+    assert not (out / "trajectory.csv").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_run_that_blows_up_is_an_error_without_a_manifest(tmp_path, capsys):
+    def inflate(coeffs):
+        coeffs *= 1e200
+
+    code, out = file_data_run(tmp_path, inflate)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: non-finite field values at t = ")
+    assert not (out / "trajectory.csv").exists() and not (out / "manifest.json").exists()
+
+
 def test_file_data_requires_path_and_snapshots(tmp_path, capsys):
     cfgp = write_ini(tmp_path, "[dynamics]\ndata = file\n")
     assert main(["simulate-hlsm", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
@@ -278,10 +318,11 @@ def test_file_data_requires_path_and_snapshots(tmp_path, capsys):
     assert "missing snapshots" in capsys.readouterr().err
 
 
-def test_exact_ball_guard_for_gibbs_commands(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["convergence-rate", "invariance-check", "sample-gibbs"])
+def test_exact_ball_guard_for_gibbs_commands(tmp_path, capsys, command):
     cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 4\n"
                                "[gibbs]\nchain = 20\nburnin = 5\n")
-    assert main(["sample-gibbs", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "n_grid" in err and "4*M" in err
 

@@ -24,11 +24,9 @@ from sigma_wave.grid import (
     SpectralField,
     _bracket_pow,
     random_field,
-    sup_sobolev_norm,
 )
-from sigma_wave.wick import WickContext, wick_pair, wick_triple
 
-from oracles import ball_ensemble
+from oracles import WickContext, ball_ensemble, sup_sobolev_norm, wick_pair, wick_triple
 
 
 def random_ensemble(spec, n, seed, amplitude=0.5, truncation=None, decay=2.0, radius=np.inf):

@@ -16,7 +16,6 @@ from sigma_wave.dynamics import (
     HlsmState,
     MeanFieldState,
     hlsm_rhs,
-    meanfield_rhs,
     renormalized_drift,
     run_trajectory,
     step_deterministic_nlw,
@@ -26,7 +25,7 @@ from sigma_wave.dynamics import (
     step_renormalized_wave,
 )
 from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _to_coeffs,
-                             _to_grid, _unpack, ball_mask, dealias_mask, hermitian_defect,
+                             _to_grid, _unpack, ball_mask, hermitian_defect,
                              random_field)
 from sigma_wave.noise import (
     NoiseKind,
@@ -153,7 +152,7 @@ def test_meanfield_rhs_antisymmetric_pair():
     v = ball_ensemble(SPEC, np.stack([v1, -v1]), radius=base.v.radius)
     psi = ball_ensemble(SPEC, np.stack([p1, -p1]), radius=4.0)
     state = MeanFieldState(v, psi, base.streams, 0.0, 0, renorm)
-    rhs = meanfield_rhs(state)
+    rhs = hlsm_rhs(state)
     assert np.max(np.abs(rhs[0] + rhs[1])) <= 1e-13
 
 
@@ -177,9 +176,9 @@ def test_permutation_equivariance():
 def test_dealias_output_has_no_high_modes():
     state = hlsm_state(2, seed=33, dealias=True)
     out = step_hlsm(state, 0.1)
-    assert out.v.pos.shape == (2, int(np.sum(dealias_mask(SPEC))))
+    high = ~ball_mask(SPEC, SPEC.dealias_radius)
+    assert out.v.pos.shape == (2, int(np.sum(~high)))
     pos, vel = out.v.full()
-    high = ~dealias_mask(SPEC)
     assert np.all(pos[:, high] == 0)
     assert np.all(vel[:, high] == 0)
 
@@ -398,17 +397,17 @@ def test_renormalized_wave_second_order_in_dt():
 
 
 def test_run_trajectory_records_and_reproduces():
-    def observable(state):
-        return float(np.sum(np.abs(state.v.pos) ** 2))
+    def observe(state):
+        return {"v_sq": float(np.sum(np.abs(state.v.pos) ** 2))}
 
     def make():
         return hlsm_state(2, seed=90, dt=0.1, n_steps=8)
 
-    rec1 = run_trajectory(make(), 0.1, 8, stride=2, observables={"v_sq": observable})
-    rec2 = run_trajectory(make(), 0.1, 8, stride=2, observables={"v_sq": observable})
+    rec1 = run_trajectory(make(), 0.1, 8, stride=2, observe=observe)
+    rec2 = run_trajectory(make(), 0.1, 8, stride=2, observe=observe)
     assert len(rec1.times) == 5
     assert np.array_equal(rec1.series["v_sq"], rec2.series["v_sq"])
-    zero_len = run_trajectory(make(), 0.1, 0, observables={"v_sq": observable})
+    zero_len = run_trajectory(make(), 0.1, 0, observe=observe)
     assert len(zero_len.times) == 1
     with pytest.raises(ValueError):
         run_trajectory(make(), 0.1, 7, stride=2)
@@ -423,12 +422,23 @@ def test_run_trajectory_detects_blowup(tmp_path):
     with pytest.raises(BlowupError):
         run_trajectory(state, 0.1, 4)
     rec = run_trajectory(hlsm_state(2, seed=92, dt=0.1, n_steps=8), 0.1, 4,
-                         observables={"one": lambda s: 1.0})
+                         observe=lambda s: {"one": 1.0})
     out = tmp_path / "traj.csv"
     rec.to_csv(out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,one"
     assert len(lines) == 6
+
+
+def test_blowup_reports_a_start_node_that_is_not_finite():
+    # the first bad recording node is the start, not the first one after a step
+    state = hlsm_state(2, seed=93, dt=0.1, n_steps=8)
+    pos = state.v.pos.copy()
+    pos[0, 0] = np.nan
+    state = replace(state, v=BallEnsemble(SPEC, state.v.radius, pos, state.v.vel))
+    with pytest.raises(BlowupError) as err:
+        run_trajectory(state, 0.1, 4, stride=2)
+    assert err.value.time == 0.0
 
 
 def test_hlsm_component_and_meanfield_replica_share_their_convolution():
@@ -459,7 +469,7 @@ def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
             state = replace(state, v=random_ensemble(SPEC, 2, 7, radius=state.v.radius))
             state = step_hlsm(state, 0.1)
             assert np.all(np.isfinite(state.v.pos))
-            assert all(np.isfinite(fn(state)) for fn in cli._run_observables(1.0).values())
+            assert all(np.isfinite(v) for v in cli._run_observables(1.0)(state).values())
     streams = tuple(NoiseStream(8, j, NoiseKind.DRIVE) for j in range(2))
     ens = random_ensemble(SPEC, 2, 9, truncation=2.0, radius=2.0)
     moved = step_renormalized_wave(ens, streams, 0, 0.1, 0.3)

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 CLI = '''import argparse, configparser
@@ -80,6 +82,21 @@ def test_a_changed_csv_is_listed_with_its_relative_difference(tmp_path, capsys):
             "largest relative difference 2e-06") in out
     assert "workload/tiny/table.csv: bytes differ" in out
     assert "manifest.json" not in out
+
+
+def test_a_cell_difference_is_relative_to_its_column(tmp_path):
+    # a cell that cancels to near zero is measured against its column's
+    # largest magnitude, so one rounding of a large term stays small
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("t,w\n0,0.5\n0.1,0.000454\n")
+    b.write_text("t,w\n0,0.5\n0.1,0.00045400000000001\n")
+    csv_difference = load_script().csv_difference
+    assert csv_difference(a, b) == pytest.approx(1e-17 / 0.5, rel=1e-3)
+    assert csv_difference(a, a) == 0.0
+    b.write_text("t,w\n0,0.5\n0.1,nan\n")
+    assert csv_difference(a, b) == float("inf")
+    b.write_text("t,w\n0,0.5\n")
+    assert csv_difference(a, b) == float("inf")
 
 
 def test_the_script_runs_the_criterion_11_config():

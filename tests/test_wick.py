@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigma_wave.dynamics import step_linear_ensemble
-from sigma_wave.grid import BallEnsemble, GridSpec, SpectralField, hermitian_defect
+from sigma_wave.grid import BallEnsemble, GridSpec, _to_grid
 from sigma_wave.noise import (
     NoiseKind,
     NoiseStream,
@@ -14,15 +14,7 @@ from sigma_wave.noise import (
     sigma_m,
     stationary_ensemble,
 )
-from sigma_wave.wick import (
-    WickContext,
-    hermite,
-    wick_cube,
-    wick_pair,
-    wick_quartic,
-    wick_square,
-    wick_triple,
-)
+from sigma_wave.wick import hermite
 
 SPEC = GridSpec(32, 1.0)
 M = 8
@@ -56,49 +48,30 @@ def test_hermite_recurrence(x, c, k):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
-def test_wick_pair_constant_field_cancels():
-    c = 0.37
-    grid = np.full(SPEC.shape(), np.sqrt(c))
-    psi = SpectralField.from_grid(SPEC, grid)
-    ctx = WickContext(c, M)
-    out = wick_pair(psi, psi, ctx, same_component=True)
-    assert np.max(np.abs(out.coeffs)) <= 1e-14
-
-
-def test_wick_triple_of_zero_is_zero():
-    psi = SpectralField.zeros(SPEC)
-    out = wick_triple(psi, psi, WickContext(0.5, M), same_component=True)
-    assert np.max(np.abs(out.coeffs)) == 0.0
-
-
 def convolution_samples(draws, t=1.0, dt=0.5):
-    """Stochastic convolutions of components 0, ..., draws - 1 at time t, from rest."""
+    """Grid values of the stochastic convolutions of components 0, ...,
+    draws - 1 at time t, from rest, packed on the M ball."""
     streams = [NoiseStream(2024, k, NoiseKind.DRIVE) for k in range(draws)]
     ens = BallEnsemble.zeros(SPEC, M, draws)
     for step in range(int(round(t / dt))):
         ens = step_linear_ensemble(ens, streams, step, dt)
-    return [SpectralField(SPEC, c, copy=False) for c in ens.full()[0]]
+    return _to_grid(ens.pos, SPEC.n_grid, ens.radius)
 
 
-def spatial_mean(f: SpectralField) -> float:
-    return float(f.coeffs[0, 0].real)
+def spatial_mean(values: np.ndarray) -> np.ndarray:
+    return np.mean(values, axis=(-2, -1))
 
 
 def test_wick_pair_and_triple_mc_means_vanish():
     t = 1.0
-    ctx = WickContext(sigma_m(t, 1.0, M), M)
+    c = sigma_m(t, 1.0, M)
     draws = 400
-    same_pair = np.empty(draws)
-    cross_pair = np.empty(draws)
-    same_triple = np.empty(draws)
-    cross_triple = np.empty(draws)
     fields = convolution_samples(2 * draws)
-    for k in range(draws):
-        a, b = fields[2 * k], fields[2 * k + 1]
-        same_pair[k] = spatial_mean(wick_pair(a, a, ctx, same_component=True))
-        cross_pair[k] = spatial_mean(wick_pair(a, b, ctx, same_component=False))
-        same_triple[k] = spatial_mean(wick_triple(a, a, ctx, same_component=True))
-        cross_triple[k] = spatial_mean(wick_triple(a, b, ctx, same_component=False))
+    a, b = fields[0::2], fields[1::2]
+    same_pair = spatial_mean(hermite(2, a, c))
+    cross_pair = spatial_mean(a * b)
+    same_triple = spatial_mean(hermite(3, a, c))
+    cross_triple = spatial_mean(hermite(2, a, c) * b)
     for vals in (same_pair, cross_pair, same_triple, cross_triple):
         tol = 4.0 * np.std(vals) / np.sqrt(draws)
         assert np.mean(vals) == pytest.approx(0.0, abs=tol)
@@ -107,11 +80,8 @@ def test_wick_pair_and_triple_mc_means_vanish():
 def test_wick_square_of_equilibrium_sample_is_centered():
     alpha = alpha_m(1.0, M)
     draws = 400
-    pos = stationary_ensemble(SPEC, M, 77, draws).full()[0]
-    vals = np.empty(draws)
-    for k in range(draws):
-        u = SpectralField(SPEC, pos[k], copy=False)
-        vals[k] = spatial_mean(wick_square(u, alpha))
+    ens = stationary_ensemble(SPEC, M, 77, draws)
+    vals = spatial_mean(hermite(2, _to_grid(ens.pos, SPEC.n_grid, ens.radius), alpha))
     assert np.mean(vals) == pytest.approx(0.0, abs=4.0 * np.std(vals) / np.sqrt(draws))
 
 
@@ -127,15 +97,6 @@ def test_chaos_orthogonality_of_independent_squares():
     assert cov == pytest.approx(0.0, abs=4.0 * se)
 
 
-def test_wick_quartic_of_zero_field():
-    c = 0.9
-    out = wick_quartic(SpectralField.zeros(SPEC), c)
-    assert out.coeffs[0, 0] == pytest.approx(3.0 * c * c, rel=1e-14)
-    rest = out.coeffs.copy()
-    rest[0, 0] = 0.0
-    assert np.max(np.abs(rest)) <= 1e-14
-
-
 def test_wick_cube_homogeneity():
     gen = np.random.Generator(np.random.Philox(5))
     grid = gen.standard_normal(SPEC.shape())
@@ -143,14 +104,3 @@ def test_wick_cube_homogeneity():
     lhs = hermite(3, lam * grid, lam * lam * c)
     rhs = lam**3 * hermite(3, grid, c)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-
-def test_wick_output_is_hermitian():
-    a, b = convolution_samples(2)
-    ctx = WickContext(sigma_m(1.0, 1.0, M), M)
-    for out in (
-        wick_triple(a, b, ctx, same_component=False),
-        wick_pair(a, a, ctx, same_component=True),
-        wick_cube(a, alpha_m(1.0, M)),
-    ):
-        assert hermitian_defect(out) <= 1e-13
