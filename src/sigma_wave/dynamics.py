@@ -25,9 +25,11 @@ Every system steps packed ``(..., N, n_ball)`` stacks (``grid.BallEnsemble``)
 with packed kicks: psi and the free ensemble on their noise ball, the
 residual ``v`` on the 2/3-rule ball (every mode without dealiasing), the
 interacting waves on their truncation ball.  The ball a stack carries is the
-ball its drift reads and writes, through ``irfft2``/``rfft2`` on the half
-spectrum; the conjugate mirror supplies the other half plane.  No stepper
-fills a full ``(n, n)`` coefficient grid.
+ball its drift reads and writes, through real FFTs on the half spectrum
+(``grid._to_grid``/``grid._to_coeffs``, which skip the columns a small ball
+leaves empty); the conjugate mirror supplies the other half plane.  No
+stepper fills a full ``(n, n)`` coefficient grid.  A step's kicks are drawn
+in one ``_draw_kick`` call, one row per stream.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .grid import BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _ball_tables, _draw_kick,
-                    stationary_ensemble)
+                    _StepRows, stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
 from .wick import hermite  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 
@@ -115,14 +117,19 @@ def _meanfield_drift(v_pos: np.ndarray, psi: BallEnsemble, radius: float) -> np.
     return _to_coeffs(-(a + 2.0 * b)[None] * (vg + pg), radius)
 
 
-def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: float) -> np.ndarray:
+def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: float,
+                        ug: np.ndarray | None = None) -> np.ndarray:
     """Gibbs drift of a packed ``(..., N, n_ball)`` stack; the mean runs over
-    the component axis."""
+    the component axis.  ``ug``, the stack's grid values when the caller has
+    them, is read and left as it is."""
     n = pos.shape[-2]
-    ug = _to_grid(pos, n_grid, radius)
+    own = ug is None
+    if own:
+        ug = _to_grid(pos, n_grid, radius)
     mean_sq = np.mean(ug * ug, axis=-3, keepdims=True)
-    ug *= -(mean_sq - (n + 2.0) * alpha / n)  # in place: one grid stack fewer per call
-    return _to_coeffs(ug, radius)
+    # in place on a stack of its own: one grid stack fewer per call
+    force = np.multiply(ug, -(mean_sq - (n + 2.0) * alpha / n), out=ug if own else None)
+    return _to_coeffs(force, radius)
 
 
 @dataclass(frozen=True)
@@ -220,16 +227,16 @@ def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridS
 
     The stacks are packed ``(..., n_ball)`` on the ``|n| <= truncation``
     ball; streams run over their flattened leading axes, one per component,
-    and a count that differs raises.  Every stepper draws its noise here, so
-    systems that share streams and a step index see identical kicks.
+    and a count that differs raises.  One ``_draw_kick`` call draws every
+    stream's kick as a row of one stack.  Every stepper draws its noise here,
+    so systems that share streams and a step index see identical kicks.
     """
     n_comp = math.prod(pos.shape[:-1])
     if len(streams) != n_comp:
         raise ValueError(f"{len(streams)} noise streams for {n_comp} components")
-    for idx, stream in zip(np.ndindex(pos.shape[:-1]), streams):
-        ex, ev = _draw_kick(stream.generator(step), spec, truncation, chol)
-        pos[idx] += ex
-        vel[idx] += ev
+    ex, ev = _draw_kick(_StepRows(streams, step), spec, truncation, chol)
+    pos += ex.reshape(pos.shape)
+    vel += ev.reshape(vel.shape)
 
 
 def _kick_pair(lead: tuple, streams, step: int, spec: GridSpec, dt: float,
@@ -288,7 +295,8 @@ def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
 step_meanfield = step_hlsm
 
 
-def renormalized_drift(ens: BallEnsemble, alpha: float) -> np.ndarray:
+def renormalized_drift(ens: BallEnsemble, alpha: float,
+                       grid: np.ndarray | None = None) -> np.ndarray:
     """Gibbs drift in the original variables: ``-(<u^2> - (N+2)a/N) u_j``.
 
     This is the negative gradient of the interaction
@@ -300,9 +308,11 @@ def renormalized_drift(ens: BallEnsemble, alpha: float) -> np.ndarray:
     Only the Hermitian modes of the ensemble's ball are read and written,
     packed alike, via the half spectrum: the sharp-cutoff system whose
     invariant measure is the truncated Gibbs ensemble (products must be
-    grid-exact: n_grid > 4M).
+    grid-exact: n_grid > 4M).  ``grid``, the positions' grid values
+    (``grid._to_grid`` of ``ens.pos``) when the caller has them, saves their
+    transform; it is not modified.
     """
-    return _renormalized_drift(ens.pos, ens.spec.n_grid, alpha, ens.radius)
+    return _renormalized_drift(ens.pos, ens.spec.n_grid, alpha, ens.radius, grid)
 
 
 def step_renormalized_wave(ens: BallEnsemble, streams, step: int, dt: float, alpha: float,

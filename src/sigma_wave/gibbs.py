@@ -25,9 +25,9 @@ Both samplers, the evolution of their samples and the invariance
 observables keep packed ``(..., N, n_ball)`` ball stacks
 (``grid.BallEnsemble``, the layout of :class:`GibbsSamples`) and draw an
 iteration's N innovations in one call; drift, potential and observables
-reach grid values through real FFTs on the half spectrum.  A full grid is
-filled only for the one ``ifft2`` per MALA proposal, which its potential and
-its ``series`` value share.
+reach grid values through real FFTs on the half spectrum (``grid._to_grid``).
+No full coefficient grid is filled: a MALA proposal takes one ``_to_grid``,
+which its potential, its ``series`` value and its gradient share.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import renormalized_drift, step_renormalized_wave
-from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, _unpack, ball_mask
-from .noise import (NoiseKind, NoiseStream, _sample_ball, _sample_profile, alpha_m,
-                    stationary_ensemble)
-from .noise import _draw_kick  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
+from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, ball_mask
+from .noise import NoiseKind, NoiseStream, _sample_ball, alpha_m, stationary_ensemble
+# unused; traced sites of perfbench/tracer.py
+from .noise import _draw_kick, _sample_profile  # noqa: F401
 from .wick import hermite
 
 __all__ = [
@@ -179,24 +179,26 @@ def mala_log_ratio(pos, prop, grad_pos, grad_prop, energy_pos, energy_prop,
             - _proposal_exponent(prop, pos, grad_prop, w_ball, inv_w, h))
 
 
-def _ball_grad(pos: np.ndarray, spec: GridSpec, alpha: float, truncation: float) -> np.ndarray:
+def _ball_grad(pos: np.ndarray, spec: GridSpec, alpha: float, truncation: float,
+               ug: np.ndarray | None = None) -> np.ndarray:
     """Interaction gradient of packed ``(N, n_ball)`` positions, packed alike,
-    through ``renormalized_drift`` (which reads no vel)."""
-    return -renormalized_drift(BallEnsemble(spec, truncation, pos, pos), alpha)
+    through ``renormalized_drift`` (which reads no vel); ``ug`` are the
+    positions' grid values when the caller has them."""
+    return -renormalized_drift(BallEnsemble(spec, truncation, pos, pos), alpha, ug)
 
 
 def _velocities(spec: GridSpec, M: int, root_seed: int, n: int, k: int) -> np.ndarray:
     """Packed velocity refresh ``k``: n white-noise draws on the ball."""
     gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(k)
-    prof = np.ones(spec.shape())
-    return np.stack([_sample_profile(gen, spec, M, prof) for _ in range(n)])
+    return _sample_ball(gen, spec, M, np.ones(spec.shape()), n)
 
 
 def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> GibbsSamples:
     """Run one MALA chain and return thinned (position, velocity) samples.
 
-    The state is a packed ``(N, n_ball)`` stack; one ``ifft2`` per proposal
-    serves the potential and the ``series`` value (component 0's Wick square).
+    The state is a packed ``(N, n_ball)`` stack; one ``_to_grid`` per proposal
+    serves the potential, the gradient and the ``series`` value (component
+    0's Wick square).
     Velocities are exact independent draws, so only positions are chained.
     Warns when the post-burn-in acceptance rate leaves the configured band.
     """
@@ -211,11 +213,11 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
 
     def state_of(p):
         """Gradient, energy and grid values of packed positions ``p``."""
-        ug = np.fft.ifft2(_unpack(p, spec, idx), norm="forward").real
+        ug = _to_grid(p, spec.n_grid, float(M))
         if not cfg.interaction:
             return np.zeros_like(p), _gaussian_energy(p, w), ug
         energy = _gaussian_energy(p, w) + float(_potential(ug, alpha))
-        return _ball_grad(p, spec, alpha, float(M)), energy, ug
+        return _ball_grad(p, spec, alpha, float(M), ug), energy, ug
 
     pos = stationary_ensemble(spec, M, root_seed, n).pos
     grad, energy, ug = state_of(pos)

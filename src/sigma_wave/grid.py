@@ -17,10 +17,12 @@ integer modes.  Conventions, fixed once here:
 * an ensemble of N components has one layout, :class:`BallEnsemble`: packed
   ``(..., N, n_ball)`` stacks on a mode ball.  ``_to_grid`` and ``_to_coeffs``
   move such stacks to grid values and back through real FFTs on the half
-  spectrum; steppers, drifts, chains and observables all read them so.  Full
-  ``(n, n)`` coefficient grids remain only for snapshots
-  (:meth:`BallEnsemble.full`, :class:`SpectralField`), the commutator
-  experiment (:class:`SpectralField`) and the MALA proposal.
+  spectrum; steppers, drifts, chains and observables all read them so.  A
+  ball that reaches at most half of the ``n/2+1`` half-spectrum columns is
+  transformed on those columns only, with the bits of the full-width
+  ``irfft2``/``rfft2``.  Full ``(n, n)`` coefficient grids remain only for
+  snapshots (:meth:`BallEnsemble.full`, :class:`SpectralField`) and the
+  commutator experiment (:class:`SpectralField`).
 """
 
 from __future__ import annotations
@@ -141,23 +143,30 @@ def _ball_index(n_grid: int, radius: float) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _half_spectrum_index(n_grid: int, radius: float) -> tuple:
     """Where the ``|n| <= radius`` modes, packed in ``_ball_index`` order, sit in
-    the ``rfft2`` ``(n, n/2+1)`` layout: ``(stored, half_in)``, the packed
-    positions the half spectrum stores and their flat half positions, and
-    ``(half_out, packed_out, n_direct)`` to read every packed mode back, all
-    but the first ``n_direct`` as conjugate mirrors (the lower halves of
-    columns 0 and n/2 too, so the result is exactly Hermitian)."""
+    the half spectrum ``(n, width)``: the first ``width`` columns of the
+    ``rfft2`` ``(n, n/2+1)`` layout.  ``width`` is the number of columns the
+    ball reaches when that is at most half of ``n/2+1`` (the transforms then
+    skip the empty columns), else ``n/2+1``.  Returns ``(width, stored,
+    half_in)``, the packed positions the half spectrum stores and their flat
+    half positions, and ``(half_out, packed_out, n_direct)`` to read every
+    packed mode back, all but the first ``n_direct`` as conjugate mirrors (the
+    lower halves of columns 0 and n/2 too, so the result is exactly
+    Hermitian)."""
     n, h = n_grid, n_grid // 2 + 1
     i, j = np.divmod(_ball_index(n_grid, float(radius)), n)
     packed = np.arange(i.size)
     stored = j < h
+    width = int(j[stored].max()) + 1 if stored.any() else 1
+    if 2 * width > h:
+        width = h
     direct = stored & ~((j % (n // 2) == 0) & (i > n // 2))
-    mirror = ((-i) % n) * h + (-j) % n
-    out = (packed[stored], (i * h + j)[stored],
-           np.concatenate([(i * h + j)[direct], mirror[~direct]]),
+    mirror = ((-i) % n) * width + (-j) % n
+    out = (packed[stored], (i * width + j)[stored],
+           np.concatenate([(i * width + j)[direct], mirror[~direct]]),
            np.concatenate([packed[direct], packed[~direct]]))
     for arr in out:
         arr.setflags(write=False)
-    return out + (int(np.sum(direct)),)
+    return (width,) + out + (int(np.sum(direct)),)
 
 
 def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
@@ -170,20 +179,33 @@ def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 def _to_grid(packed: np.ndarray, n: int, radius: float) -> np.ndarray:
     """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
     ball of an ``n x n`` grid: the half spectrum holds their stored modes
-    and zeros elsewhere, through ``irfft2``."""
-    stored, half = _half_spectrum_index(n, radius)[:2]
+    and zeros elsewhere.  On the pruned width the complex pass along axis -2
+    runs on the kept columns only and the real pass zero-pads the rest; both
+    equal ``irfft2`` bit for bit."""
+    width, stored, half = _half_spectrum_index(n, radius)[:3]
     lead = packed.shape[:-1]
-    spec = np.zeros(lead + (n * (n // 2 + 1),), dtype=np.complex128)
+    spec = np.zeros(lead + (n * width,), dtype=np.complex128)
     spec[..., half] = packed[..., stored]
-    return np.fft.irfft2(spec.reshape(lead + (n, n // 2 + 1)), s=(n, n), norm="forward")
+    spec = spec.reshape(lead + (n, width))
+    if width == n // 2 + 1:
+        return np.fft.irfft2(spec, s=(n, n), norm="forward")
+    cols = np.fft.ifftn(spec, axes=(-2,), norm="forward")
+    return np.fft.irfftn(cols, s=(n,), axes=(-1,), norm="forward")
 
 
 def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
     """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks,
-    packed: ``rfft2``, then the kept modes gathered, exactly Hermitian."""
+    packed, exactly Hermitian: the real pass along axis -1, the complex pass
+    along axis -2 on the kept columns only (``rfft2`` when none are pruned,
+    bit for bit the same), then the kept modes gathered."""
     n, lead = grid.shape[-1], grid.shape[:-2]
-    *_, half, packed, n_direct = _half_spectrum_index(n, radius)
-    vals = np.fft.rfft2(grid, norm="forward").reshape(lead + (-1,))[..., half]
+    width, *_, half, packed, n_direct = _half_spectrum_index(n, radius)
+    if width == n // 2 + 1:
+        spec = np.fft.rfft2(grid, norm="forward")
+    else:
+        rows = np.fft.rfftn(grid, axes=(-1,), norm="forward")[..., :width]
+        spec = np.fft.fftn(rows, axes=(-2,), norm="forward")
+    vals = spec.reshape(lead + (-1,))[..., half]
     np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
     out = np.empty(lead + (packed.size,), dtype=np.complex128)
     out[..., packed] = vals

@@ -14,10 +14,15 @@ the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
-components or replicas parallelizes without any order dependence.  Every
-draw is packed on its mode ball, the ``grid.BallEnsemble`` layout: the
-kicks, with tables gathered once per (grid, dt, ball), and the equilibrium
-pairs of :func:`stationary_ensemble`.  No draw fills a full grid.
+components or replicas parallelizes without any order dependence.  Each
+thread owns one Philox generator, and a stream's :meth:`NoiseStream.generator`
+re-keys it to (key, step) instead of building a new one.  Every draw is
+packed on its mode ball, the ``grid.BallEnsemble`` layout: the kicks, with
+tables gathered once per (grid, dt, ball), and the equilibrium pairs of
+:func:`stationary_ensemble`.  The draws of many streams at one step come as
+the rows of one array (:class:`_StepRows`), so a step's kicks or a batch of
+equilibrium pairs are scattered onto the ball once.  No draw fills a full
+grid.
 
 Renormalization constants are lattice sums over the integer mode ball
 ``|n| <= M``.  They match grid-sampled fields exactly as long as the
@@ -27,6 +32,7 @@ folds the two lattice modes ``(+-nyquist, 0)`` onto one slot).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -57,6 +63,9 @@ class NoiseKind(IntEnum):
     FIELD = 5      # generic experiment fields
 
 
+_THREAD = threading.local()  # .gen: this thread's re-keyed Philox generator
+
+
 @dataclass(frozen=True)
 class NoiseStream:
     """Keyed source of Gaussian draws; one logical noise per (seed, component, kind)."""
@@ -66,14 +75,44 @@ class NoiseStream:
     kind: int
 
     def generator(self, step: int) -> np.random.Generator:
-        """Fresh generator for one step; a pure function of key and step.
+        """The generator of one step; its draws are a pure function of key and step.
+
+        It is the calling thread's one ``Generator(Philox)``, re-keyed to
+        (key, step) from the start of that counter block: the draws of a
+        freshly built ``Philox(key=key, counter=counter)``, without building
+        one.  It stays valid until the same thread asks any stream for a
+        generator again; draw from it before that.
 
         The root seed enters mod 2**64, so derived seeds such as
         ``seed + 1`` wrap instead of overflowing the Philox key.
         """
-        key = (np.uint64(self.root_seed % 2**64), np.uint64((self.component << 8) | self.kind))
-        counter = (np.uint64(0), np.uint64(0), np.uint64(step), np.uint64(0))
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        gen = getattr(_THREAD, "gen", None)
+        if gen is None:
+            gen = _THREAD.gen = np.random.Generator(np.random.Philox(key=0))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, step, 0], dtype=np.uint64),
+                      "key": np.array([self.root_seed % 2**64,
+                                       (self.component << 8) | self.kind], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return gen
+
+
+class _StepRows:
+    """The step-``step`` generators of ``streams`` as one source of rows:
+    ``standard_normal(size)`` returns ``(len(streams), size)``, row i drawn
+    from stream i, so a draw function that works on the last axis draws for
+    every stream at once, bit for bit the rows of one-stream calls."""
+
+    def __init__(self, streams, step: int):
+        self.streams, self.step = streams, step
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        out = np.empty((len(self.streams), size))
+        for row, stream in zip(out, self.streams):
+            stream.generator(self.step).standard_normal(size, out=row)
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -228,23 +267,28 @@ def _ball_slots(n_grid: int, radius: float):
 
 def _sample_ball(gen, spec: GridSpec, radius: float, profile: np.ndarray, n: int) -> np.ndarray:
     """n Hermitian Gaussian draws with per-mode variance ``profile``, packed
-    ``(n, n_ball)``; one ``standard_normal`` call takes, per draw, the plus-mode
-    real parts, imaginary parts and self-conjugate values, in that order."""
+    ``(..., n, n_ball)``; one ``standard_normal`` call takes, per draw, the
+    plus-mode real parts, imaginary parts and self-conjugate values, in that
+    order.  A :class:`_StepRows` source adds its stream axis in front; a
+    stack of n ``(n_grid, n_grid)`` profiles gives draw i profile i."""
     self_idx, plus, _ = _half_lattice(spec.n_grid, float(radius))
     s_pos, p_pos, m_pos = _ball_slots(spec.n_grid, float(radius))
-    p = profile.reshape(-1)
-    z = gen.standard_normal(n * (2 * plus.size + self_idx.size)).reshape(n, -1)
-    zr, zi, zs = z[:, :plus.size], z[:, plus.size:2 * plus.size], z[:, 2 * plus.size:]
-    out = np.empty((n, self_idx.size + 2 * plus.size), dtype=np.complex128)
-    pair = np.sqrt(p[plus] / 2.0) * (zr + 1j * zi)
-    out[:, p_pos] = pair
-    out[:, m_pos] = np.conj(pair)
-    out[:, s_pos] = np.sqrt(p[self_idx]) * zs
+    p = profile.reshape(profile.shape[:-2] + (-1,))
+    size = 2 * plus.size + self_idx.size
+    z = gen.standard_normal(n * size)
+    z = z.reshape(z.shape[:-1] + (n, size))
+    zr, zi, zs = z[..., :plus.size], z[..., plus.size:2 * plus.size], z[..., 2 * plus.size:]
+    out = np.empty(z.shape, dtype=np.complex128)
+    pair = np.sqrt(p[..., plus] / 2.0) * (zr + 1j * zi)
+    out[..., p_pos] = pair
+    out[..., m_pos] = np.conj(pair)
+    out[..., s_pos] = np.sqrt(p[..., self_idx]) * zs
     return out
 
 
 def _sample_profile(gen, spec: GridSpec, radius: float, profile: np.ndarray) -> np.ndarray:
-    """One :func:`_sample_ball` draw, packed ``(n_ball,)``."""
+    """One :func:`_sample_ball` draw, packed ``(n_ball,)``.  No command calls
+    it; it stays as a traced site of perfbench/tracer.py."""
     return _sample_ball(gen, spec, radius, profile, 1)[0]
 
 
@@ -279,24 +323,25 @@ def _draw_kick(gen, spec: GridSpec, radius: float, chol):
     """Correlated pair of Hermitian Gaussian stacks with covariance Q_n(dt),
     packed on the ``|n| <= radius`` ball; ``chol`` is ``_ball_tables(spec,
     dt, radius)[1]``.  One ``standard_normal`` call holds z1 and z2 (real,
-    then imaginary parts) and then s1 and s2.  Every stepper that shares a
-    stream draws through this one function, so coupled systems see identical
-    noise."""
+    then imaginary parts) and then s1 and s2.  A :class:`_StepRows` source
+    gives one kick per stream, stacked ``(n_streams, n_ball)``.  Every
+    stepper that shares a stream draws through this one function, so coupled
+    systems see identical noise."""
     a, b, c = chol
     s_pos, p_pos, m_pos = _ball_slots(spec.n_grid, float(radius))
     p, s = p_pos.size, s_pos.size
     z = gen.standard_normal(4 * p + 2 * s)
-    z1 = (z[:p] + 1j * z[p:2 * p]) / np.sqrt(2.0)
-    z2 = (z[2 * p:3 * p] + 1j * z[3 * p:4 * p]) / np.sqrt(2.0)
-    s1, s2 = z[4 * p:4 * p + s], z[4 * p + s:]
-    ex = np.empty(2 * p + s, dtype=np.complex128)
+    z1 = (z[..., :p] + 1j * z[..., p:2 * p]) / np.sqrt(2.0)
+    z2 = (z[..., 2 * p:3 * p] + 1j * z[..., 3 * p:4 * p]) / np.sqrt(2.0)
+    s1, s2 = z[..., 4 * p:4 * p + s], z[..., 4 * p + s:]
+    ex = np.empty(z.shape[:-1] + (2 * p + s,), dtype=np.complex128)
     ev = np.empty_like(ex)
-    ex[p_pos] = a[:p] * z1
-    ev[p_pos] = b[:p] * z1 + c[:p] * z2
-    ex[m_pos] = np.conj(ex[p_pos])
-    ev[m_pos] = np.conj(ev[p_pos])
-    ex[s_pos] = a[p:] * s1
-    ev[s_pos] = b[p:] * s1 + c[p:] * s2
+    ex[..., p_pos] = a[:p] * z1
+    ev[..., p_pos] = b[:p] * z1 + c[:p] * z2
+    ex[..., m_pos] = np.conj(ex[..., p_pos])
+    ev[..., m_pos] = np.conj(ev[..., p_pos])
+    ex[..., s_pos] = a[p:] * s1
+    ev[..., s_pos] = b[p:] * s1 + c[p:] * s2
     return ex, ev
 
 
@@ -305,11 +350,8 @@ def stationary_ensemble(spec: GridSpec, M: float, root_seed: int, n: int,
     """Equilibrium pairs ``(phi0, phi1)`` with per-mode variances
     ``1/(m+|n|^2)`` and 1 on the ball ``|n| <= M``, packed, for components
     ``base, ..., base + n - 1``: each draws its position, then its velocity,
-    from step 0 of its own ``INITIAL`` stream."""
-    ens = BallEnsemble.zeros(spec, M, n)
-    unit = np.ones(spec.shape())
-    for j in range(n):
-        gen = NoiseStream(root_seed, base + j, NoiseKind.INITIAL).generator(0)
-        ens.pos[j] = _sample_profile(gen, spec, M, 1.0 / spec.dispersion)
-        ens.vel[j] = _sample_profile(gen, spec, M, unit)
-    return ens
+    from step 0 of its own ``INITIAL`` stream, all in one scatter."""
+    streams = [NoiseStream(root_seed, base + j, NoiseKind.INITIAL) for j in range(n)]
+    prof = np.stack([1.0 / spec.dispersion, np.ones(spec.shape())])
+    pair = _sample_ball(_StepRows(streams, 0), spec, M, prof, 2)
+    return BallEnsemble(spec, M, pair[:, 0], pair[:, 1])

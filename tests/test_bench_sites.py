@@ -56,9 +56,14 @@ def test_every_chain_gradient_goes_through_the_traced_drift(monkeypatch):
     assert np.all(np.isfinite(samples.positions))
 
 
-def count_real_ffts(monkeypatch):
-    """Count rfft2/irfft2 calls; a complex full-grid fft2/ifft2 raises."""
-    calls = {"rfft2": 0, "irfft2": 0}
+TRACED_FFTS = [site.partition(":")[2] for site in load("tracer").SITES["fft"]]
+
+
+def count_traced_ffts(monkeypatch):
+    """Count the calls of every ``numpy.fft`` name the benchmark's fft layer
+    wraps; a complex full-grid fft2/ifft2, or a 1-D name that layer does not
+    see, raises."""
+    calls = dict.fromkeys(TRACED_FFTS, 0)
 
     def counted(name):
         fn = getattr(np.fft, name)
@@ -68,44 +73,58 @@ def count_real_ffts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a complex full-grid FFT was called")
+    def forbidden(name):
+        def raises(*args, **kwargs):
+            raise AssertionError(f"numpy.fft.{name} was called")
+        return raises
 
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
-    monkeypatch.setattr(np.fft, "fft2", forbidden)
-    monkeypatch.setattr(np.fft, "ifft2", forbidden)
+    for name in ("fft2", "ifft2", "fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, forbidden(name))
     return calls
+
+
+def counts_of(calls, run):
+    """The nonzero counts of ``calls`` made by ``run()``."""
+    for name in calls:
+        calls[name] = 0
+    run()
+    return {name: k for name, k in calls.items() if k}
+
+
+# a transform of a stack on a ball that reaches at most half of the n/2+1
+# half-spectrum columns is pruned: ifftn + irfftn to the grid, rfftn + fftn back
+PRUNED_TO_GRID, PRUNED_TO_COEFFS = ("ifftn", "irfftn"), ("rfftn", "fftn")
 
 
 def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
     # the benchmark's fft layer wraps numpy.fft by attribute; a drift that
     # moved to untraced or complex transforms would change what it measures
-    calls = count_real_ffts(monkeypatch)
-    spec, n = GridSpec(16, 1.0), 3
+    calls = count_traced_ffts(monkeypatch)
+    spec, n = GridSpec(16, 1.0), 3  # ball 3 reaches 4 of 9 columns: pruned
     gen = np.random.default_rng(5)
     pos = np.stack([random_field(spec, gen, truncation=3.0).coeffs for _ in range(n)])
     ens = ball_ensemble(spec, pos, pos, 3.0)
 
-    def counts(run):
-        for name in calls:
-            calls[name] = 0
-        run()
-        return calls["irfft2"], calls["rfft2"]
-
-    assert counts(lambda: dynamics.renormalized_drift(ens, 0.2)) == (1, 1)
+    once = dict.fromkeys(PRUNED_TO_GRID + PRUNED_TO_COEFFS, 1)
+    assert counts_of(calls, lambda: dynamics.renormalized_drift(ens, 0.2)) == once
     renorm = RenormConstants.build(1.0, 3, 0.1, 4)
     for system in (dynamics.HlsmState, dynamics.MeanFieldState):
+        # v on the 2/3-rule ball (6 of 9 columns): irfft2 and rfft2; psi pruned
         state = system.zero(spec, n, renorm, root_seed=2)
         state = replace(state, v=ball_ensemble(spec, pos, pos, state.v.radius), psi=ens)
-        assert counts(lambda: dynamics.hlsm_rhs(state)) == (2, 1)
+        assert counts_of(calls, lambda: dynamics.hlsm_rhs(state)) == {
+            "irfft2": 1, "rfft2": 1, "ifftn": 1, "irfftn": 1}
     streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(n)]
-    assert counts(lambda: dynamics.step_renormalized_wave(ens, streams, 0, 0.1, 0.2)) == (2, 2)
+    assert counts_of(calls, lambda: dynamics.step_renormalized_wave(
+        ens, streams, 0, 0.1, 0.2)) == dict.fromkeys(once, 2)
 
 
 def test_lln_estimator_draws_every_kick_through_the_traced_name(monkeypatch):
     # the selftest's kick-retry break patches dynamics._draw_kick; the free
-    # steps of lln-decay must look it up there at call time
+    # steps of lln-decay must look it up there at call time, once per
+    # (task, step) for the kicks of every component
     calls = []
     draw = dynamics._draw_kick
 
@@ -117,20 +136,31 @@ def test_lln_estimator_draws_every_kick_through_the_traced_name(monkeypatch):
     N_list, reps, n_steps = [1, 3], 2, 3
     diagnostics.lln_estimator(GridSpec(16, 1.0), ("wick_square_avg",), N_list, 2,
                               n_steps * 0.1, reps, 0.1, 5, dt=0.1)
-    assert len(calls) == n_steps * sum(N_list) * reps
+    assert len(calls) == n_steps * len(N_list) * reps
 
 
 def test_lln_estimator_and_the_residual_step_use_real_ffts_only(monkeypatch):
-    calls = count_real_ffts(monkeypatch)
+    calls = count_traced_ffts(monkeypatch)
     N_list, reps, n_steps = [2, 3], 1, 2
-    diagnostics.lln_estimator(GridSpec(16, 1.0), diagnostics._LLN_KINDS, N_list, 2,
-                              n_steps * 0.1, reps, 0.1, 5, dt=0.1)
-    # per task and node: psi's grid values, then rfft2 and irfft2 per kind
+    # per task and node: psi's grid values (ball 2, pruned), then the
+    # full-grid rfft2 and irfft2 of the sup proxy per kind
     nodes = len(N_list) * reps * (n_steps + 1)
-    assert (calls["irfft2"], calls["rfft2"]) == (4 * nodes, 3 * nodes)
+    assert counts_of(calls, lambda: diagnostics.lln_estimator(
+        GridSpec(16, 1.0), diagnostics._LLN_KINDS, N_list, 2, n_steps * 0.1, reps, 0.1, 5,
+        dt=0.1)) == {"irfft2": 3 * nodes, "rfft2": 3 * nodes, "ifftn": nodes, "irfftn": nodes}
     spec = GridSpec(16, 1.0)
     state = dynamics.HlsmState.stationary(spec, 2, RenormConstants.build(1.0, 3, 0.1, 2), 4)
-    for name in calls:
-        calls[name] = 0
-    dynamics.step_hlsm(state, 0.1)
-    assert (calls["irfft2"], calls["rfft2"]) == (4, 2)
+    # per stage: v (2/3-rule ball) to the grid and back, psi (ball 3, pruned) to the grid
+    assert counts_of(calls, lambda: dynamics.step_hlsm(state, 0.1)) == {
+        "irfft2": 2, "rfft2": 2, "ifftn": 2, "irfftn": 2}
+
+
+def test_each_mala_proposal_takes_one_transform_to_the_grid(monkeypatch):
+    # the proposal's potential, series value and gradient share one pruned
+    # _to_grid; the gradient adds one transform back through the drift
+    calls = count_traced_ffts(monkeypatch)
+    spec = GridSpec(16, 1.0)  # ball 2 reaches 3 of 9 columns: pruned
+    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.5, 12, 2, thin=2, acceptance_band=(0.0, 1.0))
+    states = cfg.chain_length + 1  # the start and every proposal
+    assert counts_of(calls, lambda: gibbs.sample_gibbs(spec, cfg, root_seed=3)) == dict.fromkeys(
+        PRUNED_TO_GRID + PRUNED_TO_COEFFS, states)

@@ -36,7 +36,7 @@ from sigma_wave.noise import (
 from sigma_wave.wick import hermite
 
 from oracles import ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference
-from test_bench_sites import count_real_ffts
+from test_bench_sites import count_traced_ffts
 
 SPEC = GridSpec(16, 1.0)
 
@@ -85,6 +85,43 @@ def test_half_spectrum_transforms_match_full_complex_ffts(n_grid, kind):
             assert hermitian_defect(SpectralField(spec, c, copy=False)) == 0.0
         assert np.all(_to_grid(np.zeros_like(packed), n_grid, radius) == 0.0)
         assert np.all(_to_coeffs(np.zeros_like(g), radius) == 0.0)
+
+
+def unpruned_transforms(packed, g, n, radius):
+    """The full-width half-spectrum path: ``irfft2`` of the packed modes'
+    ``(n, n/2+1)`` half spectrum, and the packed modes of ``rfft2(g)``, each
+    read from its stored half or as the conjugate of its mirror."""
+    h, idx = n // 2 + 1, _ball_index(n, radius)
+    lead = packed.shape[:-1]
+    half = _unpack(packed, GridSpec(n, 1.0), idx)[..., :h]
+    values = np.fft.irfft2(half, s=(n, n), norm="forward")
+    r = np.fft.rfft2(g, norm="forward")
+    i, j = np.divmod(idx, n)
+    direct = (j < h) & ~((j % (n // 2) == 0) & (i > n // 2))
+    coeffs = np.empty(lead + (idx.size,), dtype=np.complex128)
+    coeffs[..., direct] = r[..., i[direct], j[direct]]
+    coeffs[..., ~direct] = np.conj(r[..., (-i[~direct]) % n, (-j[~direct]) % n])
+    return values, coeffs
+
+
+@pytest.mark.parametrize("n_grid, radius, pruned", [
+    (16, -1.0, True), (16, 0.0, True), (16, 3.0, True), (16, 4.0, False),
+    (32, 7.0, True), (32, 8.0, False), (64, 8.0, True), (64, 64 / 3, False),
+    (128, 31.0, True), (128, 32.0, False), (16, np.inf, False)])
+def test_pruned_transforms_equal_the_unpruned_ones_bit_for_bit(n_grid, radius, pruned):
+    # a ball that reaches at most half of the n/2+1 half-spectrum columns is
+    # transformed on those columns only; both sides of the rule, and the
+    # empty ball, give the full-width path's bits
+    width = grid._half_spectrum_index(n_grid, radius)[0]
+    assert (width < n_grid // 2 + 1) == pruned
+    idx = _ball_index(n_grid, radius)
+    gen = np.random.default_rng(n_grid)
+    for lead in ((3,), (2, 3)):
+        g = gen.standard_normal(lead + (n_grid, n_grid))
+        packed = np.fft.fft2(g, norm="forward").reshape(lead + (-1,))[..., idx]
+        values, coeffs = unpruned_transforms(packed, g, n_grid, radius)
+        assert _to_grid(packed, n_grid, radius).tobytes() == values.tobytes()
+        assert _to_coeffs(g, radius).tobytes() == coeffs.tobytes()
 
 
 @pytest.mark.parametrize("n_grid", [8, 16, 64])
@@ -456,13 +493,13 @@ def test_hlsm_component_and_meanfield_replica_share_their_convolution():
 
 def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
     # every stepper, drift, chain and observable runs on packed ball stacks
-    # through real FFTs; only snapshots and the MALA proposal scatter
+    # through real FFTs; only snapshots scatter
     def scatter(*args, **kwargs):
         raise AssertionError("a stepper or an observable scattered to a full grid")
 
     for module in (grid, noise, dynamics, gibbs, cli):
         monkeypatch.setattr(module, "_unpack", scatter, raising=False)
-    count_real_ffts(monkeypatch)
+    count_traced_ffts(monkeypatch)
     for system in (HlsmState, MeanFieldState):
         for dealias in (True, False):
             state = system.stationary(SPEC, 2, table(1.0, 0.1, 2), 6, dealias)
@@ -476,8 +513,9 @@ def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
     step_linear_ensemble(ens, streams, 0, 0.1)
     pos = np.stack([ens.pos, ens.pos])
     gibbs.evolve_gibbs_samples(pos, pos, SPEC, 0.3, 2.0, 0.1, 1, 5)
-    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.3, 3, 0, thin=1)
+    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.3, 3, 0, thin=1, acceptance_band=(0.0, 1.0))
     gibbs.coupled_gibbs_gaussian_pair(SPEC, cfg, 5)
+    gibbs.sample_gibbs(SPEC, cfg, 5)
     traj = [SimpleNamespace(times=np.zeros(1), states=[e]) for e in (ens, moved)]
     samples = gibbs.GibbsSamples(SPEC, 2, ens.index, pos, pos, 1.0, 1.0, np.zeros(1))
     values = [energy_en(ens, 1.0), modified_energy(ens, 1.0, 0.5, 1.0),

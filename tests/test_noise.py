@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from sigma_wave.noise import (
     NoiseKind,
     NoiseStream,
     RenormConstants,
+    _StepRows,
     _ball_tables,
     _draw_kick,
     _half_lattice,
@@ -285,6 +289,57 @@ def test_packed_kick_is_the_full_grid_kick_on_the_ball(n_grid, kind):
             assert got.shape == idx.shape
             assert np.array_equal(got, want.reshape(-1)[idx])
             assert np.all(np.delete(want.reshape(-1), idx) == 0)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, 4.0, 15.0])
+def test_batched_kick_stacks_the_one_stream_kicks_bit_for_bit(radius):
+    # one _draw_kick call on a source of rows gives each stream's own kick
+    chol = _ball_tables(SPEC, 0.05, radius)[1]
+    streams = [NoiseStream(12, j, NoiseKind.DRIVE) for j in (0, 3, 1, 7)]
+    for step in (0, 5):
+        batch = _draw_kick(_StepRows(streams, step), SPEC, radius, chol)
+        one = [_draw_kick(s.generator(step), SPEC, radius, chol) for s in streams]
+        for got, want in zip(batch, zip(*one)):
+            assert got.shape == (len(streams), _ball_index(SPEC.n_grid, radius).size)
+            assert got.tobytes() == np.stack(want).tobytes()
+
+
+def test_interleaved_threads_draw_the_bits_of_one_thread():
+    # each thread re-keys its own generator: threads (more than cores) that
+    # take turns, each holding its generator across the others' re-keys,
+    # and that draw step rows freely under a short switch interval, draw
+    # what one thread draws stream after stream
+    streams = [NoiseStream(7, j, NoiseKind.DRIVE) for j in range(4)]
+    steps = 20
+    want = [[s.generator(k).standard_normal(6) for k in range(steps)] for s in streams]
+    got, rows = [[] for _ in streams], [[] for _ in streams]
+    turn = threading.Barrier(len(streams), timeout=30)
+
+    def draw(j):
+        for k in range(steps):
+            gen = streams[j].generator(k)
+            turn.wait()
+            first = gen.standard_normal(3)
+            turn.wait()
+            got[j].append(np.concatenate([first, gen.standard_normal(3)]))
+            rows[j].append(_StepRows(streams, k).standard_normal(6))
+
+    threads = [threading.Thread(target=draw, args=(j,)) for j in range(len(streams))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for j in range(len(streams)):
+        assert len(got[j]) == len(rows[j]) == steps
+        for k in range(steps):
+            assert got[j][k].tobytes() == want[j][k].tobytes()
+            assert rows[j][k].tobytes() == np.stack([w[k] for w in want]).tobytes()
 
 
 def test_stationary_start_keeps_pointwise_variance():
