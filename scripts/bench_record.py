@@ -1,20 +1,19 @@
 """Write a change's benchmark record, ``BENCH_<n>.json``.
 
     python3 scripts/bench_record.py --number N --parent PARENT --change CHANGE \\
-        --tier1-log tier1.log [--claim WORKLOAD:METRIC] [--title TEXT] [--since TIME]
+        --tier1-log tier1.log [--claim WORKLOAD:METRIC] [--title TEXT]
 
 PARENT and CHANGE are the roots of two checkouts on which
 ``perfbench/run.py`` has run; their ``.perfbench_work/results/*.json``
 records are the runs.  ``perfbench/run.py`` never clears that directory, so
-with ``--since TIME`` (ISO 8601, UTC unless it names a zone, or Unix
-seconds) the records that finished before TIME are left out of every pair
-and listed under ``ignored``.  A (workload, seed) measured untraced on both
-sides is one pair.  The record holds every run, tagged with its side and its
-place in the order the runs finished; per workload and end-to-end metric,
-each side's median and quartiles over the pairs and the number of pairs the
-change won; the per-layer metrics of every traced pair; the claim, when one
-is named, judged by the rule below; a machine stamp; and the
-``--durations`` lines of the saved tier-1 log.
+empty it on both sides before a record's runs: a run left from an earlier
+change would be paired with the new ones.  A (workload, seed) measured
+untraced on both sides is one pair.  The record holds every run, tagged with
+its side and its place in the order the runs finished; per workload and
+end-to-end metric, each side's median and quartiles over the pairs and the
+number of pairs the change won; the per-layer metrics of every traced pair;
+the claim, when one is named, judged by the rule below; a machine stamp; and
+the ``--durations`` lines of the saved tier-1 log.
 
 A claimed gain holds when the change is better in at least nine tenths of
 the pairs and the two medians differ by more than the parent's interquartile
@@ -30,7 +29,6 @@ import platform
 import re
 import statistics
 import sys
-from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
 
@@ -42,29 +40,12 @@ HOW = ("python3 perfbench/run.py --workload W --seed S --seconds 27 --trace T, r
 
 
 def load_runs(root: Path, side: str) -> list:
-    """Every result record under ``root``, with its side, file and finish time."""
+    """Every result record under ``root``, with its side and finish time."""
     runs = []
     for path in sorted((root / ".perfbench_work" / "results").glob("*.json")):
-        runs.append({"side": side, "file": path.name, "finished": path.stat().st_mtime,
+        runs.append({"side": side, "finished": path.stat().st_mtime,
                      "record": json.loads(path.read_text())})
     return runs
-
-
-def parse_time(text: str) -> float:
-    """Unix seconds of ``text``: a number of seconds, or an ISO 8601 time
-    read as UTC unless it names a zone."""
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    when = datetime.fromisoformat(text)
-    if when.tzinfo is None:
-        when = when.replace(tzinfo=timezone.utc)
-    return when.timestamp()
-
-
-def _stamp(seconds: float) -> str:
-    return datetime.fromtimestamp(seconds, timezone.utc).isoformat()
 
 
 def quartiles(values: list) -> dict:
@@ -149,21 +130,15 @@ def durations(log_path: Path) -> list:
 
 
 def build(number: int, parent: Path, change: Path, tier1_log: Path, claim=None,
-          title: str = "", since: float | None = None) -> dict:
+          title: str = "") -> dict:
     runs = sorted(load_runs(parent, "parent") + load_runs(change, "change"),
                   key=lambda run: run["finished"])
-    cut = sum(since is not None and run["finished"] < since for run in runs)
-    ignored, runs = runs[:cut], runs[cut:]
     summary = summarize(pairs_of(runs, 0), better_directions(change))
     out = {"number": number, "change": title, "how": HOW, "machine": machine(),
            "summary": summary, "traced_metrics": traced(pairs_of(runs, 1)),
            "tier1_durations": durations(tier1_log),
            "runs": [{"side": run["side"], "run_index": i, "record": run["record"]}
                     for i, run in enumerate(runs)]}
-    if since is not None:
-        out["since"] = _stamp(since)
-        out["ignored"] = [{"side": run["side"], "file": run["file"],
-                           "finished": _stamp(run["finished"])} for run in ignored]
     if claim:
         out["claimed"] = judge(claim, summary)
     return out
@@ -178,12 +153,10 @@ def main(argv=None) -> int:
                         help="saved output of a tier-1 pytest run with --durations")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
     parser.add_argument("--title", default="", help="one line naming the change")
-    parser.add_argument("--since", type=parse_time, metavar="TIME",
-                        help="leave out (and list) the runs that finished before TIME")
     parser.add_argument("--out", type=Path, help="default: BENCH_<N>.json here")
     args = parser.parse_args(argv)
     record = build(args.number, args.parent, args.change, args.tier1_log, args.claim,
-                   args.title, args.since)
+                   args.title)
     out = args.out or Path(f"BENCH_{args.number}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}: {len(record['runs'])} runs, "

@@ -17,10 +17,10 @@ integer modes.  Conventions, fixed once here:
 * an ensemble of N components has one layout, :class:`BallEnsemble`: packed
   ``(..., N, n_ball)`` stacks on a mode ball.  ``_to_grid`` and ``_to_coeffs``
   move such stacks to grid values and back through real FFTs on the half
-  spectrum; steppers, drifts, chains and observables all read them so.  A
-  ball that reaches at most half of the ``n/2+1`` half-spectrum columns is
-  transformed on those columns only, with the bits of the full-width
-  ``irfft2``/``rfft2``.  Full ``(n, n)`` coefficient grids remain only for
+  spectrum, one axis at a time; steppers, drifts, chains and observables all
+  read them so.  A ball that reaches at most half of the ``n/2+1``
+  half-spectrum columns has its complex pass run on those columns only.
+  Either way the values are the bits of ``irfft2``/``rfft2``.  Full ``(n, n)`` coefficient grids remain only for
   snapshots (:meth:`BallEnsemble.full`, :class:`SpectralField`) and the
   commutator experiment (:class:`SpectralField`).
 """
@@ -179,33 +179,26 @@ def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 def _to_grid(packed: np.ndarray, n: int, radius: float) -> np.ndarray:
     """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
     ball of an ``n x n`` grid: the half spectrum holds their stored modes
-    and zeros elsewhere.  On the pruned width the complex pass along axis -2
-    runs on the kept columns only and the real pass zero-pads the rest; both
-    equal ``irfft2`` bit for bit."""
+    and zeros elsewhere.  The complex pass along axis -2 runs on the kept
+    columns only and the real pass zero-pads the rest, bit for bit
+    ``irfft2`` of the full half spectrum."""
     width, stored, half = _half_spectrum_index(n, radius)[:3]
     lead = packed.shape[:-1]
     spec = np.zeros(lead + (n * width,), dtype=np.complex128)
     spec[..., half] = packed[..., stored]
-    spec = spec.reshape(lead + (n, width))
-    if width == n // 2 + 1:
-        return np.fft.irfft2(spec, s=(n, n), norm="forward")
-    cols = np.fft.ifftn(spec, axes=(-2,), norm="forward")
+    cols = np.fft.ifftn(spec.reshape(lead + (n, width)), axes=(-2,), norm="forward")
     return np.fft.irfftn(cols, s=(n,), axes=(-1,), norm="forward")
 
 
 def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
     """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks,
     packed, exactly Hermitian: the real pass along axis -1, the complex pass
-    along axis -2 on the kept columns only (``rfft2`` when none are pruned,
-    bit for bit the same), then the kept modes gathered."""
+    along axis -2 on the kept columns only (bit for bit ``rfft2``), then the
+    kept modes gathered."""
     n, lead = grid.shape[-1], grid.shape[:-2]
     width, *_, half, packed, n_direct = _half_spectrum_index(n, radius)
-    if width == n // 2 + 1:
-        spec = np.fft.rfft2(grid, norm="forward")
-    else:
-        rows = np.fft.rfftn(grid, axes=(-1,), norm="forward")[..., :width]
-        spec = np.fft.fftn(rows, axes=(-2,), norm="forward")
-    vals = spec.reshape(lead + (-1,))[..., half]
+    rows = np.fft.rfftn(grid, axes=(-1,), norm="forward")[..., :width]
+    vals = np.fft.fftn(rows, axes=(-2,), norm="forward").reshape(lead + (-1,))[..., half]
     np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
     out = np.empty(lead + (packed.size,), dtype=np.complex128)
     out[..., packed] = vals

@@ -14,15 +14,13 @@ the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
-components or replicas parallelizes without any order dependence.  Each
-thread owns one Philox generator, and a stream's :meth:`NoiseStream.generator`
-re-keys it to (key, step) instead of building a new one.  Every draw is
-packed on its mode ball, the ``grid.BallEnsemble`` layout: the kicks, with
-tables gathered once per (grid, dt, ball), and the equilibrium pairs of
-:func:`stationary_ensemble`.  The draws of many streams at one step come as
-the rows of one array (:class:`_StepRows`), so a step's kicks or a batch of
-equilibrium pairs are scattered onto the ball once.  No draw fills a full
-grid.
+components or replicas parallelizes without any order dependence.  Every
+draw is packed on its mode ball, the ``grid.BallEnsemble`` layout: the
+kicks, with tables gathered once per (grid, dt, ball), and the equilibrium
+pairs of :func:`stationary_ensemble`.  The draws of many streams at one step
+come as the rows of one array (:class:`_StepRows`), so a step's kicks or a
+batch of equilibrium pairs are scattered onto the ball once.  No draw fills
+a full grid.
 
 Renormalization constants are lattice sums over the integer mode ball
 ``|n| <= M``.  They match grid-sampled fields exactly as long as the
@@ -32,7 +30,6 @@ folds the two lattice modes ``(+-nyquist, 0)`` onto one slot).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -63,9 +60,6 @@ class NoiseKind(IntEnum):
     FIELD = 5      # generic experiment fields
 
 
-_THREAD = threading.local()  # .gen: this thread's re-keyed Philox generator
-
-
 @dataclass(frozen=True)
 class NoiseStream:
     """Keyed source of Gaussian draws; one logical noise per (seed, component, kind)."""
@@ -75,28 +69,14 @@ class NoiseStream:
     kind: int
 
     def generator(self, step: int) -> np.random.Generator:
-        """The generator of one step; its draws are a pure function of key and step.
-
-        It is the calling thread's one ``Generator(Philox)``, re-keyed to
-        (key, step) from the start of that counter block: the draws of a
-        freshly built ``Philox(key=key, counter=counter)``, without building
-        one.  It stays valid until the same thread asks any stream for a
-        generator again; draw from it before that.
+        """Fresh generator for one step; a pure function of key and step.
 
         The root seed enters mod 2**64, so derived seeds such as
         ``seed + 1`` wrap instead of overflowing the Philox key.
         """
-        gen = getattr(_THREAD, "gen", None)
-        if gen is None:
-            gen = _THREAD.gen = np.random.Generator(np.random.Philox(key=0))
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, step, 0], dtype=np.uint64),
-                      "key": np.array([self.root_seed % 2**64,
-                                       (self.component << 8) | self.kind], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-        return gen
+        key = (np.uint64(self.root_seed % 2**64), np.uint64((self.component << 8) | self.kind))
+        counter = (np.uint64(0), np.uint64(0), np.uint64(step), np.uint64(0))
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 class _StepRows:

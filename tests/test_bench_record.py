@@ -75,34 +75,6 @@ def test_claim_fails_when_the_change_loses_pairs(tmp_path):
     assert record["claimed"]["met"] is False
 
 
-def test_since_leaves_out_and_lists_the_older_runs(tmp_path):
-    # results/ is never cleared: an old parent run at seed 5 would pair with
-    # the change's new one
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    write_result(parent, "gibbs-invariance", 5, 0, 9.0, finished=100)
-    write_result(parent, "gibbs-invariance", 1, 0, 2.0, finished=1000)
-    write_result(change, "gibbs-invariance", 1, 0, 1.0, finished=1100)
-    write_result(change, "gibbs-invariance", 5, 0, 1.2, finished=1200)
-    out = tmp_path / "BENCH_5.json"
-    args = ["--number", "5", "--parent", str(parent), "--change", str(change),
-            "--tier1-log", str(_empty_log(tmp_path)), "--since", "1970-01-01T00:08:20",
-            "--out", str(out)]
-    assert load().main(args) == 0
-    record = json.loads(out.read_text())
-    run_s = next(r for r in record["summary"] if r["metric"] == "run_s")
-    assert run_s["pairs"] == 1 and run_s["seeds"] == [1]
-    assert [(r["side"], r["record"]["seed"]) for r in record["runs"]] == [
-        ("parent", 1), ("change", 1), ("change", 5)]
-    assert record["since"] == "1970-01-01T00:08:20+00:00"
-    assert record["ignored"] == [{"side": "parent", "file": "gibbs-invariance-seed5-trace0.json",
-                                  "finished": "1970-01-01T00:01:40+00:00"}]
-    whole = load().build(5, parent, change, _empty_log(tmp_path))
-    assert "ignored" not in whole
-    assert next(r for r in whole["summary"] if r["metric"] == "run_s")["pairs"] == 2
-    assert load().build(5, parent, change, _empty_log(tmp_path), since=500.0)["ignored"] == \
-        record["ignored"]
-
-
 def _empty_log(tmp_path):
     log = tmp_path / "empty.log"
     log.write_text("")

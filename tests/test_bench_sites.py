@@ -93,29 +93,29 @@ def counts_of(calls, run):
     return {name: k for name, k in calls.items() if k}
 
 
-# a transform of a stack on a ball that reaches at most half of the n/2+1
-# half-spectrum columns is pruned: ifftn + irfftn to the grid, rfftn + fftn back
-PRUNED_TO_GRID, PRUNED_TO_COEFFS = ("ifftn", "irfftn"), ("rfftn", "fftn")
+# a ball stack's transform runs one axis at a time, pruned or not: ifftn +
+# irfftn to the grid, rfftn + fftn back
+TO_GRID, TO_COEFFS = ("ifftn", "irfftn"), ("rfftn", "fftn")
 
 
 def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
     # the benchmark's fft layer wraps numpy.fft by attribute; a drift that
     # moved to untraced or complex transforms would change what it measures
     calls = count_traced_ffts(monkeypatch)
-    spec, n = GridSpec(16, 1.0), 3  # ball 3 reaches 4 of 9 columns: pruned
+    spec, n = GridSpec(16, 1.0), 3
     gen = np.random.default_rng(5)
     pos = np.stack([random_field(spec, gen, truncation=3.0).coeffs for _ in range(n)])
     ens = ball_ensemble(spec, pos, pos, 3.0)
 
-    once = dict.fromkeys(PRUNED_TO_GRID + PRUNED_TO_COEFFS, 1)
+    once = dict.fromkeys(TO_GRID + TO_COEFFS, 1)
     assert counts_of(calls, lambda: dynamics.renormalized_drift(ens, 0.2)) == once
     renorm = RenormConstants.build(1.0, 3, 0.1, 4)
     for system in (dynamics.HlsmState, dynamics.MeanFieldState):
-        # v on the 2/3-rule ball (6 of 9 columns): irfft2 and rfft2; psi pruned
+        # v and psi to the grid, the drift back
         state = system.zero(spec, n, renorm, root_seed=2)
         state = replace(state, v=ball_ensemble(spec, pos, pos, state.v.radius), psi=ens)
         assert counts_of(calls, lambda: dynamics.hlsm_rhs(state)) == {
-            "irfft2": 1, "rfft2": 1, "ifftn": 1, "irfftn": 1}
+            "ifftn": 2, "irfftn": 2, "rfftn": 1, "fftn": 1}
     streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(n)]
     assert counts_of(calls, lambda: dynamics.step_renormalized_wave(
         ens, streams, 0, 0.1, 0.2)) == dict.fromkeys(once, 2)
@@ -142,25 +142,25 @@ def test_lln_estimator_draws_every_kick_through_the_traced_name(monkeypatch):
 def test_lln_estimator_and_the_residual_step_use_real_ffts_only(monkeypatch):
     calls = count_traced_ffts(monkeypatch)
     N_list, reps, n_steps = [2, 3], 1, 2
-    # per task and node: psi's grid values (ball 2, pruned), then the
-    # full-grid rfft2 and irfft2 of the sup proxy per kind
+    # per task and node: psi's grid values, then the full-grid rfft2 and
+    # irfft2 of the sup proxy per kind
     nodes = len(N_list) * reps * (n_steps + 1)
     assert counts_of(calls, lambda: diagnostics.lln_estimator(
         GridSpec(16, 1.0), diagnostics._LLN_KINDS, N_list, 2, n_steps * 0.1, reps, 0.1, 5,
         dt=0.1)) == {"irfft2": 3 * nodes, "rfft2": 3 * nodes, "ifftn": nodes, "irfftn": nodes}
     spec = GridSpec(16, 1.0)
     state = dynamics.HlsmState.stationary(spec, 2, RenormConstants.build(1.0, 3, 0.1, 2), 4)
-    # per stage: v (2/3-rule ball) to the grid and back, psi (ball 3, pruned) to the grid
+    # per stage: v to the grid and back, psi to the grid
     assert counts_of(calls, lambda: dynamics.step_hlsm(state, 0.1)) == {
-        "irfft2": 2, "rfft2": 2, "ifftn": 2, "irfftn": 2}
+        "ifftn": 4, "irfftn": 4, "rfftn": 2, "fftn": 2}
 
 
 def test_each_mala_proposal_takes_one_transform_to_the_grid(monkeypatch):
-    # the proposal's potential, series value and gradient share one pruned
+    # the proposal's potential, series value and gradient share one
     # _to_grid; the gradient adds one transform back through the drift
     calls = count_traced_ffts(monkeypatch)
-    spec = GridSpec(16, 1.0)  # ball 2 reaches 3 of 9 columns: pruned
+    spec = GridSpec(16, 1.0)
     cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.5, 12, 2, thin=2, acceptance_band=(0.0, 1.0))
     states = cfg.chain_length + 1  # the start and every proposal
     assert counts_of(calls, lambda: gibbs.sample_gibbs(spec, cfg, root_seed=3)) == dict.fromkeys(
-        PRUNED_TO_GRID + PRUNED_TO_COEFFS, states)
+        TO_GRID + TO_COEFFS, states)

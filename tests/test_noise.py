@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,44 +299,6 @@ def test_batched_kick_stacks_the_one_stream_kicks_bit_for_bit(radius):
         for got, want in zip(batch, zip(*one)):
             assert got.shape == (len(streams), _ball_index(SPEC.n_grid, radius).size)
             assert got.tobytes() == np.stack(want).tobytes()
-
-
-def test_interleaved_threads_draw_the_bits_of_one_thread():
-    # each thread re-keys its own generator: threads (more than cores) that
-    # take turns, each holding its generator across the others' re-keys,
-    # and that draw step rows freely under a short switch interval, draw
-    # what one thread draws stream after stream
-    streams = [NoiseStream(7, j, NoiseKind.DRIVE) for j in range(4)]
-    steps = 20
-    want = [[s.generator(k).standard_normal(6) for k in range(steps)] for s in streams]
-    got, rows = [[] for _ in streams], [[] for _ in streams]
-    turn = threading.Barrier(len(streams), timeout=30)
-
-    def draw(j):
-        for k in range(steps):
-            gen = streams[j].generator(k)
-            turn.wait()
-            first = gen.standard_normal(3)
-            turn.wait()
-            got[j].append(np.concatenate([first, gen.standard_normal(3)]))
-            rows[j].append(_StepRows(streams, k).standard_normal(6))
-
-    threads = [threading.Thread(target=draw, args=(j,)) for j in range(len(streams))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for j in range(len(streams)):
-        assert len(got[j]) == len(rows[j]) == steps
-        for k in range(steps):
-            assert got[j][k].tobytes() == want[j][k].tobytes()
-            assert rows[j][k].tobytes() == np.stack([w[k] for w in want]).tobytes()
 
 
 def test_stationary_start_keeps_pointwise_variance():
