@@ -8,14 +8,17 @@ PARENT and CHANGE are the roots of two checkouts.  Each runs, with its own
 * the criterion-11 config of ``tests/test_acceptance.py`` with
   ``formats = csv,fields``, under all eight subcommands, at program seed S;
 * the INI of every workload in ``perfbench/workloads.py`` at benchmark seed
-  S, written once by CHANGE's module (imported, not edited) and run by both.
+  S, written once by CHANGE's module (imported, not edited) and run by both;
+* every script in CHANGE's ``demos/``, each side running its own copy, whose
+  printed output is compared (the demos fix their own seeds).
 
 Each run has its own temporary working directory and writes to the same
 relative output directory, so the manifests compare equal too.  Every file
 whose bytes differ is listed, with the largest difference between the
 numbers of a CSV relative to the largest magnitude in their column, and so
-is every file present on one side only and every run that fails.  Exits 1
-when anything differs, else 0.  Standard library only.
+is every file present on one side only, every demo whose output differs and
+every run that fails.  Exits 1 when anything differs, else 0.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -41,16 +44,17 @@ CRITERION_11_INI = (
 FORMATS = "[output]\nformats = csv,fields\n"
 
 
-def _run(root: Path, argv: list, ini_text: str, work: Path) -> str | None:
-    """Run the CLI of ``root`` in ``work`` on ``run.ini``; the error text, or None."""
+def _run(root: Path, args: list, work: Path, ini_text: str = "") -> tuple:
+    """Run ``python args`` with ``root``'s ``src`` in ``work``, next to
+    ``run.ini``; ``(stdout, error text or None)``."""
     work.mkdir()
     (work / "run.ini").write_text(ini_text)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-m", "sigma_wave.cli"] + argv, cwd=work, env=env,
+    done = subprocess.run([sys.executable] + args, cwd=work, env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
-        return f"exit {done.returncode}: {done.stderr.strip()[-400:]}"
-    return None
+        return done.stdout, f"exit {done.returncode}: {done.stderr.strip()[-400:]}"
+    return done.stdout, None
 
 
 def _numbers(path: Path) -> list:
@@ -126,7 +130,8 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             found = []
             for side, root in sides.items():
-                error = _run(root, run_argv, ini_text, Path(tmp) / side)
+                _, error = _run(root, ["-m", "sigma_wave.cli"] + run_argv, Path(tmp) / side,
+                                ini_text)
                 if error is not None:
                     found.append(f"{label}: {side} run failed, {error}")
             if not found:
@@ -135,9 +140,23 @@ def main(argv=None) -> int:
                 compared += sum(1 for p in outs[0].rglob("*") if p.is_file())
         print(f"{label}: {'differs' if found else 'same'}", flush=True)
         problems += found
+    for demo in sorted(p.name for p in (sides["CHANGE"] / "demos").glob("*.py")):
+        label, found, printed = f"demo/{demo}", [], []
+        with tempfile.TemporaryDirectory() as tmp:
+            for side, root in sides.items():
+                out, error = _run(root, [str(root / "demos" / demo)], Path(tmp) / side)
+                if error is not None:
+                    found.append(f"{label}: {side} run failed, {error}")
+                printed.append(out)
+        if not found and printed[0] != printed[1]:
+            found.append(f"{label}: printed output differs")
+        compared += 1
+        print(f"{label}: {'differs' if found else 'same'}", flush=True)
+        problems += found
     for line in problems:
         print(line)
-    print(f"{compared} files compared at seed {args.seed}; {len(problems)} differences")
+    print(f"{compared} files and demo outputs compared at seed {args.seed}; "
+          f"{len(problems)} differences")
     return 1 if problems else 0
 
 

@@ -21,7 +21,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -202,7 +201,7 @@ def _ensemble_from_files(spec: GridSpec, n: int, directory: str, radius: float) 
                                   f"configured {spec.n_grid}")
             if not np.all(np.isfinite(field.coeffs)):
                 raise ConfigError(f"{path}: non-finite coefficients")
-            if hermitian_defect(field) > 1e-12 * np.max(np.abs(field.coeffs)):
+            if hermitian_defect(field.coeffs) > 1e-12 * np.max(np.abs(field.coeffs)):
                 raise ConfigError(f"{path}: coefficients are not the spectrum of a real field")
             if np.any(field.coeffs[off_ball]):
                 raise ConfigError(f"{path}: non-zero coefficients outside the dealias ball "
@@ -215,8 +214,8 @@ def _ensemble_from_files(spec: GridSpec, n: int, directory: str, radius: float) 
 def _write_field_snapshots(out_dir: Path, ens: BallEnsemble) -> None:
     pos, vel = ens.full()
     for j in range(len(ens)):
-        save_field(SpectralField(ens.spec, pos[j], copy=False), out_dir / f"field_u{j:03d}.sgwv")
-        save_field(SpectralField(ens.spec, vel[j], copy=False), out_dir / f"field_du{j:03d}.sgwv")
+        save_field(SpectralField(ens.spec, pos[j]), out_dir / f"field_u{j:03d}.sgwv")
+        save_field(SpectralField(ens.spec, vel[j]), out_dir / f"field_du{j:03d}.sgwv")
 
 
 def _write_fit(path: Path, rows) -> str:
@@ -267,13 +266,11 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     state = start(spec, n, rc, seed, d["dealias"])
     if d["data"] == "file":
         state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"], state.v.radius))
-    record = run_trajectory(state, d["dt"], n_steps, stride,
-                            observe=_run_observables(g["m"]),
-                            keep_states="fields" in cfg["output"]["formats"])
+    record = run_trajectory(state, d["dt"], n_steps, stride, observe=_run_observables(g["m"]))
     record.to_csv(out_dir / "trajectory.csv")
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(record.times)} nodes)")
     if "fields" in cfg["output"]["formats"]:
-        _write_field_snapshots(out_dir, record.states[-1].combined())
+        _write_field_snapshots(out_dir, record.final.combined())
         print(f"wrote {2 * n} field snapshots to {out_dir}")
 
 
@@ -306,18 +303,15 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
     a, b = coupled_gibbs_gaussian_pair(spec, cfg, root)
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(cfg.n_components))
     alpha = alpha_m(spec.m, cfg.truncation)
-    times, states_n, states_l = [0.0], [a], [b]
+    states_n, states_l = [a], [b]
     for k in range(n_steps):
         kick = _kick_pair((len(streams),), streams, k, spec, dt, b.radius)
         a = step_renormalized_wave(a, streams, k, dt, alpha, kick)
         b = step_linear_ensemble(b, streams, k, dt, kick)
         if (k + 1) % stride == 0:
-            times.append((k + 1) * dt)
             states_n.append(a)
             states_l.append(b)
-    traj_n = SimpleNamespace(times=np.asarray(times), states=states_n)
-    traj_l = SimpleNamespace(times=np.asarray(times), states=states_l)
-    return difference_norms(traj_n, traj_l, s, 0)[0]
+    return difference_norms(states_n, states_l, s, 0)[0]
 
 
 def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
@@ -380,7 +374,7 @@ def cmd_sample_gibbs(cfg: dict, out_dir: Path, threads: int) -> None:
     print(f"wrote gibbs_chain.csv, gibbs_modes.csv, gibbs_stats.csv to {out_dir}; "
           f"acceptance = {samples.accept_rate:.3f}, iact = {samples.iact:.1f}")
     if "fields" in cfg["output"]["formats"]:
-        _write_field_snapshots(out_dir, samples.ensemble(len(samples) - 1))
+        _write_field_snapshots(out_dir, samples.draws[-1])
         print(f"wrote final-sample field snapshots to {out_dir}")
 
 

@@ -15,26 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import step_linear_ensemble
-from .grid import (
-    BallEnsemble,
-    GridSpec,
-    SpectralField,
-    _bracket_pow,
-    _i_profile,
-    _sobolev_norms,
-    _to_grid,
-    apply_i_operator,
-    random_field,
-    rms,
-    sobolev_norm,
-)
+from .grid import (BallEnsemble, GridSpec, _bracket_pow, _i_profile, _sobolev_norms, _to_grid,
+                   random_field, rms, sobolev_norm)
 from .noise import NoiseKind, NoiseStream, alpha_m, stationary_ensemble
 
 __all__ = [
     "RateFit",
     "energy_en",
     "energy_meanfield",
-    "modified_energy",
     "zn_norm",
     "lln_estimator",
     "commutator_defect",
@@ -44,17 +32,6 @@ __all__ = [
 ]
 
 
-def _ensemble_energy(ens: BallEnsemble, m: float, prof=1.0) -> float:
-    """Energy of ``prof`` times the packed stacks of ``ens``; ``prof`` is a
-    per-mode multiplier gathered on the ensemble's ball."""
-    pos, vel = prof * ens.pos, prof * ens.vel
-    dispersion = ens.spec.mode_norm_sq.reshape(-1)[ens.index] + m
-    quad = np.mean(np.sum(dispersion * np.abs(pos) ** 2 + np.abs(vel) ** 2, axis=-1))
-    ug = _to_grid(pos, ens.spec.n_grid, ens.radius)
-    mean_sq = np.mean(ug * ug, axis=0)
-    return float(0.5 * quad + 0.25 * np.mean(mean_sq * mean_sq))
-
-
 def energy_en(ens: BallEnsemble, m: float) -> float:
     """Component-averaged energy: quadratic part in mode space, quartic part
     as the squared pointwise mean of ``u_j^2`` on the grid.
@@ -62,17 +39,14 @@ def energy_en(ens: BallEnsemble, m: float) -> float:
     Read over replicas it is the energy of the mean-field flow with the
     empirical replica average, ``energy_meanfield``.
     """
-    return _ensemble_energy(ens, m)
+    dispersion = ens.spec.mode_norm_sq.reshape(-1)[ens.index] + m
+    quad = np.mean(np.sum(dispersion * np.abs(ens.pos) ** 2 + np.abs(ens.vel) ** 2, axis=-1))
+    ug = _to_grid(ens.pos, ens.spec.n_grid, ens.radius)
+    mean_sq = np.mean(ug * ug, axis=0)
+    return float(0.5 * quad + 0.25 * np.mean(mean_sq * mean_sq))
 
 
 energy_meanfield = energy_en
-
-
-def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) -> float:
-    """Energy of the I-smoothed ensemble; equals :func:`energy_en` once the
-    threshold clears ``nyquist * sqrt(2)`` and the multiplier is 1 everywhere."""
-    prof = _i_profile(ens.spec.n_grid, float(s), float(truncation)).reshape(-1)[ens.index]
-    return _ensemble_energy(ens, m, prof)
 
 
 def _sup_proxy(z: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
@@ -202,41 +176,41 @@ def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,
     gen = np.random.default_rng(root_seed)
     worst = {int(M): 0.0 for M in M_list}
     for _ in range(trials):
-        f = random_field(spec, gen, decay=2.0, truncation=base_ball)
-        g = random_field(spec, gen, decay=2.0, truncation=base_ball)
-        fgrid, ggrid = f.to_grid(), g.to_grid()
-        fg2 = SpectralField.from_grid(spec, fgrid * fgrid * ggrid)
+        f = random_field(spec, gen, decay=2.0, truncation=base_ball).coeffs
+        g = random_field(spec, gen, decay=2.0, truncation=base_ball).coeffs
+        fgrid, ggrid = np.fft.ifft2(f, norm="forward").real, np.fft.ifft2(g, norm="forward").real
+        fg2 = np.fft.fft2(fgrid * fgrid * ggrid, norm="forward")
         for M in M_list:
-            i_f = apply_i_operator(f, s, float(M))
-            i_g = apply_i_operator(g, s, float(M))
+            prof = _i_profile(spec.n_grid, float(s), float(M))
+            i_f, i_g = f * prof, g * prof
             nf = sobolev_norm(i_f, 1.0)
             ng = sobolev_norm(i_g, 1.0)
-            lhs = apply_i_operator(fg2, s, float(M)).coeffs
-            ifg, igg = i_f.to_grid(), i_g.to_grid()
-            rhs = SpectralField.from_grid(spec, ifg * ifg * igg).coeffs
+            lhs = fg2 * prof
+            ifg = np.fft.ifft2(i_f, norm="forward").real
+            igg = np.fft.ifft2(i_g, norm="forward").real
+            rhs = np.fft.fft2(ifg * ifg * igg, norm="forward")
             defect = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / (nf * nf * ng)
             worst[int(M)] = max(worst[int(M)], float(defect))
     return [{"M": M, "defect_max": worst[M]} for M in sorted(worst)]
 
 
-def difference_norms(traj_n, traj_limit, s: float, j: int):
-    """C_T script-H^s distance between two saved trajectories.
+def difference_norms(states_n, states_limit, s: float, j: int):
+    """C_T script-H^s distance between two runs recorded at shared nodes.
 
-    Returns the component-j norm and the l2-average over components; both
-    are maxima over the shared recording nodes of
-    ``(||du||_{H^s}^2 + ||dv||_{H^{s-1}}^2)^{1/2}``.  The states are ball
-    ensembles, all on one ball, differenced packed.
+    ``states_n`` and ``states_limit`` are sequences of ball ensembles, one per
+    recording node, all on one ball; they are differenced packed.  Returns the
+    component-j norm and the l2-average over components; both are maxima over
+    the nodes of ``(||du||_{H^s}^2 + ||dv||_{H^{s-1}}^2)^{1/2}``.
     """
-    if len(traj_n.states) != len(traj_limit.states) or not traj_n.states:
-        raise ValueError("trajectories must share their recording nodes")
-    if not np.allclose(traj_n.times, traj_limit.times):
-        raise ValueError("trajectories must share their recording times")
-    balls = {(x.spec.n_grid, x.radius) for x in [*traj_n.states, *traj_limit.states]}
+    states_n, states_limit = list(states_n), list(states_limit)
+    if len(states_n) != len(states_limit) or not states_n:
+        raise ValueError("the two runs must share their recording nodes")
+    balls = {(x.spec.n_grid, x.radius) for x in [*states_n, *states_limit]}
     if len(balls) > 1:
-        raise ValueError(f"trajectory states sit on different balls: {sorted(balls)}")
+        raise ValueError(f"states sit on different balls: {sorted(balls)}")
     (n_grid, radius), = balls
-    best = np.zeros(len(traj_n.states[0]))
-    for a, b in zip(traj_n.states, traj_limit.states):
+    best = np.zeros(len(states_n[0]))
+    for a, b in zip(states_n, states_limit):
         val = np.hypot(_sobolev_norms(a.pos - b.pos, n_grid, radius, s),
                        _sobolev_norms(a.vel - b.vel, n_grid, radius, s - 1.0))
         bad = np.flatnonzero(~np.isfinite(val))

@@ -221,32 +221,22 @@ def hlsm_rhs(state: _ResidualState) -> np.ndarray:
     return state.drift(state.v.pos, state.psi, c, state.v.radius)
 
 
-def _add_kicks(pos: np.ndarray, vel: np.ndarray, streams, step: int, spec: GridSpec,
-               truncation: float, chol) -> None:
-    """Add one exact noise kick per stream into ``pos``/``vel``, in place.
-
-    The stacks are packed ``(..., n_ball)`` on the ``|n| <= truncation``
-    ball; streams run over their flattened leading axes, one per component,
-    and a count that differs raises.  One ``_draw_kick`` call draws every
-    stream's kick as a row of one stack.  Every stepper draws its noise here,
-    so systems that share streams and a step index see identical kicks.
-    """
-    n_comp = math.prod(pos.shape[:-1])
-    if len(streams) != n_comp:
-        raise ValueError(f"{len(streams)} noise streams for {n_comp} components")
-    ex, ev = _draw_kick(_StepRows(streams, step), spec, truncation, chol)
-    pos += ex.reshape(pos.shape)
-    vel += ev.reshape(vel.shape)
-
-
 def _kick_pair(lead: tuple, streams, step: int, spec: GridSpec, dt: float,
                truncation: float) -> tuple:
-    """The exact noise kicks of one step, drawn into a zeroed ``(pos, vel)``
-    pair of ``lead + (n_ball,)`` stacks packed on the ``|n| <= truncation`` ball."""
-    shape = lead + (_ball_index(spec.n_grid, float(truncation)).size,)
-    kick = (np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
-    _add_kicks(*kick, streams, step, spec, truncation, _ball_tables(spec, dt, float(truncation))[1])
-    return kick
+    """The exact noise kicks of one step, a ``(pos, vel)`` pair of ``lead +
+    (n_ball,)`` stacks packed on the ``|n| <= truncation`` ball.
+
+    Streams run over the flattened ``lead`` axes, one per component, and a
+    count that differs raises.  One ``_draw_kick`` call draws every stream's
+    kick as a row of one stack.  Every stepper draws its noise here, so
+    systems that share streams and a step index see identical kicks.
+    """
+    n_comp = math.prod(lead)
+    if len(streams) != n_comp:
+        raise ValueError(f"{len(streams)} noise streams for {n_comp} components")
+    chol = _ball_tables(spec, dt, float(truncation))[1]
+    ex, ev = _draw_kick(_StepRows(streams, step), spec, truncation, chol)
+    return ex.reshape(lead + ex.shape[-1:]), ev.reshape(lead + ev.shape[-1:])
 
 
 def step_linear_ensemble(ens: BallEnsemble, streams, step: int, dt: float,
@@ -258,14 +248,13 @@ def step_linear_ensemble(ens: BallEnsemble, streams, step: int, dt: float,
     pair from ``_kick_pair`` is added instead of drawing from ``streams``,
     so a coupled run draws each kick once and hands it to both steps.
     """
-    (s11, s12, s21, s22), chol = _ball_tables(ens.spec, dt, ens.radius)
+    s11, s12, s21, s22 = _ball_tables(ens.spec, dt, ens.radius)[0]
+    if kick is None:
+        kick = _kick_pair(ens.pos.shape[:-1], streams, step, ens.spec, dt, ens.radius)
     pos = s11 * ens.pos + s12 * ens.vel
     vel = s21 * ens.pos + s22 * ens.vel
-    if kick is None:
-        _add_kicks(pos, vel, streams, step, ens.spec, ens.radius, chol)
-    else:
-        pos += kick[0]
-        vel += kick[1]
+    pos += kick[0]
+    vel += kick[1]
     return BallEnsemble(ens.spec, ens.radius, pos, vel)
 
 
@@ -353,11 +342,11 @@ step_deterministic_meanfield = step_deterministic_nlw
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded observables (and optionally states) along one run."""
+    """Observables recorded along one run, and the state it ended in."""
 
     times: np.ndarray
     series: dict
-    states: list
+    final: object
 
     def to_csv(self, path) -> None:
         names = list(self.series)
@@ -369,27 +358,26 @@ class TrajectoryRecord:
 
 
 def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
-                   observe=None, keep_states: bool = False) -> TrajectoryRecord:
+                   observe=None) -> TrajectoryRecord:
     """Integrate an HLSM or mean-field state, recording every ``stride`` steps.
 
     ``observe(state)`` returns the named values of one recording node, the
-    same names at every node; they become the series.  Non-finite fields at
-    a recording node, the start included, raise :class:`BlowupError`;
-    nothing is clipped.
+    same names at every node; they become the series.  The record keeps the
+    state after the last step as ``final``; no other state is held.
+    Non-finite fields at a recording node, the start included, raise
+    :class:`BlowupError`; nothing is clipped.
     """
     if n_steps % stride != 0:
         raise ValueError(f"stride {stride} does not divide n_steps {n_steps}")
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
-    times, rows, states = [], [], []
+    times, rows = [], []
 
     def record(state) -> None:
         if not (np.all(np.isfinite(state.v.pos)) and np.all(np.isfinite(state.v.vel))):
             raise BlowupError(state.time)
         times.append(state.time)
         rows.append(observe(state) if observe else {})
-        if keep_states:
-            states.append(state)
 
     record(state)
     for k in range(n_steps):
@@ -397,4 +385,4 @@ def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
         if (k + 1) % stride == 0:
             record(state)
     series = {name: np.asarray([row[name] for row in rows]) for name in rows[0]}
-    return TrajectoryRecord(np.asarray(times), series, states)
+    return TrajectoryRecord(np.asarray(times), series, state)

@@ -19,15 +19,18 @@ cancels.
 A pair of unadjusted chains driven by common innovations, one interacting
 and one free, yields coupled (Gibbs, Gaussian) samples whose difference is
 controlled by the interaction gradient; this is the initial-data coupling
-used by the mean-field convergence experiment.
+used by the mean-field convergence experiment.  The pair takes the
+preconditioned Crank-Nicolson step ``sqrt(1-h^2) U + h Z`` (Cotter, Roberts,
+Stuart and White, Stat. Sci. 28, 2013), which leaves the free side's
+equilibrium exactly invariant for every h.
 
-Both samplers, the evolution of their samples and the invariance
-observables keep packed ``(..., N, n_ball)`` ball stacks
-(``grid.BallEnsemble``, the layout of :class:`GibbsSamples`) and draw an
-iteration's N innovations in one call; drift, potential and observables
-reach grid values through real FFTs on the half spectrum (``grid._to_grid``).
-No full coefficient grid is filled: a MALA proposal takes one ``_to_grid``,
-which its potential, its ``series`` value and its gradient share.
+Every ensemble here is a ``grid.BallEnsemble``: the chains' states, the
+thinned draws of :class:`GibbsSamples` (one ``(K, N, n_ball)`` batch), their
+evolution and the invariance observables.  An iteration's N innovations come
+from one call; drift, potential and observables reach grid values through
+real FFTs on the half spectrum (``grid._to_grid``).  No full coefficient grid
+is filled: a MALA proposal takes one ``_to_grid``, which its potential, its
+``series`` value and its gradient share.
 """
 
 from __future__ import annotations
@@ -109,34 +112,28 @@ class GibbsSamplerConfig:
 
 @dataclass
 class GibbsSamples:
-    """Thinned draws packed on the mode ball, plus chain health numbers.
+    """Thinned draws, plus chain health numbers.
 
-    ``positions[k, j]`` holds the ball-mode coefficients of component j of
-    sample k, in the flat-index order of ``mode_idx``; ``ensemble`` gives
-    one sample as a :class:`~sigma_wave.grid.BallEnsemble`.
+    ``draws`` is one ``(K, N, n_ball)`` :class:`~sigma_wave.grid.BallEnsemble`
+    on the truncation ball: ``draws[k]`` is sample k, and ``draws.pos[k, j]``
+    the ball-mode coefficients of its component j.
     """
 
-    spec: GridSpec
-    truncation: int
-    mode_idx: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
+    draws: BallEnsemble
     accept_rate: float
     iact: float
     series: np.ndarray
 
     def __len__(self) -> int:
-        return self.positions.shape[0]
-
-    def ensemble(self, k: int) -> BallEnsemble:
-        return BallEnsemble(self.spec, self.truncation, self.positions[k], self.velocities[k])
+        return self.draws.pos.shape[0]
 
     def mode_values(self, j: int, mode: tuple) -> np.ndarray:
-        flat = (mode[0] % self.spec.n_grid) * self.spec.n_grid + (mode[1] % self.spec.n_grid)
-        hits = np.flatnonzero(self.mode_idx == flat)
+        n_grid = self.draws.spec.n_grid
+        flat = (mode[0] % n_grid) * n_grid + (mode[1] % n_grid)
+        hits = np.flatnonzero(self.draws.index == flat)
         if hits.size == 0:
             return np.zeros(len(self), dtype=np.complex128)
-        return self.positions[:, j, hits[0]]
+        return self.draws.pos[:, j, hits[0]]
 
 
 def integrated_autocorrelation(series: np.ndarray) -> float:
@@ -255,10 +252,9 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
             f"MALA acceptance {accept_rate:.2f} outside [{lo}, {hi}]; "
             f"try step_size near {suggestion:.3g}", RuntimeWarning)
 
-    packed_vel = np.stack([_velocities(spec, M, root_seed, n, k) for k in range(len(keep_pos))])
-    return GibbsSamples(spec, M, idx, np.stack(keep_pos), packed_vel,
-                        accept_rate, integrated_autocorrelation(np.asarray(series)),
-                        np.asarray(series))
+    vel = np.stack([_velocities(spec, M, root_seed, n, k) for k in range(len(keep_pos))])
+    return GibbsSamples(BallEnsemble(spec, M, np.stack(keep_pos), vel), accept_rate,
+                        integrated_autocorrelation(np.asarray(series)), np.asarray(series))
 
 
 def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int):
@@ -297,35 +293,35 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     return BallEnsemble(spec, M, pos_a, vel.copy()), BallEnsemble(spec, M, pos_b, vel)
 
 
-def evolve_gibbs_samples(positions: np.ndarray, velocities: np.ndarray, spec: GridSpec,
-                         alpha: float, truncation: float, dt: float, n_steps: int,
-                         noise_seed: int, slices: int = 1, map_fn=map) -> tuple:
-    """Advance a batch of K independent N-component systems in lockstep.
+def evolve_gibbs_samples(ens: BallEnsemble, alpha: float, dt: float, n_steps: int,
+                         noise_seed: int, slices: int = 1, map_fn=map) -> BallEnsemble:
+    """Advance a ``(K, N, n_ball)`` batch of K independent N-component
+    systems in lockstep, and return the batch at the end.
 
-    Arrays are (K, N, n_ball) stacks packed on the ``|n| <= truncation``
-    ball, advanced as one batched ensemble by the interacting wave stepper
-    with noise streams keyed by flattened sample-component index; bit-identical
-    to stepping each system alone.  With ``slices > 1`` the K axis is cut
-    into that many contiguous slices, which ``map_fn(fn, items)`` evolves in
-    order (a thread map runs them in parallel); each slice keeps the streams
-    of its own flattened indices, so the result does not depend on ``slices``.
+    The batch is advanced by the interacting wave stepper on its ball, with
+    noise streams keyed by flattened sample-component index; bit-identical to
+    stepping each system alone.  With ``slices > 1`` the K axis is cut into
+    that many contiguous slices, which ``map_fn(fn, items)`` evolves in order
+    (a thread map runs them in parallel); each slice keeps the streams of its
+    own flattened indices, so the result does not depend on ``slices``.
     """
-    k, n = positions.shape[:2]
+    k, n = ens.pos.shape[:2]
 
     def evolve(bounds):
         lo, hi = bounds
         streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(lo * n, hi * n)]
-        ens = BallEnsemble(spec, truncation, positions[lo:hi], velocities[lo:hi])
+        part = ens[lo:hi]
         for step in range(n_steps):
-            ens = step_renormalized_wave(ens, streams, step, dt, alpha)
-        return ens.pos, ens.vel
+            part = step_renormalized_wave(part, streams, step, dt, alpha)
+        return part
 
     slices = min(slices, k)
     if slices <= 1:
         return evolve((0, k))
     cuts = [k * i // slices for i in range(slices + 1)]
     parts = list(map_fn(evolve, zip(cuts[:-1], cuts[1:])))
-    return (np.concatenate([p for p, _ in parts]), np.concatenate([v for _, v in parts]))
+    return BallEnsemble(ens.spec, ens.radius, np.concatenate([p.pos for p in parts]),
+                        np.concatenate([p.vel for p in parts]))
 
 
 @dataclass
@@ -344,13 +340,12 @@ class InvarianceReport:
                                     "mean_t1", "se_t1")]) + "\n")
 
 
-def _invariance_observables(samples: GibbsSamples, packed: np.ndarray, alpha: float) -> dict:
-    """Observables of packed ``(K, N, n_ball)`` samples."""
-    spec = samples.spec
-    ug = _to_grid(packed, spec.n_grid, samples.truncation)
+def _invariance_observables(ens: BallEnsemble, alpha: float) -> dict:
+    """Observables of a ``(K, N, n_ball)`` batch, one value per sample."""
+    ug = _to_grid(ens.pos, ens.spec.n_grid, ens.radius)
     wick_sq = np.mean(ug[:, 0] ** 2, axis=(1, 2)) - alpha
-    low = ball_mask(spec, 1.0).reshape(-1)[samples.mode_idx]
-    low_energy = np.sum(np.abs(packed[:, 0, low]) ** 2, axis=1)
+    low = ball_mask(ens.spec, 1.0).reshape(-1)[ens.index]
+    low_energy = np.sum(np.abs(ens.pos[:, 0, low]) ** 2, axis=1)
     potential = _potential(ug, alpha)
     return {"wick_square_int": wick_sq, "low_mode_energy": low_energy,
             "potential": potential}
@@ -377,11 +372,10 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
         raise ValueError(f"dt {dt} does not divide horizon {horizon}")
     samples = sample_gibbs(spec, cfg, root_seed)
     alpha = alpha_m(spec.m, cfg.truncation)
-    pos1, _ = evolve_gibbs_samples(samples.positions, samples.velocities, spec, alpha,
-                                   float(cfg.truncation), dt, n_steps, root_seed + 1,
+    evolved = evolve_gibbs_samples(samples.draws, alpha, dt, n_steps, root_seed + 1,
                                    slices, map_fn)
-    obs0 = _invariance_observables(samples, samples.positions, alpha)
-    obs1 = _invariance_observables(samples, pos1, alpha)
+    obs0 = _invariance_observables(samples.draws, alpha)
+    obs1 = _invariance_observables(evolved, alpha)
     rows = []
     for name in obs0:
         a, b = obs0[name], obs1[name]
@@ -401,10 +395,10 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
 def gibbs_vs_gaussian_covariance(samples: GibbsSamples, j: int, mode: tuple) -> dict:
     """Per-mode sample variance against the free-field value ``1/(m+|n|^2)``."""
     vals = samples.mode_values(j, mode)
-    spec = samples.spec
+    spec = samples.draws.spec
     n1 = (mode[0] + spec.n_grid // 2) % spec.n_grid - spec.n_grid // 2
     n2 = (mode[1] + spec.n_grid // 2) % spec.n_grid - spec.n_grid // 2
-    in_ball = n1 * n1 + n2 * n2 <= samples.truncation**2 + 1e-9
+    in_ball = n1 * n1 + n2 * n2 <= samples.draws.radius**2 + 1e-9
     est = float(np.mean(np.abs(vals) ** 2))
     # |c|^2 has sd sqrt(2) * mean on a real (self-conjugate) mode, sd = mean on a complex one
     self_conjugate = (2 * n1) % spec.n_grid == 0 and (2 * n2) % spec.n_grid == 0

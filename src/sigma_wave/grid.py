@@ -20,9 +20,10 @@ integer modes.  Conventions, fixed once here:
   spectrum, one axis at a time; steppers, drifts, chains and observables all
   read them so.  A ball that reaches at most half of the ``n/2+1``
   half-spectrum columns has its complex pass run on those columns only.
-  Either way the values are the bits of ``irfft2``/``rfft2``.  Full ``(n, n)`` coefficient grids remain only for
-  snapshots (:meth:`BallEnsemble.full`, :class:`SpectralField`) and the
-  commutator experiment (:class:`SpectralField`).
+  Either way the values are the bits of ``irfft2``/``rfft2``.  Full ``(n, n)``
+  coefficient grids remain only for snapshots (:meth:`BallEnsemble.full`
+  scatters to them; :class:`SpectralField` is the record of one snapshot
+  file) and for the commutator experiment's plain arrays.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ __all__ = [
     "SpectralField",
     "BallEnsemble",
     "ball_mask",
-    "project",
-    "apply_i_operator",
     "sobolev_norm",
     "rms",
     "hermitian_defect",
-    "hermitian_symmetrize",
     "random_field",
     "save_field",
     "load_field",
@@ -206,37 +204,18 @@ def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
 
 
 class SpectralField:
-    """A real scalar field stored through its full ``(n, n)`` Fourier
-    coefficients: the snapshot format and the commutator's fields.
-
-    The coefficient array is owned by the instance unless ``copy=False``.
-    Realness of the represented field is a property of the data (Hermitian
-    symmetry), checked on demand via :func:`hermitian_defect`.
+    """One real scalar field through its full ``(n, n)`` Fourier coefficients:
+    the record of a snapshot file (:func:`save_field`, :func:`load_field`).
+    Realness is a property of the data, checked by :func:`hermitian_defect`.
     """
 
     __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: GridSpec, coeffs: np.ndarray, copy: bool = True):
+    def __init__(self, spec: GridSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != spec.shape():
             raise ValueError(f"coefficient shape {coeffs.shape} != {spec.shape()}")
-        self.spec = spec
-        self.coeffs = coeffs.copy() if copy else coeffs
-
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "SpectralField":
-        return cls(spec, np.zeros(spec.shape(), dtype=np.complex128), copy=False)
-
-    @classmethod
-    def from_grid(cls, spec: GridSpec, values: np.ndarray) -> "SpectralField":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != spec.shape():
-            raise ValueError(f"grid shape {values.shape} != {spec.shape()}")
-        return cls(spec, np.fft.fft2(values, norm="forward"), copy=False)
-
-    def to_grid(self) -> np.ndarray:
-        """Collocation values; the imaginary residual is dropped."""
-        return np.fft.ifft2(self.coeffs, norm="forward").real
+        self.spec, self.coeffs = spec, coeffs
 
 
 class BallEnsemble:
@@ -266,19 +245,20 @@ class BallEnsemble:
     def __len__(self) -> int:
         return self.pos.shape[-2]
 
+    def __getitem__(self, key) -> "BallEnsemble":
+        """The ensembles at ``key`` of the leading (batch) axes."""
+        return BallEnsemble(self.spec, self.radius, self.pos[key], self.vel[key])
+
     def full(self) -> tuple:
         """``(pos, vel)`` scattered to ``(..., N, n, n)`` coefficient grids, zero off the ball."""
         return _unpack(self.pos, self.spec, self.index), _unpack(self.vel, self.spec, self.index)
 
 
-def project(f: SpectralField, truncation: float) -> SpectralField:
-    """Sharp Fourier truncation to the mode ball ``|n| <= truncation``."""
-    out = np.where(ball_mask(f.spec, truncation), f.coeffs, 0.0)
-    return SpectralField(f.spec, out, copy=False)
-
-
 @lru_cache(maxsize=256)
 def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
+    """The I-method smoothing multiplier per mode, in FFT layout: 1 on
+    ``|n| <= truncation``, ``(truncation / |n|)**(1 - s)`` outside, so ``H^s``
+    data become ``H^1``; ``s`` must lie in ``(0, 1]``."""
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
     r = np.sqrt(_mode_norm_sq(n_grid))
@@ -287,14 +267,6 @@ def _i_profile(n_grid: int, s: float, truncation: float) -> np.ndarray:
     out = np.where(r <= truncation + 1e-9, 1.0, tail)
     out.setflags(write=False)
     return out
-
-
-def apply_i_operator(f: SpectralField, s: float, truncation: float) -> SpectralField:
-    """Multiply by the I-method smoothing multiplier: 1 on ``|n| <= truncation``,
-    ``(truncation / |n|)**(1 - s)`` outside, so ``H^s`` data become ``H^1``;
-    ``s`` must lie in ``(0, 1]``."""
-    prof = _i_profile(f.spec.n_grid, float(s), float(truncation))
-    return SpectralField(f.spec, f.coeffs * prof, copy=False)
 
 
 @lru_cache(maxsize=256)
@@ -311,9 +283,10 @@ def _sobolev_norms(packed: np.ndarray, n_grid: int, radius: float, s: float) -> 
     return np.sqrt(np.sum((w * np.abs(packed)) ** 2, axis=-1))
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """``H^s`` norm, ``(sum <n>^{2s} |fhat(n)|^2)^{1/2}`` with ``<n>^2 = 1 + |n|^2``."""
-    return float(_sobolev_norms(f.coeffs.reshape(-1), f.spec.n_grid, np.inf, s))
+def sobolev_norm(coeffs: np.ndarray, s: float) -> float:
+    """``H^s`` norm of full ``(n, n)`` coefficients,
+    ``(sum <n>^{2s} |fhat(n)|^2)^{1/2}`` with ``<n>^2 = 1 + |n|^2``."""
+    return float(_sobolev_norms(coeffs.reshape(-1), coeffs.shape[-1], np.inf, s))
 
 
 def rms(values) -> float:
@@ -334,14 +307,10 @@ def _mirror(coeffs: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(flipped, (1, 1), axis=(0, 1)))
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    """Max deviation from the realness constraint ``fhat(-n) == conj(fhat(n))``."""
-    return float(np.max(np.abs(f.coeffs - _mirror(f.coeffs))))
-
-
-def hermitian_symmetrize(f: SpectralField) -> SpectralField:
-    """Nearest (in the averaging sense) coefficient array with exact realness."""
-    return SpectralField(f.spec, 0.5 * (f.coeffs + _mirror(f.coeffs)), copy=False)
+def hermitian_defect(coeffs: np.ndarray) -> float:
+    """Max deviation of full ``(n, n)`` coefficients from the realness
+    constraint ``fhat(-n) == conj(fhat(n))``."""
+    return float(np.max(np.abs(coeffs - _mirror(coeffs))))
 
 
 def random_field(
@@ -354,16 +323,16 @@ def random_field(
     """Random real field with coefficient scale ``amplitude * <n>^-decay``.
 
     Draws complex Gaussians on the full lattice, enforces realness by
-    symmetrizing, and truncates to ``|n| <= truncation`` (default: the
-    Nyquist ball, which keeps the unpaired Nyquist lines out).
+    averaging with the conjugate mirror, and truncates sharply to ``|n| <=
+    truncation`` (default: the Nyquist ball, which keeps the unpaired Nyquist
+    lines out).
     """
     if truncation is None:
         truncation = float(spec.nyquist)
     shape = spec.shape()
     z = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    prof = amplitude * (1.0 + spec.mode_norm_sq) ** (-decay / 2.0)
-    f = SpectralField(spec, z * prof, copy=False)
-    return project(hermitian_symmetrize(f), truncation)
+    c = z * (amplitude * (1.0 + spec.mode_norm_sq) ** (-decay / 2.0))
+    return SpectralField(spec, np.where(ball_mask(spec, truncation), 0.5 * (c + _mirror(c)), 0.0))
 
 
 def save_field(f: SpectralField, path) -> None:

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sigma_wave.diagnostics import energy_en
 from sigma_wave.dynamics import HlsmState
-from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _bracket_pow,
-                             ball_mask, project)
+from sigma_wave.grid import (BallEnsemble, GridSpec, _ball_index, _ball_mask, _bracket_pow,
+                             _i_profile, ball_mask)
 from sigma_wave.noise import _half_lattice
 from sigma_wave.wick import hermite
 
@@ -64,6 +65,15 @@ def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
                     + h2k * vj + 2.0 * vk * pair_kj + triple_kj)
         out[j] = -acc / n
     return np.fft.fft2(out, norm="forward").reshape(n, -1)[:, state.v.index]
+
+
+def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) -> float:
+    """Energy of the I-smoothed ensemble: :func:`energy_en` of the stacks times
+    the I-method multiplier gathered on the ensemble's ball.  It equals
+    ``energy_en`` once the threshold clears ``nyquist * sqrt(2)`` and the
+    multiplier is 1 everywhere."""
+    prof = _i_profile(ens.spec.n_grid, float(s), float(truncation)).reshape(-1)[ens.index]
+    return energy_en(BallEnsemble(ens.spec, ens.radius, prof * ens.pos, prof * ens.vel), m)
 
 
 def draw_kick_full_grid(gen, spec: GridSpec, radius: float, chol):
@@ -121,42 +131,44 @@ class WickContext:
             raise ValueError(f"variance parameter must be >= 0, got {self.c}")
 
 
-def _grid(f: SpectralField, truncation: float) -> np.ndarray:
-    return project(f, truncation).to_grid()
+def _grid(coeffs: np.ndarray, truncation: float) -> np.ndarray:
+    """Grid values of full ``(n, n)`` coefficients cut sharply to ``|n| <= truncation``."""
+    kept = np.where(_ball_mask(coeffs.shape[-1], float(truncation)), coeffs, 0.0)
+    return np.fft.ifft2(kept, norm="forward").real
 
 
-def wick_pair(psi_k: SpectralField, psi_j: SpectralField, ctx: WickContext,
-              same_component: bool) -> SpectralField:
-    """Renormalized product of two convolution components.
+def wick_pair(psi_k: np.ndarray, psi_j: np.ndarray, ctx: WickContext,
+              same_component: bool) -> np.ndarray:
+    """Renormalized product of two convolution components, full ``(n, n)``
+    coefficients in and out.
 
     The contraction E[psi psi] = c only arises within one component, so the
     cross term is the plain product.
     """
-    spec = psi_j.spec
     if same_component:
         out = hermite(2, _grid(psi_j, ctx.truncation), ctx.c)
     else:
         out = _grid(psi_k, ctx.truncation) * _grid(psi_j, ctx.truncation)
-    return SpectralField.from_grid(spec, out)
+    return np.fft.fft2(out, norm="forward")
 
 
-def wick_triple(psi_k: SpectralField, psi_j: SpectralField, ctx: WickContext,
-                same_component: bool) -> SpectralField:
+def wick_triple(psi_k: np.ndarray, psi_j: np.ndarray, ctx: WickContext,
+                same_component: bool) -> np.ndarray:
     """Renormalized psi_k^2 psi_j: H_3 within a component, H_2 * psi across."""
-    spec = psi_j.spec
     if same_component:
         out = hermite(3, _grid(psi_j, ctx.truncation), ctx.c)
     else:
         out = hermite(2, _grid(psi_k, ctx.truncation), ctx.c) * _grid(psi_j, ctx.truncation)
-    return SpectralField.from_grid(spec, out)
+    return np.fft.fft2(out, norm="forward")
 
 
-def sup_sobolev_norm(f: SpectralField, s: float) -> float:
-    """``W^{s,inf}`` proxy: sup over collocation points of ``<grad>^s f``.
+def sup_sobolev_norm(coeffs: np.ndarray, s: float) -> float:
+    """``W^{s,inf}`` proxy of full ``(n, n)`` coefficients: sup over collocation
+    points of ``<grad>^s f``.
 
     For negative ``s`` this is the low-regularity sup norm used to measure
     Wick products and their empirical averages.
     """
-    w = _bracket_pow(f.spec.n_grid, float(s))
-    smoothed = np.fft.ifft2(w * f.coeffs, norm="forward").real
+    w = _bracket_pow(coeffs.shape[-1], float(s))
+    smoothed = np.fft.ifft2(w * coeffs, norm="forward").real
     return float(np.max(np.abs(smoothed)))

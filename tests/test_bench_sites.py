@@ -53,7 +53,7 @@ def test_every_chain_gradient_goes_through_the_traced_drift(monkeypatch):
     calls.clear()
     samples = gibbs.sample_gibbs(spec, cfg, root_seed=3)
     assert len(calls) == cfg.chain_length + 1
-    assert np.all(np.isfinite(samples.positions))
+    assert np.all(np.isfinite(samples.draws.pos))
 
 
 TRACED_FFTS = [site.partition(":")[2] for site in load("tracer").SITES["fft"]]

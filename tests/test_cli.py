@@ -4,7 +4,6 @@ manifest hashing, determinism, and thread independence."""
 import copy
 import json
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,16 +199,14 @@ def test_coupled_distance_matches_steps_that_draw_their_own_kicks():
     a, b = coupled_gibbs_gaussian_pair(spec, cfg, root)
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(3))
     alpha = alpha_m(spec.m, M)
-    times, states_n, states_l = [0.0], [a], [b]
+    states_n, states_l = [a], [b]
     for k in range(n_steps):
         a = step_renormalized_wave(a, streams, k, dt, alpha)
         b = step_linear_ensemble(b, streams, k, dt)
         if (k + 1) % stride == 0:
-            times.append((k + 1) * dt)
             states_n.append(a)
             states_l.append(b)
-    want = difference_norms(SimpleNamespace(times=np.asarray(times), states=states_n),
-                            SimpleNamespace(times=np.asarray(times), states=states_l), s, 0)[0]
+    want = difference_norms(states_n, states_l, s, 0)[0]
     assert coupled_distance(spec, cfg, root, dt, n_steps, stride, s) == want
 
 

@@ -13,20 +13,14 @@ from sigma_wave.diagnostics import (
     energy_meanfield,
     fit_rate,
     lln_estimator,
-    modified_energy,
     write_csv,
     zn_norm,
 )
-from sigma_wave.dynamics import TrajectoryRecord, step_deterministic_nlw
-from sigma_wave.grid import (
-    BallEnsemble,
-    GridSpec,
-    SpectralField,
-    _bracket_pow,
-    random_field,
-)
+from sigma_wave.dynamics import step_deterministic_nlw
+from sigma_wave.grid import BallEnsemble, GridSpec, _bracket_pow, random_field
 
-from oracles import WickContext, ball_ensemble, sup_sobolev_norm, wick_pair, wick_triple
+from oracles import (WickContext, ball_ensemble, modified_energy, sup_sobolev_norm, wick_pair,
+                     wick_triple)
 
 
 def random_ensemble(spec, n, seed, amplitude=0.5, truncation=None, decay=2.0, radius=np.inf):
@@ -129,7 +123,7 @@ def test_zn_norm_zero_and_reference_recomputation():
     best2 = np.zeros((n, n))
     best3 = np.zeros((n, n))
     for ens in nodes:
-        fields = [SpectralField(spec, c) for c in ens.full()[0]]
+        fields = ens.full()[0]
         for j in range(n):
             best1[j] = max(best1[j], sup_sobolev_norm(fields[j], -eps))
         for k in range(n):
@@ -209,16 +203,10 @@ def test_commutator_defect_decays_in_threshold():
         commutator_defect(spec, 0.8, [4], 1, 0, base_ball=32.0)
 
 
-def make_trajectory(spec, states):
-    times = np.arange(len(states), dtype=np.float64)
-    return TrajectoryRecord(times, {}, list(states))
-
-
 def test_difference_norms_identical_and_shifted():
     spec = GridSpec(16, m=1.0)
     states = [random_ensemble(spec, 4, seed=s) for s in (1, 2, 3)]
-    traj = make_trajectory(spec, states)
-    d_j, d_an = difference_norms(traj, traj, 0.9, j=1)
+    d_j, d_an = difference_norms(states, states, 0.9, j=1)
     assert d_j == 0.0 and d_an == 0.0
 
     delta = 0.37
@@ -227,16 +215,16 @@ def test_difference_norms_identical_and_shifted():
         pos = ens.pos.copy()
         pos[2, 0] += delta  # mode (0, 0); radius inf packs the flat grid
         shifted.append(BallEnsemble(spec, ens.radius, pos, ens.vel))
-    d_j, d_an = difference_norms(traj, make_trajectory(spec, shifted), 0.9, j=2)
+    d_j, d_an = difference_norms(states, shifted, 0.9, j=2)
     assert abs(d_j - delta) < 1e-14
     assert abs(d_an - delta / 2.0) < 1e-14   # l2-average over 4 components
 
 
 def test_difference_norms_triangle_inequality():
     spec = GridSpec(16, m=1.0)
-    a = make_trajectory(spec, [random_ensemble(spec, 2, seed=s) for s in (1, 2)])
-    b = make_trajectory(spec, [random_ensemble(spec, 2, seed=s) for s in (3, 4)])
-    c = make_trajectory(spec, [random_ensemble(spec, 2, seed=s) for s in (5, 6)])
+    a = [random_ensemble(spec, 2, seed=s) for s in (1, 2)]
+    b = [random_ensemble(spec, 2, seed=s) for s in (3, 4)]
+    c = [random_ensemble(spec, 2, seed=s) for s in (5, 6)]
     dab = difference_norms(a, b, 0.8, 0)[1]
     dbc = difference_norms(b, c, 0.8, 0)[1]
     dac = difference_norms(a, c, 0.8, 0)[1]
@@ -245,10 +233,12 @@ def test_difference_norms_triangle_inequality():
 
 def test_difference_norms_rejects_mismatched_nodes():
     spec = GridSpec(16, m=1.0)
-    a = make_trajectory(spec, [random_ensemble(spec, 2, seed=1)])
-    b = make_trajectory(spec, [random_ensemble(spec, 2, seed=1) for _ in range(2)])
-    with pytest.raises(ValueError):
+    a = [random_ensemble(spec, 2, seed=1)]
+    b = [random_ensemble(spec, 2, seed=1) for _ in range(2)]
+    with pytest.raises(ValueError, match="recording nodes"):
         difference_norms(a, b, 0.8, 0)
+    with pytest.raises(ValueError, match="recording nodes"):
+        difference_norms([], [], 0.8, 0)
 
 
 def test_difference_norms_rejects_states_on_different_balls():
@@ -259,7 +249,7 @@ def test_difference_norms_rejects_states_on_different_balls():
     other_grid = BallEnsemble.zeros(GridSpec(32, m=1.0), 3.0, 2)
     for a, b in ((wide, narrow), (narrow, other_grid)):
         with pytest.raises(ValueError, match="different balls"):
-            difference_norms(make_trajectory(spec, [a]), make_trajectory(spec, [b]), 0.8, 0)
+            difference_norms([a], [b], 0.8, 0)
 
 
 def test_difference_norms_rejects_non_finite_nodes():
@@ -268,10 +258,8 @@ def test_difference_norms_rejects_non_finite_nodes():
     ens = random_ensemble(spec, 2, seed=1)
     broken = BallEnsemble(spec, ens.radius, ens.pos.copy(), ens.vel)
     broken.pos[1, 0] = np.nan
-    a = make_trajectory(spec, [ens, ens])
-    b = make_trajectory(spec, [ens, broken])
     with pytest.raises(ValueError, match="non-finite"):
-        difference_norms(a, b, 0.8, 0)
+        difference_norms([ens, ens], [ens, broken], 0.8, 0)
 
 
 def test_fit_rate_exact_constant_and_noisy():

@@ -1,12 +1,11 @@
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from sigma_wave import cli, dynamics, gibbs, grid, noise
-from sigma_wave.diagnostics import difference_norms, energy_en, modified_energy
+from sigma_wave.diagnostics import difference_norms, energy_en
 from sigma_wave.dynamics import (
     BlowupError,
     _drift_tables,
@@ -24,9 +23,8 @@ from sigma_wave.dynamics import (
     step_meanfield,
     step_renormalized_wave,
 )
-from sigma_wave.grid import (BallEnsemble, GridSpec, SpectralField, _ball_index, _to_coeffs,
-                             _to_grid, _unpack, ball_mask, hermitian_defect,
-                             random_field)
+from sigma_wave.grid import (BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid, _unpack,
+                             ball_mask, hermitian_defect, random_field)
 from sigma_wave.noise import (
     NoiseKind,
     NoiseStream,
@@ -82,7 +80,7 @@ def test_half_spectrum_transforms_match_full_complex_ffts(n_grid, kind):
         assert got.shape == packed.shape
         assert np.max(np.abs(got - packed)) <= 1e-13 * np.max(np.abs(g))
         for c in _unpack(got, spec, idx).reshape((-1,) + spec.shape()):
-            assert hermitian_defect(SpectralField(spec, c, copy=False)) == 0.0
+            assert hermitian_defect(c) == 0.0
         assert np.all(_to_grid(np.zeros_like(packed), n_grid, radius) == 0.0)
         assert np.all(_to_coeffs(np.zeros_like(g), radius) == 0.0)
 
@@ -450,6 +448,18 @@ def test_run_trajectory_records_and_reproduces():
         run_trajectory(make(), 0.1, 7, stride=2)
 
 
+def test_run_trajectory_keeps_the_state_after_the_last_step():
+    start = hlsm_state(2, seed=94, dt=0.1, n_steps=8)
+    want = start
+    for _ in range(6):
+        want = step_hlsm(want, 0.1)
+    final = run_trajectory(start, 0.1, 6, stride=3).final
+    assert (final.step, final.time) == (want.step, want.time)
+    for got, ref in ((final.v, want.v), (final.psi, want.psi)):
+        assert got.pos.tobytes() == ref.pos.tobytes() and got.vel.tobytes() == ref.vel.tobytes()
+    assert run_trajectory(start, 0.1, 0).final is start
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_trajectory_detects_blowup(tmp_path):
@@ -511,14 +521,11 @@ def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
     ens = random_ensemble(SPEC, 2, 9, truncation=2.0, radius=2.0)
     moved = step_renormalized_wave(ens, streams, 0, 0.1, 0.3)
     step_linear_ensemble(ens, streams, 0, 0.1)
-    pos = np.stack([ens.pos, ens.pos])
-    gibbs.evolve_gibbs_samples(pos, pos, SPEC, 0.3, 2.0, 0.1, 1, 5)
+    batch = BallEnsemble(SPEC, 2.0, np.stack([ens.pos, ens.pos]), np.stack([ens.vel, ens.vel]))
+    gibbs.evolve_gibbs_samples(batch, 0.3, 0.1, 1, 5)
     cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.3, 3, 0, thin=1, acceptance_band=(0.0, 1.0))
     gibbs.coupled_gibbs_gaussian_pair(SPEC, cfg, 5)
     gibbs.sample_gibbs(SPEC, cfg, 5)
-    traj = [SimpleNamespace(times=np.zeros(1), states=[e]) for e in (ens, moved)]
-    samples = gibbs.GibbsSamples(SPEC, 2, ens.index, pos, pos, 1.0, 1.0, np.zeros(1))
-    values = [energy_en(ens, 1.0), modified_energy(ens, 1.0, 0.5, 1.0),
-              *difference_norms(*traj, 0.9, 0), gibbs.gibbs_potential(ens, 0.3),
-              *gibbs._invariance_observables(samples, pos, 0.3).values()]
+    values = [energy_en(ens, 1.0), *difference_norms([ens], [moved], 0.9, 0),
+              gibbs.gibbs_potential(ens, 0.3), *gibbs._invariance_observables(batch, 0.3).values()]
     assert all(np.all(np.isfinite(v)) for v in values)

@@ -179,9 +179,9 @@ def test_sampler_is_deterministic_in_the_seed():
     a = sample_gibbs(spec, cfg, root_seed=41)
     b = sample_gibbs(spec, cfg, root_seed=41)
     c = sample_gibbs(spec, cfg, root_seed=42)
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.velocities, b.velocities)
-    assert not np.array_equal(a.positions, c.positions)
+    assert np.array_equal(a.draws.pos, b.draws.pos)
+    assert np.array_equal(a.draws.vel, b.draws.vel)
+    assert not np.array_equal(a.draws.pos, c.draws.pos)
     assert len(a) == cfg.n_samples
 
 
@@ -198,9 +198,9 @@ def test_free_chain_reproduces_equilibrium_variances():
         report = gibbs_vs_gaussian_covariance(samples, 0, mode)
         se = report["gaussian_variance"] * np.sqrt(2.0 / k_eff)
         assert abs(report["variance"] - report["gaussian_variance"]) < 4.5 * se
-    vel = samples.velocities
+    vel = samples.draws.vel
     idx_var = np.mean(np.abs(vel) ** 2, axis=0)[0]
-    mask = ball_mask(spec, 2.0).reshape(-1)[samples.mode_idx]
+    mask = ball_mask(spec, 2.0).reshape(-1)[samples.draws.index]
     assert np.all(mask)
     assert abs(np.mean(idx_var) - 1.0) < 0.1
     outside = gibbs_vs_gaussian_covariance(samples, 0, (3, 1))
@@ -286,10 +286,10 @@ def test_mode_variance_se_is_that_of_a_real_or_a_complex_mode():
     spec = GridSpec(8, m=1.0)
     vals = np.array([1.0, 2.0, 1j, 3.0 - 1j, 2j])   # mean |c|^2 = 4
     modes = [(0, 0), (0, 4), (4, 4), (1, 0), (1, 2), (0, -3)]
-    mode_idx = np.array([(a % 8) * 8 + b % 8 for a, b in modes])
-    positions = np.repeat(vals[:, None, None], len(modes), axis=2)
-    samples = GibbsSamples(spec, 4, mode_idx, positions, np.zeros_like(positions),
-                           1.0, 1.0, np.zeros(len(vals)))
+    # every mode reads vals (radius inf holds them all), real and complex ones
+    positions = np.repeat(vals[:, None, None], spec.n_grid ** 2, axis=2)
+    draws = BallEnsemble(spec, np.inf, positions, np.zeros_like(positions))
+    samples = GibbsSamples(draws, 1.0, 1.0, np.zeros(len(vals)))
     for mode in modes:
         row = gibbs_vs_gaussian_covariance(samples, 0, mode)
         assert row["variance"] == pytest.approx(4.0, rel=1e-15)
@@ -438,7 +438,7 @@ def test_sample_gibbs_matches_the_full_grid_mala_loop(interaction):
     samples = sample_gibbs(spec, cfg, root_seed=31)
     positions, series, accept_rate = full_grid_mala(spec, cfg, 31)
     assert 0.0 < accept_rate < 1.0
-    assert _unpack(samples.positions, spec, samples.mode_idx).tobytes() == positions.tobytes()
+    assert samples.draws.full()[0].tobytes() == positions.tobytes()
     assert samples.series.tobytes() == series.tobytes()
     assert samples.accept_rate == accept_rate
 
@@ -489,18 +489,17 @@ def test_batched_evolution_matches_per_sample_stepper():
                              acceptance_band=(0.0, 1.0))
     samples = sample_gibbs(spec, cfg, root_seed=17)
     assert len(samples) >= k_total
-    pos0, vel0 = samples.positions[:k_total], samples.velocities[:k_total]
     alpha = alpha_m(spec.m, M)
 
-    pos1, vel1 = evolve_gibbs_samples(pos0, vel0, spec, alpha, float(M), dt, steps,
-                                      noise_seed=900)
+    evolved = evolve_gibbs_samples(samples.draws[:k_total], alpha, dt, steps, noise_seed=900)
+    assert (evolved.spec, evolved.radius, evolved.pos.shape[0]) == (spec, M, k_total)
     for k in range(k_total):
-        ens = samples.ensemble(k)
+        ens = samples.draws[k]
         streams = [NoiseStream(900, k * n + j, NoiseKind.DRIVE) for j in range(n)]
         for s in range(steps):
             ens = step_renormalized_wave(ens, streams, s, dt, alpha)
-        assert np.array_equal(ens.pos, pos1[k])
-        assert np.array_equal(ens.vel, vel1[k])
+        assert np.array_equal(ens.pos, evolved.pos[k])
+        assert np.array_equal(ens.vel, evolved.vel[k])
 
 
 def test_invariance_report_is_exact_at_zero_horizon():

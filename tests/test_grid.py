@@ -8,12 +8,13 @@ from sigma_wave.grid import (
     BallEnsemble,
     GridSpec,
     SpectralField,
-    apply_i_operator,
+    _i_profile,
+    _mirror,
+    _to_coeffs,
+    _to_grid,
     ball_mask,
     hermitian_defect,
-    hermitian_symmetrize,
     load_field,
-    project,
     random_field,
     rms,
     save_field,
@@ -26,11 +27,23 @@ SPEC = GridSpec(32, 1.0)
 
 
 def single_mode(spec, n, amp=1.0):
-    # real field amp*2*cos(n.x) built from the +/-n coefficient pair
+    # coefficients of the real field amp*2*cos(n.x): the +/-n pair
     c = np.zeros(spec.shape(), dtype=np.complex128)
-    c[n[0] % spec.n_grid, n[1] % spec.n_grid] = amp
-    f = SpectralField(spec, c)
-    return hermitian_symmetrize(SpectralField(spec, 2.0 * f.coeffs))
+    c[n[0] % spec.n_grid, n[1] % spec.n_grid] = 2.0 * amp
+    return 0.5 * (c + _mirror(c))
+
+
+def i_operator(coeffs, s, truncation):
+    # the I-method multiplier applied to full coefficients, as the commutator does
+    return coeffs * _i_profile(coeffs.shape[-1], float(s), float(truncation))
+
+
+def to_grid(coeffs):
+    return np.fft.ifft2(coeffs, norm="forward").real
+
+
+def to_coeffs(values):
+    return np.fft.fft2(values, norm="forward")
 
 
 def test_gridspec_validation():
@@ -45,80 +58,82 @@ def test_gridspec_validation():
 
 
 def test_mismatched_specs_rejected():
-    g = SpectralField.zeros(GridSpec(16, 1.0))
     with pytest.raises(ValueError):
-        SpectralField(SPEC, g.coeffs)
-    with pytest.raises(ValueError):
-        SpectralField.from_grid(SPEC, g.to_grid())
+        SpectralField(SPEC, np.zeros((16, 16), complex))
     packed = BallEnsemble.zeros(SPEC, 4.0, 2)
     with pytest.raises(ValueError):
         BallEnsemble(SPEC, 4.0, packed.pos, packed.vel[:1])
 
 
 def test_fft_round_trip():
+    # the program's transform pair on every mode (radius inf): grid -> packed -> grid
     gen = np.random.default_rng(7)
     vals = gen.standard_normal(SPEC.shape())
-    back = SpectralField.from_grid(SPEC, vals).to_grid()
+    back = _to_grid(_to_coeffs(vals, np.inf), SPEC.n_grid, np.inf)
     assert np.max(np.abs(vals - back)) <= 1e-12 * np.max(np.abs(vals))
 
 
 def test_parseval_normalized_measure():
     gen = np.random.default_rng(8)
     vals = gen.standard_normal(SPEC.shape())
-    f = SpectralField.from_grid(SPEC, vals)
+    packed = _to_coeffs(vals, np.inf)
     # normalized Lebesgue measure: integral |f|^2 dx == mean of squares
-    assert np.sum(np.abs(f.coeffs) ** 2) == pytest.approx(np.mean(vals**2), rel=1e-12)
+    assert np.sum(np.abs(packed) ** 2) == pytest.approx(np.mean(vals**2), rel=1e-12)
 
 
 def test_project_full_ball_is_identity():
-    gen = np.random.default_rng(9)
-    f = SpectralField.from_grid(SPEC, gen.standard_normal(SPEC.shape()))
-    g = project(f, SPEC.nyquist * np.sqrt(2.0))
-    assert np.array_equal(f.coeffs, g.coeffs)
+    # random_field's truncation is a sharp projection: a smaller ball keeps
+    # exactly its own modes of the same draw, and the full ball keeps them all
+    full = random_field(SPEC, np.random.default_rng(9), truncation=SPEC.nyquist * np.sqrt(2.0))
+    assert np.count_nonzero(full.coeffs) == SPEC.n_grid ** 2
+    for radius in (3.0, 5.0, SPEC.dealias_radius, SPEC.nyquist):
+        cut = random_field(SPEC, np.random.default_rng(9), truncation=radius)
+        assert np.array_equal(cut.coeffs, np.where(ball_mask(SPEC, radius), full.coeffs, 0.0))
 
 
 def test_project_zero_keeps_mean_only():
-    gen = np.random.default_rng(10)
-    vals = gen.standard_normal(SPEC.shape())
-    f = SpectralField.from_grid(SPEC, vals)
-    g = project(f, 0)
-    assert g.coeffs[0, 0] == pytest.approx(np.mean(vals), rel=1e-12)
-    assert np.count_nonzero(g.coeffs) == 1
+    full = random_field(SPEC, np.random.default_rng(10), truncation=SPEC.nyquist * np.sqrt(2.0))
+    f = random_field(SPEC, np.random.default_rng(10), truncation=0)
+    assert f.coeffs[0, 0] == full.coeffs[0, 0] and f.coeffs[0, 0].imag == 0.0
+    assert np.count_nonzero(f.coeffs) == 1
 
 
 def test_project_excludes_single_high_mode():
     f = single_mode(SPEC, (5, 0))
-    assert np.all(project(f, 4).coeffs == 0)
-    # and a ball that reaches it keeps it
-    assert np.array_equal(project(f, 5).coeffs, f.coeffs)
+    assert np.all(np.where(ball_mask(SPEC, 4), f, 0.0) == 0)
+    # and a ball that reaches it keeps it, the boundary |n| = 5 included
+    assert np.array_equal(np.where(ball_mask(SPEC, 5), f, 0.0), f)
+    assert ball_mask(SPEC, 5)[3, 4] and ball_mask(SPEC, 5)[-3, -4]
 
 
 def test_i_multiplier_branches():
     # a unit single-mode field reads the multiplier off its mode n
-    assert apply_i_operator(single_mode(SPEC, (2, 0)), 0.5, 4).coeffs[2, 0] == 1.0
-    assert apply_i_operator(single_mode(SPEC, (0, 8)), 0.5, 4).coeffs[0, 8] == pytest.approx(
+    assert i_operator(single_mode(SPEC, (2, 0)), 0.5, 4)[2, 0] == 1.0
+    assert i_operator(single_mode(SPEC, (0, 8)), 0.5, 4)[0, 8] == pytest.approx(
         (4 / 8) ** 0.5, abs=1e-12)
-    assert apply_i_operator(single_mode(SPEC, (10, 0)), 0.9, 1).coeffs[10, 0] == pytest.approx(
+    assert i_operator(single_mode(SPEC, (10, 0)), 0.9, 1)[10, 0] == pytest.approx(
         10 ** (-0.1), abs=1e-8)
     # boundary mode |n| = M belongs to the flat branch
-    assert apply_i_operator(single_mode(SPEC, (3, 4)), 0.7, 5).coeffs[3, 4] == 1.0
+    assert i_operator(single_mode(SPEC, (3, 4)), 0.7, 5)[3, 4] == 1.0
+    for s in (0.0, 1.5):
+        with pytest.raises(ValueError, match="s must be in"):
+            _i_profile(SPEC.n_grid, s, 4.0)
 
 
 def test_i_multiplier_monotone_radial():
     spec = GridSpec(64, 1.0)  # holds |n| = 21 below nyquist
     radii = [1, 2, 3, 5, 8, 13, 21]
-    vals = [apply_i_operator(single_mode(spec, (r, 0)), 0.6, 4).coeffs[r, 0].real for r in radii]
+    vals = [i_operator(single_mode(spec, (r, 0)), 0.6, 4)[r, 0].real for r in radii]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     # radial symmetry: same |n|, different direction
-    assert apply_i_operator(single_mode(SPEC, (3, 4)), 0.6, 2).coeffs[3, 4] == pytest.approx(
-        apply_i_operator(single_mode(SPEC, (5, 0)), 0.6, 2).coeffs[5, 0], rel=1e-12)
+    assert i_operator(single_mode(SPEC, (3, 4)), 0.6, 2)[3, 4] == pytest.approx(
+        i_operator(single_mode(SPEC, (5, 0)), 0.6, 2)[5, 0], rel=1e-12)
 
 
-def test_apply_i_operator_low_modes_unchanged():
+def test_i_multiplier_low_modes_unchanged():
     f = single_mode(SPEC, (2, 1))
-    g = apply_i_operator(f, 0.8, 4)
-    assert np.allclose(g.coeffs, f.coeffs, rtol=0, atol=0)
-    assert np.all(apply_i_operator(SpectralField.zeros(SPEC), 0.8, 4).coeffs == 0)
+    assert np.array_equal(i_operator(f, 0.8, 4), f)
+    assert np.all(i_operator(np.zeros(SPEC.shape(), complex), 0.8, 4) == 0)
 
 
 def test_i_operator_sandwich_constant():
@@ -130,8 +145,8 @@ def test_i_operator_sandwich_constant():
         for M in (2, 4, 8, 16):
             for _ in range(100):
                 f = random_field(SPEC, gen, decay=1.5)
-                hs = sobolev_norm(f, s)
-                ih1 = sobolev_norm(apply_i_operator(f, s, M), 1.0)
+                hs = sobolev_norm(f.coeffs, s)
+                ih1 = sobolev_norm(i_operator(f.coeffs, s, M), 1.0)
                 assert hs > 0 and ih1 > 0
                 worst = max(worst, hs / ih1, ih1 / (M ** (1.0 - s) * hs))
     assert worst <= 4.0
@@ -140,18 +155,18 @@ def test_i_operator_sandwich_constant():
 def test_sobolev_norm_single_mode_vs_quadrature():
     # sqrt(2)*cos(x1) has unit L2 norm; its H^1 norm is sqrt(<(1,0)>^2) = sqrt(2)
     f = single_mode(SPEC, (1, 0), amp=1.0 / np.sqrt(2.0))
-    grid_l2 = np.sqrt(np.mean(f.to_grid() ** 2))
+    grid_l2 = np.sqrt(np.mean(to_grid(f) ** 2))
     assert grid_l2 == pytest.approx(1.0, rel=1e-12)
     assert sobolev_norm(f, 0.0) == pytest.approx(grid_l2, rel=1e-12)
     assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert sobolev_norm(SpectralField.zeros(SPEC), 0.7) == 0.0
+    assert sobolev_norm(np.zeros(SPEC.shape(), complex), 0.7) == 0.0
 
 
 def test_sobolev_norm_s0_is_grid_rms():
     gen = np.random.default_rng(13)
     vals = gen.standard_normal(SPEC.shape())
-    f = SpectralField.from_grid(SPEC, vals)
-    assert sobolev_norm(f, 0.0) == pytest.approx(np.sqrt(np.mean(vals**2)), rel=1e-12)
+    assert sobolev_norm(to_coeffs(vals), 0.0) == pytest.approx(np.sqrt(np.mean(vals**2)),
+                                                               rel=1e-12)
 
 
 # the W^{s,inf} proxy that the estimators and zn_norm read: the collocation
@@ -167,8 +182,8 @@ def test_sup_sobolev_norm_basics():
 def test_sup_sobolev_norm_dominates_l2():
     gen = np.random.default_rng(14)
     for s in (-0.1, 0.0, 0.5):
-        f = random_field(SPEC, gen)
-        assert _sup_proxy(f.to_grid(), SPEC, s) >= sobolev_norm(f, s) - 1e-13
+        f = random_field(SPEC, gen).coeffs
+        assert _sup_proxy(to_grid(f), SPEC, s) >= sobolev_norm(f, s) - 1e-13
 
 
 def test_rms_values():
@@ -188,12 +203,13 @@ def test_rms_jensen(values):
 def test_operations_preserve_hermitian_symmetry():
     gen = np.random.default_rng(15)
     for _ in range(20):
-        f = random_field(SPEC, gen, decay=1.0)
-        g = random_field(SPEC, gen, decay=1.0)
+        f = random_field(SPEC, gen, decay=1.0).coeffs
+        g = random_field(SPEC, gen, decay=1.0).coeffs
         assert hermitian_defect(f) <= 1e-14
-        for h in (project(f, 5), apply_i_operator(f, 0.7, 4),
-                  SpectralField.from_grid(SPEC, f.to_grid() * g.to_grid())):
+        for h in (np.where(ball_mask(SPEC, 5), f, 0.0), i_operator(f, 0.7, 4),
+                  to_coeffs(to_grid(f) * to_grid(g))):
             assert hermitian_defect(h) <= 1e-13
+    assert hermitian_defect(single_mode(SPEC, (3, 1)) + 0.5j) == 1.0
 
 
 def test_random_field_nyquist_lines_clear():
@@ -251,6 +267,22 @@ def test_ball_ensemble_round_trips_and_rejects_data_off_the_ball():
     # a stack packed on the 3-ball holds data off the 2-ball
     with pytest.raises(ValueError):
         BallEnsemble(spec, 2.0, packed.pos, packed.vel)
+
+
+def test_ball_ensemble_items_are_the_sliced_stacks():
+    spec, radius = GridSpec(16, 1.0), 3.0
+    gen = np.random.default_rng(5)
+    shape = (4, 2, int(np.sum(ball_mask(spec, radius))))
+    pos = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    batch = BallEnsemble(spec, radius, pos, 2.0 * pos)
+    for key in (0, -1, slice(1, 3), slice(0, 4)):
+        item = batch[key]
+        assert (item.spec, item.radius) == (spec, radius) and len(item) == 2
+        assert item.pos.tobytes() == pos[key].tobytes()
+        assert item.vel.tobytes() == (2.0 * pos)[key].tobytes()
+    # an index that reaches the component axis leaves no ensemble
+    with pytest.raises(ValueError):
+        batch[0][0]
 
 
 def test_snapshot_round_trip(tmp_path):

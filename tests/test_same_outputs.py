@@ -1,5 +1,6 @@
 """``scripts/same_outputs.py`` on two fabricated checkouts: a stand-in CLI
-that writes one CSV and a manifest, and a one-workload benchmark module."""
+that writes one CSV and a manifest, a one-workload benchmark module, and
+optionally one demo that prints a value."""
 
 import ast
 import importlib.util
@@ -50,18 +51,22 @@ def load_script():
     return module
 
 
-def checkout(root: Path, value: float) -> Path:
+def checkout(root: Path, value: float, demo=None) -> Path:
     (root / "src" / "sigma_wave").mkdir(parents=True)
     (root / "src" / "sigma_wave" / "__init__.py").write_text("")
     (root / "src" / "sigma_wave" / "cli.py").write_text(CLI.format(value=value))
     (root / "perfbench").mkdir()
     (root / "perfbench" / "workloads.py").write_text(WORKLOADS)
+    if demo is not None:
+        (root / "demos").mkdir()
+        (root / "demos" / "01_tiny.py").write_text(
+            f"from sigma_wave.cli import VALUE\nprint({demo!r}, VALUE)\n")
     return root
 
 
-def run(tmp_path, capsys, parent_value, change_value):
-    parent = checkout(tmp_path / "parent", parent_value)
-    change = checkout(tmp_path / "change", change_value)
+def run(tmp_path, capsys, parent_value, change_value, demos=(None, None)):
+    parent = checkout(tmp_path / "parent", parent_value, demos[0])
+    change = checkout(tmp_path / "change", change_value, demos[1])
     code = load_script().main([str(parent), str(change), "--seed", "3"])
     sys.modules.pop("workloads", None)
     return code, capsys.readouterr().out
@@ -71,7 +76,7 @@ def test_identical_checkouts_report_no_difference(tmp_path, capsys):
     code, out = run(tmp_path, capsys, 0.25, 0.25)
     assert code == 0
     # eight subcommands at the criterion-11 config and one workload, two files each
-    assert "18 files compared at seed 3; 0 differences" in out
+    assert "18 files and demo outputs compared at seed 3; 0 differences" in out
     assert "differs" not in out
 
 
@@ -82,6 +87,20 @@ def test_a_changed_csv_is_listed_with_its_relative_difference(tmp_path, capsys):
             "largest relative difference 2e-06") in out
     assert "workload/tiny/table.csv: bytes differ" in out
     assert "manifest.json" not in out
+
+
+def test_the_demos_run_on_both_sides_and_their_output_is_compared(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, 0.25, 0.25, demos=("a", "a"))
+    assert code == 0
+    assert "demo/01_tiny.py: same" in out
+    assert "19 files and demo outputs compared at seed 3; 0 differences" in out
+    # each side imports its own program: a changed value shows in the output
+    code, out = run(tmp_path / "value", capsys, 0.25, 0.5, demos=("a", "a"))
+    assert code == 1
+    assert "demo/01_tiny.py: printed output differs" in out
+    code, out = run(tmp_path / "text", capsys, 0.25, 0.25, demos=("a", "b"))
+    assert code == 1
+    assert "demo/01_tiny.py: printed output differs" in out
 
 
 def test_a_cell_difference_is_relative_to_its_column(tmp_path):
