@@ -346,7 +346,7 @@ class TrajectoryRecord:
 
     times: np.ndarray
     series: dict
-    final: object
+    final: _ResidualState
 
     def to_csv(self, path) -> None:
         names = list(self.series)

@@ -258,12 +258,15 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
 
 
 def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int):
-    """Common-innovation unadjusted Langevin pair: (interacting, free).
+    """Common-innovation pair of pCN chains: (interacting, free).
 
-    Both chains see the same Gaussian innovations; the free chain samples
-    the truncated equilibrium, the interacting one its Gibbs counterpart,
-    and the coupling keeps their difference of the order of the interaction
-    gradient.  Both states are packed ``(N, n_ball)`` stacks fed by one
+    Both chains take the preconditioned Crank-Nicolson step
+    ``sqrt(1-h^2) U + h Z`` with the same innovations Z ~ N(0, C); the
+    interacting one adds the unadjusted Langevin drift ``-(h^2/2) grad V / w``.
+    Since ``beta^2 + h^2 = 1`` the free chain keeps the truncated equilibrium
+    exactly, for any h <= 1; the interacting one approximates its Gibbs
+    counterpart, and the coupling keeps their difference of the order of the
+    interaction gradient.  Both states are packed ``(N, n_ball)`` stacks fed by one
     :func:`_sample_ball` draw per iteration.  Velocities are one shared
     equilibrium draw.  Returns a pair of ball ensembles ``(gibbs, gaussian)``.
     Of ``cfg`` it reads n_components, truncation,
@@ -274,7 +277,7 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     prof = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
     inv_w = prof.reshape(-1)[idx]
     alpha = alpha_m(spec.m, M)
-    beta = 1.0 - 0.5 * h * h
+    beta = np.sqrt(1.0 - h * h)
 
     pos_a = stationary_ensemble(spec, M, root_seed, n).pos
     pos_b = pos_a.copy()

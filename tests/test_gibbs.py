@@ -317,7 +317,7 @@ def test_coupled_pair_free_chain_is_the_linear_recursion():
         _sample_profile(NoiseStream(21, j, NoiseKind.INITIAL).generator(0), spec, M, prof)
         for j in range(2)
     ])
-    beta = 1.0 - 0.5 * h * h
+    beta = np.sqrt(1.0 - h * h)
     for it in range(50):
         gen = NoiseStream(21, 0, NoiseKind.CHAIN).generator(it)
         z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(2)])
@@ -336,12 +336,13 @@ def full_grid_grad(pos, spec, alpha, truncation):
 
 
 def full_grid_pair(spec, cfg, root_seed):
-    """The full-grid ULA loop that ran before the chains were packed on the ball."""
+    """The full-grid loop that ran before the chains were packed on the ball,
+    with the pCN factor of the packed chains."""
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
     mask = ball_mask(spec, M)
     prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M)
-    beta = 1.0 - 0.5 * h * h
+    beta = np.sqrt(1.0 - h * h)
 
     pos_a = stationary_ensemble(spec, M, root_seed, n).full()[0]
     pos_b = pos_a.copy()
@@ -460,6 +461,19 @@ def test_sample_ball_stacks_sequential_profile_draws(n, radius):
     full = np.stack([sample_profile_full_grid(gen, spec, radius, prof) for _ in range(n)])
     assert np.array_equal(packed, full.reshape(n, -1)[:, idx])
     assert not np.any(np.delete(full.reshape(n, -1), idx, axis=1))
+
+
+def test_coupled_pair_free_side_keeps_the_equilibrium_variances():
+    # b <- beta b + h z with z ~ N(0, C) keeps N(0, C) only when beta^2 + h^2 = 1;
+    # beta = 1 - h^2/2 widens it to C / (1 - h^2/4), 1.067 C at h = 0.5
+    spec = GridSpec(16, m=1.0)
+    cfg = GibbsSamplerConfig(2048, 3, 1.0, 0.5, 100, 0, thin=1)
+    _, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=7)
+    ratio = np.abs(gaussian.pos) ** 2 * spec.dispersion.reshape(-1)[gaussian.index]
+    per_component = np.mean(ratio, axis=1)
+    mean = np.mean(per_component)
+    se = np.std(per_component, ddof=1) / np.sqrt(len(per_component))
+    assert abs(mean - 1.0) < 3.0 * se, (mean, se)
 
 
 def test_coupled_pair_difference_is_small_relative_to_the_fields():
