@@ -202,7 +202,6 @@ def difference_norms(states_n, states_limit, s: float, j: int):
     component-j norm and the l2-average over components; both are maxima over
     the nodes of ``(||du||_{H^s}^2 + ||dv||_{H^{s-1}}^2)^{1/2}``.
     """
-    states_n, states_limit = list(states_n), list(states_limit)
     if len(states_n) != len(states_limit) or not states_n:
         raise ValueError("the two runs must share their recording nodes")
     balls = {(x.spec.n_grid, x.radius) for x in [*states_n, *states_limit]}
