@@ -11,13 +11,19 @@ change would be paired with the new ones.  A (workload, seed) measured
 untraced on both sides is one pair.  The record holds every run, tagged with
 its side and its place in the order the runs finished; per workload and
 end-to-end metric, each side's median and quartiles over the pairs and the
-number of pairs the change won; the per-layer metrics of every traced pair;
-the claim, when one is named, judged by the rule below; a machine stamp; and
-the ``--durations`` lines of the saved tier-1 log.
+number of pairs the change won, whether it regressed and whether the
+parent's spread leaves it unresolved; the per-layer metrics of every traced
+pair; the claim, when one is named; a machine stamp; and the
+``--durations`` lines of the saved tier-1 log.  The rules follow.
 
 A claimed gain holds when the change is better in at least nine tenths of
 the pairs and the two medians differ by more than the parent's interquartile
-range.  Standard library only.
+range.  A metric has regressed when the change's median is worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json`` (a
+fraction of the parent's median).  It is unresolved when the parent's
+interquartile range is wider than that bound, again as a fraction of its
+median, unless every change run is better than every parent run.  A change
+that claims no gain is judged on these two fields.  Standard library only.
 """
 
 from __future__ import annotations
@@ -66,22 +72,38 @@ def pairs_of(runs: list, trace: int) -> dict:
     return {key: sides for key, sides in sorted(found.items()) if len(sides) == 2}
 
 
-def better_directions(change_root: Path) -> dict:
+def metric_rules(change_root: Path) -> dict:
+    """``{name: {"better": "lower" | "higher", "bound": fraction or None}}``."""
     path = change_root / "BENCHMARK.json"
     if not path.is_file():
-        return {name: "lower" for name in END_TO_END}
+        return {name: {"better": "lower", "bound": None} for name in END_TO_END}
     spec = json.loads(path.read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    return {m["name"]: {"better": m["better"], "bound": m.get("bound")}
+            for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
-def summarize(pairs: dict, better: dict) -> list:
+def verdict(parent_vals: list, change_vals: list, sign: float, bound) -> dict:
+    """``regressed`` and ``unresolved`` of one metric; ``sign`` is +1 when
+    lower is better and -1 when higher is; both read None with no bound."""
+    if bound is None:
+        return {"regressed": None, "unresolved": None}
+    parent, change = quartiles(parent_vals), quartiles(change_vals)
+    worse = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    separated = max(sign * c for c in change_vals) < min(sign * p for p in parent_vals)
+    return {"regressed": worse > bound * abs(parent["median"]),
+            "unresolved": spread > bound * abs(parent["median"]) and not separated}
+
+
+def summarize(pairs: dict, rules: dict) -> list:
     rows = []
     for workload in sorted({w for w, _ in pairs}):
         mine = {seed: sides for (w, seed), sides in pairs.items() if w == workload}
         for metric in END_TO_END:
             vals = {side: [mine[s][side]["metrics"][metric]["value"] for s in mine]
                     for side in ("parent", "change")}
-            sign = 1.0 if better.get(metric, "lower") == "lower" else -1.0
+            rule = rules.get(metric, {"better": "lower", "bound": None})
+            sign = 1.0 if rule["better"] == "lower" else -1.0
             wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
             parent, change = quartiles(vals["parent"]), quartiles(vals["change"])
             rows.append({
@@ -89,6 +111,7 @@ def summarize(pairs: dict, better: dict) -> list:
                 "seeds": sorted(mine), "parent": parent, "change": change,
                 "change_over_parent": change["median"] / parent["median"],
                 "change_better_pairs": wins,
+                **verdict(vals["parent"], vals["change"], sign, rule["bound"]),
                 "all_correct": all(sides[s]["failed"] == 0
                                    for sides in mine.values() for s in sides)})
     return rows
@@ -133,7 +156,7 @@ def build(number: int, parent: Path, change: Path, tier1_log: Path, claim=None,
           title: str = "") -> dict:
     runs = sorted(load_runs(parent, "parent") + load_runs(change, "change"),
                   key=lambda run: run["finished"])
-    summary = summarize(pairs_of(runs, 0), better_directions(change))
+    summary = summarize(pairs_of(runs, 0), metric_rules(change))
     out = {"number": number, "change": title, "how": HOW, "machine": machine(),
            "summary": summary, "traced_metrics": traced(pairs_of(runs, 1)),
            "tier1_durations": durations(tier1_log),

@@ -27,12 +27,12 @@ import numpy as np
 from . import __version__
 from .diagnostics import (_LLN_KINDS, _mean_row, commutator_defect, difference_norms,
                           energy_en, fit_rate, lln_estimator, write_csv)
-from .dynamics import (BlowupError, HlsmState, MeanFieldState, _kick_pair, run_trajectory,
-                       step_linear_ensemble, step_renormalized_wave)
+from .dynamics import (BlowupError, HlsmState, MeanFieldState, _kick_pair, _step_count,
+                       run_trajectory, step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
-from .grid import (BallEnsemble, GridSpec, SpectralField, _sobolev_norms, _to_grid, ball_mask,
-                   hermitian_defect, load_field, rms, save_field)
+from .grid import (BallEnsemble, GridSpec, SpectralField, _require_ball, _sobolev_norms,
+                   _to_grid, ball_mask, hermitian_defect, load_field, rms, save_field)
 from .grid import sobolev_norm  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
@@ -167,23 +167,6 @@ def thread_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _steps_and_stride(d: dict):
-    n_steps = int(round(d["T"] / d["dt"]))
-    if abs(n_steps * d["dt"] - d["T"]) > 1e-9 * max(1.0, d["T"]):
-        raise ConfigError(f"[dynamics] dt {d['dt']} does not divide T {d['T']}")
-    if n_steps % d["stride"]:
-        raise ConfigError(f"[dynamics] stride {d['stride']} does not divide {n_steps} steps")
-    return n_steps, d["stride"]
-
-
-def _require_exact_ball(cfg: dict, command: str) -> None:
-    # sharp-cutoff products are grid-exact only below this line
-    n_grid, M = cfg["grid"]["n_grid"], cfg["truncation"]["M"]
-    if n_grid <= 4 * M:
-        raise ConfigError(f"{command} needs n_grid > 4*M for exact truncated "
-                          f"products; got n_grid = {n_grid}, M = {M}")
-
-
 def _ensemble_from_files(spec: GridSpec, n: int, directory: str, radius: float) -> BallEnsemble:
     """The snapshot pairs in ``directory``, packed on the ball ``|n| <= radius``
     that the residual evolves on; data off that ball raise."""
@@ -249,13 +232,9 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     g, d = cfg["grid"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
     M, seed = cfg["truncation"]["M"], cfg["experiment"]["seed"]
-    # the Wick constants match the grid only below nyquist, and dealiased
-    # products must keep the whole noise ball
-    if M >= spec.nyquist or (d["dealias"] and 3 * M > 2 * spec.nyquist):
-        raise ConfigError(f"simulate-{'meanfield' if meanfield else 'hlsm'} needs M < "
-                          f"nyquist = {spec.nyquist}, and M <= 2*nyquist/3 "
-                          f"with dealias on; got n_grid = {spec.n_grid}, M = {M}")
-    n_steps, stride = _steps_and_stride(d)
+    # with dealias on, the state's own check keeps the noise ball inside the 2/3-rule ball
+    _require_ball(spec, M, "wick")
+    n_steps = _step_count(d["T"], d["dt"], d["stride"])
     n = d["R"] if meanfield else d["N"]
     rc = RenormConstants.build(g["m"], M, d["dt"], n_steps)
     if d["data"] == "gaussian":
@@ -266,7 +245,7 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     state = start(spec, n, rc, seed, d["dealias"])
     if d["data"] == "file":
         state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"], state.v.radius))
-    record = run_trajectory(state, d["dt"], n_steps, stride, observe=_run_observables(g["m"]))
+    record = run_trajectory(state, d["dt"], n_steps, d["stride"], observe=_run_observables(g["m"]))
     record.to_csv(out_dir / "trajectory.csv")
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(record.times)} nodes)")
     if "fields" in cfg["output"]["formats"]:
@@ -276,7 +255,7 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
 
 def cmd_renorm_table(cfg: dict, out_dir: Path, threads: int) -> None:
     g, d = cfg["grid"], cfg["dynamics"]
-    n_steps, _ = _steps_and_stride(d)
+    n_steps = _step_count(d["T"], d["dt"])
     rc = RenormConstants.build(g["m"], cfg["truncation"]["M"], d["dt"], n_steps)
     rc.to_csv(out_dir / "renorm.csv")
     print(f"wrote {out_dir / 'renorm.csv'}: sigma_M(T) = {rc.sigma[-1]:.6g}, "
@@ -315,17 +294,17 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
 
 
 def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
-    _require_exact_ball(cfg, "convergence-rate")
-    g, ex = cfg["grid"], cfg["experiment"]
+    g, ex, d = cfg["grid"], cfg["experiment"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
+    _require_ball(spec, cfg["truncation"]["M"], "exact")
     reps, seed = ex["reps"], ex["seed"]
-    n_steps, stride = _steps_and_stride(cfg["dynamics"])
+    n_steps = _step_count(d["T"], d["dt"], d["stride"])
 
     def one(task):
         n, rep = task
         chain = replace(_gibbs_config(cfg), n_components=n)
-        return coupled_distance(spec, chain, seed + 7919 * rep, cfg["dynamics"]["dt"],
-                                n_steps, stride, ex["s"])
+        return coupled_distance(spec, chain, seed + 7919 * rep, d["dt"],
+                                n_steps, d["stride"], ex["s"])
 
     tasks = [(n, rep) for n in ex["N_list"] for rep in range(reps)]
     norms = np.asarray(thread_map(one, tasks, threads)).reshape(len(ex["N_list"]), reps)
@@ -352,8 +331,8 @@ def _gibbs_config(cfg: dict) -> GibbsSamplerConfig:
 
 
 def cmd_sample_gibbs(cfg: dict, out_dir: Path, threads: int) -> None:
-    _require_exact_ball(cfg, "sample-gibbs")
     spec = GridSpec(cfg["grid"]["n_grid"], cfg["grid"]["m"])
+    _require_ball(spec, cfg["truncation"]["M"], "exact")
     samples = sample_gibbs(spec, _gibbs_config(cfg), cfg["experiment"]["seed"])
     write_csv(out_dir / "gibbs_chain.csv", "iter,wick_square_int",
               [(i, v) for i, v in enumerate(samples.series)])
@@ -379,8 +358,8 @@ def cmd_sample_gibbs(cfg: dict, out_dir: Path, threads: int) -> None:
 
 
 def cmd_invariance_check(cfg: dict, out_dir: Path, threads: int) -> None:
-    _require_exact_ball(cfg, "invariance-check")
     spec = GridSpec(cfg["grid"]["n_grid"], cfg["grid"]["m"])
+    _require_ball(spec, cfg["truncation"]["M"], "exact")
     d = cfg["dynamics"]
     report = invariance_check(spec, _gibbs_config(cfg), cfg["experiment"]["seed"],
                               d["T"], d["dt"], slices=threads,

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import step_linear_ensemble
-from .grid import (BallEnsemble, GridSpec, _bracket_pow, _i_profile, _sobolev_norms, _to_grid,
-                   random_field, rms, sobolev_norm)
+from .dynamics import _step_count, step_linear_ensemble
+from .grid import (BallEnsemble, GridSpec, _bracket_pow, _i_profile, _require_ball,
+                   _sobolev_norms, _to_grid, random_field, rms, sobolev_norm)
 from .noise import NoiseKind, NoiseStream, alpha_m, stationary_ensemble
 
 __all__ = [
@@ -65,7 +65,7 @@ def zn_norm(nodes, eps: float, c_values) -> float:
     data).  The four summands are the l2-averaged C_T W^{-eps,inf} norms of
     psi_j, of the diagonal squares :psi_k^2:, and of the off-diagonal-
     included pair and triple arrays :psi_k psi_j:, :psi_k^2 psi_j:.  Pair
-    products are exact only while ``3 M < nyquist``.
+    products are exact only under the ``triple`` rule of ``grid._BALL_RULES``.
     """
     nodes = list(nodes)
     if not nodes:
@@ -124,12 +124,8 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
     for kind in kinds:
         if kind not in _LLN_KINDS:
             raise ValueError(f"unknown estimator kind {kind!r}")
-    if 3 * truncation >= spec.nyquist:
-        raise ValueError(f"triple products of ball {truncation} modes alias "
-                         f"on an n_grid = {spec.n_grid} grid")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9:
-        raise ValueError(f"dt {dt} does not divide T {T}")
+    _require_ball(spec, truncation, "triple")
+    n_steps = _step_count(T, dt)
     c = alpha_m(spec.m, truncation)
     times = dt * np.arange(n_steps + 1)
     M = float(truncation)
@@ -169,10 +165,9 @@ def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,
     Fields are drawn with coefficient decay ``<n>^-2`` on ``|n| <= base_ball``
     and rescaled per M so ``||If||_{H^1} = ||Ig||_{H^1} = 1``; the defect is
     then the bare constant-times-M-power of the commutator bound.  Products
-    are exact provided ``3 * base_ball < nyquist``.
+    are exact when ``base_ball`` keeps the ``triple`` rule of ``grid._BALL_RULES``.
     """
-    if 3 * base_ball >= spec.nyquist:
-        raise ValueError(f"base ball {base_ball} needs n_grid > {6 * base_ball}")
+    _require_ball(spec, base_ball, "triple", what="base ball")
     gen = np.random.default_rng(root_seed)
     worst = {int(M): 0.0 for M in M_list}
     for _ in range(trials):

@@ -297,9 +297,9 @@ def renormalized_drift(ens: BallEnsemble, alpha: float,
     Only the Hermitian modes of the ensemble's ball are read and written,
     packed alike, via the half spectrum: the sharp-cutoff system whose
     invariant measure is the truncated Gibbs ensemble (products must be
-    grid-exact: n_grid > 4M).  ``grid``, the positions' grid values
-    (``grid._to_grid`` of ``ens.pos``) when the caller has them, saves their
-    transform; it is not modified.
+    grid-exact, the ``exact`` rule of ``grid._BALL_RULES``).  ``grid``, the
+    positions' grid values (``grid._to_grid`` of ``ens.pos``) when the caller
+    has them, saves their transform; it is not modified.
     """
     return _renormalized_drift(ens.pos, ens.spec.n_grid, alpha, ens.radius, grid)
 
@@ -357,6 +357,16 @@ class TrajectoryRecord:
                 fh.write(",".join(row) + "\n")
 
 
+def _step_count(T: float, dt: float, stride: int = 1) -> int:
+    """Number of ``dt`` steps in ``T``; raises unless dt divides T and stride the steps."""
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"dt {dt} does not divide T {T}")
+    if n_steps % stride:
+        raise ValueError(f"stride {stride} does not divide {n_steps} steps")
+    return n_steps
+
+
 def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
                    observe=None) -> TrajectoryRecord:
     """Integrate an HLSM or mean-field state, recording every ``stride`` steps.
@@ -367,8 +377,7 @@ def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
     Non-finite fields at a recording node, the start included, raise
     :class:`BlowupError`; nothing is clipped.
     """
-    if n_steps % stride != 0:
-        raise ValueError(f"stride {stride} does not divide n_steps {n_steps}")
+    _step_count(n_steps * dt, dt, stride)
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
     times, rows = [], []

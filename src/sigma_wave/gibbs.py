@@ -22,7 +22,7 @@ controlled by the interaction gradient; this is the initial-data coupling
 used by the mean-field convergence experiment.  The pair takes the
 preconditioned Crank-Nicolson step ``sqrt(1-h^2) U + h Z`` (Cotter, Roberts,
 Stuart and White, Stat. Sci. 28, 2013), which leaves the free side's
-equilibrium exactly invariant for every h.
+equilibrium exactly invariant for every h <= 1.
 
 Every ensemble here is a ``grid.BallEnsemble``: the chains' states, the
 thinned draws of :class:`GibbsSamples` (one ``(K, N, n_ball)`` batch), their
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import renormalized_drift, step_renormalized_wave
+from .dynamics import _step_count, renormalized_drift, step_renormalized_wave
 from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, ball_mask
 from .noise import NoiseKind, NoiseStream, _sample_ball, alpha_m, stationary_ensemble
 # unused; traced sites of perfbench/tracer.py
@@ -269,10 +269,11 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     interaction gradient.  Both states are packed ``(N, n_ball)`` stacks fed by one
     :func:`_sample_ball` draw per iteration.  Velocities are one shared
     equilibrium draw.  Returns a pair of ball ensembles ``(gibbs, gaussian)``.
-    Of ``cfg`` it reads n_components, truncation,
-    step_size and chain_length only.
+    With ``cfg.interaction`` off both sides are the free chain; there is no burn-in or thinning.
     """
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
+    if h > 1:
+        raise ValueError(f"the pCN step needs h <= 1 for sqrt(1 - h^2) to be real; got h = {h}")
     idx = _ball_index(spec.n_grid, float(M))
     prof = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
     inv_w = prof.reshape(-1)[idx]
@@ -284,7 +285,7 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
     for it in range(cfg.chain_length):
         z = _sample_ball(innovations.generator(it), spec, M, prof, n)
-        grad = _ball_grad(pos_a, spec, alpha, float(M))
+        grad = _ball_grad(pos_a, spec, alpha, float(M)) if cfg.interaction else 0.0
         pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
         pos_b = beta * pos_b + h * z
 
@@ -370,9 +371,7 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     if cfg.n_samples < 2:
         raise ValueError(f"invariance check needs cfg.n_samples >= 2 retained samples, "
                          f"got {cfg.n_samples}; lengthen the chain or lower thin")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9:
-        raise ValueError(f"dt {dt} does not divide horizon {horizon}")
+    n_steps = _step_count(horizon, dt)
     samples = sample_gibbs(spec, cfg, root_seed)
     alpha = alpha_m(spec.m, cfg.truncation)
     evolved = evolve_gibbs_samples(samples.draws, alpha, dt, n_steps, root_seed + 1,

@@ -115,6 +115,23 @@ class GridSpec:
         return (self.n_grid, self.n_grid)
 
 
+# Each validity rule of a mode ball |n| <= M is n_grid > k*M: the rule's k and the
+# condition it states.  A command checks each rule its work needs, once, up front.
+_BALL_RULES = {
+    "wick": (2, "M < nyquist, or the Wick constants do not match the grid"),
+    "exact": (4, "n_grid > 4*M, or truncated products are not exact"),
+    "triple": (6, "3*M < nyquist, or triple products alias"),
+}
+
+
+def _require_ball(spec: GridSpec, M: float, rule: str, what: str = "M") -> None:
+    """Raise unless the ball ``|n| <= M`` keeps ``rule`` of ``_BALL_RULES``."""
+    k, condition = _BALL_RULES[rule]
+    if spec.n_grid <= k * M:
+        raise ValueError(f"{what} = {M:g} needs n_grid > {k * M:g} ({condition}); "
+                         f"got n_grid = {spec.n_grid}")
+
+
 @lru_cache(maxsize=256)
 def _ball_mask(n_grid: int, radius: float) -> np.ndarray:
     if radius < 0:

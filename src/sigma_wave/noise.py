@@ -23,9 +23,9 @@ batch of equilibrium pairs are scattered onto the ball once.  No draw fills
 a full grid.
 
 Renormalization constants are lattice sums over the integer mode ball
-``|n| <= M``.  They match grid-sampled fields exactly as long as the
-analysis truncation satisfies ``M < nyquist`` (at ``M = nyquist`` the grid
-folds the two lattice modes ``(+-nyquist, 0)`` onto one slot).
+``|n| <= M``.  They match grid-sampled fields exactly under the ``wick`` rule
+of ``grid._BALL_RULES`` (at ``M = nyquist`` the grid folds the two lattice
+modes ``(+-nyquist, 0)`` onto one slot).
 """
 
 from __future__ import annotations

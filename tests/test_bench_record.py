@@ -79,3 +79,37 @@ def _empty_log(tmp_path):
     log = tmp_path / "empty.log"
     log.write_text("")
     return log
+
+
+def _bounded(root, bound=0.25):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": name, "better": "lower", "bound": bound}
+        for name in ("setup_s", "run_s", "peak_rss_mb")]}))
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed(tmp_path):
+    # parent runs agree; the change is 30 % slower against a 25 % bound
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _bounded(change)
+    for seed, (p, c) in enumerate([(1.0, 1.3), (1.0, 1.31), (1.0, 1.29)]):
+        write_result(parent, "lln-linear", seed, 0, p, finished=10 * seed)
+        write_result(change, "lln-linear", seed, 0, c, finished=10 * seed + 5)
+    summary = load().build(5, parent, change, _empty_log(tmp_path))["summary"]
+    run_s = next(r for r in summary if r["metric"] == "run_s")
+    assert run_s["regressed"] is True and run_s["unresolved"] is False
+    setup = next(r for r in summary if r["metric"] == "setup_s")
+    assert setup["regressed"] is False and setup["unresolved"] is False
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path):
+    # parent IQR 0.5 of its median 1.0 against a 25 % bound; the change
+    # overlaps the parent's runs, so nothing can be told
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _bounded(change)
+    for seed, (p, c) in enumerate([(0.5, 1.0), (1.0, 0.9), (1.5, 1.1)]):
+        write_result(parent, "gibbs-invariance", seed, 0, p, finished=10 * seed)
+        write_result(change, "gibbs-invariance", seed, 0, c, finished=10 * seed + 5)
+    summary = load().build(6, parent, change, _empty_log(tmp_path))["summary"]
+    run_s = next(r for r in summary if r["metric"] == "run_s")
+    assert run_s["unresolved"] is True and run_s["regressed"] is False

@@ -324,6 +324,64 @@ def test_exact_ball_guard_for_gibbs_commands(tmp_path, capsys, command):
     assert "n_grid" in err and "4*M" in err
 
 
+# Each validity rule: the one edit to SMALL that breaks it alone, and a
+# fragment of the error it raises.
+RULE_BREAKS = {
+    "exact": (("M = 2", "M = 4"), "4*M"),
+    "triple": (("M = 2", "M = 3"), "alias"),
+    "wick": (("M = 2", "M = 8"), "Wick"),
+    "dealias": (("M = 2", "M = 6"), "dealias"),
+    "dt": (("dt = 0.05\nT = 0.2", "dt = 0.03\nT = 0.1"), "does not divide T"),
+    "stride": (("stride = 2", "stride = 3"), "stride 3 does not divide"),
+    "h": (("h = 0.3", "h = 1.5"), "h <= 1"),
+}
+SIMULATE = ("simulate-hlsm", "simulate-meanfield")
+REJECTS = {
+    "exact": ("convergence-rate", "sample-gibbs", "invariance-check"),
+    "triple": ("lln-decay", "commutator"),
+    "wick": SIMULATE,
+    "dealias": SIMULATE,
+    "dt": ("renorm-table", *SIMULATE, "convergence-rate", "lln-decay", "invariance-check"),
+    "stride": (*SIMULATE, "convergence-rate"),
+    "h": ("convergence-rate",),
+}
+ACCEPTS = {
+    "stride": ("renorm-table", "lln-decay", "invariance-check"),
+    "h": ("sample-gibbs",),
+}
+RULE_MATRIX = ([(rule, command, True) for rule, cmds in REJECTS.items() for command in cmds]
+               + [(rule, command, False) for rule, cmds in ACCEPTS.items() for command in cmds])
+
+
+@pytest.mark.parametrize("rule,command,rejects", RULE_MATRIX,
+                         ids=[f"{r}-{c}-{'rejects' if x else 'accepts'}" for r, c, x in RULE_MATRIX])
+def test_validity_rule_matrix(tmp_path, capsys, rule, command, rejects):
+    (old, new), fragment = RULE_BREAKS[rule]
+    out = tmp_path / "out"
+    assert old in SMALL
+    cfgp = write_ini(tmp_path, SMALL.replace(old, new).format(out=out))
+    with warnings.catch_warnings():
+        # a rejected config fails before any work, so nothing warns; an
+        # accepted MALA chain at a large h may warn about its acceptance
+        warnings.simplefilter("error" if rejects else "ignore")
+        code = main([command, "--config", cfgp])
+    if rejects:
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+    else:
+        assert code == 0
+        assert (out / "manifest.json").exists()
+
+
+def test_renorm_table_ignores_the_stride(tmp_path):
+    out = tmp_path / "out"
+    cfgp = write_ini(tmp_path, "[dynamics]\nT = 0.15\ndt = 0.01\nstride = 10\n"
+                               f"[output]\ndir = {out}\n")
+    assert main(["renorm-table", "--config", cfgp]) == 0
+    assert len((out / "renorm.csv").read_text().splitlines()) == 1 + 16
+
+
 def test_a_config_the_command_rejects_leaves_no_manifest(tmp_path, capsys):
     # both checks run inside the command, after the shared validation
     cases = (("lln-decay", "alias"), ("commutator", "needs n_grid > 18"))

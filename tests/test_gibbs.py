@@ -491,9 +491,18 @@ def test_coupled_pair_divergence_raises():
     # the unadjusted interacting chain has no rejection step, so an
     # unstable step size must fail loudly instead of returning NaN fields
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(2, 3, 1.0, 5.0, 200, 0, thin=1)
+    cfg = GibbsSamplerConfig(2, 3, 1.0, 1.0, 200, 0, thin=1)
     with pytest.raises(ValueError, match="diverged"):
         coupled_gibbs_gaussian_pair(spec, cfg, root_seed=3)
+
+
+def test_coupled_pair_without_interaction_is_one_chain():
+    # with no drift term the interacting side takes the free side's steps, bit for bit
+    spec = GridSpec(16, m=1.0)
+    cfg = GibbsSamplerConfig(4, 3, 1.0, 0.4, 50, 0, thin=1, interaction=False)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=5)
+    assert np.array_equal(gibbs.pos, gaussian.pos)
+    assert np.array_equal(gibbs.vel, gaussian.vel)
 
 
 def test_batched_evolution_matches_per_sample_stepper():
