@@ -114,8 +114,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"[truncation] M must be >= 0, got {cfg['truncation']['M']}")
     if d["N"] < 1 or d["R"] < 1:
         raise ConfigError("[dynamics] N and R must be >= 1")
-    if d["dt"] <= 0 or d["T"] < d["dt"]:
-        raise ConfigError(f"[dynamics] need 0 < dt <= T, got dt={d['dt']}, T={d['T']}")
     if d["stride"] < 1:
         raise ConfigError(f"[dynamics] stride must be >= 1, got {d['stride']}")
     if d["data"] not in ("zero", "gaussian", "file"):

@@ -358,7 +358,10 @@ class TrajectoryRecord:
 
 
 def _step_count(T: float, dt: float, stride: int = 1) -> int:
-    """Number of ``dt`` steps in ``T``; raises unless dt divides T and stride the steps."""
+    """Number of ``dt`` steps in ``T``; raises unless ``0 < dt <= T``, dt
+    divides T and stride divides the steps."""
+    if not 0 < dt <= T:
+        raise ValueError(f"need 0 < dt <= T; got dt {dt}, T {T}")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"dt {dt} does not divide T {T}")
@@ -377,7 +380,8 @@ def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
     Non-finite fields at a recording node, the start included, raise
     :class:`BlowupError`; nothing is clipped.
     """
-    _step_count(n_steps * dt, dt, stride)
+    if n_steps:  # a run of no steps reads no dt
+        _step_count(n_steps * dt, dt, stride)
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
     times, rows = [], []

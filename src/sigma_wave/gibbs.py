@@ -26,10 +26,12 @@ equilibrium exactly invariant for every h <= 1.
 
 Every ensemble here is a ``grid.BallEnsemble``: the chains' states, the
 thinned draws of :class:`GibbsSamples` (one ``(K, N, n_ball)`` batch), their
-evolution and the invariance observables.  An iteration's N innovations come
-from one call; drift, potential and observables reach grid values through
-real FFTs on the half spectrum (``grid._to_grid``).  No full coefficient grid
-is filled: a MALA proposal takes one ``_to_grid``, which its potential, its
+evolution and the invariance observables.  The per-mode weights
+``w = m + |n|^2`` are packed on the ball, and an iteration's N innovations
+come from one ``noise._sample_ball`` call with the packed variances
+``1 / w``; drift, potential and observables reach grid values through real
+FFTs on the half spectrum (``grid._to_grid``).  No full coefficient grid is
+filled: a MALA proposal takes one ``_to_grid``, which its potential, its
 ``series`` value and its gradient share.
 """
 
@@ -187,7 +189,16 @@ def _ball_grad(pos: np.ndarray, spec: GridSpec, alpha: float, truncation: float,
 def _velocities(spec: GridSpec, M: int, root_seed: int, n: int, k: int) -> np.ndarray:
     """Packed velocity refresh ``k``: n white-noise draws on the ball."""
     gen = NoiseStream(root_seed, 0, NoiseKind.VELOCITY).generator(k)
-    return _sample_ball(gen, spec, M, np.ones(spec.shape()), n)
+    return _sample_ball(gen, spec, M, np.ones(_ball_index(spec.n_grid, float(M)).size), n)
+
+
+def _chain_setup(spec: GridSpec, cfg: GibbsSamplerConfig):
+    """Packed weights ``w = m + |n|^2`` of the truncation ball and their
+    inverses, the innovation variances; raises unless cfg and grid share m."""
+    if abs(cfg.m - spec.m) > 1e-12:
+        raise ValueError(f"config mass {cfg.m} != grid mass {spec.m}")
+    w = spec.dispersion.reshape(-1)[_ball_index(spec.n_grid, float(cfg.truncation))]
+    return w, 1.0 / w
 
 
 def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> GibbsSamples:
@@ -199,13 +210,8 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     Velocities are exact independent draws, so only positions are chained.
     Warns when the post-burn-in acceptance rate leaves the configured band.
     """
-    if abs(cfg.m - spec.m) > 1e-12:
-        raise ValueError(f"config mass {cfg.m} != grid mass {spec.m}")
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
-    idx = _ball_index(spec.n_grid, float(M))
-    prof = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
-    w = spec.dispersion.reshape(-1)[idx]
-    inv_w = prof.reshape(-1)[idx]
+    w, inv_w = _chain_setup(spec, cfg)
     alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
 
     def state_of(p):
@@ -220,30 +226,25 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     grad, energy, ug = state_of(pos)
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
 
-    keep_pos = []
-    series = []
-    accepted = 0
-    proposed = 0
+    keep_pos, series, accepted = [], [], 0
     beta = 1.0 - 0.5 * h * h
     for it in range(cfg.chain_length):
         gen = innovations.generator(it)
-        z = _sample_ball(gen, spec, M, prof, n)
+        z = _sample_ball(gen, spec, M, inv_w, n)
         prop = beta * pos - 0.5 * h * h * grad * inv_w + h * z
         grad_prop, energy_prop, ug_prop = state_of(prop)
         log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy, energy_prop,
                                    w, inv_w, h)
-        if it >= cfg.burn_in:
-            proposed += 1
-        if np.log(gen.uniform()) < log_ratio:
+        accept = bool(np.log(gen.uniform()) < log_ratio)
+        if accept:
             pos, grad, energy, ug = prop, grad_prop, energy_prop, ug_prop
-            if it >= cfg.burn_in:
-                accepted += 1
         if it >= cfg.burn_in:
+            accepted += accept
             series.append(np.mean(ug[0] * ug[0]) - alpha)
             if (it - cfg.burn_in) % cfg.thin == 0:
                 keep_pos.append(pos)
 
-    accept_rate = accepted / max(proposed, 1)
+    accept_rate = accepted / (cfg.chain_length - cfg.burn_in)
     lo, hi = cfg.acceptance_band
     if not lo <= accept_rate <= hi:
         target = 0.57
@@ -274,9 +275,7 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
     if h > 1:
         raise ValueError(f"the pCN step needs h <= 1 for sqrt(1 - h^2) to be real; got h = {h}")
-    idx = _ball_index(spec.n_grid, float(M))
-    prof = np.where(ball_mask(spec, M), 1.0 / spec.dispersion, 0.0)
-    inv_w = prof.reshape(-1)[idx]
+    inv_w = _chain_setup(spec, cfg)[1]
     alpha = alpha_m(spec.m, M)
     beta = np.sqrt(1.0 - h * h)
 
@@ -284,7 +283,7 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_se
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
     for it in range(cfg.chain_length):
-        z = _sample_ball(innovations.generator(it), spec, M, prof, n)
+        z = _sample_ball(innovations.generator(it), spec, M, inv_w, n)
         grad = _ball_grad(pos_a, spec, alpha, float(M)) if cfg.interaction else 0.0
         pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
         pos_b = beta * pos_b + h * z
@@ -319,9 +318,7 @@ def evolve_gibbs_samples(ens: BallEnsemble, alpha: float, dt: float, n_steps: in
             part = step_renormalized_wave(part, streams, step, dt, alpha)
         return part
 
-    slices = min(slices, k)
-    if slices <= 1:
-        return evolve((0, k))
+    slices = max(1, min(slices, k))
     cuts = [k * i // slices for i in range(slices + 1)]
     parts = list(map_fn(evolve, zip(cuts[:-1], cuts[1:])))
     return BallEnsemble(ens.spec, ens.radius, np.concatenate([p.pos for p in parts]),
@@ -371,7 +368,7 @@ def invariance_check(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int,
     if cfg.n_samples < 2:
         raise ValueError(f"invariance check needs cfg.n_samples >= 2 retained samples, "
                          f"got {cfg.n_samples}; lengthen the chain or lower thin")
-    n_steps = _step_count(horizon, dt)
+    n_steps = _step_count(horizon, dt) if horizon else 0  # a zero horizon takes no step
     samples = sample_gibbs(spec, cfg, root_seed)
     alpha = alpha_m(spec.m, cfg.truncation)
     evolved = evolve_gibbs_samples(samples.draws, alpha, dt, n_steps, root_seed + 1,

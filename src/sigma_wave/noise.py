@@ -16,11 +16,13 @@ Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
 components or replicas parallelizes without any order dependence.  Every
 draw is packed on its mode ball, the ``grid.BallEnsemble`` layout: the
-kicks, with tables gathered once per (grid, dt, ball), and the equilibrium
-pairs of :func:`stationary_ensemble`.  The draws of many streams at one step
-come as the rows of one array (:class:`_StepRows`), so a step's kicks or a
-batch of equilibrium pairs are scattered onto the ball once.  No draw fills
-a full grid.
+kicks, with tables gathered once per (grid, dt, ball), and the profile
+draws of :func:`_sample_ball`, whose per-mode variances come packed alike.
+One mirror split (:func:`_half_lattice`, packed positions) and one
+assembly (:func:`_hermitian`) write the plus, mirror and self-conjugate
+slots of every draw.  The draws of many streams at one step come as the
+rows of one array (:class:`_StepRows`), so a step's kicks or a batch of
+equilibrium pairs are assembled once.  No draw fills a full grid.
 
 Renormalization constants are lattice sums over the integer mode ball
 ``|n| <= M``.  They match grid-sampled fields exactly under the ``wick`` rule
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallEnsemble, GridSpec, _ball_index, _ball_mask, _mode_vectors
+from .grid import BallEnsemble, GridSpec, _ball_index
 from .propagator import _cc, _sc, flow_entries
 
 __all__ = [
@@ -147,13 +149,6 @@ class RenormConstants:
         sigma = np.array([sigma_m(t, m, M) for t in times])
         return cls(m, int(M), dt, times, sigma, alpha_m(m, M))
 
-    @classmethod
-    def zero(cls, m: float, dt: float, n_steps: int) -> "RenormConstants":
-        """All-zero schedule with an empty truncation; turns the noise and the
-        Wick subtractions off for deterministic integration tests."""
-        times = np.arange(n_steps + 1) * dt
-        return cls(m, -1, dt, times, np.zeros(n_steps + 1), 0.0)
-
     def sigma_at(self, step: int) -> float:
         return float(self.sigma[step])
 
@@ -214,62 +209,54 @@ def transition_covariance(lam, dt: float):
 
 @lru_cache(maxsize=128)
 def _half_lattice(n_grid: int, radius: float):
-    """Flat indices of the ``ball_mask`` modes split into self-conjugate and
-    mirror pairs.
+    """Packed positions, in ``_ball_index`` order, of the ``|n| <= radius``
+    modes split into self-conjugate modes and mirror pairs.
 
     The pair arrays are aligned: ``minus[i]`` is the mirror slot of
-    ``plus[i]``.  Canonical representatives are the smaller flat index, so
-    the draw order is reproducible.
+    ``plus[i]``, and ``plus`` holds the member with the smaller flat index,
+    in ascending order, so the draw order is reproducible.
     """
-    n1, n2 = _mode_vectors(n_grid)
-    in_ball = _ball_mask(n_grid, radius)
-    idx = np.arange(n_grid * n_grid).reshape(n_grid, n_grid)
-    mirror = idx[(-n1) % n_grid, (-n2) % n_grid]
-    flat = idx[in_ball]
-    mflat = mirror[in_ball]
-    self_idx = flat[flat == mflat]
-    plus = flat[flat < mflat]
-    minus = mflat[flat < mflat]
-    for arr in (self_idx, plus, minus):
-        arr.setflags(write=False)
-    return self_idx, plus, minus
-
-
-@lru_cache(maxsize=128)
-def _ball_slots(n_grid: int, radius: float):
-    """Packed positions of the :func:`_half_lattice` modes, in ``_ball_index`` order."""
     ball = _ball_index(n_grid, radius)
-    slots = tuple(np.searchsorted(ball, arr) for arr in _half_lattice(n_grid, radius))
-    for arr in slots:
+    i, j = np.divmod(ball, n_grid)
+    mirror = np.searchsorted(ball, ((-i) % n_grid) * n_grid + (-j) % n_grid)
+    pos = np.arange(ball.size)
+    out = pos[mirror == pos], pos[pos < mirror], mirror[pos < mirror]
+    for arr in out:
         arr.setflags(write=False)
-    return slots
-
-
-def _sample_ball(gen, spec: GridSpec, radius: float, profile: np.ndarray, n: int) -> np.ndarray:
-    """n Hermitian Gaussian draws with per-mode variance ``profile``, packed
-    ``(..., n, n_ball)``; one ``standard_normal`` call takes, per draw, the
-    plus-mode real parts, imaginary parts and self-conjugate values, in that
-    order.  A :class:`_StepRows` source adds its stream axis in front; a
-    stack of n ``(n_grid, n_grid)`` profiles gives draw i profile i."""
-    self_idx, plus, _ = _half_lattice(spec.n_grid, float(radius))
-    s_pos, p_pos, m_pos = _ball_slots(spec.n_grid, float(radius))
-    p = profile.reshape(profile.shape[:-2] + (-1,))
-    size = 2 * plus.size + self_idx.size
-    z = gen.standard_normal(n * size)
-    z = z.reshape(z.shape[:-1] + (n, size))
-    zr, zi, zs = z[..., :plus.size], z[..., plus.size:2 * plus.size], z[..., 2 * plus.size:]
-    out = np.empty(z.shape, dtype=np.complex128)
-    pair = np.sqrt(p[..., plus] / 2.0) * (zr + 1j * zi)
-    out[..., p_pos] = pair
-    out[..., m_pos] = np.conj(pair)
-    out[..., s_pos] = np.sqrt(p[..., self_idx]) * zs
     return out
 
 
-def _sample_profile(gen, spec: GridSpec, radius: float, profile: np.ndarray) -> np.ndarray:
-    """One :func:`_sample_ball` draw, packed ``(n_ball,)``.  No command calls
-    it; it stays as a traced site of perfbench/tracer.py."""
-    return _sample_ball(gen, spec, radius, profile, 1)[0]
+def _hermitian(pair: np.ndarray, real: np.ndarray, n_grid: int, radius: float) -> np.ndarray:
+    """Packed ``(..., n_ball)`` Hermitian stack from the values of the plus
+    modes (``pair``) and of the self-conjugate modes (``real``) of
+    :func:`_half_lattice`: every minus mode is the conjugate of its plus
+    mode.  Every draw on the ball is assembled here."""
+    self_pos, plus, minus = _half_lattice(n_grid, float(radius))
+    out = np.empty(pair.shape[:-1] + (2 * plus.size + self_pos.size,), dtype=np.complex128)
+    out[..., plus] = pair
+    out[..., minus] = np.conj(pair)
+    out[..., self_pos] = real
+    return out
+
+
+def _sample_ball(gen, spec: GridSpec, radius: float, var: np.ndarray, n: int) -> np.ndarray:
+    """n Hermitian Gaussian draws with per-mode variances ``var``, packed
+    ``(..., n_ball)`` like the draws, returned ``(..., n, n_ball)``; one
+    ``standard_normal`` call takes, per draw, the plus-mode real parts,
+    imaginary parts and self-conjugate values, in that order.  A
+    :class:`_StepRows` source adds its stream axis in front; a stack of n
+    variance rows gives draw i row i."""
+    self_pos, plus, _ = _half_lattice(spec.n_grid, float(radius))
+    p, size = plus.size, 2 * plus.size + self_pos.size
+    z = gen.standard_normal(n * size)
+    z = z.reshape(z.shape[:-1] + (n, size))
+    pair = np.sqrt(var[..., plus] / 2.0) * (z[..., :p] + 1j * z[..., p:2 * p])
+    return _hermitian(pair, np.sqrt(var[..., self_pos]) * z[..., 2 * p:], spec.n_grid, radius)
+
+
+def _sample_profile(gen, spec: GridSpec, radius: float, var: np.ndarray) -> np.ndarray:
+    """One packed :func:`_sample_ball` draw; no command calls it, perfbench/tracer.py traces it."""
+    return _sample_ball(gen, spec, radius, var, 1)[0]
 
 
 @lru_cache(maxsize=32)
@@ -291,8 +278,9 @@ def _ball_tables(spec: GridSpec, dt: float, radius: float):
     ball: the flow entries in ``_ball_index`` order, and the Cholesky factors
     on the plus, then the self-conjugate modes of :func:`_half_lattice`."""
     flow, chol = _transition_tables(spec, dt)
-    self_idx, plus, _ = _half_lattice(spec.n_grid, radius)
-    ball, half = _ball_index(spec.n_grid, radius), np.concatenate([plus, self_idx])
+    self_pos, plus, _ = _half_lattice(spec.n_grid, radius)
+    ball = _ball_index(spec.n_grid, radius)
+    half = ball[np.concatenate([plus, self_pos])]
     out = tuple(f.reshape(-1)[ball] for f in flow), tuple(f.reshape(-1)[half] for f in chol)
     for arr in out[0] + out[1]:
         arr.setflags(write=False)
@@ -308,20 +296,14 @@ def _draw_kick(gen, spec: GridSpec, radius: float, chol):
     stepper that shares a stream draws through this one function, so coupled
     systems see identical noise."""
     a, b, c = chol
-    s_pos, p_pos, m_pos = _ball_slots(spec.n_grid, float(radius))
-    p, s = p_pos.size, s_pos.size
+    p = _half_lattice(spec.n_grid, float(radius))[1].size
+    s = a.size - p
     z = gen.standard_normal(4 * p + 2 * s)
     z1 = (z[..., :p] + 1j * z[..., p:2 * p]) / np.sqrt(2.0)
     z2 = (z[..., 2 * p:3 * p] + 1j * z[..., 3 * p:4 * p]) / np.sqrt(2.0)
     s1, s2 = z[..., 4 * p:4 * p + s], z[..., 4 * p + s:]
-    ex = np.empty(z.shape[:-1] + (2 * p + s,), dtype=np.complex128)
-    ev = np.empty_like(ex)
-    ex[..., p_pos] = a[:p] * z1
-    ev[..., p_pos] = b[:p] * z1 + c[:p] * z2
-    ex[..., m_pos] = np.conj(ex[..., p_pos])
-    ev[..., m_pos] = np.conj(ev[..., p_pos])
-    ex[..., s_pos] = a[p:] * s1
-    ev[..., s_pos] = b[p:] * s1 + c[p:] * s2
+    ex = _hermitian(a[:p] * z1, a[p:] * s1, spec.n_grid, radius)
+    ev = _hermitian(b[:p] * z1 + c[:p] * z2, b[p:] * s1 + c[p:] * s2, spec.n_grid, radius)
     return ex, ev
 
 
@@ -332,6 +314,6 @@ def stationary_ensemble(spec: GridSpec, M: float, root_seed: int, n: int,
     ``base, ..., base + n - 1``: each draws its position, then its velocity,
     from step 0 of its own ``INITIAL`` stream, all in one scatter."""
     streams = [NoiseStream(root_seed, base + j, NoiseKind.INITIAL) for j in range(n)]
-    prof = np.stack([1.0 / spec.dispersion, np.ones(spec.shape())])
-    pair = _sample_ball(_StepRows(streams, 0), spec, M, prof, 2)
+    w = spec.dispersion.reshape(-1)[_ball_index(spec.n_grid, float(M))]
+    pair = _sample_ball(_StepRows(streams, 0), spec, M, np.stack([1.0 / w, np.ones_like(w)]), 2)
     return BallEnsemble(spec, M, pair[:, 0], pair[:, 1])

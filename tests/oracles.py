@@ -11,8 +11,8 @@ import numpy as np
 from sigma_wave.diagnostics import energy_en
 from sigma_wave.dynamics import HlsmState
 from sigma_wave.grid import (BallEnsemble, GridSpec, _ball_index, _ball_mask, _bracket_pow,
-                             _i_profile, ball_mask)
-from sigma_wave.noise import _half_lattice
+                             _i_profile, _mode_vectors, ball_mask)
+from sigma_wave.noise import RenormConstants
 from sigma_wave.wick import hermite
 
 
@@ -76,6 +76,26 @@ def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) ->
     return energy_en(BallEnsemble(ens.spec, ens.radius, prof * ens.pos, prof * ens.vel), m)
 
 
+def flat_half_lattice(n_grid: int, radius: float):
+    """Flat indices into the ``(n, n)`` grid of the ``|n| <= radius`` modes,
+    split into self-conjugate modes and mirror pairs: ``minus[i]`` is the
+    mirror of ``plus[i]``, the smaller flat index of the pair, in ascending
+    order.  The full-grid oracles draw in this order."""
+    n1, n2 = _mode_vectors(n_grid)
+    in_ball = _ball_mask(n_grid, float(radius))
+    idx = np.arange(n_grid * n_grid).reshape(n_grid, n_grid)
+    mirror = idx[(-n1) % n_grid, (-n2) % n_grid]
+    flat, mflat = idx[in_ball], mirror[in_ball]
+    return flat[flat == mflat], flat[flat < mflat], mflat[flat < mflat]
+
+
+def zero_renorm(m: float, dt: float, n_steps: int) -> RenormConstants:
+    """All-zero schedule with an empty truncation; turns the noise and the
+    Wick subtractions off for deterministic integration tests."""
+    times = np.arange(n_steps + 1) * dt
+    return RenormConstants(m, -1, dt, times, np.zeros(n_steps + 1), 0.0)
+
+
 def draw_kick_full_grid(gen, spec: GridSpec, radius: float, chol):
     """The full-grid noise kick the packed ``noise._draw_kick`` replaced; the
     oracle for it.  ``chol`` is ``noise._transition_tables(spec, dt)[1]``.
@@ -83,7 +103,7 @@ def draw_kick_full_grid(gen, spec: GridSpec, radius: float, chol):
     Correlated pair of Hermitian Gaussian arrays with covariance Q_n(dt).
     """
     l11, l21, l22 = chol
-    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
+    self_idx, plus, minus = flat_half_lattice(spec.n_grid, radius)
     n2 = spec.n_grid * spec.n_grid
     ex = np.zeros(n2, dtype=np.complex128)
     ev = np.zeros(n2, dtype=np.complex128)
@@ -107,7 +127,7 @@ def sample_profile_full_grid(gen, spec: GridSpec, radius: float, profile: np.nda
     """The per-component draw as written before it was built on the packed
     draw, on a full grid, zero off the ball: it defines the draw order every
     stream has used, and is the oracle for ``noise._sample_ball``."""
-    self_idx, plus, minus = _half_lattice(spec.n_grid, float(radius))
+    self_idx, plus, minus = flat_half_lattice(spec.n_grid, radius)
     out = np.zeros(spec.n_grid * spec.n_grid, dtype=np.complex128)
     p = profile.reshape(-1)
     zr = gen.standard_normal(plus.size)

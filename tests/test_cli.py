@@ -332,22 +332,29 @@ RULE_BREAKS = {
     "wick": (("M = 2", "M = 8"), "Wick"),
     "dealias": (("M = 2", "M = 6"), "dealias"),
     "dt": (("dt = 0.05\nT = 0.2", "dt = 0.03\nT = 0.1"), "does not divide T"),
+    "dt-range": (("dt = 0.05\nT = 0.2", "dt = 0.05\nT = 0.01"), "0 < dt <= T"),
+    "dt-zero": (("dt = 0.05", "dt = 0"), "0 < dt <= T"),
     "stride": (("stride = 2", "stride = 3"), "stride 3 does not divide"),
     "h": (("h = 0.3", "h = 1.5"), "h <= 1"),
 }
 SIMULATE = ("simulate-hlsm", "simulate-meanfield")
+STEPPED = ("renorm-table", *SIMULATE, "convergence-rate", "lln-decay", "invariance-check")
 REJECTS = {
     "exact": ("convergence-rate", "sample-gibbs", "invariance-check"),
     "triple": ("lln-decay", "commutator"),
     "wick": SIMULATE,
     "dealias": SIMULATE,
-    "dt": ("renorm-table", *SIMULATE, "convergence-rate", "lln-decay", "invariance-check"),
+    "dt": STEPPED,
+    "dt-range": STEPPED,
+    "dt-zero": STEPPED,
     "stride": (*SIMULATE, "convergence-rate"),
     "h": ("convergence-rate",),
 }
 ACCEPTS = {
     "stride": ("renorm-table", "lln-decay", "invariance-check"),
     "h": ("sample-gibbs",),
+    "dt-range": ("sample-gibbs", "commutator"),
+    "dt-zero": ("sample-gibbs", "commutator"),
 }
 RULE_MATRIX = ([(rule, command, True) for rule, cmds in REJECTS.items() for command in cmds]
                + [(rule, command, False) for rule, cmds in ACCEPTS.items() for command in cmds])

@@ -14,6 +14,7 @@ from sigma_wave.dynamics import (
     _renormalized_drift,
     HlsmState,
     MeanFieldState,
+    _step_count,
     hlsm_rhs,
     renormalized_drift,
     run_trajectory,
@@ -33,7 +34,7 @@ from sigma_wave.noise import (
 )
 from sigma_wave.wick import hermite
 
-from oracles import ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference
+from oracles import ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference, zero_renorm
 from test_bench_sites import count_traced_ffts
 
 SPEC = GridSpec(16, 1.0)
@@ -53,7 +54,7 @@ def table(m, dt, n_steps, M=4):
 
 
 def hlsm_state(n, seed, dt=0.1, n_steps=20, dealias=True, noisy=True):
-    renorm = table(1.0, dt, n_steps) if noisy else RenormConstants.zero(1.0, dt, n_steps)
+    renorm = table(1.0, dt, n_steps) if noisy else zero_renorm(1.0, dt, n_steps)
     state = HlsmState.zero(SPEC, n, renorm, root_seed=seed, dealias=dealias)
     v = random_ensemble(SPEC, n, seed + 1, radius=state.v.radius)
     psi = random_ensemble(SPEC, n, seed + 2, radius=4.0) if noisy else state.psi
@@ -161,7 +162,7 @@ def test_rhs_with_zero_noise_is_plain_cubic_coupling():
 
 
 def test_zero_state_is_fixed_point_of_step():
-    renorm = RenormConstants.zero(1.0, 0.1, 10)
+    renorm = zero_renorm(1.0, 0.1, 10)
     state = HlsmState.zero(SPEC, 2, renorm, root_seed=0)
     for _ in range(5):
         state = step_hlsm(state, 0.1)
@@ -337,7 +338,7 @@ def test_step_hlsm_second_order_in_dt():
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
-        renorm = RenormConstants.zero(1.0, dt, k)
+        renorm = zero_renorm(1.0, dt, k)
         state = HlsmState(v0, empty,
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
                           0.0, 0, renorm)
@@ -380,7 +381,7 @@ def test_step_meanfield_second_order_in_dt():
     errs, dts = [], []
     for k in (8, 16, 32, 64):
         dt = t_end / k
-        renorm = RenormConstants.zero(1.0, dt, k)
+        renorm = zero_renorm(1.0, dt, k)
         state = MeanFieldState(v0, empty,
                                tuple(NoiseStream(0, r, NoiseKind.DRIVE) for r in range(n)),
                                0.0, 0, renorm)
@@ -446,6 +447,15 @@ def test_run_trajectory_records_and_reproduces():
     assert len(zero_len.times) == 1
     with pytest.raises(ValueError):
         run_trajectory(make(), 0.1, 7, stride=2)
+
+
+@pytest.mark.parametrize("T,dt", [(0.1, 0.0), (0.1, -0.05), (0.001, 0.01), (-0.1, 0.05),
+                                  (0.0, 0.1)])
+def test_step_count_needs_a_step_inside_the_horizon(T, dt):
+    # dt = 0 raises before T / dt divides by it
+    with pytest.raises(ValueError, match="need 0 < dt <= T"):
+        _step_count(T, dt)
+    assert _step_count(0.1, 0.1) == 1
 
 
 def test_run_trajectory_keeps_the_state_after_the_last_step():

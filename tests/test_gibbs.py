@@ -141,16 +141,14 @@ def test_free_mala_log_ratio_equals_quarter_h2_energy_drop():
 def test_mala_log_ratio_vanishes_with_step_size():
     spec = GridSpec(8, m=1.0)
     M = 2
-    mask = ball_mask(spec, M)
     idx = _ball_index(spec.n_grid, float(M))
     w = spec.dispersion.reshape(-1)[idx]
     inv_w = 1.0 / w
-    prof = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M)
     gen = np.random.default_rng(8)
-    pos = _sample_ball(gen, spec, M, prof, 2)
+    pos = _sample_ball(gen, spec, M, inv_w, 2)
     h = 1e-3
-    z = _sample_ball(gen, spec, M, prof, 2)
+    z = _sample_ball(gen, spec, M, inv_w, 2)
     grad = _ball_grad(pos, spec, alpha, float(M))
     prop = (1 - 0.5 * h * h) * pos - 0.5 * h * h * grad * inv_w + h * z
     grad_prop = _ball_grad(prop, spec, alpha, float(M))
@@ -305,22 +303,29 @@ def test_acceptance_warning_outside_band():
         sample_gibbs(spec, cfg, root_seed=3)
 
 
+def test_both_chains_reject_a_config_mass_other_than_the_grids():
+    spec = GridSpec(16, 1.0)
+    cfg = GibbsSamplerConfig(2, 2, 2.0, 0.3, 5, 0)
+    for chain in (sample_gibbs, coupled_gibbs_gaussian_pair):
+        with pytest.raises(ValueError, match="config mass 2.0 != grid mass 1.0"):
+            chain(spec, cfg, root_seed=1)
+
+
 def test_coupled_pair_free_chain_is_the_linear_recursion():
     spec = GridSpec(8, m=1.0)
     cfg = GibbsSamplerConfig(2, 2, 1.0, 0.5, 50, 0, thin=1)
     gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21)
 
     M, h = cfg.truncation, cfg.step_size
-    mask = ball_mask(spec, M)
-    prof = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    inv_w = 1.0 / spec.dispersion.reshape(-1)[_ball_index(spec.n_grid, float(M))]
     pos = np.stack([
-        _sample_profile(NoiseStream(21, j, NoiseKind.INITIAL).generator(0), spec, M, prof)
+        _sample_profile(NoiseStream(21, j, NoiseKind.INITIAL).generator(0), spec, M, inv_w)
         for j in range(2)
     ])
     beta = np.sqrt(1.0 - h * h)
     for it in range(50):
         gen = NoiseStream(21, 0, NoiseKind.CHAIN).generator(it)
-        z = np.stack([_sample_profile(gen, spec, M, prof) for _ in range(2)])
+        z = np.stack([_sample_profile(gen, spec, M, inv_w) for _ in range(2)])
         pos = beta * pos + h * z
     assert np.array_equal(gaussian.pos, pos)
     assert np.array_equal(gibbs.vel, gaussian.vel)
@@ -450,12 +455,13 @@ def test_sample_ball_stacks_sequential_profile_draws(n, radius):
     # radius 7 is nyquist - 1 on the 16-point grid
     spec = GridSpec(16, m=1.0)
     prof = np.where(ball_mask(spec, radius), 1.0 / spec.dispersion, 0.0)
-    stream = NoiseStream(4, 0, NoiseKind.CHAIN)
-    packed = _sample_ball(stream.generator(9), spec, radius, prof, n)
     idx = _ball_index(spec.n_grid, float(radius))
+    var = prof.reshape(-1)[idx]
+    stream = NoiseStream(4, 0, NoiseKind.CHAIN)
+    packed = _sample_ball(stream.generator(9), spec, radius, var, n)
     assert packed.shape == (n, idx.size)
     gen = stream.generator(9)
-    assert np.array_equal(packed, np.stack([_sample_profile(gen, spec, radius, prof)
+    assert np.array_equal(packed, np.stack([_sample_profile(gen, spec, radius, var)
                                             for _ in range(n)]))
     gen = stream.generator(9)
     full = np.stack([sample_profile_full_grid(gen, spec, radius, prof) for _ in range(n)])

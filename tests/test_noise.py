@@ -14,6 +14,7 @@ from sigma_wave.noise import (
     _ball_tables,
     _draw_kick,
     _half_lattice,
+    _sample_ball,
     _transition_tables,
     alpha_m,
     sigma_m,
@@ -22,7 +23,7 @@ from sigma_wave.noise import (
 )
 from sigma_wave.propagator import flow_entries
 
-from oracles import draw_kick_full_grid, sample_profile_full_grid
+from oracles import draw_kick_full_grid, flat_half_lattice, sample_profile_full_grid
 
 SPEC = GridSpec(32, 1.0)
 
@@ -263,12 +264,40 @@ def test_half_lattice_partitions_the_ball_into_mirror_pairs(n_grid):
     rows, cols = np.divmod(np.arange(n_grid * n_grid), n_grid)
     mirror = ((-rows) % n_grid) * n_grid + (-cols) % n_grid
     for radius in (-1.0, 0.0, 3.0, 2.0 * nyq / 3.0, float(nyq)):
-        self_idx, plus, minus = _half_lattice(n_grid, radius)
+        # packed positions; their flat indices are the ball's at those positions
         ball = np.flatnonzero(ball_mask(spec, radius))
+        self_idx, plus, minus = (ball[pos] for pos in _half_lattice(n_grid, radius))
         assert np.array_equal(np.sort(np.concatenate([self_idx, plus, minus])), ball)
         assert np.array_equal(mirror[self_idx], self_idx)
         assert np.array_equal(mirror[plus], minus)
         assert np.all(plus < minus)
+        # the draw order of the full-grid oracles
+        for got, want in zip((self_idx, plus, minus), flat_half_lattice(n_grid, radius)):
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_grid=st.sampled_from([8, 16, 32]),
+       radius=st.one_of(st.floats(-1.0, 24.0), st.just(np.inf)),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_every_ball_draw_is_hermitian_bit_for_bit(n_grid, radius, seed, n):
+    # minus slots are the conjugates of the plus slots, self-conjugate slots
+    # are real, for one stream and for a source of rows, profile draws and kicks
+    spec = GridSpec(n_grid, 1.0)
+    self_pos, plus, minus = _half_lattice(n_grid, radius)
+    size = _ball_index(n_grid, radius).size
+    assert self_pos.size + 2 * plus.size == size
+    var = 1.0 / spec.dispersion.reshape(-1)[_ball_index(n_grid, radius)]
+    chol = _ball_tables(spec, 0.05, radius)[1]
+    streams = [NoiseStream(seed, j, NoiseKind.FIELD) for j in range(2)]
+    draws = [_sample_ball(streams[0].generator(0), spec, radius, var, n),
+             _sample_ball(_StepRows(streams, 1), spec, radius, var, n),
+             *_draw_kick(streams[0].generator(2), spec, radius, chol),
+             *_draw_kick(_StepRows(streams, 3), spec, radius, chol)]
+    for draw in draws:
+        assert draw.shape[-1] == size and np.all(np.isfinite(draw))
+        assert draw[..., minus].tobytes() == np.conj(draw[..., plus]).tobytes()
+        assert np.all(draw[..., self_pos].imag == 0)
 
 
 @pytest.mark.parametrize("n_grid", [8, 16, 32, 64])
