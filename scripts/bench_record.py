@@ -7,7 +7,10 @@ PARENT and CHANGE are the roots of two checkouts on which
 ``perfbench/run.py`` has run; their ``.perfbench_work/results/*.json``
 records are the runs.  ``perfbench/run.py`` never clears that directory, so
 empty it on both sides before a record's runs: a run left from an earlier
-change would be paired with the new ones.  A (workload, seed) measured
+change would be paired with the new ones.  Each run carries the git commit
+and dirty flag of the checkout it measured (``environment.git``); a side
+whose runs carry more than one such stamp is refused with exit status 2 and
+the stamps named.  A (workload, seed) measured
 untraced on both sides is one pair.  The record holds every run, tagged with
 its side and its place in the order the runs finished; per workload and
 end-to-end metric, each side's median and quartiles over the pairs and the
@@ -152,10 +155,24 @@ def durations(log_path: Path) -> list:
     return [line.strip() for line in log_path.read_text().splitlines() if DURATION.match(line)]
 
 
+def stamp(record: dict) -> str:
+    """The checkout a run measured: its ``environment.git`` commit and dirty flag."""
+    git = record.get("environment", {}).get("git") or {}
+    return (git.get("commit") or "no commit") + (" (dirty)" if git.get("dirty") else "")
+
+
 def build(number: int, parent: Path, change: Path, tier1_log: Path, claim=None,
           title: str = "") -> dict:
-    runs = sorted(load_runs(parent, "parent") + load_runs(change, "change"),
-                  key=lambda run: run["finished"])
+    runs = []
+    for side, root in (("parent", parent), ("change", change)):
+        mine = load_runs(root, side)
+        found = sorted({stamp(run["record"]) for run in mine})
+        if len(found) > 1:
+            raise ValueError(f"the {side} runs under {root} measured {len(found)} checkouts "
+                             f"({', '.join(found)}); empty its .perfbench_work/results and "
+                             "run them again")
+        runs += mine
+    runs.sort(key=lambda run: run["finished"])
     summary = summarize(pairs_of(runs, 0), metric_rules(change))
     out = {"number": number, "change": title, "how": HOW, "machine": machine(),
            "summary": summary, "traced_metrics": traced(pairs_of(runs, 1)),
@@ -178,8 +195,12 @@ def main(argv=None) -> int:
     parser.add_argument("--title", default="", help="one line naming the change")
     parser.add_argument("--out", type=Path, help="default: BENCH_<N>.json here")
     args = parser.parse_args(argv)
-    record = build(args.number, args.parent, args.change, args.tier1_log, args.claim,
-                   args.title)
+    try:
+        record = build(args.number, args.parent, args.change, args.tier1_log, args.claim,
+                       args.title)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     out = args.out or Path(f"BENCH_{args.number}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}: {len(record['runs'])} runs, "

@@ -5,7 +5,7 @@ invariant Gibbs dynamics."""
 __version__ = "0.1.0"
 
 from .grid import (BallEnsemble, GridSpec, SpectralField, ball_mask, load_field, random_field,
-                   rms, save_field, sobolev_norm)
+                   rms, save_field, sobolev_norm, write_csv)
 from .propagator import duhamel_weights, etd2_step, flow_entries
 from .noise import (NoiseKind, NoiseStream, RenormConstants, alpha_m, sigma_m,
                     stationary_ensemble, transition_covariance)
@@ -20,13 +20,13 @@ from .gibbs import (GibbsSamplerConfig, GibbsSamples, InvarianceReport,
                     gibbs_vs_gaussian_covariance, integrated_autocorrelation,
                     invariance_check, sample_gibbs)
 from .diagnostics import (RateFit, commutator_defect, difference_norms, energy_en,
-                          energy_meanfield, fit_rate, lln_estimator, write_csv, zn_norm)
+                          energy_meanfield, fit_rate, lln_estimator, zn_norm)
 
 __all__ = [
     "__version__",
     # grid
     "GridSpec", "SpectralField", "BallEnsemble", "ball_mask", "random_field", "rms",
-    "sobolev_norm", "save_field", "load_field",
+    "sobolev_norm", "save_field", "load_field", "write_csv",
     # propagator
     "flow_entries", "duhamel_weights", "etd2_step",
     # noise
@@ -47,5 +47,5 @@ __all__ = [
     # diagnostics
     "energy_en", "energy_meanfield", "zn_norm",
     "lln_estimator", "commutator_defect", "difference_norms", "RateFit",
-    "fit_rate", "write_csv",
+    "fit_rate",
 ]

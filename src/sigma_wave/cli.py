@@ -26,13 +26,14 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (_LLN_KINDS, _mean_row, commutator_defect, difference_norms,
-                          energy_en, fit_rate, lln_estimator, write_csv)
+                          energy_en, fit_rate, lln_estimator)
 from .dynamics import (BlowupError, HlsmState, MeanFieldState, _kick_pair, _step_count,
                        run_trajectory, step_linear_ensemble, step_renormalized_wave)
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
 from .grid import (BallEnsemble, GridSpec, SpectralField, _require_ball, _sobolev_norms,
-                   _to_grid, ball_mask, hermitian_defect, load_field, rms, save_field)
+                   _to_grid, ball_mask, hermitian_defect, load_field, rms, save_field,
+                   write_csv)
 from .grid import sobolev_norm  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
@@ -235,9 +236,6 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     n_steps = _step_count(d["T"], d["dt"], d["stride"])
     n = d["R"] if meanfield else d["N"]
     rc = RenormConstants.build(g["m"], M, d["dt"], n_steps)
-    if d["data"] == "gaussian":
-        # stationary convolution: the Wick constant sits at its equilibrium
-        rc = replace(rc, sigma=np.full(n_steps + 1, rc.alpha))
     cls = MeanFieldState if meanfield else HlsmState
     start = cls.stationary if d["data"] == "gaussian" else cls.zero
     state = start(spec, n, rc, seed, d["dealias"])

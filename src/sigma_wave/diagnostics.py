@@ -4,8 +4,9 @@ estimators, commutator defects, trajectory difference norms, rate fits.
 Everything here is read-only over states and trajectories.  Norms that the
 theory states in C_T spaces are evaluated as maxima over saved nodes and
 are therefore lower bounds of the true suprema; W^{-eps,inf} norms use the
-collocation-point maximum of the smoothed field.  Estimator tables are
-emitted as CSV with fixed headers so downstream fits are reproducible.
+collocation-point maximum of the smoothed field.  Estimator tables come
+back as rows; the command line writes them with fixed headers through
+``grid.write_csv``, so downstream fits are reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "commutator_defect",
     "difference_norms",
     "fit_rate",
-    "write_csv",
 ]
 
 
@@ -254,18 +254,3 @@ def fit_rate(table) -> RateFit:
     denom = np.sum((x - np.mean(x)) ** 2)
     return RateFit(x, y, float(slope), float(intercept),
                    float(np.sqrt(var / denom)))
-
-
-def write_csv(path, header: str, rows) -> None:
-    """Write a table with an exact header line; floats at full precision."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            vals = list(row.values()) if isinstance(row, dict) else list(row)
-            out = []
-            for v in vals:
-                if isinstance(v, (int, np.integer)):
-                    out.append(str(int(v)))
-                else:
-                    out.append(f"{float(v):.17g}")
-            fh.write(",".join(out) + "\n")

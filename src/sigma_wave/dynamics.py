@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid
+from .grid import BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid, write_csv
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _ball_tables, _draw_kick,
                     _StepRows, stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
@@ -139,11 +139,12 @@ class _ResidualState:
     The physical field of component j is ``psi_j + v_j``.  ``v`` lives on the
     ball its drift reads and writes: the 2/3-rule ball with dealiasing, every
     mode (radius ``inf``) without.  The convolutions are advanced by the
-    exact transition and live in the ball of the renormalization truncation,
-    so the Wick constants of ``renorm`` match the fields they renormalize.
-    ``psi`` starts from zero data with ``zero`` and from the Gaussian
-    equilibrium with ``stationary``.  The two systems below differ only in
-    ``drift``.
+    exact transition and live in the ball and at the mass of the
+    renormalization constants, so the Wick constants of ``renorm`` match the
+    fields they renormalize.  ``psi`` starts from zero data with ``zero``,
+    whose Wick constant ramps up as ``sigma_M(t)``, and from the Gaussian
+    equilibrium with ``stationary``, whose Wick constant is ``alpha_M`` at
+    every step.  The two systems below differ only in ``drift``.
     """
 
     v: BallEnsemble
@@ -161,6 +162,8 @@ class _ResidualState:
             )
         if self.v.spec != self.psi.spec:
             raise ValueError("v and psi live on different grids")
+        if self.renorm.m != self.v.spec.m:
+            raise ValueError(f"renorm mass {self.renorm.m:g} != grid mass {self.v.spec.m:g}")
         if self.psi.radius != self.renorm.M:
             raise ValueError(f"psi lives on the ball {self.psi.radius:g}, not M = {self.renorm.M}")
         if self.psi.radius > self.v.radius:
@@ -183,6 +186,7 @@ class _ResidualState:
     @classmethod
     def stationary(cls, spec: GridSpec, n_components: int, renorm: RenormConstants,
                    root_seed: int, dealias: bool = True):
+        renorm = replace(renorm, sigma=np.full(renorm.sigma.shape, renorm.alpha))
         state = cls.zero(spec, n_components, renorm, root_seed, dealias)
         return replace(state, psi=stationary_ensemble(spec, renorm.M, root_seed, n_components))
 
@@ -349,12 +353,7 @@ class TrajectoryRecord:
     final: _ResidualState
 
     def to_csv(self, path) -> None:
-        names = list(self.series)
-        with open(path, "w") as fh:
-            fh.write(",".join(["t"] + names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [f"{t:.17g}"] + [f"{self.series[k][i]:.17g}" for k in names]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ",".join(["t", *self.series]), zip(self.times, *self.series.values()))
 
 
 def _step_count(T: float, dt: float, stride: int = 1) -> int:

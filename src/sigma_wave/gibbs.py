@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _step_count, renormalized_drift, step_renormalized_wave
-from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, ball_mask
+from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, ball_mask, write_csv
 from .noise import NoiseKind, NoiseStream, _sample_ball, alpha_m, stationary_ensemble
 # unused; traced sites of perfbench/tracer.py
 from .noise import _draw_kick, _sample_profile  # noqa: F401
@@ -331,14 +331,10 @@ class InvarianceReport:
 
     rows: list
 
+    COLUMNS = ("observable", "ks_stat", "p_value", "mean_t0", "se_t0", "mean_t1", "se_t1")
+
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("observable,ks_stat,p_value,mean_t0,se_t0,mean_t1,se_t1\n")
-            for r in self.rows:
-                fh.write(",".join([r["observable"]] +
-                                  [f"{r[k]:.17g}" for k in
-                                   ("ks_stat", "p_value", "mean_t0", "se_t0",
-                                    "mean_t1", "se_t1")]) + "\n")
+        write_csv(path, ",".join(self.COLUMNS), ([r[k] for k in self.COLUMNS] for r in self.rows))
 
 
 def _invariance_observables(ens: BallEnsemble, alpha: float) -> dict:

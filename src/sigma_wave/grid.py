@@ -24,6 +24,10 @@ integer modes.  Conventions, fixed once here:
   coefficient grids remain only for snapshots (:meth:`BallEnsemble.full`
   scatters to them; :class:`SpectralField` is the record of one snapshot
   file) and for the commutator experiment's plain arrays.
+
+The two file formats live here too: binary snapshots (:func:`save_field`,
+:func:`load_field`) and CSV tables (:func:`write_csv`), which every table
+of the package goes through.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "random_field",
     "save_field",
     "load_field",
+    "write_csv",
     "FIELD_MAGIC",
     "FIELD_VERSION",
 ]
@@ -382,3 +387,22 @@ def load_field(path, m: float) -> SpectralField:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     coeffs = np.frombuffer(raw, dtype="<c16").reshape(n_grid, n_grid)
     return SpectralField(GridSpec(n_grid, m), coeffs.astype(np.complex128))
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a table with an exact header line, one row per sequence (or
+    dict, by its value order): text as is, integers in decimal, every other
+    value as a float at full precision (``%.17g``)."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            vals = row.values() if isinstance(row, dict) else row
+            fh.write(",".join(_cell(v) for v in vals) + "\n")

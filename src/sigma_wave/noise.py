@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallEnsemble, GridSpec, _ball_index
-from .propagator import _cc, _sc, flow_entries
+from .grid import BallEnsemble, GridSpec, _ball_index, write_csv
+from .propagator import _sc_cc, flow_entries
 
 __all__ = [
     "NoiseKind",
@@ -153,10 +153,8 @@ class RenormConstants:
         return float(self.sigma[step])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,sigma_M,alpha_M\n")
-            for t, s in zip(self.times, self.sigma):
-                fh.write(f"{t:.17g},{s:.17g},{self.alpha:.17g}\n")
+        write_csv(path, "t,sigma_M,alpha_M",
+                  ((t, s, self.alpha) for t, s in zip(self.times, self.sigma)))
 
 
 def transition_covariance(lam, dt: float):
@@ -176,8 +174,7 @@ def transition_covariance(lam, dt: float):
         lam = lam[None]
     w = lam - 0.25
     et = np.exp(-dt)
-    sc2 = _sc(2.0 * dt, w)
-    cc2 = _cc(2.0 * dt, w)
+    sc2, cc2 = _sc_cc(2.0 * dt, w)
     i1 = 1.0 - et
     ic = (1.0 - et * cc2 + 2.0 * w * et * sc2) / (4.0 * lam)
     isw = (2.0 - et * (sc2 + 2.0 * cc2)) / (4.0 * lam)
@@ -194,10 +191,11 @@ def transition_covariance(lam, dt: float):
             wi = np.array([w.flat[i]])
 
             def d(s):
-                return np.exp(-0.5 * s) * _sc(s, wi)[0]
+                return np.exp(-0.5 * s) * _sc_cc(s, wi)[0][0]
 
             def dd(s):
-                return np.exp(-0.5 * s) * (_cc(s, wi)[0] - 0.5 * _sc(s, wi)[0])
+                sc, cc = _sc_cc(s, wi)
+                return np.exp(-0.5 * s) * (cc[0] - 0.5 * sc[0])
 
             qxx.flat[i] = 2.0 * quad(lambda s: d(s) ** 2, 0, dt, epsabs=1e-13)[0]
             qxv.flat[i] = 2.0 * quad(lambda s: d(s) * dd(s), 0, dt, epsabs=1e-13)[0]

@@ -29,32 +29,19 @@ __all__ = ["flow_entries", "duhamel_weights", "etd2_step"]
 _DEGENERATE_EPS = 1e-13
 
 
-def _sc(t: float, omega_sq: np.ndarray) -> np.ndarray:
-    """sin(t*omega)/omega continued through omega_sq <= 0."""
+def _sc_cc(t: float, omega_sq: np.ndarray) -> tuple:
+    """``(sin(t*omega)/omega, cos(t*omega))`` continued through omega_sq <= 0."""
     w = np.asarray(omega_sq, dtype=np.float64)
-    out = np.empty_like(w)
+    sc, cc = np.empty_like(w), np.empty_like(w)
     osc = w > _DEGENERATE_EPS
     hyp = w < -_DEGENERATE_EPS
     flat = ~(osc | hyp)
     r = np.sqrt(w[osc])
-    out[osc] = np.sin(t * r) / r
+    sc[osc], cc[osc] = np.sin(t * r) / r, np.cos(t * r)
     g = np.sqrt(-w[hyp])
-    out[hyp] = np.sinh(t * g) / g
-    out[flat] = t
-    return out
-
-
-def _cc(t: float, omega_sq: np.ndarray) -> np.ndarray:
-    """cos(t*omega) continued through omega_sq <= 0."""
-    w = np.asarray(omega_sq, dtype=np.float64)
-    out = np.empty_like(w)
-    osc = w > _DEGENERATE_EPS
-    hyp = w < -_DEGENERATE_EPS
-    flat = ~(osc | hyp)
-    out[osc] = np.cos(t * np.sqrt(w[osc]))
-    out[hyp] = np.cosh(t * np.sqrt(-w[hyp]))
-    out[flat] = 1.0
-    return out
+    sc[hyp], cc[hyp] = np.sinh(t * g) / g, np.cosh(t * g)
+    sc[flat], cc[flat] = t, 1.0
+    return sc, cc
 
 
 def flow_entries(lam, t: float, gamma: float = 0.5):
@@ -65,8 +52,7 @@ def flow_entries(lam, t: float, gamma: float = 0.5):
     """
     lam = np.asarray(lam, dtype=np.float64)
     w = lam - gamma * gamma
-    sc = _sc(t, w)
-    cc = _cc(t, w)
+    sc, cc = _sc_cc(t, w)
     env = np.exp(-gamma * t)
     s11 = env * (cc + gamma * sc)
     s12 = env * sc

@@ -17,7 +17,7 @@ def load():
     return module
 
 
-def write_result(root, workload, seed, trace, run_s, finished, failed=0):
+def write_result(root, workload, seed, trace, run_s, finished, failed=0, git=None):
     results = root / ".perfbench_work" / "results"
     results.mkdir(parents=True, exist_ok=True)
     metrics = {"setup_s": {"value": 1.0, "unit": "s"},
@@ -26,8 +26,11 @@ def write_result(root, workload, seed, trace, run_s, finished, failed=0):
     if trace:
         metrics = {"fft.calls": {"value": 252, "unit": "count"}}
     path = results / f"{workload}-seed{seed}-trace{trace}.json"
-    path.write_text(json.dumps({"workload": workload, "seed": seed, "trace": trace,
-                                "metrics": metrics, "attempted": 5, "failed": failed}))
+    record = {"workload": workload, "seed": seed, "trace": trace,
+              "metrics": metrics, "attempted": 5, "failed": failed}
+    if git is not None:
+        record["environment"] = {"git": git}
+    path.write_text(json.dumps(record))
     os.utime(path, (finished, finished))
 
 
@@ -113,3 +116,25 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path):
     summary = load().build(6, parent, change, _empty_log(tmp_path))["summary"]
     run_s = next(r for r in summary if r["metric"] == "run_s")
     assert run_s["unresolved"] is True and run_s["regressed"] is False
+
+
+def test_a_side_whose_runs_measured_two_checkouts_is_refused(tmp_path, capsys):
+    # a run left over from an earlier commit must not be paired with new ones
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    clean, dirty = {"commit": "aaa", "dirty": False}, {"commit": "bbb", "dirty": True}
+    write_result(parent, "lln-linear", 1, 0, 1.0, finished=10, git=clean)
+    write_result(parent, "lln-linear", 2, 0, 1.0, finished=20,
+                 git={"commit": "old", "dirty": False})
+    write_result(change, "lln-linear", 1, 0, 1.0, finished=30, git=dirty)
+    write_result(change, "lln-linear", 2, 0, 1.0, finished=40, git=dirty)
+    out = tmp_path / "BENCH_5.json"
+    args = ["--number", "5", "--parent", str(parent), "--change", str(change),
+            "--tier1-log", str(_empty_log(tmp_path)), "--out", str(out)]
+    assert load().main(args) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "parent runs" in err and "2 checkouts (aaa, old)" in err
+    write_result(parent, "lln-linear", 2, 0, 1.0, finished=20, git=clean)
+    assert load().main(args) == 0
+    record = json.loads(out.read_text())
+    assert next(r for r in record["summary"] if r["metric"] == "run_s")["pairs"] == 2

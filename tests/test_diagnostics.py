@@ -13,11 +13,10 @@ from sigma_wave.diagnostics import (
     energy_meanfield,
     fit_rate,
     lln_estimator,
-    write_csv,
     zn_norm,
 )
 from sigma_wave.dynamics import step_deterministic_nlw
-from sigma_wave.grid import BallEnsemble, GridSpec, _bracket_pow, random_field
+from sigma_wave.grid import BallEnsemble, GridSpec, _bracket_pow, random_field, write_csv
 
 from oracles import (WickContext, ball_ensemble, modified_energy, sup_sobolev_norm, wick_pair,
                      wick_triple)

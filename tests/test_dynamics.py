@@ -170,6 +170,25 @@ def test_zero_state_is_fixed_point_of_step():
     assert np.all(state.psi.pos == 0)
 
 
+def test_a_stationary_start_holds_the_wick_constant_at_equilibrium():
+    # psi starts at equilibrium, where E[psi_M^2] = alpha_M at every step;
+    # a zero start keeps the ramp sigma_M(t) from 0
+    renorm = RenormConstants.build(1.0, 3, 0.1, 4)
+    for system in (HlsmState, MeanFieldState):
+        state = system.stationary(GridSpec(16, 1.0), 2, renorm, 0)
+        assert np.array_equal(state.renorm.sigma, np.full(5, renorm.alpha))
+        assert state.renorm.alpha == renorm.alpha and state.renorm.times is renorm.times
+        assert system.zero(GridSpec(16, 1.0), 2, renorm, 0).renorm is renorm
+
+
+@pytest.mark.parametrize("start", ["zero", "stationary"])
+def test_residual_states_reject_renorm_constants_of_another_mass(start):
+    renorm = RenormConstants.build(2.0, 3, 0.1, 4)
+    for system in (HlsmState, MeanFieldState):
+        with pytest.raises(ValueError, match="renorm mass 2 != grid mass 1"):
+            getattr(system, start)(GridSpec(16, 1.0), 2, renorm, 0)
+
+
 def test_meanfield_zero_residual_is_exact_fixed_point():
     # every drift term carries v or an average of v, so zero survives exactly
     renorm = table(1.0, 0.1, 60)
@@ -485,6 +504,15 @@ def test_run_trajectory_detects_blowup(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,one"
     assert len(lines) == 6
+
+
+def test_trajectory_table_bytes_are_pinned(tmp_path):
+    series = {"v_h1": np.array([0.0, 1 / 3, 2.5e-20]), "n": np.array([1.0, -7.0, 1e300])}
+    path = tmp_path / "trajectory.csv"
+    dynamics.TrajectoryRecord(np.array([0.0, 0.1, 0.2]), series, None).to_csv(path)
+    assert path.read_bytes() == (
+        b"t,v_h1,n\n0,0,1\n0.10000000000000001,0.33333333333333331,-7\n"
+        b"0.20000000000000001,2.4999999999999999e-20,1.0000000000000001e+300\n")
 
 
 def test_blowup_reports_a_start_node_that_is_not_finite():

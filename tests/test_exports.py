@@ -1,6 +1,7 @@
 """Every exported name resolves, so a function deleted from a module but
 left in an ``__all__`` list fails here, not only at ``import *``; and every
-module-level import is used, so a stale import fails here too."""
+module-level import is used, so a stale import fails here too; and only
+``grid`` and ``cli`` open files."""
 
 import ast
 import importlib
@@ -43,3 +44,19 @@ def test_every_import_is_used_exported_or_traced(module):
               for sites in load("tracer").SITES.values() for site in sites
               if site.partition(":")[0] == module.__name__}
     assert unused_imports(module) - traced == set()
+
+
+def opened_files(module) -> list:
+    """Line numbers of the module's calls of ``open`` (the builtin or a method)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "open"
+                 or getattr(node.func, "attr", None) == "open")]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_only_grid_and_cli_open_files(module):
+    # grid owns the two file formats (tables and snapshots), cli the config and
+    # the manifest; every other module hands its rows to grid.write_csv
+    owner = module.__name__ in ("sigma_wave.grid", "sigma_wave.cli")
+    assert bool(opened_files(module)) == owner, opened_files(module)

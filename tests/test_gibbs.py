@@ -7,6 +7,7 @@ from sigma_wave.dynamics import renormalized_drift, step_renormalized_wave
 from sigma_wave.gibbs import (
     GibbsSamplerConfig,
     GibbsSamples,
+    InvarianceReport,
     _ball_grad,
     _gaussian_energy,
     coupled_gibbs_gaussian_pair,
@@ -554,6 +555,17 @@ def test_invariance_report_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "observable,ks_stat,p_value,mean_t0,se_t0,mean_t1,se_t1"
     assert len(lines) == 4
+
+
+def test_invariance_table_bytes_are_pinned_in_column_order(tmp_path):
+    # the columns come by name, whatever order a row's keys have
+    row = {"se_t1": 0.125, "observable": "potential", "p_value": 1.0, "mean_t1": -1 / 3,
+           "ks_stat": 0.0, "se_t0": 1e-17, "mean_t0": 2 / 3}
+    path = tmp_path / "invariance.csv"
+    InvarianceReport([row]).to_csv(path)
+    assert path.read_bytes() == (
+        b"observable,ks_stat,p_value,mean_t0,se_t0,mean_t1,se_t1\n"
+        b"potential,0,1,0.66666666666666663,1.0000000000000001e-17,-0.33333333333333331,0.125\n")
 
 
 def test_integrated_autocorrelation_on_known_series():

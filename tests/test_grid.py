@@ -19,6 +19,7 @@ from sigma_wave.grid import (
     rms,
     save_field,
     sobolev_norm,
+    write_csv,
 )
 
 from oracles import ball_ensemble
@@ -310,3 +311,9 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"SGWV" + (1).to_bytes(2, "little") + (32).to_bytes(2, "little") + b"\x00" * 8 + b"\x00" * 7)
     with pytest.raises(ValueError):
         load_field(path, 1.0)
+
+
+def test_write_csv_cells_text_integers_and_full_precision_floats(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, "name,k,x", [("psi", np.int64(3), 0.1), {"a": "v", "b": True, "c": 2.0}])
+    assert path.read_bytes() == b"name,k,x\npsi,3,0.10000000000000001\nv,1,2\n"

@@ -371,3 +371,11 @@ def test_renorm_table_roundtrip(tmp_path):
     assert float(row[0]) == pytest.approx(1.0, abs=0)
     assert float(row[1]) == pytest.approx(rc.sigma[4], rel=1e-15)
     assert float(row[2]) == pytest.approx(rc.alpha, rel=1e-15)
+
+
+def test_renorm_table_bytes_are_pinned(tmp_path):
+    # integral times print as integers once they are floats: %.17g drops ".0"
+    path = tmp_path / "renorm.csv"
+    RenormConstants.build(m=1.0, M=1, dt=0.5, n_steps=2).to_csv(path)
+    assert path.read_bytes() == (b"t,sigma_M,alpha_M\n0,0,3\n0.5,0.26721424407590005,3\n"
+                                 b"1,1.2145406814070374,3\n")
