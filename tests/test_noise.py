@@ -374,7 +374,7 @@ def test_renorm_table_roundtrip(tmp_path):
 
 
 def test_renorm_table_bytes_are_pinned(tmp_path):
-    # integral times print as integers once they are floats: %.17g drops ".0"
+    # %.17g writes the floats 0.0, 1.0 and 3.0 as "0", "1" and "3"
     path = tmp_path / "renorm.csv"
     RenormConstants.build(m=1.0, M=1, dt=0.5, n_steps=2).to_csv(path)
     assert path.read_bytes() == (b"t,sigma_M,alpha_M\n0,0,3\n0.5,0.26721424407590005,3\n"
