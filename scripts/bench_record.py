@@ -26,7 +26,10 @@ parent's by more than the metric's ``bound`` in ``BENCHMARK.json`` (a
 fraction of the parent's median).  It is unresolved when the parent's
 interquartile range is wider than that bound, again as a fraction of its
 median, unless every change run is better than every parent run.  A change
-that claims no gain is judged on these two fields.  Standard library only.
+that claims no gain is judged on these two fields.  After writing the record,
+one line on stderr names each regressed or unresolved metric: its workload,
+and the parent's interquartile range over its median against the bound.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -120,6 +123,20 @@ def summarize(pairs: dict, rules: dict) -> list:
     return rows
 
 
+def flagged(summary: list, rules: dict) -> list:
+    """One line per summary row that regressed or is unresolved."""
+    lines = []
+    for row in summary:
+        flags = [name for name in ("regressed", "unresolved") if row[name]]
+        if flags:
+            parent = row["parent"]
+            lines.append(f"{row['workload']} {row['metric']}: {' and '.join(flags)}; parent IQR "
+                         f"{(parent['q3'] - parent['q1']) / abs(parent['median']):.1%} of its "
+                         f"median against a bound of {rules[row['metric']]['bound']:.1%}, "
+                         f"change/parent {row['change_over_parent']:.3f}")
+    return lines
+
+
 def judge(claim: str, summary: list) -> dict:
     workload, metric = claim.split(":")
     row = next((r for r in summary if (r["workload"], r["metric"]) == (workload, metric)), None)
@@ -205,6 +222,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}: {len(record['runs'])} runs, "
           f"{len(record['summary'])} summary rows", file=sys.stderr)
+    for line in flagged(record["summary"], metric_rules(args.change)):
+        print(line, file=sys.stderr)
     return 0
 
 

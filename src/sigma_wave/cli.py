@@ -450,13 +450,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["output"]["dir"] = args.out
         _validate(cfg)
-        if args.command == "invariance-check":
-            # the KS test's scipy.stats loads here, so a missing scipy fails
-            # before the chain runs; every other command starts without it
-            try:
-                import scipy.stats  # noqa: F401
-            except ImportError as err:
-                raise ConfigError(f"invariance-check needs scipy: {err}") from None
         threads = _resolve_threads(args.threads)
         out_dir = Path(cfg["output"]["dir"])
         out_dir.mkdir(parents=True, exist_ok=True)

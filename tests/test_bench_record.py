@@ -118,6 +118,28 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved(tmp_path):
     assert run_s["unresolved"] is True and run_s["regressed"] is False
 
 
+def test_each_regressed_or_unresolved_metric_is_named_on_stderr(tmp_path, capsys):
+    # lln-linear run_s is 30 % slower; gibbs-invariance run_s has a parent
+    # IQR of 50 % of its median; nothing else is flagged
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _bounded(change)
+    runs = {"lln-linear": [(1.0, 1.3), (1.0, 1.31), (1.0, 1.29)],
+            "gibbs-invariance": [(0.5, 1.0), (1.0, 0.9), (1.5, 1.1)]}
+    for workload, values in runs.items():
+        for seed, (p, c) in enumerate(values):
+            write_result(parent, workload, seed, 0, p, finished=10 * seed)
+            write_result(change, workload, seed, 0, c, finished=10 * seed + 5)
+    args = ["--number", "7", "--parent", str(parent), "--change", str(change),
+            "--tier1-log", str(_empty_log(tmp_path)), "--out", str(tmp_path / "BENCH_7.json")]
+    assert load().main(args) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[1:] == [
+        "gibbs-invariance run_s: unresolved; parent IQR 50.0% of its median against a "
+        "bound of 25.0%, change/parent 1.000",
+        "lln-linear run_s: regressed; parent IQR 0.0% of its median against a "
+        "bound of 25.0%, change/parent 1.300"]
+
+
 def test_a_side_whose_runs_measured_two_checkouts_is_refused(tmp_path, capsys):
     # a run left over from an earlier commit must not be paired with new ones
     parent, change = tmp_path / "parent", tmp_path / "change"

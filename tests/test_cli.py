@@ -306,6 +306,20 @@ def test_a_run_that_blows_up_is_an_error_without_a_manifest(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists() and not (out / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_invariance_check_that_blows_up_is_an_error_without_a_table(tmp_path, capsys):
+    # dt = 1 is far past the stable step: every evolved sample turns non-finite
+    cfgp = write_ini(tmp_path, "[grid]\nn_grid = 16\n[truncation]\nM = 2\n"
+                               "[dynamics]\nN = 2\ndt = 1.0\nT = 60\nstride = 2\n"
+                               "[gibbs]\nh = 0.3\nchain = 80\nburnin = 20\nthin = 5\n"
+                               "[experiment]\nN_list = 2,3,4\nreps = 2\nseed = 13\n")
+    out = tmp_path / "o"
+    assert main(["invariance-check", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-finite field values at t = 60\n"
+    assert not (out / "invariance.csv").exists() and not (out / "manifest.json").exists()
+
+
 def test_file_data_requires_path_and_snapshots(tmp_path, capsys):
     cfgp = write_ini(tmp_path, "[dynamics]\ndata = file\n")
     assert main(["simulate-hlsm", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2

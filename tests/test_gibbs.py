@@ -10,6 +10,7 @@ from sigma_wave.gibbs import (
     InvarianceReport,
     _ball_grad,
     _gaussian_energy,
+    _ks_2samp,
     coupled_gibbs_gaussian_pair,
     evolve_gibbs_samples,
     gibbs_potential,
@@ -566,6 +567,46 @@ def test_invariance_table_bytes_are_pinned_in_column_order(tmp_path):
     assert path.read_bytes() == (
         b"observable,ks_stat,p_value,mean_t0,se_t0,mean_t1,se_t1\n"
         b"potential,0,1,0.66666666666666663,1.0000000000000001e-17,-0.33333333333333331,0.125\n")
+
+
+def test_ks_2samp_matches_scipy_bit_for_bit_on_its_exact_path():
+    from scipy.stats import ks_2samp
+
+    gen = np.random.default_rng(5)
+    for k in [*range(2, 201), 500, 1000, 2500, 10000]:
+        a = gen.standard_normal(k)
+        cases = {"shifted": (a, gen.standard_normal(k) + 0.3),
+                 "tied": (np.round(a, 1), np.round(gen.standard_normal(k), 1)),
+                 "identical": (a, a.copy())}
+        for name, (x, y) in cases.items():
+            ref = ks_2samp(x, y)
+            assert _ks_2samp(x, y) == (float(ref.statistic), float(ref.pvalue)), (k, name)
+
+
+def test_ks_2samp_clips_an_exact_sum_above_one():
+    # D = 2/60: the alternating sum rounds above 1, where scipy's auto mode
+    # leaves its exact path for the asymptotic law
+    a = np.arange(60.0)
+    assert _ks_2samp(a, a + 1.5) == (2 / 60, 1.0)
+
+
+def test_ks_2samp_keeps_the_exact_sum_past_scipys_auto_limit():
+    from scipy.stats import ks_2samp
+
+    gen = np.random.default_rng(6)
+    a, b = gen.standard_normal(10001), gen.standard_normal(10001) + 0.02
+    ref = ks_2samp(a, b, method="exact")
+    assert _ks_2samp(a, b) == (float(ref.statistic), float(ref.pvalue))
+
+
+def test_ks_2samp_rejects_non_finite_and_unequal_samples():
+    a = np.arange(5.0)
+    with pytest.raises(ValueError, match="finite"):
+        _ks_2samp(a, np.array([0.0, 1.0, np.nan, 3.0, 4.0]))
+    with pytest.raises(ValueError, match="finite"):
+        _ks_2samp(np.array([0.0, 1.0, np.inf, 3.0, 4.0]), a)
+    with pytest.raises(ValueError, match="one size"):
+        _ks_2samp(a, a[:4])
 
 
 def test_integrated_autocorrelation_on_known_series():
