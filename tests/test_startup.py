@@ -32,7 +32,7 @@ def run_fresh(code: str, cwd: Path) -> list:
     return done.stdout.splitlines()
 
 
-def test_import_and_every_subcommand_load_no_scipy_stats_or_integrate(tmp_path):
+def test_import_and_seven_subcommands_load_no_scipy_stats_or_integrate(tmp_path):
     (tmp_path / "c.ini").write_text(CRITERION_11_INI)
     lines = run_fresh("""
         import sys
@@ -44,14 +44,26 @@ def test_import_and_every_subcommand_load_no_scipy_stats_or_integrate(tmp_path):
 
         print("import", loaded())
         for command in ("renorm-table", "simulate-hlsm", "simulate-meanfield",
-                        "convergence-rate", "lln-decay", "sample-gibbs", "invariance-check",
-                        "commutator"):
+                        "convergence-rate", "lln-decay", "sample-gibbs", "commutator"):
             assert cli.main([command, "--config", "c.ini", "--out", command]) == 0
             print(command, loaded())
         """, tmp_path)
     report = [line for line in lines if line.endswith("]")]
-    assert len(report) == 9
+    assert len(report) == 8
     assert all(line.endswith(" []") for line in report), report
+
+
+def test_invariance_check_loads_no_scipy_stats(tmp_path):
+    (tmp_path / "c.ini").write_text(CRITERION_11_INI)
+    lines = run_fresh("""
+        import sys
+        from sigma_wave import cli
+        print("before main:", "scipy.stats" in sys.modules)
+        assert cli.main(["invariance-check", "--config", "c.ini", "--out", "o"]) == 0
+        print("after main:", "scipy.stats" in sys.modules)
+        """, tmp_path)
+    assert "before main: False" in lines
+    assert "after main: False" in lines
 
 
 def test_renorm_table_in_the_quarter_mass_window_loads_quad_lazily(tmp_path):
