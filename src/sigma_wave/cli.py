@@ -106,36 +106,27 @@ def load_config(path=None) -> dict:
 
 
 def _validate(cfg: dict) -> None:
-    g, d, gb, ex = cfg["grid"], cfg["dynamics"], cfg["gibbs"], cfg["experiment"]
-    if g["n_grid"] < 4 or g["n_grid"] % 2:
-        raise ConfigError(f"[grid] n_grid must be even and >= 4, got {g['n_grid']}")
-    if g["m"] <= 0:
-        raise ConfigError(f"[grid] m must be positive, got {g['m']}")
-    if cfg["truncation"]["M"] < 0:
-        raise ConfigError(f"[truncation] M must be >= 0, got {cfg['truncation']['M']}")
-    if d["N"] < 1 or d["R"] < 1:
-        raise ConfigError("[dynamics] N and R must be >= 1")
-    if d["stride"] < 1:
-        raise ConfigError(f"[dynamics] stride must be >= 1, got {d['stride']}")
-    if d["data"] not in ("zero", "gaussian", "file"):
-        raise ConfigError(f"[dynamics] data must be zero, gaussian or file, got {d['data']!r}")
-    if d["data"] == "file" and not d["data_file"]:
-        raise ConfigError("[dynamics] data = file requires data_file")
-    if gb["h"] <= 0 or gb["chain"] < 1 or gb["thin"] < 1:
-        raise ConfigError("[gibbs] need h > 0, chain >= 1, thin >= 1")
-    if not 0 <= gb["burnin"] < gb["chain"]:
-        raise ConfigError(f"[gibbs] need 0 <= burnin < chain, got {gb['burnin']}")
-    if not ex["N_list"]:
-        raise ConfigError("[experiment] N_list must not be empty")
-    if any(n < 1 for n in ex["N_list"]):
-        raise ConfigError(f"[experiment] N_list entries must be >= 1: {ex['N_list']}")
-    if ex["reps"] < 1:
-        raise ConfigError(f"[experiment] reps must be >= 1, got {ex['reps']}")
-    if not 0 <= ex["seed"] < 2**64:
-        raise ConfigError(f"[experiment] seed must fit in 64 bits, got {ex['seed']}")
+    """Check ``[truncation] M``, which every command reads, and the seed and
+    formats, which belong to the run and go into every manifest.  Each other
+    rule is checked by the code that reads its value, and only there."""
+    M, seed = cfg["truncation"]["M"], cfg["experiment"]["seed"]
+    if M < 0:
+        raise ConfigError(f"[truncation] M must be >= 0, got {M}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"[experiment] seed must fit in 64 bits, got {seed}")
     bad = [f for f in cfg["output"]["formats"] if f not in ("csv", "fields")]
     if bad:
         raise ConfigError(f"[output] unknown formats {bad}; choose from csv, fields")
+
+
+def _sweep(cfg: dict) -> tuple:
+    """``(N_list, reps)`` of a command that sweeps ``[experiment] N_list``."""
+    N_list, reps = cfg["experiment"]["N_list"], cfg["experiment"]["reps"]
+    if not N_list or min(N_list) < 1:
+        raise ConfigError(f"[experiment] N_list needs entries, all >= 1, got {N_list}")
+    if reps < 1:
+        raise ConfigError(f"[experiment] reps must be >= 1, got {reps}")
+    return N_list, reps
 
 
 def config_hash(cfg: dict) -> str:
@@ -201,10 +192,11 @@ def _write_field_snapshots(out_dir: Path, ens: BallEnsemble) -> None:
 
 
 def _write_fit(path: Path, rows) -> str:
-    """Write the log-log fit points when ``rows`` has three or more; return the rate."""
-    if len(rows) < 3:
+    """Fit the rows whose two leading values are positive, if three or more; return the rate."""
+    points = [(x, y) for x, y, *_ in (row.values() for row in rows) if x > 0 and y > 0]
+    if len(points) < 3:
         return ""
-    fit = fit_rate(rows)
+    fit = fit_rate(points)
     write_csv(path, "x,y", list(zip(fit.x, fit.y)))
     return f": rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}"
 
@@ -229,6 +221,11 @@ def _run_observables(m: float):
 
 def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     g, d = cfg["grid"], cfg["dynamics"]
+    cls = MeanFieldState if meanfield else HlsmState
+    starts = {"zero": cls.zero, "gaussian": cls.stationary, "file": cls.zero}
+    if d["data"] not in starts or d["data"] == "file" and not d["data_file"]:
+        raise ConfigError("[dynamics] data must be zero, gaussian or file (which requires "
+                          f"data_file), got {d['data']!r}")
     spec = GridSpec(g["n_grid"], g["m"])
     M, seed = cfg["truncation"]["M"], cfg["experiment"]["seed"]
     # with dealias on, the state's own check keeps the noise ball inside the 2/3-rule ball
@@ -236,9 +233,7 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     n_steps = _step_count(d["T"], d["dt"], d["stride"])
     n = d["R"] if meanfield else d["N"]
     rc = RenormConstants.build(g["m"], M, d["dt"], n_steps)
-    cls = MeanFieldState if meanfield else HlsmState
-    start = cls.stationary if d["data"] == "gaussian" else cls.zero
-    state = start(spec, n, rc, seed, d["dealias"])
+    state = starts[d["data"]](spec, n, rc, seed, d["dealias"])
     if d["data"] == "file":
         state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"], state.v.radius))
     record = run_trajectory(state, d["dt"], n_steps, d["stride"], observe=_run_observables(g["m"]))
@@ -293,18 +288,17 @@ def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
     g, ex, d = cfg["grid"], cfg["experiment"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
     _require_ball(spec, cfg["truncation"]["M"], "exact")
-    reps, seed = ex["reps"], ex["seed"]
+    N_list, reps = _sweep(cfg)
     n_steps = _step_count(d["T"], d["dt"], d["stride"])
 
     def one(task):
         n, rep = task
-        chain = replace(_gibbs_config(cfg), n_components=n)
-        return coupled_distance(spec, chain, seed + 7919 * rep, d["dt"],
+        return coupled_distance(spec, _gibbs_config(cfg, n), ex["seed"] + 7919 * rep, d["dt"],
                                 n_steps, d["stride"], ex["s"])
 
-    tasks = [(n, rep) for n in ex["N_list"] for rep in range(reps)]
-    norms = np.asarray(thread_map(one, tasks, threads)).reshape(len(ex["N_list"]), reps)
-    rows = [_mean_row(n, norms[i]) for i, n in enumerate(ex["N_list"])]
+    tasks = [(n, rep) for n in N_list for rep in range(reps)]
+    norms = np.asarray(thread_map(one, tasks, threads)).reshape(len(N_list), reps)
+    rows = [_mean_row(n, norms[i]) for i, n in enumerate(N_list)]
     write_csv(out_dir / "convergence.csv", "N,mean_norm,se", rows)
     print(f"wrote {out_dir / 'convergence.csv'}" + _write_fit(out_dir / "fit.csv", rows))
 
@@ -312,24 +306,26 @@ def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
 def cmd_lln_decay(cfg: dict, out_dir: Path, threads: int) -> None:
     g, ex, d = cfg["grid"], cfg["experiment"], cfg["dynamics"]
     spec = GridSpec(g["n_grid"], g["m"])
-    tables = lln_estimator(spec, _LLN_KINDS, ex["N_list"], cfg["truncation"]["M"],
-                           d["T"], ex["reps"], ex["eps"], ex["seed"], dt=d["dt"],
+    N_list, reps = _sweep(cfg)
+    tables = lln_estimator(spec, _LLN_KINDS, N_list, cfg["truncation"]["M"],
+                           d["T"], reps, ex["eps"], ex["seed"], dt=d["dt"],
                            map_fn=lambda fn, items: thread_map(fn, items, threads))
     for kind, rows in tables.items():
         write_csv(out_dir / f"lln_{kind}.csv", "N,mean_norm,se", rows)
         print(f"wrote {out_dir / f'lln_{kind}.csv'}" + _write_fit(out_dir / f"fit_{kind}.csv", rows))
 
 
-def _gibbs_config(cfg: dict) -> GibbsSamplerConfig:
+def _gibbs_config(cfg: dict, n_components: int) -> GibbsSamplerConfig:
     g, gb = cfg["grid"], cfg["gibbs"]
-    return GibbsSamplerConfig(cfg["dynamics"]["N"], cfg["truncation"]["M"], g["m"],
+    return GibbsSamplerConfig(n_components, cfg["truncation"]["M"], g["m"],
                               gb["h"], gb["chain"], gb["burnin"], thin=gb["thin"])
 
 
 def cmd_sample_gibbs(cfg: dict, out_dir: Path, threads: int) -> None:
     spec = GridSpec(cfg["grid"]["n_grid"], cfg["grid"]["m"])
     _require_ball(spec, cfg["truncation"]["M"], "exact")
-    samples = sample_gibbs(spec, _gibbs_config(cfg), cfg["experiment"]["seed"])
+    samples = sample_gibbs(spec, _gibbs_config(cfg, cfg["dynamics"]["N"]),
+                           cfg["experiment"]["seed"])
     write_csv(out_dir / "gibbs_chain.csv", "iter,wick_square_int",
               [(i, v) for i, v in enumerate(samples.series)])
     M = cfg["truncation"]["M"]
@@ -357,7 +353,7 @@ def cmd_invariance_check(cfg: dict, out_dir: Path, threads: int) -> None:
     spec = GridSpec(cfg["grid"]["n_grid"], cfg["grid"]["m"])
     _require_ball(spec, cfg["truncation"]["M"], "exact")
     d = cfg["dynamics"]
-    report = invariance_check(spec, _gibbs_config(cfg), cfg["experiment"]["seed"],
+    report = invariance_check(spec, _gibbs_config(cfg, d["N"]), cfg["experiment"]["seed"],
                               d["T"], d["dt"], slices=threads,
                               map_fn=lambda fn, items: thread_map(fn, items, threads))
     report.to_csv(out_dir / "invariance.csv")
@@ -368,7 +364,7 @@ def cmd_invariance_check(cfg: dict, out_dir: Path, threads: int) -> None:
 def cmd_commutator(cfg: dict, out_dir: Path, threads: int) -> None:
     g, ex = cfg["grid"], cfg["experiment"]
     spec = GridSpec(g["n_grid"], g["m"])
-    rows = commutator_defect(spec, ex["s"], ex["N_list"], ex["reps"], ex["seed"],
+    rows = commutator_defect(spec, ex["s"], *_sweep(cfg), ex["seed"],
                              float(cfg["truncation"]["M"]))
     write_csv(out_dir / "commutator.csv", "M,defect_max", rows)
     print(f"wrote {out_dir / 'commutator.csv'}" + _write_fit(out_dir / "fit.csv", rows))

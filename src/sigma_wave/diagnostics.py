@@ -117,13 +117,16 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
     time-homogeneous.  Every kind reads one shared trajectory per (N, rep):
     the ensemble, its noise streams, its grid values and ``sum_k H2(psi_k)``
     are computed once per step, so a kind's rows are those of a call that
-    asks for it alone.  The (N, rep) tasks own their seeds and go through
-    ``map_fn(task, items)``, an order-preserving map such as a thread pool's.
+    asks for it alone.  Task (i, rep) owns the components from
+    ``(i * reps + rep) * N_list[i]`` on, so ``N_list`` must not decrease, and
+    goes through ``map_fn(task, items)``, an order-preserving map.
     """
     kinds = tuple(kinds)
     for kind in kinds:
         if kind not in _LLN_KINDS:
             raise ValueError(f"unknown estimator kind {kind!r}")
+    if any(b < a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError(f"N_list must be non-decreasing, got {list(N_list)}")
     _require_ball(spec, truncation, "triple")
     n_steps = _step_count(T, dt)
     c = alpha_m(spec.m, truncation)

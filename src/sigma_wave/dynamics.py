@@ -51,7 +51,6 @@ __all__ = [
     "HlsmState",
     "MeanFieldState",
     "TrajectoryRecord",
-    "hlsm_rhs",
     "step_hlsm",
     "step_meanfield",
     "step_linear_ensemble",
@@ -160,6 +159,8 @@ class _ResidualState:
                 f"component mismatch: v has {len(self.v)}, psi has "
                 f"{len(self.psi)}, streams has {len(self.streams)}"
             )
+        if not len(self.v):
+            raise ValueError("need at least one component")
         if self.v.spec != self.psi.spec:
             raise ValueError("v and psi live on different grids")
         if self.renorm.m != self.v.spec.m:
@@ -216,13 +217,6 @@ class MeanFieldState(_ResidualState):
 
     def drift(self, v_pos: np.ndarray, psi: BallEnsemble, c: float, radius: float) -> np.ndarray:
         return _meanfield_drift(v_pos, psi, radius)
-
-
-def hlsm_rhs(state: _ResidualState) -> np.ndarray:
-    """Drift of either residual system (``HlsmState`` or ``MeanFieldState``),
-    packed on the ball of ``v``."""
-    c = state.renorm.sigma_at(state.step)
-    return state.drift(state.v.pos, state.psi, c, state.v.radius)
 
 
 def _kick_pair(lead: tuple, streams, step: int, spec: GridSpec, dt: float,
@@ -358,7 +352,9 @@ class TrajectoryRecord:
 
 def _step_count(T: float, dt: float, stride: int = 1) -> int:
     """Number of ``dt`` steps in ``T``; raises unless ``0 < dt <= T``, dt
-    divides T and stride divides the steps."""
+    divides T and the stride, at least 1, divides the steps."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     if not 0 < dt <= T:
         raise ValueError(f"need 0 < dt <= T; got dt {dt}, T {T}")
     n_steps = int(round(T / dt))

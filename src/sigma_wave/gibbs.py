@@ -100,6 +100,8 @@ class GibbsSamplerConfig:
     acceptance_band: tuple = (0.3, 0.8)
 
     def __post_init__(self) -> None:
+        if self.n_components < 1:
+            raise ValueError(f"need at least one component, got {self.n_components}")
         if self.step_size <= 0:
             raise ValueError(f"step size must be positive, got {self.step_size}")
         if not 0 <= self.burn_in < self.chain_length:

@@ -145,9 +145,10 @@ class RenormConstants:
     def build(cls, m: float, M: int, dt: float, n_steps: int) -> "RenormConstants":
         if dt <= 0 or n_steps < 0:
             raise ValueError("need dt > 0 and n_steps >= 0")
+        alpha = alpha_m(m, M)  # checks m before sigma_m sums over it
         times = np.arange(n_steps + 1) * dt
         sigma = np.array([sigma_m(t, m, M) for t in times])
-        return cls(m, int(M), dt, times, sigma, alpha_m(m, M))
+        return cls(m, int(M), dt, times, sigma, alpha)
 
     def sigma_at(self, step: int) -> float:
         return float(self.sigma[step])

@@ -41,9 +41,16 @@ def gibbs_potential_reference(ens: BallEnsemble, alpha: float) -> float:
     return float(np.mean(acc) / (4.0 * n))
 
 
+def residual_drift(state) -> np.ndarray:
+    """Drift of either residual system (``HlsmState`` or ``MeanFieldState``)
+    at its current step, packed on the ball of ``v``."""
+    c = state.renorm.sigma_at(state.step)
+    return state.drift(state.v.pos, state.psi, c, state.v.radius)
+
+
 def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
-    """Unfactored six-term double loop; the oracle for ``hlsm_rhs``, packed
-    alike on the ball of ``v``.
+    """Unfactored six-term double loop; the oracle for the drift of
+    ``HlsmState``, packed alike on the ball of ``v``.
 
     Products are formed on full complex-FFT grids, independently of the
     half-spectrum transforms of the program."""

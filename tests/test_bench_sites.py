@@ -13,7 +13,7 @@ from sigma_wave import diagnostics, dynamics, gibbs
 from sigma_wave.grid import GridSpec, random_field
 from sigma_wave.noise import NoiseKind, NoiseStream, RenormConstants
 
-from oracles import ball_ensemble
+from oracles import ball_ensemble, residual_drift
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -114,7 +114,7 @@ def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
         # v and psi to the grid, the drift back
         state = system.zero(spec, n, renorm, root_seed=2)
         state = replace(state, v=ball_ensemble(spec, pos, pos, state.v.radius), psi=ens)
-        assert counts_of(calls, lambda: dynamics.hlsm_rhs(state)) == {
+        assert counts_of(calls, lambda: residual_drift(state)) == {
             "ifftn": 2, "irfftn": 2, "rfftn": 1, "fftn": 1}
     streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(n)]
     assert counts_of(calls, lambda: dynamics.step_renormalized_wave(

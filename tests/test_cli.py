@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sigma_wave.cli import (DEFAULTS, ConfigError, config_hash, coupled_distance, load_config,
-                            main, thread_map)
-from sigma_wave.diagnostics import _LLN_KINDS, difference_norms
+from sigma_wave.cli import (COMMANDS, DEFAULTS, ConfigError, _write_fit, config_hash,
+                            coupled_distance, load_config, main, thread_map)
+from sigma_wave.diagnostics import _LLN_KINDS, difference_norms, fit_rate
 from sigma_wave.dynamics import step_linear_ensemble, step_renormalized_wave
 from sigma_wave.gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                               gibbs_vs_gaussian_covariance, sample_gibbs)
@@ -350,9 +350,42 @@ RULE_BREAKS = {
     "dt-zero": (("dt = 0.05", "dt = 0"), "0 < dt <= T"),
     "stride": (("stride = 2", "stride = 3"), "stride 3 does not divide"),
     "h": (("h = 0.3", "h = 1.5"), "h <= 1"),
+    # the config ranges, each checked by the code that reads the value
+    "n_grid": (("n_grid = 16", "n_grid = 15"), "n_grid must be even and >= 4"),
+    "m": (("m = 1.0", "m = 0"), "mass m must be positive"),
+    "N": (("\nN = 2\n", "\nN = 0\n"), "at least one component"),
+    "R": (("R = 2", "R = 0"), "at least one component"),
+    "stride-zero": (("stride = 2", "stride = 0"), "stride must be >= 1"),
+    "data": (("stride = 2", "stride = 2\ndata = bogus"), "zero, gaussian or file"),
+    "data-file": (("stride = 2", "stride = 2\ndata = file"), "requires data_file"),
+    "h-zero": (("h = 0.3", "h = 0"), "step size must be positive"),
+    "thin": (("thin = 5", "thin = 0"), "thin must be >= 1"),
+    "burnin": (("burnin = 10", "burnin = 40"), "burn_in < chain_length"),
+    "N_list-empty": (("N_list = 2,3,4", "N_list ="), "N_list"),
+    "N_list-zero": (("N_list = 2,3,4", "N_list = 0,2"), "N_list"),
+    "reps": (("reps = 2", "reps = 0"), "reps"),
 }
 SIMULATE = ("simulate-hlsm", "simulate-meanfield")
 STEPPED = ("renorm-table", *SIMULATE, "convergence-rate", "lln-decay", "invariance-check")
+# convergence-rate builds a chain config from every [gibbs] key, though its
+# coupled pair takes no burn-in and no thinning
+CHAINED = ("convergence-rate", "sample-gibbs", "invariance-check")
+SWEPT = ("convergence-rate", "lln-decay", "commutator")
+RANGES = {
+    "n_grid": tuple(c for c in COMMANDS if c != "renorm-table"),
+    "m": tuple(COMMANDS),
+    "N": ("simulate-hlsm", "sample-gibbs", "invariance-check"),
+    "R": ("simulate-meanfield",),
+    "stride-zero": (*SIMULATE, "convergence-rate"),
+    "data": SIMULATE,
+    "data-file": SIMULATE,
+    "h-zero": CHAINED,
+    "thin": CHAINED,
+    "burnin": CHAINED,
+    "N_list-empty": SWEPT,
+    "N_list-zero": SWEPT,
+    "reps": SWEPT,
+}
 REJECTS = {
     "exact": ("convergence-rate", "sample-gibbs", "invariance-check"),
     "triple": ("lln-decay", "commutator"),
@@ -363,12 +396,15 @@ REJECTS = {
     "dt-zero": STEPPED,
     "stride": (*SIMULATE, "convergence-rate"),
     "h": ("convergence-rate",),
+    **RANGES,
 }
 ACCEPTS = {
     "stride": ("renorm-table", "lln-decay", "invariance-check"),
     "h": ("sample-gibbs",),
     "dt-range": ("sample-gibbs", "commutator"),
     "dt-zero": ("sample-gibbs", "commutator"),
+    # a command that does not read a range's value runs
+    **{rule: tuple(c for c in COMMANDS if c not in cmds) for rule, cmds in RANGES.items()},
 }
 RULE_MATRIX = ([(rule, command, True) for rule, cmds in REJECTS.items() for command in cmds]
                + [(rule, command, False) for rule, cmds in ACCEPTS.items() for command in cmds])
@@ -416,7 +452,7 @@ def test_a_config_the_command_rejects_leaves_no_manifest(tmp_path, capsys):
 
 def test_grid_below_four_points_is_rejected(tmp_path, capsys):
     cfgp = write_ini(tmp_path, "[grid]\nn_grid = 2\n")
-    assert main(["renorm-table", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert main(["simulate-hlsm", "--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert "n_grid" in capsys.readouterr().err
 
 
@@ -484,6 +520,25 @@ def test_commutator_csv_header(tmp_path):
                      .replace("reps = 2", "reps = 1"))
     assert main(["commutator", "--config", cfgp]) == 0
     assert (out / "commutator.csv").read_text().splitlines()[0] == "M,defect_max"
+
+
+def test_commutator_fits_only_the_positive_defects(tmp_path):
+    # at M = 12 >= 3 * base ball (M = 2) the operator I is the identity on the
+    # product's support, so the defect is exactly 0; two positive rows are no fit
+    out = tmp_path / "out"
+    cfgp = write_ini(tmp_path, SMALL.format(out=out).replace("N_list = 2,3,4", "N_list = 2,3,12"))
+    assert main(["commutator", "--config", cfgp]) == 0
+    table = np.loadtxt(out / "commutator.csv", delimiter=",", skiprows=1)
+    assert table[:, 0].tolist() == [2, 3, 12] and table[2, 1] == 0.0 < table[1, 1]
+    assert not (out / "fit.csv").exists() and (out / "manifest.json").exists()
+    # three positive rows of four are fitted, as a table of those three
+    rows = [{"M": 2, "defect_max": 0.5}, {"M": 3, "defect_max": 0.2},
+            {"M": 6, "defect_max": 0.1}, {"M": 12, "defect_max": 0.0}]
+    fit = fit_rate(rows[:3])
+    assert _write_fit(tmp_path / "fit.csv", rows) == (
+        f": rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}")
+    assert np.array_equal(np.loadtxt(tmp_path / "fit.csv", delimiter=",", skiprows=1),
+                          np.column_stack([fit.x, fit.y]))
 
 
 def test_thread_map_matches_serial_map():

@@ -163,6 +163,10 @@ def test_lln_estimator_rows_and_rough_decay():
         lln_estimator(spec, ("wick_square_avg", "nope"), [2, 4, 8], 4, 0.4, 2, 0.1, 0)
     with pytest.raises(ValueError, match="alias"):
         lln_estimator(spec, ("wick_square_avg",), [2, 4, 8], 8, 0.4, 2, 0.1, 0)
+    # task (i, rep) starts at component (i * reps + rep) * N_i: at 32, 8 with two
+    # reps the N = 8 tasks would reuse components 16-31 of the first N = 32 task
+    with pytest.raises(ValueError, match="non-decreasing"):
+        lln_estimator(spec, ("wick_square_avg",), [32, 8], 4, 0.4, 2, 0.1, 0)
 
 
 def test_lln_triple_kinds_agree_for_single_component():

@@ -15,7 +15,6 @@ from sigma_wave.dynamics import (
     HlsmState,
     MeanFieldState,
     _step_count,
-    hlsm_rhs,
     renormalized_drift,
     run_trajectory,
     step_deterministic_nlw,
@@ -34,7 +33,8 @@ from sigma_wave.noise import (
 )
 from sigma_wave.wick import hermite
 
-from oracles import ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference, zero_renorm
+from oracles import (ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference, residual_drift,
+                     zero_renorm)
 from test_bench_sites import count_traced_ffts
 
 SPEC = GridSpec(16, 1.0)
@@ -140,7 +140,7 @@ def test_packed_grid_entry_is_the_scattered_transform_bit_for_bit(n_grid):
 def test_factored_rhs_matches_double_loop():
     for dealias in (True, False):
         state = hlsm_state(3, seed=11, dealias=dealias)
-        got = hlsm_rhs(state)
+        got = residual_drift(state)
         ref = hlsm_rhs_reference(state)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -150,7 +150,7 @@ def test_single_component_rhs_is_wick_cubic():
     c = state.renorm.sigma_at(0)
     u = np.fft.ifft2(state.combined().full()[0][0], norm="forward").real
     expected = np.fft.fft2(-hermite(3, u, c), norm="forward").reshape(-1)
-    got = hlsm_rhs(state)[0]
+    got = residual_drift(state)[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
@@ -158,7 +158,7 @@ def test_rhs_with_zero_noise_is_plain_cubic_coupling():
     state = hlsm_state(3, seed=9, dealias=False, noisy=False)
     vg = np.fft.ifft2(state.v.full()[0], norm="forward").real
     expected = np.fft.fft2(-np.mean(vg * vg, axis=0)[None] * vg, norm="forward")
-    assert np.max(np.abs(hlsm_rhs(state) - expected.reshape(3, -1))) <= 1e-14
+    assert np.max(np.abs(residual_drift(state) - expected.reshape(3, -1))) <= 1e-14
 
 
 def test_zero_state_is_fixed_point_of_step():
@@ -207,7 +207,7 @@ def test_meanfield_rhs_antisymmetric_pair():
     v = ball_ensemble(SPEC, np.stack([v1, -v1]), radius=base.v.radius)
     psi = ball_ensemble(SPEC, np.stack([p1, -p1]), radius=4.0)
     state = MeanFieldState(v, psi, base.streams, 0.0, 0, renorm)
-    rhs = hlsm_rhs(state)
+    rhs = residual_drift(state)
     assert np.max(np.abs(rhs[0] + rhs[1])) <= 1e-13
 
 
@@ -475,6 +475,19 @@ def test_step_count_needs_a_step_inside_the_horizon(T, dt):
     with pytest.raises(ValueError, match="need 0 < dt <= T"):
         _step_count(T, dt)
     assert _step_count(0.1, 0.1) == 1
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_step_count_needs_a_stride_of_at_least_one(stride):
+    # stride 0 would divide by zero, and stride -1 divides every step count
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        _step_count(1.0, 0.1, stride)
+
+
+@pytest.mark.parametrize("system", [HlsmState, MeanFieldState])
+def test_residual_states_need_at_least_one_component(system):
+    with pytest.raises(ValueError, match="at least one component"):
+        system.zero(SPEC, 0, zero_renorm(1.0, 0.1, 4), root_seed=0)
 
 
 def test_run_trajectory_keeps_the_state_after_the_last_step():

@@ -170,6 +170,8 @@ def test_config_validation():
         GibbsSamplerConfig(1, 2, 1.0, 0.5, 100, 100)
     with pytest.raises(ValueError):
         GibbsSamplerConfig(1, 2, 1.0, 0.5, 100, 10, thin=0)
+    with pytest.raises(ValueError, match="at least one component"):
+        GibbsSamplerConfig(0, 2, 1.0, 0.5, 100, 10)
 
 
 def test_sampler_is_deterministic_in_the_seed():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,14 @@ def test_transition_rejects_bad_dt():
         convolution([NoiseStream(0, 0, NoiseKind.DRIVE)], float(SPEC.nyquist), 0.0, 1)
     with pytest.raises(ValueError):
         transition_covariance(np.array([1.0]), -0.1)
+
+
+def test_renorm_build_checks_the_mass_before_it_sums_sigma():
+    # sigma_M at m = 0 divides by zero on the n = 0 mode; the mass is rejected first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mass m must be positive"):
+            RenormConstants.build(0.0, 2, 0.1, 4)
 
 
 def test_renorm_table_roundtrip(tmp_path):
