@@ -11,8 +11,7 @@ spec = GridSpec(32, 1.0)
 watch = [(0, 0), (1, 0), (1, 1), (2, 0)]
 
 for label, interaction, h in (("free (V = 0)", False, 0.7), ("interacting", True, 0.3)):
-    cfg = GibbsSamplerConfig(2, 4, 1.0, h, 12000, 2000, thin=10,
-                             interaction=interaction, acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(2, 4, h, 12000, 2000, thin=10, interaction=interaction)
     samples = sample_gibbs(spec, cfg, root_seed=29)
     print(f"{label}: acceptance {samples.accept_rate:.2f}, "
           f"autocorrelation time {samples.iact:.1f} iterations,"

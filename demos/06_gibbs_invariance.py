@@ -5,7 +5,7 @@ renormalized dynamics keep the law of every observable (two-sample KS).
 from sigma_wave import GibbsSamplerConfig, GridSpec, invariance_check
 
 spec = GridSpec(32, 1.0)
-cfg = GibbsSamplerConfig(4, 4, 1.0, 0.3, 14000, 2000, thin=60)
+cfg = GibbsSamplerConfig(4, 4, 0.3, 14000, 2000, thin=60)
 report = invariance_check(spec, cfg, root_seed=3, horizon=1.0, dt=0.02)
 
 print(f"{cfg.n_samples} Gibbs samples evolved to t = 1 under the truncated flow\n")

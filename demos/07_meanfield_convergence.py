@@ -5,7 +5,7 @@ same noise, in the pathwise energy norm.
 
 import numpy as np
 
-from sigma_wave import GibbsSamplerConfig, GridSpec, fit_rate
+from sigma_wave import GridSpec, fit_rate
 from sigma_wave.cli import coupled_distance
 
 spec = GridSpec(32, 1.0)
@@ -14,8 +14,8 @@ M, T, dt, stride = 7, 0.5, 0.01, 5
 
 def distance(n, root):
     # the interacting and free systems are driven by identical noise streams
-    cfg = GibbsSamplerConfig(n, M, 1.0, 0.25, 300, 0, thin=1, acceptance_band=(0.0, 1.0))
-    return coupled_distance(spec, cfg, root, dt, int(round(T / dt)), stride, 0.9)
+    # the (Gibbs, Gaussian) data: 300 coupled pCN iterations at h = 0.25
+    return coupled_distance(spec, n, M, 0.25, 300, root, dt, int(round(T / dt)), stride, 0.9)
 
 
 rows = []

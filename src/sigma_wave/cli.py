@@ -236,7 +236,7 @@ def _simulate(cfg: dict, out_dir: Path, meanfield: bool) -> None:
     state = starts[d["data"]](spec, n, rc, seed, d["dealias"])
     if d["data"] == "file":
         state = replace(state, v=_ensemble_from_files(spec, n, d["data_file"], state.v.radius))
-    record = run_trajectory(state, d["dt"], n_steps, d["stride"], observe=_run_observables(g["m"]))
+    record = run_trajectory(state, n_steps, d["stride"], observe=_run_observables(g["m"]))
     record.to_csv(out_dir / "trajectory.csv")
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(record.times)} nodes)")
     if "fields" in cfg["output"]["formats"]:
@@ -261,18 +261,19 @@ def cmd_simulate_meanfield(cfg: dict, out_dir: Path, threads: int) -> None:
     _simulate(cfg, out_dir, meanfield=True)
 
 
-def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: float,
-                     n_steps: int, stride: int, s: float) -> float:
+def coupled_distance(spec: GridSpec, n_components: int, truncation: int, step_size: float,
+                     iterations: int, root: int, dt: float, n_steps: int, stride: int,
+                     s: float) -> float:
     """C_T script-H^s distance of one coupled (interacting, free) run, component 1.
 
-    The coupled (Gibbs, Gaussian) data pair of ``cfg`` starts the interacting
-    renormalized wave and the free wave, both packed on the noise ball; each
-    step's kicks are drawn once and passed to both, and the two are compared
-    every ``stride`` steps.
+    The (Gibbs, Gaussian) data pair that ``coupled_gibbs_gaussian_pair`` draws
+    from the next five values starts the interacting renormalized wave and the
+    free wave, both packed on the noise ball; each step's kicks are drawn once
+    and passed to both, and the two are compared every ``stride`` steps.
     """
-    a, b = coupled_gibbs_gaussian_pair(spec, cfg, root)
-    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(cfg.n_components))
-    alpha = alpha_m(spec.m, cfg.truncation)
+    a, b = coupled_gibbs_gaussian_pair(spec, n_components, truncation, step_size, iterations, root)
+    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(n_components))
+    alpha = alpha_m(spec.m, truncation)
     states_n, states_l = [a], [b]
     for k in range(n_steps):
         kick = _kick_pair((len(streams),), streams, k, spec, dt, b.radius)
@@ -285,16 +286,16 @@ def coupled_distance(spec: GridSpec, cfg: GibbsSamplerConfig, root: int, dt: flo
 
 
 def cmd_convergence_rate(cfg: dict, out_dir: Path, threads: int) -> None:
-    g, ex, d = cfg["grid"], cfg["experiment"], cfg["dynamics"]
-    spec = GridSpec(g["n_grid"], g["m"])
-    _require_ball(spec, cfg["truncation"]["M"], "exact")
+    g, ex, d, gb = cfg["grid"], cfg["experiment"], cfg["dynamics"], cfg["gibbs"]
+    spec, M = GridSpec(g["n_grid"], g["m"]), cfg["truncation"]["M"]
+    _require_ball(spec, M, "exact")
     N_list, reps = _sweep(cfg)
     n_steps = _step_count(d["T"], d["dt"], d["stride"])
 
     def one(task):
         n, rep = task
-        return coupled_distance(spec, _gibbs_config(cfg, n), ex["seed"] + 7919 * rep, d["dt"],
-                                n_steps, d["stride"], ex["s"])
+        return coupled_distance(spec, n, M, gb["h"], gb["chain"], ex["seed"] + 7919 * rep,
+                                d["dt"], n_steps, d["stride"], ex["s"])
 
     tasks = [(n, rep) for n in N_list for rep in range(reps)]
     norms = np.asarray(thread_map(one, tasks, threads)).reshape(len(N_list), reps)
@@ -316,9 +317,9 @@ def cmd_lln_decay(cfg: dict, out_dir: Path, threads: int) -> None:
 
 
 def _gibbs_config(cfg: dict, n_components: int) -> GibbsSamplerConfig:
-    g, gb = cfg["grid"], cfg["gibbs"]
-    return GibbsSamplerConfig(n_components, cfg["truncation"]["M"], g["m"],
-                              gb["h"], gb["chain"], gb["burnin"], thin=gb["thin"])
+    gb = cfg["gibbs"]
+    return GibbsSamplerConfig(n_components, cfg["truncation"]["M"], gb["h"], gb["chain"],
+                              gb["burnin"], thin=gb["thin"])
 
 
 def cmd_sample_gibbs(cfg: dict, out_dir: Path, threads: int) -> None:

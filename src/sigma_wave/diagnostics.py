@@ -163,7 +163,7 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
 
 def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,
                       root_seed: int, base_ball: float) -> list:
-    """Max over trials of ``||I(f^2 g) - (If)^2 Ig||_{L^2}`` per threshold M.
+    """Max over trials of ``||I(f^2 g) - (If)^2 Ig||_{L^2}``, a row per ``M_list`` entry.
 
     Fields are drawn with coefficient decay ``<n>^-2`` on ``|n| <= base_ball``
     and rescaled per M so ``||If||_{H^1} = ||Ig||_{H^1} = 1``; the defect is
@@ -172,13 +172,13 @@ def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,
     """
     _require_ball(spec, base_ball, "triple", what="base ball")
     gen = np.random.default_rng(root_seed)
-    worst = {int(M): 0.0 for M in M_list}
+    worst = [0.0] * len(M_list)
     for _ in range(trials):
         f = random_field(spec, gen, decay=2.0, truncation=base_ball).coeffs
         g = random_field(spec, gen, decay=2.0, truncation=base_ball).coeffs
         fgrid, ggrid = np.fft.ifft2(f, norm="forward").real, np.fft.ifft2(g, norm="forward").real
         fg2 = np.fft.fft2(fgrid * fgrid * ggrid, norm="forward")
-        for M in M_list:
+        for i, M in enumerate(M_list):
             prof = _i_profile(spec.n_grid, float(s), float(M))
             i_f, i_g = f * prof, g * prof
             nf = sobolev_norm(i_f, 1.0)
@@ -188,8 +188,8 @@ def commutator_defect(spec: GridSpec, s: float, M_list, trials: int,
             igg = np.fft.ifft2(i_g, norm="forward").real
             rhs = np.fft.fft2(ifg * ifg * igg, norm="forward")
             defect = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / (nf * nf * ng)
-            worst[int(M)] = max(worst[int(M)], float(defect))
-    return [{"M": M, "defect_max": worst[M]} for M in sorted(worst)]
+            worst[i] = max(worst[i], float(defect))
+    return [{"M": int(M), "defect_max": d} for M, d in zip(M_list, worst)]
 
 
 def difference_norms(states_n, states_limit, s: float, j: int):

@@ -256,19 +256,17 @@ def step_linear_ensemble(ens: BallEnsemble, streams, step: int, dt: float,
     return BallEnsemble(ens.spec, ens.radius, pos, vel)
 
 
-def step_hlsm(state: _ResidualState, dt: float) -> _ResidualState:
-    """Advance residuals by one step: exact noise transition, ETD2 drift.
+def step_hlsm(state: _ResidualState) -> _ResidualState:
+    """Advance residuals by one step of ``state.renorm``: exact noise transition, ETD2 drift.
 
     Steps either residual system through its ``drift``; ``step_meanfield``
     is the same function.  Each drift stage reads the Wick constant at its
     own time, sigma_M(t) then sigma_M(t + dt), which keeps the step second
     order in dt for the zero-data schedule as well.
     """
-    if abs(dt - state.renorm.dt) > 1e-12 * max(1.0, dt):
-        raise ValueError(f"dt = {dt} does not match the renormalization grid dt = {state.renorm.dt}")
     if state.step + 1 >= len(state.renorm.sigma):
         raise ValueError("renormalization table exhausted; build it with more steps")
-    spec, radius = state.v.spec, state.v.radius
+    spec, radius, dt = state.v.spec, state.v.radius, state.renorm.dt
     c = state.renorm.sigma_at(state.step), state.renorm.sigma_at(state.step + 1)
     psi1 = step_linear_ensemble(state.psi, state.streams, state.step, dt)
     psi = (state.psi, psi1)
@@ -365,20 +363,19 @@ def _step_count(T: float, dt: float, stride: int = 1) -> int:
     return n_steps
 
 
-def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
-                   observe=None) -> TrajectoryRecord:
+def run_trajectory(state, n_steps: int, stride: int = 1, observe=None) -> TrajectoryRecord:
     """Integrate an HLSM or mean-field state, recording every ``stride`` steps.
 
-    ``observe(state)`` returns the named values of one recording node, the
-    same names at every node; they become the series.  The record keeps the
-    state after the last step as ``final``; no other state is held.
-    Non-finite fields at a recording node, the start included, raise
-    :class:`BlowupError`; nothing is clipped.
+    The steps are those of ``state.renorm``.  ``observe(state)`` returns the
+    named values of one recording node, the same names at every node; they
+    become the series.  The record keeps the state after the last step as
+    ``final``; no other state is held.  Non-finite fields at a recording
+    node, the start included, raise :class:`BlowupError`; nothing is clipped.
     """
-    if n_steps:  # a run of no steps reads no dt
-        _step_count(n_steps * dt, dt, stride)
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
+    if n_steps:  # a run of no steps has no T for _step_count to divide
+        _step_count(n_steps * state.renorm.dt, state.renorm.dt, stride)
     times, rows = [], []
 
     def record(state) -> None:
@@ -389,7 +386,7 @@ def run_trajectory(state, dt: float, n_steps: int, stride: int = 1,
 
     record(state)
     for k in range(n_steps):
-        state = step_hlsm(state, dt)
+        state = step_hlsm(state)
         if (k + 1) % stride == 0:
             record(state)
     series = {name: np.asarray([row[name] for row in rows]) for name in rows[0]}

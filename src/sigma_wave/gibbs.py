@@ -19,20 +19,20 @@ cancels.
 A pair of unadjusted chains driven by common innovations, one interacting
 and one free, yields coupled (Gibbs, Gaussian) samples whose difference is
 controlled by the interaction gradient; this is the initial-data coupling
-used by the mean-field convergence experiment.  The pair takes the
-preconditioned Crank-Nicolson step ``sqrt(1-h^2) U + h Z`` (Cotter, Roberts,
-Stuart and White, Stat. Sci. 28, 2013), which leaves the free side's
-equilibrium exactly invariant for every h <= 1.
+used by the mean-field convergence experiment.  The pair reads N, M, h and a
+length; its preconditioned Crank-Nicolson step ``sqrt(1-h^2) U + h Z``
+(Cotter, Roberts, Stuart and White, Stat. Sci. 28, 2013) leaves the free
+side's equilibrium exactly invariant for every 0 < h <= 1.
 
 Every ensemble here is a ``grid.BallEnsemble``: the chains' states, the
 thinned draws of :class:`GibbsSamples` (one ``(K, N, n_ball)`` batch), their
 evolution and the invariance observables.  The per-mode weights
-``w = m + |n|^2`` are packed on the ball, and an iteration's N innovations
-come from one ``noise._sample_ball`` call with the packed variances
-``1 / w``; drift, potential and observables reach grid values through real
-FFTs on the half spectrum (``grid._to_grid``).  No full coefficient grid is
-filled: a MALA proposal takes one ``_to_grid``, which its potential, its
-``series`` value and its gradient share.
+``w = m + |n|^2``, with m the grid's mass, are packed on the ball, and an
+iteration's N innovations come from one ``noise._sample_ball`` call with the
+packed variances ``1 / w``; drift, potential and observables reach grid
+values through real FFTs on the half spectrum (``grid._to_grid``).  No full
+coefficient grid is filled: a MALA proposal takes one ``_to_grid``, which its
+potential, its ``series`` value and its gradient share.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from .noise import NoiseKind, NoiseStream, _sample_ball, alpha_m, stationary_ens
 # unused; traced sites of perfbench/tracer.py
 from .noise import _draw_kick, _sample_profile  # noqa: F401
 from .wick import hermite
+
+_ACCEPTANCE_BAND = (0.3, 0.8)  # a MALA chain whose acceptance rate leaves it warns
 
 __all__ = [
     "GibbsSamplerConfig",
@@ -91,13 +93,11 @@ class GibbsSamplerConfig:
 
     n_components: int
     truncation: int
-    m: float
     step_size: float
     chain_length: int
     burn_in: int
     thin: int = 10
     interaction: bool = True
-    acceptance_band: tuple = (0.3, 0.8)
 
     def __post_init__(self) -> None:
         if self.n_components < 1:
@@ -194,12 +194,9 @@ def _velocities(spec: GridSpec, M: int, root_seed: int, n: int, k: int) -> np.nd
     return _sample_ball(gen, spec, M, np.ones(_ball_index(spec.n_grid, float(M)).size), n)
 
 
-def _chain_setup(spec: GridSpec, cfg: GibbsSamplerConfig):
-    """Packed weights ``w = m + |n|^2`` of the truncation ball and their
-    inverses, the innovation variances; raises unless cfg and grid share m."""
-    if abs(cfg.m - spec.m) > 1e-12:
-        raise ValueError(f"config mass {cfg.m} != grid mass {spec.m}")
-    w = spec.dispersion.reshape(-1)[_ball_index(spec.n_grid, float(cfg.truncation))]
+def _ball_weights(spec: GridSpec, M: int) -> tuple:
+    """Packed weights ``w = m + |n|^2`` of the truncation ball, and their inverses."""
+    w = spec.dispersion.reshape(-1)[_ball_index(spec.n_grid, float(M))]
     return w, 1.0 / w
 
 
@@ -210,10 +207,10 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     serves the potential, the gradient and the ``series`` value (component
     0's Wick square).
     Velocities are exact independent draws, so only positions are chained.
-    Warns when the post-burn-in acceptance rate leaves the configured band.
+    Warns when the post-burn-in acceptance rate leaves ``_ACCEPTANCE_BAND``.
     """
     n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
-    w, inv_w = _chain_setup(spec, cfg)
+    w, inv_w = _ball_weights(spec, M)
     alpha = alpha_m(spec.m, M) if cfg.interaction else 0.0
 
     def state_of(p):
@@ -247,7 +244,7 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
                 keep_pos.append(pos)
 
     accept_rate = accepted / (cfg.chain_length - cfg.burn_in)
-    lo, hi = cfg.acceptance_band
+    lo, hi = _ACCEPTANCE_BAND
     if not lo <= accept_rate <= hi:
         target = 0.57
         suggestion = h * (accept_rate / target if accept_rate > 0 else 0.5) ** 0.5
@@ -260,33 +257,38 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
                         integrated_autocorrelation(np.asarray(series)), np.asarray(series))
 
 
-def coupled_gibbs_gaussian_pair(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int):
+def coupled_gibbs_gaussian_pair(spec: GridSpec, n_components: int, truncation: int,
+                                step_size: float, iterations: int, root_seed: int):
     """Common-innovation pair of pCN chains: (interacting, free).
 
-    Both chains take the preconditioned Crank-Nicolson step
-    ``sqrt(1-h^2) U + h Z`` with the same innovations Z ~ N(0, C); the
-    interacting one adds the unadjusted Langevin drift ``-(h^2/2) grad V / w``.
-    Since ``beta^2 + h^2 = 1`` the free chain keeps the truncated equilibrium
-    exactly, for any h <= 1; the interacting one approximates its Gibbs
-    counterpart, and the coupling keeps their difference of the order of the
-    interaction gradient.  Both states are packed ``(N, n_ball)`` stacks fed by one
-    :func:`_sample_ball` draw per iteration.  Velocities are one shared
-    equilibrium draw.  Returns a pair of ball ensembles ``(gibbs, gaussian)``.
-    With ``cfg.interaction`` off both sides are the free chain; there is no burn-in or thinning.
+    Both chains start from one equilibrium draw of ``n_components`` fields on
+    the ``|n| <= truncation`` ball and take ``iterations`` preconditioned
+    Crank-Nicolson steps ``sqrt(1-h^2) U + h Z``, h = ``step_size``, with the
+    same innovations Z ~ N(0, C); the interacting one adds the unadjusted
+    Langevin drift ``-(h^2/2) grad V / w``.  Since ``beta^2 + h^2 = 1`` the
+    free chain keeps the truncated equilibrium exactly, for any 0 < h <= 1;
+    the interacting one approximates its Gibbs counterpart, and the coupling
+    keeps their difference of the order of the interaction gradient.  Both
+    states are packed ``(N, n_ball)`` stacks fed by one :func:`_sample_ball`
+    draw per iteration, with no burn-in or thinning.  Velocities are one
+    shared equilibrium draw.  Returns ball ensembles ``(gibbs, gaussian)``.
     """
-    n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
-    if h > 1:
-        raise ValueError(f"the pCN step needs h <= 1 for sqrt(1 - h^2) to be real; got h = {h}")
-    inv_w = _chain_setup(spec, cfg)[1]
+    n, M, h = n_components, truncation, step_size
+    if not 0 < h <= 1:
+        raise ValueError(f"step size must be positive, and h <= 1 for the pCN step "
+                         f"sqrt(1 - h^2) to be real; got h = {h}")
+    if iterations < 0:
+        raise ValueError(f"the chain needs iterations >= 0, got {iterations}")
+    inv_w = _ball_weights(spec, M)[1]
     alpha = alpha_m(spec.m, M)
     beta = np.sqrt(1.0 - h * h)
 
     pos_a = stationary_ensemble(spec, M, root_seed, n).pos
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
-    for it in range(cfg.chain_length):
+    for it in range(iterations):
         z = _sample_ball(innovations.generator(it), spec, M, inv_w, n)
-        grad = _ball_grad(pos_a, spec, alpha, float(M)) if cfg.interaction else 0.0
+        grad = _ball_grad(pos_a, spec, alpha, float(M))
         pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
         pos_b = beta * pos_b + h * z
 

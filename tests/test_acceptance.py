@@ -124,7 +124,7 @@ def test_criterion_04_zero_residual_is_exact():
     rc = RenormConstants.build(1.0, 8, dt, n_steps)
     state = MeanFieldState.stationary(spec, 8, rc, root_seed=33)
     for k in range(n_steps):
-        state = step_meanfield(state, dt)
+        state = step_meanfield(state)
         if (k + 1) % 100 == 0:
             assert np.max(np.abs(state.v.pos)) <= 1e-14
             assert np.max(np.abs(state.v.vel)) <= 1e-14
@@ -161,7 +161,7 @@ def test_criterion_06_free_sampler_calibration():
     # with the interaction off the chain must reproduce the free product
     # measure; SEs are inflated by the measured autocorrelation time
     spec = GridSpec(16, 1.0)
-    cfg = GibbsSamplerConfig(2, 3, 1.0, 0.7, 64000, 4000, thin=5, interaction=False)
+    cfg = GibbsSamplerConfig(2, 3, 0.7, 64000, 4000, thin=5, interaction=False)
     samples = sample_gibbs(spec, cfg, root_seed=606)
     corr = max(samples.iact / cfg.thin, 1.0)
     effective = len(samples) / corr
@@ -198,7 +198,7 @@ def test_criterion_08_gibbs_invariance_under_dynamics():
     # 500 draws, thinned to near-independence, pushed through one unit of
     # the truncated renormalized flow
     spec = GridSpec(32, 1.0)
-    cfg = GibbsSamplerConfig(4, 4, 1.0, 0.3, 52000, 2000, thin=100)
+    cfg = GibbsSamplerConfig(4, 4, 0.3, 52000, 2000, thin=100)
     assert cfg.n_samples == 500
     rep = invariance_check(spec, cfg, root_seed=808, horizon=1.0, dt=0.01)
     row = next(r for r in rep.rows if r["observable"] == "wick_square_int")
@@ -210,9 +210,7 @@ def test_criterion_08_gibbs_invariance_under_dynamics():
 
 
 def _coupled_distance(spec: GridSpec, n: int, M: int, root: int) -> float:
-    cfg = GibbsSamplerConfig(n, M, 1.0, 0.25, 400, 0, thin=1,
-                             acceptance_band=(0.0, 1.0))
-    return coupled_distance(spec, cfg, root, 0.01, 50, 5, 0.9)
+    return coupled_distance(spec, n, M, 0.25, 400, root, 0.01, 50, 5, 0.9)
 
 
 def test_criterion_09_meanfield_convergence_rate():

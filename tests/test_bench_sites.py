@@ -47,8 +47,8 @@ def test_every_chain_gradient_goes_through_the_traced_drift(monkeypatch):
 
     monkeypatch.setattr(gibbs, "renormalized_drift", counted)
     spec = GridSpec(8, 1.0)
-    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.5, 12, 2, thin=2, acceptance_band=(0.0, 1.0))
-    gibbs.coupled_gibbs_gaussian_pair(spec, cfg, root_seed=3)
+    cfg = gibbs.GibbsSamplerConfig(2, 2, 0.5, 12, 2, thin=2)
+    gibbs.coupled_gibbs_gaussian_pair(spec, 2, 2, 0.5, 12, root_seed=3)
     assert len(calls) == cfg.chain_length
     calls.clear()
     samples = gibbs.sample_gibbs(spec, cfg, root_seed=3)
@@ -151,7 +151,7 @@ def test_lln_estimator_and_the_residual_step_use_real_ffts_only(monkeypatch):
     spec = GridSpec(16, 1.0)
     state = dynamics.HlsmState.stationary(spec, 2, RenormConstants.build(1.0, 3, 0.1, 2), 4)
     # per stage: v to the grid and back, psi to the grid
-    assert counts_of(calls, lambda: dynamics.step_hlsm(state, 0.1)) == {
+    assert counts_of(calls, lambda: dynamics.step_hlsm(state)) == {
         "ifftn": 4, "irfftn": 4, "rfftn": 2, "fftn": 2}
 
 
@@ -160,7 +160,7 @@ def test_each_mala_proposal_takes_one_transform_to_the_grid(monkeypatch):
     # _to_grid; the gradient adds one transform back through the drift
     calls = count_traced_ffts(monkeypatch)
     spec = GridSpec(16, 1.0)
-    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.5, 12, 2, thin=2, acceptance_band=(0.0, 1.0))
+    cfg = gibbs.GibbsSamplerConfig(2, 2, 0.5, 12, 2, thin=2)
     states = cfg.chain_length + 1  # the start and every proposal
     assert counts_of(calls, lambda: gibbs.sample_gibbs(spec, cfg, root_seed=3)) == dict.fromkeys(
         TO_GRID + TO_COEFFS, states)

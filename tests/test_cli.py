@@ -195,8 +195,7 @@ def test_lln_decay_single_rep_writes_zero_se(tmp_path):
 def test_coupled_distance_matches_steps_that_draw_their_own_kicks():
     # reference loop: each stepper draws the shared streams' kicks itself
     spec, M, root, dt, n_steps, stride, s = GridSpec(16, 1.0), 2, 21, 0.05, 6, 2, 0.9
-    cfg = GibbsSamplerConfig(3, M, 1.0, 0.3, 30, 0, thin=1, acceptance_band=(0.0, 1.0))
-    a, b = coupled_gibbs_gaussian_pair(spec, cfg, root)
+    a, b = coupled_gibbs_gaussian_pair(spec, 3, M, 0.3, 30, root)
     streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(3))
     alpha = alpha_m(spec.m, M)
     states_n, states_l = [a], [b]
@@ -207,7 +206,7 @@ def test_coupled_distance_matches_steps_that_draw_their_own_kicks():
             states_n.append(a)
             states_l.append(b)
     want = difference_norms(states_n, states_l, s, 0)[0]
-    assert coupled_distance(spec, cfg, root, dt, n_steps, stride, s) == want
+    assert coupled_distance(spec, 3, M, 0.3, 30, root, dt, n_steps, stride, s) == want
 
 
 def test_simulate_from_file_data_roundtrip(tmp_path, capsys):
@@ -361,15 +360,16 @@ RULE_BREAKS = {
     "h-zero": (("h = 0.3", "h = 0"), "step size must be positive"),
     "thin": (("thin = 5", "thin = 0"), "thin must be >= 1"),
     "burnin": (("burnin = 10", "burnin = 40"), "burn_in < chain_length"),
+    "chain": (("chain = 40", "chain = -1"), "chain"),
     "N_list-empty": (("N_list = 2,3,4", "N_list ="), "N_list"),
     "N_list-zero": (("N_list = 2,3,4", "N_list = 0,2"), "N_list"),
     "reps": (("reps = 2", "reps = 0"), "reps"),
 }
 SIMULATE = ("simulate-hlsm", "simulate-meanfield")
 STEPPED = ("renorm-table", *SIMULATE, "convergence-rate", "lln-decay", "invariance-check")
-# convergence-rate builds a chain config from every [gibbs] key, though its
-# coupled pair takes no burn-in and no thinning
 CHAINED = ("convergence-rate", "sample-gibbs", "invariance-check")
+# the MALA chain; the coupled pair of convergence-rate takes no burn-in and no thinning
+MALA = ("sample-gibbs", "invariance-check")
 SWEPT = ("convergence-rate", "lln-decay", "commutator")
 RANGES = {
     "n_grid": tuple(c for c in COMMANDS if c != "renorm-table"),
@@ -380,8 +380,9 @@ RANGES = {
     "data": SIMULATE,
     "data-file": SIMULATE,
     "h-zero": CHAINED,
-    "thin": CHAINED,
-    "burnin": CHAINED,
+    "chain": CHAINED,
+    "thin": MALA,
+    "burnin": MALA,
     "N_list-empty": SWEPT,
     "N_list-zero": SWEPT,
     "reps": SWEPT,
@@ -504,7 +505,7 @@ def test_gibbs_modes_se_counts_the_chain_autocorrelation(tmp_path):
                                "[gibbs]\nh = 0.3\nchain = 80\nburnin = 20\nthin = 5\n"
                                f"[experiment]\nseed = 13\n[output]\ndir = {out}\n")
     assert main(["sample-gibbs", "--config", cfgp]) == 0
-    samples = sample_gibbs(GridSpec(16, 1.0), GibbsSamplerConfig(2, 2, 1.0, 0.3, 80, 20, thin=5), 13)
+    samples = sample_gibbs(GridSpec(16, 1.0), GibbsSamplerConfig(2, 2, 0.3, 80, 20, thin=5), 13)
     factor = np.sqrt(max(samples.iact / 5, 1.0))
     assert factor > 1.05
     table = np.loadtxt(out / "gibbs_modes.csv", delimiter=",", skiprows=1)
@@ -539,6 +540,17 @@ def test_commutator_fits_only_the_positive_defects(tmp_path):
         f": rate = {fit.slope:.4f} +/- {fit.slope_se:.4f}")
     assert np.array_equal(np.loadtxt(tmp_path / "fit.csv", delimiter=",", skiprows=1),
                           np.column_stack([fit.x, fit.y]))
+
+
+def test_commutator_keeps_one_row_per_sweep_entry_in_order(tmp_path):
+    # as in the other sweeps, a repeated entry is a row of its own, in the given order
+    out = tmp_path / "out"
+    cfgp = write_ini(tmp_path, SMALL.format(out=out).replace("N_list = 2,3,4", "N_list = 3,2,3")
+                     .replace("reps = 2", "reps = 1"))
+    assert main(["commutator", "--config", cfgp]) == 0
+    rows = (out / "commutator.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["3", "2", "3"]
+    assert rows[0] == rows[2]
 
 
 def test_thread_map_matches_serial_map():

@@ -165,7 +165,7 @@ def test_zero_state_is_fixed_point_of_step():
     renorm = zero_renorm(1.0, 0.1, 10)
     state = HlsmState.zero(SPEC, 2, renorm, root_seed=0)
     for _ in range(5):
-        state = step_hlsm(state, 0.1)
+        state = step_hlsm(state)
     assert np.all(state.v.pos == 0) and np.all(state.v.vel == 0)
     assert np.all(state.psi.pos == 0)
 
@@ -194,7 +194,7 @@ def test_meanfield_zero_residual_is_exact_fixed_point():
     renorm = table(1.0, 0.1, 60)
     state = MeanFieldState.stationary(SPEC, 4, renorm, root_seed=3)
     for _ in range(50):
-        state = step_meanfield(state, 0.1)
+        state = step_meanfield(state)
     assert np.all(state.v.pos == 0) and np.all(state.v.vel == 0)
     assert not np.all(state.psi.pos == 0)
 
@@ -222,15 +222,15 @@ def test_permutation_equivariance():
         state.time, state.step, state.renorm)
     a, b = state, permuted
     for _ in range(3):
-        a = step_hlsm(a, 0.1)
-        b = step_hlsm(b, 0.1)
+        a = step_hlsm(a)
+        b = step_hlsm(b)
     np.testing.assert_allclose(b.v.pos, a.v.pos[perm], rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(b.psi.pos, a.psi.pos[perm], rtol=1e-12, atol=1e-14)
 
 
 def test_dealias_output_has_no_high_modes():
     state = hlsm_state(2, seed=33, dealias=True)
-    out = step_hlsm(state, 0.1)
+    out = step_hlsm(state)
     high = ~ball_mask(SPEC, SPEC.dealias_radius)
     assert out.v.pos.shape == (2, int(np.sum(~high)))
     pos, vel = out.v.full()
@@ -238,14 +238,11 @@ def test_dealias_output_has_no_high_modes():
     assert np.all(vel[:, high] == 0)
 
 
-def test_step_validates_dt_and_table_length():
+def test_step_validates_table_length():
     state = hlsm_state(2, seed=1, dt=0.1, n_steps=2)
-    with pytest.raises(ValueError):
-        step_hlsm(state, 0.2)
-    state = step_hlsm(state, 0.1)
-    state = step_hlsm(state, 0.1)
-    with pytest.raises(ValueError):
-        step_hlsm(state, 0.1)
+    state = step_hlsm(step_hlsm(state))
+    with pytest.raises(ValueError, match="renormalization table exhausted"):
+        step_hlsm(state)
 
 
 def test_state_validates_component_counts():
@@ -362,7 +359,7 @@ def test_step_hlsm_second_order_in_dt():
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
                           0.0, 0, renorm)
         for _ in range(k):
-            state = step_hlsm(state, dt)
+            state = step_hlsm(state)
         errs.append(np.max(np.abs(state.v.pos - ref_pos)))
         dts.append(dt)
     assert fitted_order(errs, dts) == pytest.approx(2.0, abs=0.3)
@@ -381,7 +378,7 @@ def test_step_hlsm_second_order_with_time_dependent_wick_constant():
                           tuple(NoiseStream(0, j, NoiseKind.DRIVE) for j in range(n)),
                           0.0, 0, renorm)
         for _ in range(k):
-            state = step_hlsm(state, dt)
+            state = step_hlsm(state)
         finals[k] = state.v.pos
     ks = (8, 16, 32, 64)
     errs = [np.max(np.abs(finals[k] - finals[512])) for k in ks]
@@ -405,7 +402,7 @@ def test_step_meanfield_second_order_in_dt():
                                tuple(NoiseStream(0, r, NoiseKind.DRIVE) for r in range(n)),
                                0.0, 0, renorm)
         for _ in range(k):
-            state = step_meanfield(state, dt)
+            state = step_meanfield(state)
         errs.append(np.max(np.abs(state.v.pos - ref_pos)))
         dts.append(dt)
     assert fitted_order(errs, dts) == pytest.approx(2.0, abs=0.3)
@@ -458,14 +455,14 @@ def test_run_trajectory_records_and_reproduces():
     def make():
         return hlsm_state(2, seed=90, dt=0.1, n_steps=8)
 
-    rec1 = run_trajectory(make(), 0.1, 8, stride=2, observe=observe)
-    rec2 = run_trajectory(make(), 0.1, 8, stride=2, observe=observe)
+    rec1 = run_trajectory(make(), 8, stride=2, observe=observe)
+    rec2 = run_trajectory(make(), 8, stride=2, observe=observe)
     assert len(rec1.times) == 5
     assert np.array_equal(rec1.series["v_sq"], rec2.series["v_sq"])
-    zero_len = run_trajectory(make(), 0.1, 0, observe=observe)
+    zero_len = run_trajectory(make(), 0, observe=observe)
     assert len(zero_len.times) == 1
     with pytest.raises(ValueError):
-        run_trajectory(make(), 0.1, 7, stride=2)
+        run_trajectory(make(), 7, stride=2)
 
 
 @pytest.mark.parametrize("T,dt", [(0.1, 0.0), (0.1, -0.05), (0.001, 0.01), (-0.1, 0.05),
@@ -494,12 +491,12 @@ def test_run_trajectory_keeps_the_state_after_the_last_step():
     start = hlsm_state(2, seed=94, dt=0.1, n_steps=8)
     want = start
     for _ in range(6):
-        want = step_hlsm(want, 0.1)
-    final = run_trajectory(start, 0.1, 6, stride=3).final
+        want = step_hlsm(want)
+    final = run_trajectory(start, 6, stride=3).final
     assert (final.step, final.time) == (want.step, want.time)
     for got, ref in ((final.v, want.v), (final.psi, want.psi)):
         assert got.pos.tobytes() == ref.pos.tobytes() and got.vel.tobytes() == ref.vel.tobytes()
-    assert run_trajectory(start, 0.1, 0).final is start
+    assert run_trajectory(start, 0).final is start
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -509,8 +506,8 @@ def test_run_trajectory_detects_blowup(tmp_path):
     huge = BallEnsemble(SPEC, state.v.radius, state.v.pos + 1e200, state.v.vel)
     state = HlsmState(huge, state.psi, state.streams, 0.0, 0, state.renorm)
     with pytest.raises(BlowupError):
-        run_trajectory(state, 0.1, 4)
-    rec = run_trajectory(hlsm_state(2, seed=92, dt=0.1, n_steps=8), 0.1, 4,
+        run_trajectory(state, 4)
+    rec = run_trajectory(hlsm_state(2, seed=92, dt=0.1, n_steps=8), 4,
                          observe=lambda s: {"one": 1.0})
     out = tmp_path / "traj.csv"
     rec.to_csv(out)
@@ -535,7 +532,7 @@ def test_blowup_reports_a_start_node_that_is_not_finite():
     pos[0, 0] = np.nan
     state = replace(state, v=BallEnsemble(SPEC, state.v.radius, pos, state.v.vel))
     with pytest.raises(BlowupError) as err:
-        run_trajectory(state, 0.1, 4, stride=2)
+        run_trajectory(state, 4, stride=2)
     assert err.value.time == 0.0
 
 
@@ -546,7 +543,7 @@ def test_hlsm_component_and_meanfield_replica_share_their_convolution():
     a = HlsmState.zero(SPEC, 2, renorm, root_seed=404)
     b = MeanFieldState.zero(SPEC, 3, renorm, root_seed=404)
     for _ in range(5):
-        a, b = step_hlsm(a, 0.1), step_meanfield(b, 0.1)
+        a, b = step_hlsm(a), step_meanfield(b)
     assert not np.all(a.psi.pos == 0)
     assert np.array_equal(a.psi.pos, b.psi.pos[:2])
     assert np.array_equal(a.psi.vel, b.psi.vel[:2])
@@ -565,7 +562,7 @@ def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
         for dealias in (True, False):
             state = system.stationary(SPEC, 2, table(1.0, 0.1, 2), 6, dealias)
             state = replace(state, v=random_ensemble(SPEC, 2, 7, radius=state.v.radius))
-            state = step_hlsm(state, 0.1)
+            state = step_hlsm(state)
             assert np.all(np.isfinite(state.v.pos))
             assert all(np.isfinite(v) for v in cli._run_observables(1.0)(state).values())
     streams = tuple(NoiseStream(8, j, NoiseKind.DRIVE) for j in range(2))
@@ -574,9 +571,8 @@ def test_no_stepper_scatters_to_a_full_grid(monkeypatch):
     step_linear_ensemble(ens, streams, 0, 0.1)
     batch = BallEnsemble(SPEC, 2.0, np.stack([ens.pos, ens.pos]), np.stack([ens.vel, ens.vel]))
     gibbs.evolve_gibbs_samples(batch, 0.3, 0.1, 1, 5)
-    cfg = gibbs.GibbsSamplerConfig(2, 2, 1.0, 0.3, 3, 0, thin=1, acceptance_band=(0.0, 1.0))
-    gibbs.coupled_gibbs_gaussian_pair(SPEC, cfg, 5)
-    gibbs.sample_gibbs(SPEC, cfg, 5)
+    gibbs.coupled_gibbs_gaussian_pair(SPEC, 2, 2, 0.3, 3, 5)
+    gibbs.sample_gibbs(SPEC, gibbs.GibbsSamplerConfig(2, 2, 0.3, 3, 0, thin=1), 5)
     values = [energy_en(ens, 1.0), *difference_norms([ens], [moved], 0.9, 0),
               gibbs.gibbs_potential(ens, 0.3), *gibbs._invariance_observables(batch, 0.3).values()]
     assert all(np.all(np.isfinite(v)) for v in values)

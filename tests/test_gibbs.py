@@ -164,20 +164,20 @@ def test_mala_log_ratio_vanishes_with_step_size():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GibbsSamplerConfig(1, 2, 1.0, -0.1, 100, 10)
-    with pytest.raises(ValueError):
-        GibbsSamplerConfig(1, 2, 1.0, 0.5, 100, 100)
-    with pytest.raises(ValueError):
-        GibbsSamplerConfig(1, 2, 1.0, 0.5, 100, 10, thin=0)
+    with pytest.raises(ValueError, match="step size must be positive"):
+        GibbsSamplerConfig(1, 2, -0.1, 100, 10)
+    with pytest.raises(ValueError, match="burn_in < chain_length"):
+        GibbsSamplerConfig(1, 2, 0.5, 100, 100)
+    with pytest.raises(ValueError, match="thin must be >= 1"):
+        GibbsSamplerConfig(1, 2, 0.5, 100, 10, thin=0)
     with pytest.raises(ValueError, match="at least one component"):
-        GibbsSamplerConfig(0, 2, 1.0, 0.5, 100, 10)
+        GibbsSamplerConfig(0, 2, 0.5, 100, 10)
 
 
+@pytest.mark.filterwarnings("ignore:MALA acceptance")
 def test_sampler_is_deterministic_in_the_seed():
     spec = GridSpec(8, m=1.0)
-    cfg = GibbsSamplerConfig(2, 2, 1.0, 0.6, 60, 20, thin=4,
-                             acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(2, 2, 0.6, 60, 20, thin=4)
     a = sample_gibbs(spec, cfg, root_seed=41)
     b = sample_gibbs(spec, cfg, root_seed=41)
     c = sample_gibbs(spec, cfg, root_seed=42)
@@ -187,12 +187,12 @@ def test_sampler_is_deterministic_in_the_seed():
     assert len(a) == cfg.n_samples
 
 
+@pytest.mark.filterwarnings("ignore:MALA acceptance")
 def test_free_chain_reproduces_equilibrium_variances():
     # interaction off: the target is the exact product Gaussian, so mode
     # variances and velocity variances must match it within Monte Carlo error
     spec = GridSpec(8, m=1.0)
-    cfg = GibbsSamplerConfig(1, 2, 1.0, 0.8, 12000, 2000, thin=1,
-                             interaction=False, acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(1, 2, 0.8, 12000, 2000, thin=1, interaction=False)
     samples = sample_gibbs(spec, cfg, root_seed=7)
     tau = max(integrated_autocorrelation(samples.series), 1.0)
     k_eff = len(samples) / tau
@@ -266,7 +266,7 @@ def test_interacting_chain_matches_quadrature_oracle():
     assert oracle_x > 1.0 / m
     assert oracle_mode < 1.0 / (m + 1.0)
 
-    cfg = GibbsSamplerConfig(1, M, m, 0.5, 24000, 2000, thin=1)
+    cfg = GibbsSamplerConfig(1, M, 0.5, 24000, 2000, thin=1)
     samples = sample_gibbs(spec, cfg, root_seed=13)
     x_series = samples.mode_values(0, (0, 0)).real
     pair_series = np.abs(samples.mode_values(0, (1, 0))) ** 2
@@ -302,25 +302,16 @@ def test_mode_variance_se_is_that_of_a_real_or_a_complex_mode():
 
 def test_acceptance_warning_outside_band():
     spec = GridSpec(8, m=1.0)
-    cfg = GibbsSamplerConfig(1, 2, 1.0, 2.5, 400, 100, thin=4)
+    cfg = GibbsSamplerConfig(1, 2, 2.5, 400, 100, thin=4)
     with pytest.warns(RuntimeWarning, match="acceptance"):
         sample_gibbs(spec, cfg, root_seed=3)
 
 
-def test_both_chains_reject_a_config_mass_other_than_the_grids():
-    spec = GridSpec(16, 1.0)
-    cfg = GibbsSamplerConfig(2, 2, 2.0, 0.3, 5, 0)
-    for chain in (sample_gibbs, coupled_gibbs_gaussian_pair):
-        with pytest.raises(ValueError, match="config mass 2.0 != grid mass 1.0"):
-            chain(spec, cfg, root_seed=1)
-
-
 def test_coupled_pair_free_chain_is_the_linear_recursion():
     spec = GridSpec(8, m=1.0)
-    cfg = GibbsSamplerConfig(2, 2, 1.0, 0.5, 50, 0, thin=1)
-    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21)
+    M, h = 2, 0.5
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, 2, M, h, 50, root_seed=21)
 
-    M, h = cfg.truncation, cfg.step_size
     inv_w = 1.0 / spec.dispersion.reshape(-1)[_ball_index(spec.n_grid, float(M))]
     pos = np.stack([
         _sample_profile(NoiseStream(21, j, NoiseKind.INITIAL).generator(0), spec, M, inv_w)
@@ -344,10 +335,9 @@ def full_grid_grad(pos, spec, alpha, truncation):
     return -_unpack(drift, spec, idx)
 
 
-def full_grid_pair(spec, cfg, root_seed):
+def full_grid_pair(spec, n, M, h, length, root_seed):
     """The full-grid loop that ran before the chains were packed on the ball,
     with the pCN factor of the packed chains."""
-    n, M, h = cfg.n_components, cfg.truncation, cfg.step_size
     mask = ball_mask(spec, M)
     prof = inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
     alpha = alpha_m(spec.m, M)
@@ -356,7 +346,7 @@ def full_grid_pair(spec, cfg, root_seed):
     pos_a = stationary_ensemble(spec, M, root_seed, n).full()[0]
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
-    for it in range(cfg.chain_length):
+    for it in range(length):
         gen = innovations.generator(it)
         z = np.stack([sample_profile_full_grid(gen, spec, M, prof) for _ in range(n)])
         grad = full_grid_grad(pos_a, spec, alpha, float(M))
@@ -372,9 +362,8 @@ def full_grid_pair(spec, cfg, root_seed):
 def test_coupled_pair_matches_the_full_grid_ula_loop(n_grid, n, M, h, length):
     # packing both chains on the ball must not move a bit of either chain
     spec = GridSpec(n_grid, m=1.0)
-    cfg = GibbsSamplerConfig(n, M, 1.0, h, length, 0, thin=1)
-    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=21)
-    full = full_grid_pair(spec, cfg, 21)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, n, M, h, length, root_seed=21)
+    full = full_grid_pair(spec, n, M, h, length, 21)
     idx = _ball_index(n_grid, float(M))
     assert not any(np.any(np.delete(a.reshape(n, -1), idx, axis=1)) for a in full)
     pos_a, pos_b, vel = (a.reshape(n, -1)[:, idx] for a in full)
@@ -437,14 +426,14 @@ def full_grid_mala(spec, cfg, root_seed):
     return np.stack(keep_pos), np.asarray(series), accepted / max(proposed, 1)
 
 
+@pytest.mark.filterwarnings("ignore:MALA acceptance")
 @pytest.mark.parametrize("interaction", [True, False])
 def test_sample_gibbs_matches_the_full_grid_mala_loop(interaction):
     # the packed energies sum in another order; the chain must still take
     # the same accept decisions and land on the same bits; the series is
     # the real inverse transform of the half spectrum, as the chain's is
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(3, 3, 1.0, 0.5, 300, 50, thin=5, interaction=interaction,
-                             acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(3, 3, 0.5, 300, 50, thin=5, interaction=interaction)
     samples = sample_gibbs(spec, cfg, root_seed=31)
     positions, series, accept_rate = full_grid_mala(spec, cfg, 31)
     assert 0.0 < accept_rate < 1.0
@@ -477,8 +466,7 @@ def test_coupled_pair_free_side_keeps_the_equilibrium_variances():
     # b <- beta b + h z with z ~ N(0, C) keeps N(0, C) only when beta^2 + h^2 = 1;
     # beta = 1 - h^2/2 widens it to C / (1 - h^2/4), 1.067 C at h = 0.5
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(2048, 3, 1.0, 0.5, 100, 0, thin=1)
-    _, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=7)
+    _, gaussian = coupled_gibbs_gaussian_pair(spec, 2048, 3, 0.5, 100, root_seed=7)
     ratio = np.abs(gaussian.pos) ** 2 * spec.dispersion.reshape(-1)[gaussian.index]
     per_component = np.mean(ratio, axis=1)
     mean = np.mean(per_component)
@@ -488,8 +476,7 @@ def test_coupled_pair_free_side_keeps_the_equilibrium_variances():
 
 def test_coupled_pair_difference_is_small_relative_to_the_fields():
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(16, 3, 1.0, 0.4, 300, 0, thin=1)
-    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=5)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, 16, 3, 0.4, 300, root_seed=5)
     diff = np.sqrt(np.mean(np.abs(gibbs.pos - gaussian.pos) ** 2))
     size = np.sqrt(np.mean(np.abs(gaussian.pos) ** 2))
     assert 0 < diff < 0.35 * size
@@ -501,25 +488,31 @@ def test_coupled_pair_divergence_raises():
     # the unadjusted interacting chain has no rejection step, so an
     # unstable step size must fail loudly instead of returning NaN fields
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(2, 3, 1.0, 1.0, 200, 0, thin=1)
     with pytest.raises(ValueError, match="diverged"):
-        coupled_gibbs_gaussian_pair(spec, cfg, root_seed=3)
+        coupled_gibbs_gaussian_pair(spec, 2, 3, 1.0, 200, root_seed=3)
 
 
-def test_coupled_pair_without_interaction_is_one_chain():
-    # with no drift term the interacting side takes the free side's steps, bit for bit
-    spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(4, 3, 1.0, 0.4, 50, 0, thin=1, interaction=False)
-    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, cfg, root_seed=5)
+@pytest.mark.parametrize("h, iterations, fragment", [
+    (0.0, 5, "step size must be positive"), (-0.1, 5, "step size must be positive"),
+    (1.5, 5, "h <= 1"), (0.5, -1, "iterations >= 0")])
+def test_coupled_pair_checks_its_step_size_and_length(h, iterations, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        coupled_gibbs_gaussian_pair(GridSpec(8, m=1.0), 2, 2, h, iterations, root_seed=1)
+
+
+def test_coupled_pair_of_no_iterations_is_its_equilibrium_start():
+    spec = GridSpec(8, m=1.0)
+    gibbs, gaussian = coupled_gibbs_gaussian_pair(spec, 3, 2, 1.0, 0, root_seed=4)
+    assert np.array_equal(gibbs.pos, stationary_ensemble(spec, 2, 4, 3).pos)
     assert np.array_equal(gibbs.pos, gaussian.pos)
     assert np.array_equal(gibbs.vel, gaussian.vel)
 
 
+@pytest.mark.filterwarnings("ignore:MALA acceptance")
 def test_batched_evolution_matches_per_sample_stepper():
     spec = GridSpec(16, m=1.0)
     k_total, n, M, dt, steps = 2, 3, 3, 0.05, 3
-    cfg = GibbsSamplerConfig(n, M, 1.0, 0.6, 40, 20, thin=10,
-                             acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(n, M, 0.6, 40, 20, thin=10)
     samples = sample_gibbs(spec, cfg, root_seed=17)
     assert len(samples) >= k_total
     alpha = alpha_m(spec.m, M)
@@ -535,10 +528,10 @@ def test_batched_evolution_matches_per_sample_stepper():
         assert np.array_equal(ens.vel, evolved.vel[k])
 
 
+@pytest.mark.filterwarnings("ignore:MALA acceptance")
 def test_invariance_report_is_exact_at_zero_horizon():
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(2, 2, 1.0, 0.6, 400, 100, thin=5,
-                             acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(2, 2, 0.6, 400, 100, thin=5)
     report = invariance_check(spec, cfg, root_seed=23, horizon=0.0, dt=0.1)
     names = {r["observable"] for r in report.rows}
     assert names == {"wick_square_int", "low_mode_energy", "potential"}
@@ -548,10 +541,10 @@ def test_invariance_report_is_exact_at_zero_horizon():
         assert row["mean_t0"] == row["mean_t1"]
 
 
+@pytest.mark.filterwarnings("ignore:MALA acceptance")
 def test_invariance_report_csv_roundtrip(tmp_path):
     spec = GridSpec(16, m=1.0)
-    cfg = GibbsSamplerConfig(2, 2, 1.0, 0.6, 300, 100, thin=10,
-                             acceptance_band=(0.0, 1.0))
+    cfg = GibbsSamplerConfig(2, 2, 0.6, 300, 100, thin=10)
     report = invariance_check(spec, cfg, root_seed=2, horizon=0.2, dt=0.05)
     path = tmp_path / "invariance.csv"
     report.to_csv(path)
