@@ -37,11 +37,13 @@ def sigma_wave_calls(path: Path) -> list:
     """``(line, callee text, callee, call node)`` for every call in ``path`` of a
     name imported from ``sigma_wave``, or of an attribute of one (a classmethod)."""
     tree = ast.parse(path.read_text())
-    names = {alias.asname or alias.name: getattr(importlib.import_module(module), alias.name, None)
-             for module, alias in ((node.module, alias) for node in ast.walk(tree)
-                                   if isinstance(node, ast.ImportFrom) and node.module
-                                   and node.module.partition(".")[0] == "sigma_wave"
-                                   for alias in node.names)}
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.partition(".")[0] == "sigma_wave"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name, None)
     calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
