@@ -32,8 +32,8 @@ from .dynamics import (BlowupError, HlsmState, MeanFieldState, _kick_pair, _step
 from .gibbs import (GibbsSamplerConfig, coupled_gibbs_gaussian_pair,
                     gibbs_vs_gaussian_covariance, invariance_check, sample_gibbs)
 from .grid import (BallEnsemble, GridSpec, SpectralField, _require_ball, _sobolev_norms,
-                   _to_grid, ball_mask, hermitian_defect, load_field, rms, save_field,
-                   write_csv)
+                   _to_grid, _workspace, ball_mask, hermitian_defect, load_field, rms,
+                   save_field, write_csv)
 from .grid import sobolev_norm  # noqa: F401  (unused; a traced site of perfbench/tracer.py)
 from .noise import NoiseKind, NoiseStream, RenormConstants, alpha_m
 
@@ -269,19 +269,22 @@ def coupled_distance(spec: GridSpec, n_components: int, truncation: int, step_si
     The (Gibbs, Gaussian) data pair that ``coupled_gibbs_gaussian_pair`` draws
     from the next five values starts the interacting renormalized wave and the
     free wave, both packed on the noise ball; each step's kicks are drawn once
-    and passed to both, and the two are compared every ``stride`` steps.
+    and passed to both, and the two are compared every ``stride`` steps.  The
+    chain and the steps share one scope of work arrays.
     """
-    a, b = coupled_gibbs_gaussian_pair(spec, n_components, truncation, step_size, iterations, root)
-    streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(n_components))
-    alpha = alpha_m(spec.m, truncation)
-    states_n, states_l = [a], [b]
-    for k in range(n_steps):
-        kick = _kick_pair((len(streams),), streams, k, spec, dt, b.radius)
-        a = step_renormalized_wave(a, streams, k, dt, alpha, kick)
-        b = step_linear_ensemble(b, streams, k, dt, kick)
-        if (k + 1) % stride == 0:
-            states_n.append(a)
-            states_l.append(b)
+    with _workspace():
+        a, b = coupled_gibbs_gaussian_pair(spec, n_components, truncation, step_size,
+                                           iterations, root)
+        streams = tuple(NoiseStream(root, j, NoiseKind.DRIVE) for j in range(n_components))
+        alpha = alpha_m(spec.m, truncation)
+        states_n, states_l = [a], [b]
+        for k in range(n_steps):
+            kick = _kick_pair((len(streams),), streams, k, spec, dt, b.radius)
+            a = step_renormalized_wave(a, streams, k, dt, alpha, kick)
+            b = step_linear_ensemble(b, streams, k, dt, kick)
+            if (k + 1) % stride == 0:
+                states_n.append(a)
+                states_l.append(b)
     return difference_norms(states_n, states_l, s, 0)[0]
 
 

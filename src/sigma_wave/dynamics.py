@@ -30,6 +30,14 @@ ball its drift reads and writes, through real FFTs on the half spectrum
 leaves empty); the conjugate mirror supplies the other half plane.  No
 stepper fills a full ``(n, n)`` coefficient grid.  A step's kicks are drawn
 in one ``_draw_kick`` call, one row per stream.
+
+The drifts keep their grid stacks in work slots (``grid._work``: "u" for the
+stepped stack, "psi" for the convolutions, "product" for the squares) and
+form the products there with ``out=``; each returns a new packed array.
+Inside the work-array scope of a run (:func:`run_trajectory` opens one, as
+do ``cli.coupled_distance`` and each slice of
+``gibbs.evolve_gibbs_samples``) a step allocates no grid-size array; outside
+one the slots are fresh arrays.  The bits are the same either way.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid, write_csv
+from .grid import (BallEnsemble, GridSpec, _ball_index, _to_coeffs, _to_grid, _work,
+                   _workspace, write_csv)
 from .noise import (NoiseKind, NoiseStream, RenormConstants, _ball_tables, _draw_kick,
                     _StepRows, stationary_ensemble)
 from .propagator import duhamel_weights, etd2_step, flow_entries
@@ -95,25 +104,37 @@ def _ball_drift_tables(spec: GridSpec, dt: float, gamma: float, radius: float):
     return out
 
 
+def _grid_values(pos: np.ndarray, n_grid: int, radius: float, slot: str) -> np.ndarray:
+    """Grid values of a packed stack, in work slot ``slot``."""
+    return _to_grid(pos, n_grid, radius,
+                    out=_work(pos.shape[:-1] + (n_grid, n_grid), np.float64, slot))
+
+
 def _ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float, radius: float) -> np.ndarray:
     """Factored six-term coupling for the residual ensemble, in mode space."""
     n, n_grid = v_pos.shape[0], psi.spec.n_grid
-    vg = _to_grid(v_pos, n_grid, radius)
-    pg = _to_grid(psi.pos, n_grid, psi.radius)
-    q = np.mean(vg * vg, axis=0)
-    p = np.mean(pg * vg, axis=0)
-    w = np.mean(pg * pg, axis=0) - c
+    vg = _grid_values(v_pos, n_grid, radius, "u")
+    pg = _grid_values(psi.pos, n_grid, psi.radius, "psi")
+    prod = _work(vg.shape, np.float64, "product")
+    q = np.mean(np.multiply(vg, vg, out=prod), axis=0)
+    p = np.mean(np.multiply(pg, vg, out=prod), axis=0)
+    w = np.mean(np.multiply(pg, pg, out=prod), axis=0) - c
     g = q + 2.0 * p + w - 2.0 * c / n
-    return _to_coeffs(-g[None] * (vg + pg), radius)
+    pg += vg  # -g (vg + pg), in place: + and * commute bit for bit
+    pg *= -g
+    return _to_coeffs(pg, radius)
 
 
 def _meanfield_drift(v_pos: np.ndarray, psi: BallEnsemble, radius: float) -> np.ndarray:
     """Replica-averaged limit drift; every term carries v or a v-average."""
-    vg = _to_grid(v_pos, psi.spec.n_grid, radius)
-    pg = _to_grid(psi.pos, psi.spec.n_grid, psi.radius)
-    a = np.mean(vg * vg, axis=0)
-    b = np.mean(pg * vg, axis=0)
-    return _to_coeffs(-(a + 2.0 * b)[None] * (vg + pg), radius)
+    vg = _grid_values(v_pos, psi.spec.n_grid, radius, "u")
+    pg = _grid_values(psi.pos, psi.spec.n_grid, psi.radius, "psi")
+    prod = _work(vg.shape, np.float64, "product")
+    a = np.mean(np.multiply(vg, vg, out=prod), axis=0)
+    b = np.mean(np.multiply(pg, vg, out=prod), axis=0)
+    pg += vg
+    pg *= -(a + 2.0 * b)
+    return _to_coeffs(pg, radius)
 
 
 def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: float,
@@ -124,10 +145,10 @@ def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: floa
     n = pos.shape[-2]
     own = ug is None
     if own:
-        ug = _to_grid(pos, n_grid, radius)
-    mean_sq = np.mean(ug * ug, axis=-3, keepdims=True)
-    # in place on a stack of its own: one grid stack fewer per call
-    force = np.multiply(ug, -(mean_sq - (n + 2.0) * alpha / n), out=ug if own else None)
+        ug = _grid_values(pos, n_grid, radius, "u")
+    sq = np.multiply(ug, ug, out=_work(ug.shape, np.float64, "product"))
+    mean_sq = np.mean(sq, axis=-3, keepdims=True)
+    force = np.multiply(ug, -(mean_sq - (n + 2.0) * alpha / n), out=ug if own else sq)
     return _to_coeffs(force, radius)
 
 
@@ -371,6 +392,8 @@ def run_trajectory(state, n_steps: int, stride: int = 1, observe=None) -> Trajec
     become the series.  The record keeps the state after the last step as
     ``final``; no other state is held.  Non-finite fields at a recording
     node, the start included, raise :class:`BlowupError`; nothing is clipped.
+    The steps and the recording nodes share one work-array scope
+    (``grid._workspace``), released on return.
     """
     if not isinstance(state, _ResidualState):
         raise TypeError(f"cannot integrate a {type(state).__name__}")
@@ -384,10 +407,11 @@ def run_trajectory(state, n_steps: int, stride: int = 1, observe=None) -> Trajec
         times.append(state.time)
         rows.append(observe(state) if observe else {})
 
-    record(state)
-    for k in range(n_steps):
-        state = step_hlsm(state)
-        if (k + 1) % stride == 0:
-            record(state)
+    with _workspace():
+        record(state)
+        for k in range(n_steps):
+            state = step_hlsm(state)
+            if (k + 1) % stride == 0:
+                record(state)
     series = {name: np.asarray([row[name] for row in rows]) for name in rows[0]}
     return TrajectoryRecord(np.asarray(times), series, state)

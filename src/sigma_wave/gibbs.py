@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BlowupError, _step_count, renormalized_drift, step_renormalized_wave
-from .grid import BallEnsemble, GridSpec, _ball_index, _to_grid, ball_mask, write_csv
+from .grid import (BallEnsemble, GridSpec, _ball_index, _to_grid, _workspace, ball_mask,
+                   write_csv)
 from .noise import NoiseKind, NoiseStream, _sample_ball, alpha_m, stationary_ensemble
 # unused; traced sites of perfbench/tracer.py
 from .noise import _draw_kick, _sample_profile  # noqa: F401
@@ -318,8 +319,9 @@ def evolve_gibbs_samples(ens: BallEnsemble, alpha: float, dt: float, n_steps: in
         lo, hi = bounds
         streams = [NoiseStream(noise_seed, i, NoiseKind.DRIVE) for i in range(lo * n, hi * n)]
         part = ens[lo:hi]
-        for step in range(n_steps):
-            part = step_renormalized_wave(part, streams, step, dt, alpha)
+        with _workspace():  # the slice's own, on the thread that runs it
+            for step in range(n_steps):
+                part = step_renormalized_wave(part, streams, step, dt, alpha)
         return part
 
     slices = max(1, min(slices, k))

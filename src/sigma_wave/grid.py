@@ -23,7 +23,19 @@ integer modes.  Conventions, fixed once here:
   Either way the values are the bits of ``irfft2``/``rfft2``.  Full ``(n, n)``
   coefficient grids remain only for snapshots (:meth:`BallEnsemble.full`
   scatters to them; :class:`SpectralField` is the record of one snapshot
-  file) and for the commutator experiment's plain arrays.
+  file) and for the commutator experiment's plain arrays;
+* the grid-size temporaries of the hot loops are work arrays.  A loop that
+  owns a run (``dynamics.run_trajectory``, ``cli.coupled_distance``, each
+  slice of ``gibbs.evolve_gibbs_samples``) opens a :func:`_workspace` scope
+  on its thread, and inside it ``_work(shape, dtype, slot)`` returns a view
+  of one buffer per slot, grown to the largest request and kept until the
+  outermost scope ends.  The transform pair keeps its half spectrum there
+  and the drifts their grid stacks, so a step allocates no grid-size array
+  and the freed memory is not handed back to the OS and faulted in again
+  each call.  Outside a scope ``_work`` allocates a fresh array, so every
+  other caller allocates as it did and nothing is held after a run.  No
+  work array is returned: ``_to_coeffs``, and ``_to_grid`` without ``out``,
+  give new arrays.
 
 The two file formats live here too: binary snapshots (:func:`save_field`,
 :func:`load_field`) and CSV tables (:func:`write_csv`), which every table
@@ -32,7 +44,10 @@ of the package goes through.
 
 from __future__ import annotations
 
+import math
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -168,8 +183,9 @@ def _half_spectrum_index(n_grid: int, radius: float) -> tuple:
     ball reaches when that is at most half of ``n/2+1`` (the transforms then
     skip the empty columns), else ``n/2+1``.  Returns ``(width, stored,
     half_in)``, the packed positions the half spectrum stores and their flat
-    half positions, and ``(half_out, packed_out, n_direct)`` to read every
-    packed mode back, all but the first ``n_direct`` as conjugate mirrors (the
+    positions in the ``(n, width)`` half spectrum, and ``(half_out,
+    packed_out, n_direct)`` to read every packed mode back from the flat ``(n,
+    n/2+1)`` layout, all but the first ``n_direct`` as conjugate mirrors (the
     lower halves of columns 0 and n/2 too, so the result is exactly
     Hermitian)."""
     n, h = n_grid, n_grid // 2 + 1
@@ -180,9 +196,9 @@ def _half_spectrum_index(n_grid: int, radius: float) -> tuple:
     if 2 * width > h:
         width = h
     direct = stored & ~((j % (n // 2) == 0) & (i > n // 2))
-    mirror = ((-i) % n) * width + (-j) % n
+    mirror = ((-i) % n) * h + (-j) % n
     out = (packed[stored], (i * width + j)[stored],
-           np.concatenate([(i * width + j)[direct], mirror[~direct]]),
+           np.concatenate([(i * h + j)[direct], mirror[~direct]]),
            np.concatenate([packed[direct], packed[~direct]]))
     for arr in out:
         arr.setflags(write=False)
@@ -196,29 +212,78 @@ def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
     return out.reshape(packed.shape[:-1] + spec.shape())
 
 
-def _to_grid(packed: np.ndarray, n: int, radius: float) -> np.ndarray:
+class _Scope(threading.local):
+    depth = 0
+    buffers = None  # slot -> byte buffer, while a scope is open on this thread
+
+
+_scope = _Scope()
+
+
+@contextmanager
+def _workspace():
+    """A scope of reusable work arrays on this thread.  Inside it,
+    :func:`_work` hands out views of one buffer per slot; a nested scope
+    shares the outer one's buffers, and the outermost one's end releases
+    them.  A loop that owns a run opens one, so its steps stop allocating
+    (and page-faulting in) grid-size temporaries."""
+    _scope.depth += 1
+    if _scope.depth == 1:
+        _scope.buffers = {}
+    try:
+        yield
+    finally:
+        _scope.depth -= 1
+        if _scope.depth == 0:
+            _scope.buffers = None
+
+
+def _work(shape: tuple, dtype, slot: str) -> np.ndarray:
+    """An uninitialised C-contiguous ``shape`` array of ``dtype``.  Inside a
+    :func:`_workspace` scope it is a view of ``slot``'s buffer, grown to the
+    largest request and valid until the next request for the slot; outside
+    one it is a fresh array."""
+    if _scope.buffers is None:
+        return np.empty(shape, dtype)
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = _scope.buffers.get(slot)
+    if buf is None or buf.size < nbytes:
+        buf = _scope.buffers[slot] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _to_grid(packed: np.ndarray, n: int, radius: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
-    ball of an ``n x n`` grid: the half spectrum holds their stored modes
-    and zeros elsewhere.  The complex pass along axis -2 runs on the kept
-    columns only and the real pass zero-pads the rest, bit for bit
-    ``irfft2`` of the full half spectrum."""
+    ball of an ``n x n`` grid, written into ``out`` when given: the half
+    spectrum, a work array, holds their stored modes and zeros elsewhere.
+    The complex pass along axis -2 runs in place on the kept columns only and
+    the real pass zero-pads the rest, bit for bit ``irfft2`` of the full half
+    spectrum."""
     width, stored, half = _half_spectrum_index(n, radius)[:3]
     lead = packed.shape[:-1]
-    spec = np.zeros(lead + (n * width,), dtype=np.complex128)
+    spec = _work(lead + (n * width,), np.complex128, "spectrum")
+    spec.fill(0.0)
     spec[..., half] = packed[..., stored]
-    cols = np.fft.ifftn(spec.reshape(lead + (n, width)), axes=(-2,), norm="forward")
-    return np.fft.irfftn(cols, s=(n,), axes=(-1,), norm="forward")
+    cols = spec.reshape(lead + (n, width))
+    np.fft.ifftn(cols, axes=(-2,), norm="forward", out=cols)
+    return np.fft.irfftn(cols, s=(n,), axes=(-1,), norm="forward", out=out)
 
 
 def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
     """The ``|n| <= radius`` coefficients of real ``(..., n, n)`` grid stacks,
-    packed, exactly Hermitian: the real pass along axis -1, the complex pass
-    along axis -2 on the kept columns only (bit for bit ``rfft2``), then the
-    kept modes gathered."""
+    packed, exactly Hermitian, in a new array: the real pass along axis -1
+    into a work array, the complex pass along axis -2 in place on the kept
+    columns only (bit for bit ``rfft2``), then the kept modes gathered from
+    the ``(n, n/2+1)`` layout."""
     n, lead = grid.shape[-1], grid.shape[:-2]
     width, *_, half, packed, n_direct = _half_spectrum_index(n, radius)
-    rows = np.fft.rfftn(grid, axes=(-1,), norm="forward")[..., :width]
-    vals = np.fft.fftn(rows, axes=(-2,), norm="forward").reshape(lead + (-1,))[..., half]
+    spec = _work(lead + (n, n // 2 + 1), np.complex128, "spectrum")
+    np.fft.rfftn(grid, axes=(-1,), norm="forward", out=spec)
+    rows = spec[..., :width]
+    np.fft.fftn(rows, axes=(-2,), norm="forward", out=rows)
+    vals = spec.reshape(lead + (-1,))[..., half]
     np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
     out = np.empty(lead + (packed.size,), dtype=np.complex128)
     out[..., packed] = vals
