@@ -213,7 +213,6 @@ def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
 
 
 class _Scope(threading.local):
-    depth = 0
     buffers = None  # slot -> byte buffer, while a scope is open on this thread
 
 
@@ -227,30 +226,33 @@ def _workspace():
     shares the outer one's buffers, and the outermost one's end releases
     them.  A loop that owns a run opens one, so its steps stop allocating
     (and page-faulting in) grid-size temporaries."""
-    _scope.depth += 1
-    if _scope.depth == 1:
-        _scope.buffers = {}
+    if _scope.buffers is not None:
+        yield
+        return
+    _scope.buffers = {}
     try:
         yield
     finally:
-        _scope.depth -= 1
-        if _scope.depth == 0:
-            _scope.buffers = None
+        _scope.buffers = None
 
 
-def _work(shape: tuple, dtype, slot: str) -> np.ndarray:
-    """An uninitialised C-contiguous ``shape`` array of ``dtype``.  Inside a
-    :func:`_workspace` scope it is a view of ``slot``'s buffer, grown to the
-    largest request and valid until the next request for the slot; outside
-    one it is a fresh array."""
+def _work(shape: tuple, dtype, slot: str, zero: bool = False) -> np.ndarray:
+    """A C-contiguous ``shape`` array of ``dtype``, uninitialised unless
+    ``zero``.  Inside a :func:`_workspace` scope it is a view of ``slot``'s
+    buffer, grown to the largest request and valid until the next request for
+    the slot; outside one it is a fresh array (zeroed by ``calloc``, which
+    leaves the pages nobody writes out of memory)."""
     if _scope.buffers is None:
-        return np.empty(shape, dtype)
+        return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
     buf = _scope.buffers.get(slot)
     if buf is None or buf.size < nbytes:
         buf = _scope.buffers[slot] = np.empty(nbytes, np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
+    out = buf[:nbytes].view(dtype).reshape(shape)
+    if zero:
+        out.fill(0)
+    return out
 
 
 def _to_grid(packed: np.ndarray, n: int, radius: float,
@@ -263,8 +265,7 @@ def _to_grid(packed: np.ndarray, n: int, radius: float,
     spectrum."""
     width, stored, half = _half_spectrum_index(n, radius)[:3]
     lead = packed.shape[:-1]
-    spec = _work(lead + (n * width,), np.complex128, "spectrum")
-    spec.fill(0.0)
+    spec = _work(lead + (n * width,), np.complex128, "spectrum", zero=True)
     spec[..., half] = packed[..., stored]
     cols = spec.reshape(lead + (n, width))
     np.fft.ifftn(cols, axes=(-2,), norm="forward", out=cols)

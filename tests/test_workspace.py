@@ -1,7 +1,6 @@
 """The work arrays of the hot loops: reused inside a scope, never returned,
 released when the run that opened the scope ends."""
 
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -90,29 +89,29 @@ def test_work_buffers_live_as_long_as_the_outermost_scope():
         grown = _work((16, 4), np.float64, "slot")
         assert not np.shares_memory(outer, grown)
         assert np.shares_memory(grown, _work((3,), np.float64, "slot"))
-    assert grid._scope.buffers is None and grid._scope.depth == 0
+    assert grid._scope.buffers is None
 
 
 def test_each_run_loop_opens_its_own_scope_and_releases_it(monkeypatch):
-    depths, work = [], dynamics._work
+    scoped, work = [], dynamics._work
 
     def recording(*args):
-        depths.append((threading.get_ident(), grid._scope.depth))
+        scoped.append(grid._scope.buffers is not None)
         return work(*args)
 
     monkeypatch.setattr(dynamics, "_work", recording)
     renorm = RenormConstants.build(1.0, 2, 0.1, 4)
     record = run_trajectory(HlsmState.zero(SPEC, 2, renorm, 3), 4, 2,
-                            observe=lambda s: {"depth": grid._scope.depth})
-    assert list(record.series["depth"]) == [1, 1, 1]
-    assert {d for _, d in depths} == {1} and grid._scope.buffers is None
+                            observe=lambda s: {"scoped": grid._scope.buffers is not None})
+    assert list(record.series["scoped"]) == [True] * 3
+    assert scoped and all(scoped) and grid._scope.buffers is None
 
-    depths.clear()
+    scoped.clear()
     cli.coupled_distance(SPEC, 2, 2, 0.3, 3, 5, 0.1, 2, 1, 0.9)
-    assert depths and {d for _, d in depths} == {1} and grid._scope.buffers is None
+    assert scoped and all(scoped) and grid._scope.buffers is None
 
     # a thread_map worker's scope is its own, and ends with its slice
-    depths.clear()
+    scoped.clear()
     ens = random_ensemble(SPEC, 2, 9, truncation=2.0, radius=2.0)
     batch = BallEnsemble(SPEC, 2.0, np.stack([ens.pos] * 4), np.stack([ens.vel] * 4))
     left = []
@@ -127,7 +126,7 @@ def test_each_run_loop_opens_its_own_scope_and_releases_it(monkeypatch):
     gibbs.evolve_gibbs_samples(batch, 0.3, 0.1, 2, 5, slices=2,
                                map_fn=lambda fn, items: cli.thread_map(slice_then_look(fn),
                                                                        items, 2))
-    assert {d for _, d in depths} == {1} and left == [None, None]
+    assert scoped and all(scoped) and left == [None, None]
     assert grid._scope.buffers is None
 
 
