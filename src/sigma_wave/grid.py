@@ -184,25 +184,22 @@ def _half_spectrum_index(n_grid: int, radius: float) -> tuple:
     skip the empty columns), else ``n/2+1``.  Returns ``(width, stored,
     half_in)``, the packed positions the half spectrum stores and their flat
     positions in the ``(n, width)`` half spectrum, and ``(half_out,
-    packed_out, n_direct)`` to read every packed mode back from the flat ``(n,
-    n/2+1)`` layout, all but the first ``n_direct`` as conjugate mirrors (the
-    lower halves of columns 0 and n/2 too, so the result is exactly
-    Hermitian)."""
+    mirrored)``, the flat position in the ``(n, n/2+1)`` layout that each
+    packed mode is read back from and whether it is read as the conjugate of
+    its mirror (the lower halves of columns 0 and n/2 too, so the result is
+    exactly Hermitian)."""
     n, h = n_grid, n_grid // 2 + 1
     i, j = np.divmod(_ball_index(n_grid, float(radius)), n)
-    packed = np.arange(i.size)
     stored = j < h
     width = int(j[stored].max()) + 1 if stored.any() else 1
     if 2 * width > h:
         width = h
-    direct = stored & ~((j % (n // 2) == 0) & (i > n // 2))
-    mirror = ((-i) % n) * h + (-j) % n
-    out = (packed[stored], (i * width + j)[stored],
-           np.concatenate([(i * h + j)[direct], mirror[~direct]]),
-           np.concatenate([packed[direct], packed[~direct]]))
+    mirrored = ~stored | ((j % (n // 2) == 0) & (i > n // 2))
+    out = (np.flatnonzero(stored), (i * width + j)[stored],
+           np.where(mirrored, ((-i) % n) * h + (-j) % n, i * h + j), mirrored)
     for arr in out:
         arr.setflags(write=False)
-    return (width,) + out + (int(np.sum(direct)),)
+    return (width,) + out
 
 
 def _unpack(packed: np.ndarray, spec: GridSpec, idx: np.ndarray) -> np.ndarray:
@@ -260,15 +257,17 @@ def _to_grid(packed: np.ndarray, n: int, radius: float,
     """Grid values of ``(..., n_ball)`` stacks packed on the ``|n| <= radius``
     ball of an ``n x n`` grid, written into ``out`` when given: the half
     spectrum, a work array, holds their stored modes and zeros elsewhere.
-    The complex pass along axis -2 runs in place on the kept columns only and
-    the real pass zero-pads the rest, bit for bit ``irfft2`` of the full half
+    The complex pass along axis -2 runs on the kept columns only and the real
+    pass zero-pads the rest, bit for bit ``irfft2`` of the full half
     spectrum."""
     width, stored, half = _half_spectrum_index(n, radius)[:3]
     lead = packed.shape[:-1]
     spec = _work(lead + (n * width,), np.complex128, "spectrum", zero=True)
     spec[..., half] = packed[..., stored]
-    cols = spec.reshape(lead + (n, width))
-    np.fft.ifftn(cols, axes=(-2,), norm="forward", out=cols)
+    # the slot again: the complex pass in place inside a scope, into a new
+    # array outside one, where nothing is reused
+    cols = np.fft.ifftn(spec.reshape(lead + (n, width)), axes=(-2,), norm="forward",
+                        out=_work(lead + (n, width), np.complex128, "spectrum"))
     return np.fft.irfftn(cols, s=(n,), axes=(-1,), norm="forward", out=out)
 
 
@@ -279,16 +278,13 @@ def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
     columns only (bit for bit ``rfft2``), then the kept modes gathered from
     the ``(n, n/2+1)`` layout."""
     n, lead = grid.shape[-1], grid.shape[:-2]
-    width, *_, half, packed, n_direct = _half_spectrum_index(n, radius)
+    width, _, _, half, mirrored = _half_spectrum_index(n, radius)
     spec = _work(lead + (n, n // 2 + 1), np.complex128, "spectrum")
     np.fft.rfftn(grid, axes=(-1,), norm="forward", out=spec)
     rows = spec[..., :width]
     np.fft.fftn(rows, axes=(-2,), norm="forward", out=rows)
-    vals = spec.reshape(lead + (-1,))[..., half]
-    np.conjugate(vals[..., n_direct:], out=vals[..., n_direct:])
-    out = np.empty(lead + (packed.size,), dtype=np.complex128)
-    out[..., packed] = vals
-    return out
+    out = spec.reshape(lead + (-1,))[..., half]
+    return np.conjugate(out, out=out, where=mirrored)
 
 
 class SpectralField:
