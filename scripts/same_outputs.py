@@ -15,7 +15,9 @@ PARENT and CHANGE are the roots of two checkouts.  Each runs, with its own
 Each run has its own temporary working directory and writes to the same
 relative output directory, so the manifests compare equal too.  Every file
 whose bytes differ is listed, with the largest difference between the
-numbers of a CSV relative to the largest magnitude in their column, and so
+numbers of a CSV relative to the largest magnitude in their column, or
+between the coefficients of a ``.sgwv`` field snapshot relative to the
+largest coefficient of PARENT's, and so
 is every file present on one side only, every demo whose output differs and
 every run that fails.  Exits 1 when anything differs, else 0.  Standard
 library only.
@@ -24,10 +26,12 @@ library only.
 from __future__ import annotations
 
 import argparse
+import cmath
 import filecmp
 import importlib.util
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -86,6 +90,31 @@ def csv_difference(a: Path, b: Path) -> float:
     return max((d / scale[col] for col, d in diffs if scale[col] > 0), default=0.0)
 
 
+def _coefficients(raw: bytes) -> list:
+    """The complex coefficients of a snapshot's ``<c16`` payload, after its
+    16-byte header."""
+    values = struct.unpack(f"<{(len(raw) - 16) // 8}d", raw[16:])
+    return [complex(re, im) for re, im in zip(values[::2], values[1::2])]
+
+
+def field_difference(a: Path, b: Path) -> float:
+    """Largest ``|a - b|`` over the coefficients of two field snapshots,
+    relative to the largest ``|a|``; inf when their headers or sizes differ,
+    either holds a non-finite value, or ``a`` is zero and ``b`` is not."""
+    raw_a, raw_b = a.read_bytes(), b.read_bytes()
+    if raw_a[:16] != raw_b[:16] or len(raw_a) != len(raw_b) or len(raw_a) % 16:
+        return float("inf")
+    ca, cb = _coefficients(raw_a), _coefficients(raw_b)
+    if not all(cmath.isfinite(x) for x in ca + cb):
+        return float("inf")
+    diff = max((abs(x - y) for x, y in zip(ca, cb)), default=0.0)
+    scale = max((abs(x) for x in ca), default=0.0)
+    return diff / scale if scale else (float("inf") if diff else 0.0)
+
+
+DIFFERENCE = {".csv": csv_difference, ".sgwv": field_difference}
+
+
 def compare(label: str, dir_a: Path, dir_b: Path) -> list:
     """One line per file that differs between two output directories."""
     names_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
@@ -96,8 +125,8 @@ def compare(label: str, dir_a: Path, dir_b: Path) -> list:
         a, b = dir_a / name, dir_b / name
         if filecmp.cmp(a, b, shallow=False):
             continue
-        detail = f", largest relative difference {csv_difference(a, b):.3g}" \
-            if name.suffix == ".csv" else ""
+        difference = DIFFERENCE.get(name.suffix)
+        detail = f", largest relative difference {difference(a, b):.3g}" if difference else ""
         lines.append(f"{label}/{name}: bytes differ{detail}")
     return lines
 

@@ -7,10 +7,9 @@ integrator (predict with the constant-forcing Duhamel weight, correct with
 the trapezoid weight), giving second order in dt.  The systems differ only
 in how the drift is assembled:
 
-* residual ensemble: the six-term renormalized coupling, which collapses
-  algebraically to ``-(q + 2p + w - 2c/N) (v_j + psi_j)`` with the three
-  ensemble means q = <v^2>, p = <psi v>, w = <H_2(psi; c)>; the tests
-  check the factored form against the unfactored double loop,
+* residual ensemble: the six-term renormalized coupling, which is the
+  renormalized drift below of u = psi + v at ``alpha = sigma_M(t)``, one
+  transform pair; the tests check it against the unfactored double loop,
 * replica mean field: ``-(<v^2> + 2<psi v>) (v_r + psi_r)`` with replica
   averages in place of expectations,
 * renormalized interacting wave in the original variables:
@@ -31,9 +30,10 @@ leaves empty); the conjugate mirror supplies the other half plane.  No
 stepper fills a full ``(n, n)`` coefficient grid.  A step's kicks are drawn
 in one ``_draw_kick`` call, one row per stream.
 
-The drifts keep their grid stacks in work slots (``grid._work``: "u" for the
-stepped stack, "psi" for the convolutions, "product" for the squares) and
-form the products there with ``out=``; each returns a new packed array.
+The drifts keep their stacks in work slots (``grid._work``: "combined" for
+u = psi + v, packed, "u" for the grid values of the stack they step, "psi"
+for the mean field's convolutions, "product" for the squares) and form the
+products there with ``out=``; each returns a new packed array.
 Inside the work-array scope of a run (:func:`run_trajectory` opens one, as
 do ``cli.coupled_distance`` and each slice of
 ``gibbs.evolve_gibbs_samples``) a step allocates no grid-size array; outside
@@ -110,19 +110,23 @@ def _grid_values(pos: np.ndarray, n_grid: int, radius: float, slot: str) -> np.n
                     out=_work(pos.shape[:-1] + (n_grid, n_grid), np.float64, slot))
 
 
+@lru_cache(maxsize=64)
+def _lift_slots(n_grid: int, radius: float, psi_radius: float) -> np.ndarray:
+    """Where the ``|n| <= psi_radius`` modes sit on the packed ``|n| <= radius`` ball."""
+    slots = np.searchsorted(_ball_index(n_grid, radius), _ball_index(n_grid, psi_radius))
+    slots.setflags(write=False)
+    return slots
+
+
 def _ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float, radius: float) -> np.ndarray:
-    """Factored six-term coupling for the residual ensemble, in mode space."""
-    n, n_grid = v_pos.shape[0], psi.spec.n_grid
-    vg = _grid_values(v_pos, n_grid, radius, "u")
-    pg = _grid_values(psi.pos, n_grid, psi.radius, "psi")
-    prod = _work(vg.shape, np.float64, "product")
-    q = np.mean(np.multiply(vg, vg, out=prod), axis=0)
-    p = np.mean(np.multiply(pg, vg, out=prod), axis=0)
-    w = np.mean(np.multiply(pg, pg, out=prod), axis=0) - c
-    g = q + 2.0 * p + w - 2.0 * c / n
-    pg += vg  # -g (vg + pg), in place: + and * commute bit for bit
-    pg *= -g
-    return _to_coeffs(pg, radius)
+    """The six-term coupling ``-(q + 2p + w - 2c/N) (v + psi)`` of the residual
+    ensemble, q = <v^2>, p = <psi v>, w = <psi^2> - c, in mode space.  It is
+    ``-(<u^2> - (N+2) c / N) u`` of u = v + psi, the renormalized drift at
+    ``alpha = c``: psi is lifted onto the ball of v (work slot "combined")."""
+    u = _work(v_pos.shape, np.complex128, "combined")
+    np.copyto(u, v_pos)
+    u[..., _lift_slots(psi.spec.n_grid, radius, psi.radius)] += psi.pos
+    return _renormalized_drift(u, psi.spec.n_grid, c, radius)
 
 
 def _meanfield_drift(v_pos: np.ndarray, psi: BallEnsemble, radius: float) -> np.ndarray:
@@ -144,8 +148,7 @@ def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: floa
     them, is read and left as it is."""
     n = pos.shape[-2]
     own = ug is None
-    if own:
-        ug = _grid_values(pos, n_grid, radius, "u")
+    ug = _grid_values(pos, n_grid, radius, "u") if own else ug
     sq = np.multiply(ug, ug, out=_work(ug.shape, np.float64, "product"))
     mean_sq = np.mean(sq, axis=-3, keepdims=True)
     force = np.multiply(ug, -(mean_sq - (n + 2.0) * alpha / n), out=ug if own else sq)
@@ -214,11 +217,11 @@ class _ResidualState:
 
     def combined(self) -> BallEnsemble:
         """The physical ensemble u = psi + v, on the ball of v."""
-        psi = BallEnsemble.zeros(self.v.spec, self.v.radius, len(self.v))
-        slots = np.searchsorted(self.v.index, self.psi.index)
-        psi.pos[:, slots], psi.vel[:, slots] = self.psi.pos, self.psi.vel
-        return BallEnsemble(self.v.spec, self.v.radius, self.v.pos + psi.pos,
-                            self.v.vel + psi.vel)
+        pos, vel = self.v.pos.copy(), self.v.vel.copy()
+        slots = _lift_slots(self.v.spec.n_grid, self.v.radius, self.psi.radius)
+        pos[:, slots] += self.psi.pos
+        vel[:, slots] += self.psi.vel
+        return BallEnsemble(self.v.spec, self.v.radius, pos, vel)
 
 
 class HlsmState(_ResidualState):

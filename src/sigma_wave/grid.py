@@ -18,9 +18,9 @@ integer modes.  Conventions, fixed once here:
   ``(..., N, n_ball)`` stacks on a mode ball.  ``_to_grid`` and ``_to_coeffs``
   move such stacks to grid values and back through real FFTs on the half
   spectrum, one axis at a time; steppers, drifts, chains and observables all
-  read them so.  A ball that reaches at most half of the ``n/2+1``
-  half-spectrum columns has its complex pass run on those columns only.
-  Either way the values are the bits of ``irfft2``/``rfft2``.  Full ``(n, n)``
+  read them so.  Every ball's complex pass runs on the half-spectrum columns
+  it reaches, all ``n/2+1`` of them only for a ball that reaches the Nyquist
+  column, and the values are the bits of ``irfft2``/``rfft2``.  Full ``(n, n)``
   coefficient grids remain only for snapshots (:meth:`BallEnsemble.full`
   scatters to them; :class:`SpectralField` is the record of one snapshot
   file) and for the commutator experiment's plain arrays;
@@ -179,21 +179,18 @@ def _ball_index(n_grid: int, radius: float) -> np.ndarray:
 def _half_spectrum_index(n_grid: int, radius: float) -> tuple:
     """Where the ``|n| <= radius`` modes, packed in ``_ball_index`` order, sit in
     the half spectrum ``(n, width)``: the first ``width`` columns of the
-    ``rfft2`` ``(n, n/2+1)`` layout.  ``width`` is the number of columns the
-    ball reaches when that is at most half of ``n/2+1`` (the transforms then
-    skip the empty columns), else ``n/2+1``.  Returns ``(width, stored,
-    half_in)``, the packed positions the half spectrum stores and their flat
-    positions in the ``(n, width)`` half spectrum, and ``(half_out,
-    mirrored)``, the flat position in the ``(n, n/2+1)`` layout that each
-    packed mode is read back from and whether it is read as the conjugate of
-    its mirror (the lower halves of columns 0 and n/2 too, so the result is
-    exactly Hermitian)."""
+    ``rfft2`` ``(n, n/2+1)`` layout, ``width`` the columns the ball reaches,
+    to which every ball's complex passes are confined.  Returns ``(width,
+    stored, half_in)``, the packed positions the half spectrum stores and
+    their flat positions in the ``(n, width)`` half spectrum, and
+    ``(half_out, mirrored)``, the flat position in the ``(n, n/2+1)`` layout
+    that each packed mode is read back from and whether it is read as the
+    conjugate of its mirror (the lower halves of columns 0 and n/2 too, so
+    the result is exactly Hermitian)."""
     n, h = n_grid, n_grid // 2 + 1
     i, j = np.divmod(_ball_index(n_grid, float(radius)), n)
     stored = j < h
     width = int(j[stored].max()) + 1 if stored.any() else 1
-    if 2 * width > h:
-        width = h
     mirrored = ~stored | ((j % (n // 2) == 0) & (i > n // 2))
     out = (np.flatnonzero(stored), (i * width + j)[stored],
            np.where(mirrored, ((-i) % n) * h + (-j) % n, i * h + j), mirrored)

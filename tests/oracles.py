@@ -11,7 +11,7 @@ import numpy as np
 from sigma_wave.diagnostics import energy_en
 from sigma_wave.dynamics import HlsmState
 from sigma_wave.grid import (BallEnsemble, GridSpec, _ball_index, _ball_mask, _bracket_pow,
-                             _i_profile, _mode_vectors, ball_mask)
+                             _i_profile, _mode_vectors, _to_coeffs, _to_grid, ball_mask)
 from sigma_wave.noise import RenormConstants
 from sigma_wave.wick import hermite
 
@@ -72,6 +72,19 @@ def hlsm_rhs_reference(state: HlsmState) -> np.ndarray:
                     + h2k * vj + 2.0 * vk * pair_kj + triple_kj)
         out[j] = -acc / n
     return np.fft.fft2(out, norm="forward").reshape(n, -1)[:, state.v.index]
+
+
+def factored_ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float,
+                            radius: float) -> np.ndarray:
+    """The six-term coupling of the residual ensemble in its factored form,
+    ``-(q + 2p + w - 2c/N) (v + psi)`` with q = <v^2>, p = <psi v> and
+    w = <psi^2> - c: v and psi each taken to the grid, the three means formed
+    there, packed alike on the ``|n| <= radius`` ball of v."""
+    n, n_grid = v_pos.shape[-2], psi.spec.n_grid
+    vg, pg = _to_grid(v_pos, n_grid, radius), _to_grid(psi.pos, n_grid, psi.radius)
+    q, p = np.mean(vg * vg, axis=0), np.mean(pg * vg, axis=0)
+    w = np.mean(pg * pg, axis=0) - c
+    return _to_coeffs(-(q + 2.0 * p + w - 2.0 * c / n) * (vg + pg), radius)
 
 
 def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) -> float:

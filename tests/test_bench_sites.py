@@ -110,12 +110,13 @@ def test_every_drift_transforms_through_the_traced_real_ffts(monkeypatch):
     once = dict.fromkeys(TO_GRID + TO_COEFFS, 1)
     assert counts_of(calls, lambda: dynamics.renormalized_drift(ens, 0.2)) == once
     renorm = RenormConstants.build(1.0, 3, 0.1, 4)
-    for system in (dynamics.HlsmState, dynamics.MeanFieldState):
-        # v and psi to the grid, the drift back
+    # the HLSM drift takes u = v + psi to the grid and the drift back; the
+    # mean field takes v and psi to the grid, the drift back
+    for system, to_grid in ((dynamics.HlsmState, 1), (dynamics.MeanFieldState, 2)):
         state = system.zero(spec, n, renorm, root_seed=2)
         state = replace(state, v=ball_ensemble(spec, pos, pos, state.v.radius), psi=ens)
         assert counts_of(calls, lambda: residual_drift(state)) == {
-            "ifftn": 2, "irfftn": 2, "rfftn": 1, "fftn": 1}
+            "ifftn": to_grid, "irfftn": to_grid, "rfftn": 1, "fftn": 1}
     streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(n)]
     assert counts_of(calls, lambda: dynamics.step_renormalized_wave(
         ens, streams, 0, 0.1, 0.2)) == dict.fromkeys(once, 2)
@@ -148,11 +149,26 @@ def test_lln_estimator_and_the_residual_step_use_real_ffts_only(monkeypatch):
     assert counts_of(calls, lambda: diagnostics.lln_estimator(
         GridSpec(16, 1.0), diagnostics._LLN_KINDS, N_list, 2, n_steps * 0.1, reps, 0.1, 5,
         dt=0.1)) == {"irfft2": 3 * nodes, "rfft2": 3 * nodes, "ifftn": nodes, "irfftn": nodes}
-    spec = GridSpec(16, 1.0)
-    state = dynamics.HlsmState.stationary(spec, 2, RenormConstants.build(1.0, 3, 0.1, 2), 4)
-    # per stage: v to the grid and back, psi to the grid
-    assert counts_of(calls, lambda: dynamics.step_hlsm(state)) == {
-        "ifftn": 4, "irfftn": 4, "rfftn": 2, "fftn": 2}
+    spec, renorm = GridSpec(16, 1.0), RenormConstants.build(1.0, 3, 0.1, 2)
+    # per stage: u = v + psi to the grid and back for the HLSM; v to the
+    # grid and back and psi to the grid for the mean field
+    for system, to_grid in ((dynamics.HlsmState, 2), (dynamics.MeanFieldState, 4)):
+        state = system.stationary(spec, 2, renorm, 4)
+        assert counts_of(calls, lambda: dynamics.step_hlsm(state)) == {
+            "ifftn": to_grid, "irfftn": to_grid, "rfftn": 2, "fftn": 2}
+
+
+def test_the_hlsm_step_looks_its_drift_up_by_the_traced_name(monkeypatch):
+    # the benchmark's drift-sign break patches dynamics._ensemble_drift; the
+    # HLSM step must call it through that name, at call time
+    # v starts at zero; the stationary convolutions alone drive it
+    state = dynamics.HlsmState.stationary(GridSpec(16, 1.0), 2,
+                                          RenormConstants.build(1.0, 3, 0.1, 2), 4)
+    want = dynamics.step_hlsm(state).v.pos
+    drift = dynamics._ensemble_drift
+    monkeypatch.setattr(dynamics, "_ensemble_drift", lambda *args: -drift(*args))
+    got = dynamics.step_hlsm(state).v.pos
+    assert np.max(np.abs(got - want)) > 1e-6 * np.max(np.abs(want))
 
 
 def test_each_mala_proposal_takes_one_transform_to_the_grid(monkeypatch):

@@ -33,8 +33,8 @@ from sigma_wave.noise import (
 )
 from sigma_wave.wick import hermite
 
-from oracles import (ball_ensemble, draw_kick_full_grid, hlsm_rhs_reference, residual_drift,
-                     zero_renorm)
+from oracles import (ball_ensemble, draw_kick_full_grid, factored_ensemble_drift,
+                     hlsm_rhs_reference, residual_drift, zero_renorm)
 from test_bench_sites import count_traced_ffts
 
 SPEC = GridSpec(16, 1.0)
@@ -104,13 +104,14 @@ def unpruned_transforms(packed, g, n, radius):
 
 
 @pytest.mark.parametrize("n_grid, radius, pruned", [
-    (16, -1.0, True), (16, 0.0, True), (16, 3.0, True), (16, 4.0, False),
-    (32, 7.0, True), (32, 8.0, False), (64, 8.0, True), (64, 64 / 3, False),
-    (128, 31.0, True), (128, 32.0, False), (16, np.inf, False)])
+    (16, -1.0, True), (16, 0.0, True), (16, 3.0, True), (16, 4.0, True),
+    (32, 7.0, True), (32, 8.0, True), (64, 8.0, True), (64, 64 / 3, True),
+    (128, 31.0, True), (128, 32.0, True), (16, np.inf, False)])
 def test_pruned_transforms_equal_the_unpruned_ones_bit_for_bit(n_grid, radius, pruned):
-    # a ball that reaches at most half of the n/2+1 half-spectrum columns is
-    # transformed on those columns only; both sides of the rule, and the
-    # empty ball, give the full-width path's bits
+    # every ball is transformed on the half-spectrum columns it reaches, all
+    # n/2+1 of them only when it reaches the Nyquist column; small balls,
+    # balls past half the columns (the dealias balls among them), the empty
+    # ball and every mode give the full-width path's bits
     width = grid._half_spectrum_index(n_grid, radius)[0]
     assert (width < n_grid // 2 + 1) == pruned
     idx = _ball_index(n_grid, radius)
@@ -143,6 +144,19 @@ def test_factored_rhs_matches_double_loop():
         got = residual_drift(state)
         ref = hlsm_rhs_reference(state)
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_ensemble_drift_is_the_factored_six_term_coupling():
+    # one transform of u = v + psi gives the drift of v and psi transformed
+    # apart, to rounding, at the hlsm-trajectory size with stationary psi
+    spec = GridSpec(64, 1.0)
+    state = HlsmState.stationary(spec, 64, RenormConstants.build(1.0, 8, 0.01, 2), root_seed=3)
+    v = random_ensemble(spec, 64, 4, truncation=spec.dealias_radius, radius=state.v.radius)
+    c = state.renorm.sigma_at(0)
+    assert c > 0
+    got = _ensemble_drift(v.pos, state.psi, c, v.radius)
+    want = factored_ensemble_drift(v.pos, state.psi, c, v.radius)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_single_component_rhs_is_wick_cubic():

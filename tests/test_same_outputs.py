@@ -7,7 +7,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from sigma_wave.grid import GridSpec, SpectralField, save_field
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -116,6 +119,29 @@ def test_a_cell_difference_is_relative_to_its_column(tmp_path):
     assert csv_difference(a, b) == float("inf")
     b.write_text("t,w\n0,0.5\n")
     assert csv_difference(a, b) == float("inf")
+
+
+def test_a_changed_field_snapshot_is_listed_with_its_relative_difference(tmp_path):
+    # the script reads the program's snapshot format with the standard
+    # library; a difference is relative to PARENT's largest coefficient
+    coeffs = np.zeros((4, 4), complex)
+    coeffs[0, 1], coeffs[0, 3] = 2.0 - 1.0j, 2.0 + 1.0j
+    changed = coeffs.copy()
+    changed[0, 1] += 3e-6 + 4e-6j
+    script = load_script()
+    for side, c in (("a", coeffs), ("b", changed)):
+        (tmp_path / side).mkdir()
+        save_field(SpectralField(GridSpec(4, 1.0), c), tmp_path / side / "field_u000.sgwv")
+    a, b = (tmp_path / side / "field_u000.sgwv" for side in "ab")
+    assert script.field_difference(a, b) == pytest.approx(5e-6 / 5 ** 0.5, rel=1e-9)
+    assert script.field_difference(a, a) == 0.0
+    assert script.compare("run", tmp_path / "a", tmp_path / "b") == [
+        "run/field_u000.sgwv: bytes differ, largest relative difference 2.24e-06"]
+    changed[1, 1] = np.nan
+    save_field(SpectralField(GridSpec(4, 1.0), changed), b)
+    assert script.field_difference(a, b) == float("inf")
+    save_field(SpectralField(GridSpec(6, 1.0), np.zeros((6, 6))), b)
+    assert script.field_difference(a, b) == float("inf")
 
 
 def test_the_script_runs_the_criterion_11_config():
