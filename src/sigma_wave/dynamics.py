@@ -25,17 +25,16 @@ with packed kicks: psi and the free ensemble on their noise ball, the
 residual ``v`` on the 2/3-rule ball (every mode without dealiasing), the
 interacting waves on their truncation ball.  The ball a stack carries is the
 ball its drift reads and writes, through real FFTs on the half spectrum
-(``grid._to_grid``/``grid._to_coeffs``, which skip the columns a small ball
+(``grid._to_grid``/``grid._to_coeffs``, which skip the columns the ball
 leaves empty); the conjugate mirror supplies the other half plane.  No
 stepper fills a full ``(n, n)`` coefficient grid.  A step's kicks are drawn
 in one ``_draw_kick`` call, one row per stream.
 
 The drifts keep their stacks in work slots (``grid._work``: "combined" for
-u = psi + v, packed, "u" for the grid values of the stack they step, "psi"
-for the mean field's convolutions, "product" for the squares) and form the
-products there with ``out=``; each returns a new packed array.
-Inside the work-array scope of a run (:func:`run_trajectory` opens one, as
-do ``cli.coupled_distance`` and each slice of
+the packed u = psi + v, "u" and "psi" for grid values, "product" for the
+squares), form the products there with ``out=`` and return new packed
+arrays.  Inside the work-array scope of a run (:func:`run_trajectory` opens
+one, as do ``cli.coupled_distance`` and each slice of
 ``gibbs.evolve_gibbs_samples``) a step allocates no grid-size array; outside
 one the slots are fresh arrays.  The bits are the same either way.
 """
@@ -148,7 +147,8 @@ def _renormalized_drift(pos: np.ndarray, n_grid: int, alpha: float, radius: floa
     them, is read and left as it is."""
     n = pos.shape[-2]
     own = ug is None
-    ug = _grid_values(pos, n_grid, radius, "u") if own else ug
+    if own:
+        ug = _grid_values(pos, n_grid, radius, "u")
     sq = np.multiply(ug, ug, out=_work(ug.shape, np.float64, "product"))
     mean_sq = np.mean(sq, axis=-3, keepdims=True)
     force = np.multiply(ug, -(mean_sq - (n + 2.0) * alpha / n), out=ug if own else sq)

@@ -160,8 +160,8 @@ def test_lln_estimator_and_the_residual_step_use_real_ffts_only(monkeypatch):
 
 def test_the_hlsm_step_looks_its_drift_up_by_the_traced_name(monkeypatch):
     # the benchmark's drift-sign break patches dynamics._ensemble_drift; the
-    # HLSM step must call it through that name, at call time
-    # v starts at zero; the stationary convolutions alone drive it
+    # HLSM step must call it through that name, at call time (v starts at
+    # zero, and the stationary convolutions alone drive it)
     state = dynamics.HlsmState.stationary(GridSpec(16, 1.0), 2,
                                           RenormConstants.build(1.0, 3, 0.1, 2), 4)
     want = dynamics.step_hlsm(state).v.pos
