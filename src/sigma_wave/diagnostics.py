@@ -17,7 +17,8 @@ import numpy as np
 
 from .dynamics import _step_count, step_linear_ensemble
 from .grid import (BallEnsemble, GridSpec, _bracket_pow, _i_profile, _require_ball,
-                   _sobolev_norms, _to_grid, random_field, rms, sobolev_norm)
+                   _sobolev_norms, _to_grid, _work, _workspace, random_field, rms,
+                   sobolev_norm)
 from .noise import NoiseKind, NoiseStream, alpha_m, stationary_ensemble
 
 __all__ = [
@@ -51,10 +52,17 @@ energy_meanfield = energy_en
 
 def _sup_proxy(z: np.ndarray, spec: GridSpec, s: float) -> np.ndarray:
     """Collocation max of ``<grad>^s z`` for real grid values ``z``, along
-    the leading axes, through ``rfft2``/``irfft2``."""
+    the leading axes, through ``rfft2``/``irfft2``.  The half spectrum and
+    the smoothed values are work arrays (``grid._work``), weighted and taken
+    absolute in place; the maxima come back in a new array."""
     w = _bracket_pow(spec.n_grid, float(s))[:, :spec.nyquist + 1]
-    smoothed = np.fft.irfft2(w * np.fft.rfft2(z, norm="forward"), s=spec.shape(), norm="forward")
-    return np.max(np.abs(smoothed), axis=(-2, -1))
+    lead = z.shape[:-2]
+    half = np.fft.rfft2(z, norm="forward",
+                        out=_work(lead + w.shape, np.complex128, "smooth_half"))
+    np.multiply(w, half, out=half)
+    smoothed = np.fft.irfft2(half, s=spec.shape(), norm="forward",
+                             out=_work(lead + spec.shape(), np.float64, "smoothed"))
+    return np.max(np.abs(smoothed, out=smoothed), axis=(-2, -1))
 
 
 def zn_norm(nodes, eps: float, c_values) -> float:
@@ -95,6 +103,35 @@ def zn_norm(nodes, eps: float, c_values) -> float:
 
 _LLN_KINDS = ("wick_square_avg", "wick_triple_avg", "wick_triple_avg_an")
 
+# lln_estimator forms its Wick products on blocks of components whose
+# (B, n, n) float64 grid stack fits this many bytes: 16 components at n_grid 64
+_BLOCK_BYTES = 512 * 1024
+
+
+def _h2_sum(pg: np.ndarray, c: float, blocks) -> np.ndarray:
+    """``sum_k H2(psi_k) = sum_k (psi_k^2 - c)`` over the grid values ``pg``,
+    one block of components at a time (work slot "product"), added in row
+    order: the bits of ``np.sum(pg * pg - c, axis=0)``."""
+    h2_sum = None
+    for b in blocks:
+        t = np.multiply(pg[b], pg[b], out=_work(pg[b].shape, np.float64, "product"))
+        t -= c
+        if h2_sum is None:
+            h2_sum = np.sum(t, axis=0)
+        else:
+            for row in t:
+                h2_sum += row
+    return h2_sum
+
+
+def _triple_block(h2_sum: np.ndarray, pg: np.ndarray, c: float, n: int) -> np.ndarray:
+    """``(sum_k H2(psi_k) psi_j - 2 c psi_j) / N`` for the components ``pg`` of
+    one block, in work slot "product" (``2 c psi_j`` in slot "term")."""
+    z = np.multiply(h2_sum, pg, out=_work(pg.shape, np.float64, "product"))
+    z -= np.multiply(2.0 * c, pg, out=_work(pg.shape, np.float64, "term"))
+    z /= n
+    return z
+
 
 def _mean_row(n: int, norms: np.ndarray) -> dict:
     """``{"N", "mean_norm", "se"}`` over the reps in ``norms``; a single rep
@@ -120,6 +157,13 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
     asks for it alone.  Task (i, rep) owns the components from
     ``(i * reps + rep) * N_list[i]`` on, so ``N_list`` must not decrease, and
     goes through ``map_fn(task, items)``, an order-preserving map.
+
+    A task runs in one ``grid._workspace`` scope.  The grid values are one
+    ``(N, n, n)`` work array; the Wick products are formed, and the
+    per-component triple smoothed, on blocks of components whose grid stack
+    fits ``_BLOCK_BYTES``, in work arrays of the block's size.  The rows are
+    the bits of the products on the whole stack: ``sum_k H2(psi_k)`` adds the
+    components in row order, as the axis-0 sum does.
     """
     kinds = tuple(kinds)
     for kind in kinds:
@@ -132,26 +176,31 @@ def lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
     c = alpha_m(spec.m, truncation)
     times = dt * np.arange(n_steps + 1)
     M = float(truncation)
+    block = max(1, _BLOCK_BYTES // (8 * spec.n_grid ** 2))
 
     def task(item):
         n, base = item
         ens = stationary_ensemble(spec, M, root_seed, n, base)
         streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE) for j in range(n)]
         vals = np.empty((len(kinds), n_steps + 1))
-        for step in range(n_steps + 1):
-            if step > 0:
-                ens = step_linear_ensemble(ens, streams, step - 1, dt)
-            pg = _to_grid(ens.pos, spec.n_grid, ens.radius)
-            h2_sum = np.sum(pg * pg - c, axis=0)
-            for i, kind in enumerate(kinds):
-                if kind == "wick_square_avg":
-                    z = h2_sum / n
-                elif kind == "wick_triple_avg":
-                    z = (h2_sum * pg[0] - 2.0 * c * pg[0]) / n
-                else:
-                    z = (h2_sum[None] * pg - 2.0 * c * pg) / n
-                sup = _sup_proxy(z, spec, -eps)
-                vals[i, step] = rms(sup) if kind == "wick_triple_avg_an" else sup
+        blocks = [slice(lo, min(lo + block, n)) for lo in range(0, n, block)]
+        with _workspace():
+            for step in range(n_steps + 1):
+                if step > 0:
+                    ens = step_linear_ensemble(ens, streams, step - 1, dt)
+                pg = _to_grid(ens.pos, spec.n_grid, ens.radius,
+                              out=_work((n,) + spec.shape(), np.float64, "psi"))
+                h2_sum = _h2_sum(pg, c, blocks)
+                for i, kind in enumerate(kinds):
+                    if kind == "wick_square_avg":
+                        vals[i, step] = _sup_proxy(h2_sum / n, spec, -eps)
+                    elif kind == "wick_triple_avg":
+                        z = (h2_sum * pg[0] - 2.0 * c * pg[0]) / n
+                        vals[i, step] = _sup_proxy(z, spec, -eps)
+                    else:
+                        vals[i, step] = rms(np.concatenate([
+                            _sup_proxy(_triple_block(h2_sum, pg[b], c, n), spec, -eps)
+                            for b in blocks]))
         return np.sqrt(np.trapezoid(vals * vals, times, axis=1))
 
     items = [(n, (n_idx * reps + rep) * n) for n_idx, n in enumerate(N_list)

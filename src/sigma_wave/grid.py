@@ -26,11 +26,13 @@ integer modes.  Conventions, fixed once here:
   file) and for the commutator experiment's plain arrays;
 * the grid-size temporaries of the hot loops are work arrays.  A loop that
   owns a run (``dynamics.run_trajectory``, ``cli.coupled_distance``, each
-  slice of ``gibbs.evolve_gibbs_samples``) opens a :func:`_workspace` scope
-  on its thread, and inside it ``_work(shape, dtype, slot)`` returns a view
-  of one buffer per slot, grown to the largest request and kept until the
-  outermost scope ends.  The transform pair keeps its half spectrum there
-  and the drifts their grid stacks, so a step allocates no grid-size array
+  slice of ``gibbs.evolve_gibbs_samples``, each task of
+  ``diagnostics.lln_estimator``) opens a :func:`_workspace` scope on its
+  thread, and inside it ``_work(shape, dtype, slot)`` returns a view of one
+  buffer per slot, grown to the largest request and kept until the
+  outermost scope ends.  The transform pair keeps its half spectrum there,
+  the drifts their grid stacks and the LLN estimator its grid values, Wick
+  products and sup-proxy transforms, so a step allocates no grid-size array
   and the freed memory is not handed back to the OS and faulted in again
   each call.  Outside a scope ``_work`` allocates a fresh array, so every
   other caller allocates as it did and nothing is held after a run.  No

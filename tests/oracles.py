@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sigma_wave.diagnostics import energy_en
-from sigma_wave.dynamics import HlsmState
+from sigma_wave.diagnostics import _mean_row, energy_en
+from sigma_wave.dynamics import HlsmState, _step_count, step_linear_ensemble
 from sigma_wave.grid import (BallEnsemble, GridSpec, _ball_index, _ball_mask, _bracket_pow,
-                             _i_profile, _mode_vectors, _to_coeffs, _to_grid, ball_mask)
-from sigma_wave.noise import RenormConstants
+                             _i_profile, _mode_vectors, _to_coeffs, _to_grid, ball_mask, rms)
+from sigma_wave.noise import NoiseKind, NoiseStream, RenormConstants, alpha_m, stationary_ensemble
 from sigma_wave.wick import hermite
 
 
@@ -85,6 +85,46 @@ def factored_ensemble_drift(v_pos: np.ndarray, psi: BallEnsemble, c: float,
     q, p = np.mean(vg * vg, axis=0), np.mean(pg * vg, axis=0)
     w = np.mean(pg * pg, axis=0) - c
     return _to_coeffs(-(q + 2.0 * p + w - 2.0 * c / n) * (vg + pg), radius)
+
+
+def unblocked_lln_estimator(spec: GridSpec, kinds, N_list, truncation: int, T: float,
+                            reps: int, eps: float, root_seed: int, dt: float = 0.1) -> dict:
+    """``diagnostics.lln_estimator`` as written before it formed its Wick
+    products block by block: every product on the whole ``(N, n, n)`` grid
+    stack, ``sum_k H2(psi_k)`` one axis-0 sum, and the sup proxy through fresh
+    ``rfft2``/``irfft2`` arrays; the oracle for its rows, bit for bit."""
+    n_steps = _step_count(T, dt)
+    c = alpha_m(spec.m, truncation)
+    times = dt * np.arange(n_steps + 1)
+    w = _bracket_pow(spec.n_grid, -float(eps))[:, :spec.nyquist + 1]
+
+    def sup_proxy(z):
+        smoothed = np.fft.irfft2(w * np.fft.rfft2(z, norm="forward"), s=spec.shape(),
+                                 norm="forward")
+        return np.max(np.abs(smoothed), axis=(-2, -1))
+
+    def task(n, base):
+        ens = stationary_ensemble(spec, float(truncation), root_seed, n, base)
+        streams = [NoiseStream(root_seed, base + j, NoiseKind.DRIVE) for j in range(n)]
+        vals = np.empty((len(kinds), n_steps + 1))
+        for step in range(n_steps + 1):
+            if step > 0:
+                ens = step_linear_ensemble(ens, streams, step - 1, dt)
+            pg = _to_grid(ens.pos, spec.n_grid, ens.radius)
+            h2_sum = np.sum(pg * pg - c, axis=0)
+            for i, kind in enumerate(kinds):
+                if kind == "wick_square_avg":
+                    vals[i, step] = sup_proxy(h2_sum / n)
+                elif kind == "wick_triple_avg":
+                    vals[i, step] = sup_proxy((h2_sum * pg[0] - 2.0 * c * pg[0]) / n)
+                else:
+                    vals[i, step] = rms(sup_proxy((h2_sum[None] * pg - 2.0 * c * pg) / n))
+        return np.sqrt(np.trapezoid(vals * vals, times, axis=1))
+
+    norms = np.asarray([task(n, (n_idx * reps + rep) * n) for n_idx, n in enumerate(N_list)
+                        for rep in range(reps)]).reshape(len(N_list), reps, len(kinds))
+    return {kind: [_mean_row(n, norms[n_idx, :, i]) for n_idx, n in enumerate(N_list)]
+            for i, kind in enumerate(kinds)}
 
 
 def modified_energy(ens: BallEnsemble, m: float, s: float, truncation: float) -> float:

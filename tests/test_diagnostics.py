@@ -1,5 +1,7 @@
 """Energies, enhanced-data norms, LLN tables, commutator defects, fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from sigma_wave.diagnostics import (
 from sigma_wave.dynamics import step_deterministic_nlw
 from sigma_wave.grid import BallEnsemble, GridSpec, _bracket_pow, random_field, write_csv
 
-from oracles import (WickContext, ball_ensemble, modified_energy, sup_sobolev_norm, wick_pair,
-                     wick_triple)
+from oracles import (WickContext, ball_ensemble, modified_energy, sup_sobolev_norm,
+                     unblocked_lln_estimator, wick_pair, wick_triple)
+from test_bench_sites import count_traced_ffts, counts_of
 
 
 def random_ensemble(spec, n, seed, amplitude=0.5, truncation=None, decay=2.0, radius=np.inf):
@@ -186,6 +189,49 @@ def test_lln_estimator_kinds_share_one_trajectory():
     assert list(together) == list(_LLN_KINDS)
     for kind in _LLN_KINDS:
         assert together[kind] == lln_estimator(spec, (kind,), *args)[kind]
+
+
+def test_blocked_lln_estimator_gives_the_unblocked_bits():
+    # 16 components to a block at n_grid 64: N = 5 is one partial block, 16
+    # one exact block and 37 two whole blocks and a partial one
+    spec = GridSpec(64, m=1.0)
+    args = (_LLN_KINDS, [5, 16, 37], 8, 0.2, 2, 0.1, 23)
+    assert lln_estimator(spec, *args) == unblocked_lln_estimator(spec, *args)
+
+
+def test_lln_estimator_memory_grows_by_the_grid_values_alone():
+    # bytes, not time: from N 32 to N 128 the traced peak of a one-N call may
+    # grow by psi's grid values (96 more (64, 64) float planes) and little
+    # else; the products on the whole stack grew it by 5.3 times that
+    spec = GridSpec(64, m=1.0)
+    lln_estimator(spec, _LLN_KINDS, [2], 8, 0.1, 1, 0.1, 3)  # the cached tables
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            lln_estimator(spec, _LLN_KINDS, [n], 8, 0.1, 1, 0.1, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(128) - peak(32) < 2.5 * 96 * 64 * 64 * 8
+
+
+def test_the_an_kind_smooths_one_block_at_a_time(monkeypatch):
+    # psi's grid values once per task and node; the per-component triple
+    # takes one rfft2/irfft2 pair per block of 16 components, each other kind
+    # one pair
+    calls = count_traced_ffts(monkeypatch)
+    spec, N_list, n_steps = GridSpec(64, 1.0), [16, 40], 1
+    nodes = n_steps + 1
+    blocks = sum(-(-n // 16) for n in N_list) * nodes
+    for kinds, pairs in ((_LLN_KINDS, 2 * len(N_list) * nodes + blocks),
+                         (("wick_triple_avg_an",), blocks),
+                         (("wick_square_avg", "wick_triple_avg"), 2 * len(N_list) * nodes)):
+        assert counts_of(calls, lambda: lln_estimator(
+            spec, kinds, N_list, 8, n_steps * 0.1, 1, 0.1, 5)) == {
+            "irfft2": pairs, "rfft2": pairs, "ifftn": len(N_list) * nodes,
+            "irfftn": len(N_list) * nodes}
 
 
 def test_commutator_defect_vanishes_inside_the_identity_range():

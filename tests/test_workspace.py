@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from sigma_wave import cli, dynamics, gibbs, grid
+from sigma_wave import cli, diagnostics, dynamics, gibbs, grid
 from sigma_wave.dynamics import (HlsmState, MeanFieldState, _ensemble_drift, _meanfield_drift,
                                  _renormalized_drift, run_trajectory, step_hlsm,
                                  step_renormalized_wave)
@@ -126,6 +126,29 @@ def test_each_run_loop_opens_its_own_scope_and_releases_it(monkeypatch):
                                                                        items, 2))
     assert scoped and all(scoped) and left == [None, None]
     assert grid._scope.buffers is None
+
+
+def test_lln_estimator_runs_each_task_in_a_scope_and_leaves_none(monkeypatch):
+    scoped, work = [], diagnostics._work
+
+    def recording(*args):
+        scoped.append(grid._scope.buffers is not None)
+        return work(*args)
+
+    monkeypatch.setattr(diagnostics, "_work", recording)
+    diagnostics.lln_estimator(SPEC, diagnostics._LLN_KINDS, [2, 3], 2, 0.2, 2, 0.1, 5,
+                              map_fn=lambda fn, items: cli.thread_map(fn, items, 2))
+    assert scoped and all(scoped) and grid._scope.buffers is None
+
+
+def test_sup_proxy_keeps_its_bits_in_a_scope_and_returns_no_work_array():
+    z = np.random.default_rng(4).standard_normal((5,) + SPEC.shape())
+    stacks = (z, z[:2], z[0])  # a larger request first, then smaller ones
+    want = [np.asarray(diagnostics._sup_proxy(a, SPEC, -0.1)) for a in stacks]
+    with _workspace():
+        got = [np.asarray(diagnostics._sup_proxy(a, SPEC, -0.1)) for a in stacks]
+        assert held_buffers() and not escaped(got)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_a_warm_hlsm_step_allocates_no_grid_temporaries():
