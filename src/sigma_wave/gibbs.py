@@ -5,7 +5,9 @@ The target measure on the mode ball ``|n| <= M`` has density proportional
 to ``exp(-V(u) - K(u))`` against the coefficient Lebesgue measure, where K
 is the Gaussian energy ``(1/2) sum_n (m+|n|^2) |u_n|^2`` (whose marginals
 are exactly the per-mode equilibrium variances) and V is the Wick-
-renormalized quartic interaction with variance parameter ``alpha_m``.
+renormalized quartic interaction with variance parameter ``alpha_m``,
+``V = (1/4N) mean_x :(sum_j u_j^2)^2:`` with the closed-form Wick square of
+the square sum s, ``:s^2: = s^2 - 2(N+2) alpha s + N(N+2) alpha^2``.
 Velocities are independent white noise per mode and are drawn directly.
 
 The sampler is MALA with the per-mode preconditioner ``(m+|n|^2)^{-1}``:
@@ -48,7 +50,7 @@ from .grid import (BallEnsemble, GridSpec, _ball_index, _to_grid, _workspace, ba
 from .noise import NoiseKind, NoiseStream, _sample_ball, alpha_m, stationary_ensemble
 # unused; traced sites of perfbench/tracer.py
 from .noise import _draw_kick, _sample_profile  # noqa: F401
-from .wick import hermite
+from .wick import hermite  # noqa: F401
 
 _ACCEPTANCE_BAND = (0.3, 0.8)  # a MALA chain whose acceptance rate leaves it warns
 
@@ -66,25 +68,21 @@ __all__ = [
 ]
 
 
-def _potential_density(ug: np.ndarray, alpha: float) -> np.ndarray:
-    """Pointwise ``4N`` times the interaction density, summed over axis -3.
-
-    The pairwise double sum over components is ``(sum H_2)^2 - sum H_2^2``
-    pointwise, plus the diagonal fourth Wick powers.
-    """
-    h2 = ug * ug - alpha
-    total = np.sum(h2, axis=-3)
-    off_diag = total * total - np.sum(h2 * h2, axis=-3)
-    return off_diag + np.sum(hermite(4, ug, alpha), axis=-3)
-
-
 def _potential(ug: np.ndarray, alpha: float) -> np.ndarray:
-    """Interaction of ``(..., N, n, n)`` grid values, one per leading index."""
-    return np.mean(_potential_density(ug, alpha), axis=(-2, -1)) / (4.0 * ug.shape[-3])
+    """Interaction of ``(..., N, n, n)`` grid values, one per leading index.
+
+    With ``t = sum_j H_2(u_j) = s - N alpha`` at each grid point, s the square
+    sum, the Wick quartic ``:s^2: = s^2 - 2(N+2) alpha s + N(N+2) alpha^2`` is
+    ``t (t - 4 alpha) - 2 N alpha^2``; centred on its Gaussian mean, it cancels
+    the least.
+    """
+    n = ug.shape[-3]
+    t = np.sum(ug * ug, axis=-3) - n * alpha
+    return (np.mean(t * (t - 4.0 * alpha), axis=(-2, -1)) - 2.0 * n * alpha * alpha) / (4.0 * n)
 
 
 def gibbs_potential(ens: BallEnsemble, alpha: float) -> float:
-    """Renormalized quartic interaction, factored to one pass over components."""
+    """Renormalized quartic interaction, in closed form over components."""
     return float(_potential(_to_grid(ens.pos, ens.spec.n_grid, ens.radius), alpha))
 
 
@@ -142,7 +140,9 @@ class GibbsSamples:
 
 
 def integrated_autocorrelation(series: np.ndarray) -> float:
-    """Initial-positive-sequence estimate of the autocorrelation time."""
+    """Integrated autocorrelation time ``1 + 2 sum rho_k``, summed over single
+    lags k until the first ``rho_k <= 0`` (a truncation rule; Geyer's
+    initial-positive-sequence estimator sums pairs of lags instead)."""
     x = np.asarray(series, dtype=np.float64)
     x = x - np.mean(x)
     var = np.mean(x * x)
@@ -161,24 +161,21 @@ def _gaussian_energy(pos: np.ndarray, w_ball: np.ndarray) -> float:
     return float(0.5 * np.sum(w_ball * (pos.real**2 + pos.imag**2)))
 
 
-def _proposal_exponent(src, dst, grad_src, w_ball, inv_w, h: float) -> float:
-    beta = 1.0 - 0.5 * h * h
-    mean = beta * src - 0.5 * h * h * grad_src * inv_w
-    diff = dst - mean
-    return float(np.sum(w_ball * (diff.real**2 + diff.imag**2)) / (2.0 * h * h))
-
-
 def mala_log_ratio(pos, prop, grad_pos, grad_prop, energy_pos, energy_prop,
                    w_ball, inv_w, h: float) -> float:
     """Log acceptance ratio from energies and the two proposal exponents.
 
     ``log [pi(prop) q(prop -> pos)] / [pi(pos) q(pos -> prop)]`` with
     q the Gaussian proposal density; exponents enter with the forward
-    one positive.
+    one positive.  The residuals d_f, d_b from the two proposal means enter
+    one weighted sum, ``sum w (|d_f|^2 - |d_b|^2) / (2 h^2)``, with
+    ``|d_f|^2 - |d_b|^2 = Re[(d_f + d_b) conj(d_f - d_b)]``.
     """
-    return (energy_pos - energy_prop
-            + _proposal_exponent(pos, prop, grad_pos, w_ball, inv_w, h)
-            - _proposal_exponent(prop, pos, grad_prop, w_ball, inv_w, h))
+    beta, shift = 1.0 - 0.5 * h * h, 0.5 * h * h
+    d_f = prop - (beta * pos - shift * grad_pos * inv_w)
+    d_b = pos - (beta * prop - shift * grad_prop * inv_w)
+    sq = ((d_f + d_b) * (d_f - d_b).conj()).real
+    return energy_pos - energy_prop + float(np.sum(w_ball * sq)) / (2.0 * h * h)
 
 
 def _ball_grad(pos: np.ndarray, spec: GridSpec, alpha: float, truncation: float,
@@ -205,8 +202,9 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     """Run one MALA chain and return thinned (position, velocity) samples.
 
     The state is a packed ``(N, n_ball)`` stack; one ``_to_grid`` per proposal
-    serves the potential, the gradient and the ``series`` value (component
-    0's Wick square).
+    serves the potential, the gradient and the ``series`` value, component
+    0's spatial mean of ``u^2 - alpha``: its Wick square with ``alpha_M``, and
+    the plain square (alpha = 0) with ``interaction=False``.
     Velocities are exact independent draws, so only positions are chained.
     Warns when the post-burn-in acceptance rate leaves ``_ACCEPTANCE_BAND``.
     """
@@ -288,10 +286,10 @@ def coupled_gibbs_gaussian_pair(spec: GridSpec, n_components: int, truncation: i
     pos_b = pos_a.copy()
     innovations = NoiseStream(root_seed, 0, NoiseKind.CHAIN)
     for it in range(iterations):
-        z = _sample_ball(innovations.generator(it), spec, M, inv_w, n)
+        hz = h * _sample_ball(innovations.generator(it), spec, M, inv_w, n)
         grad = _ball_grad(pos_a, spec, alpha, float(M))
-        pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + h * z
-        pos_b = beta * pos_b + h * z
+        pos_a = beta * pos_a - 0.5 * h * h * grad * inv_w + hz
+        pos_b = beta * pos_b + hz
 
     if not np.all(np.isfinite(pos_a)):
         # unadjusted proposals have no rejection safety net for the cubic drift

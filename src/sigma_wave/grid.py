@@ -265,7 +265,7 @@ def _to_grid(packed: np.ndarray, n: int, radius: float,
     spec[..., half] = packed[..., stored]
     # the slot again: the complex pass in place inside a scope, into a new
     # array outside one, where nothing is reused
-    cols = np.fft.ifftn(spec.reshape(lead + (n, width)), axes=(-2,), norm="forward",
+    cols = np.fft.ifftn(spec.reshape(lead + (n, width)), s=(n,), axes=(-2,), norm="forward",
                         out=_work(lead + (n, width), np.complex128, "spectrum"))
     return np.fft.irfftn(cols, s=(n,), axes=(-1,), norm="forward", out=out)
 
@@ -279,9 +279,9 @@ def _to_coeffs(grid: np.ndarray, radius: float) -> np.ndarray:
     n, lead = grid.shape[-1], grid.shape[:-2]
     width, _, _, half, mirrored = _half_spectrum_index(n, radius)
     spec = _work(lead + (n, n // 2 + 1), np.complex128, "spectrum")
-    np.fft.rfftn(grid, axes=(-1,), norm="forward", out=spec)
+    np.fft.rfftn(grid, s=(n,), axes=(-1,), norm="forward", out=spec)
     rows = spec[..., :width]
-    np.fft.fftn(rows, axes=(-2,), norm="forward", out=rows)
+    np.fft.fftn(rows, s=(n,), axes=(-2,), norm="forward", out=rows)
     out = spec.reshape(lead + (-1,))[..., half]
     return np.conjugate(out, out=out, where=mirrored)
 

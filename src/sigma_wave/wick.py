@@ -2,12 +2,13 @@
 
 A Wick power subtracts from a power of a Gaussian field exactly the
 contractions that would make its expectation blow up as the truncation is
-removed.  On the grid this is pointwise: the Gibbs potential evaluates
-:func:`hermite` with the matching variance parameter at the grid values of
-packed stacks, and the drifts and estimators write the same polynomials out
-in factored form.  The variance parameter is ``sigma_m(t)`` for fields
-produced by the running convolution and ``alpha_m`` for equilibrium fields;
-picking the wrong one leaves an O(1) bias that the mean-zero tests catch.
+removed.  On the grid this is pointwise: the drifts, the estimators and the
+Gibbs potential (the Wick square of the components' square sum) write these
+polynomials out in factored or closed form at the grid values of packed
+stacks, and the tests check them against :func:`hermite`.  The variance
+parameter is ``sigma_m(t)`` for fields produced by the running convolution
+and ``alpha_m`` for equilibrium fields; picking the wrong one leaves an O(1)
+bias that the mean-zero tests catch.
 
 The scalar variance ignores the tiny anisotropy of the discrete-mode sum
 near the Nyquist shell; at the truncations used here the mismatch is far

@@ -41,6 +41,23 @@ def gibbs_potential_reference(ens: BallEnsemble, alpha: float) -> float:
     return float(np.mean(acc) / (4.0 * n))
 
 
+def _proposal_exponent(src, dst, grad_src, w_ball, inv_w, h: float) -> float:
+    beta = 1.0 - 0.5 * h * h
+    mean = beta * src - 0.5 * h * h * grad_src * inv_w
+    diff = dst - mean
+    return float(np.sum(w_ball * (diff.real**2 + diff.imag**2)) / (2.0 * h * h))
+
+
+def reference_mala_log_ratio(pos, prop, grad_pos, grad_prop, energy_pos, energy_prop,
+                             w_ball, inv_w, h: float) -> float:
+    """The MALA log acceptance ratio from energies and two separate proposal
+    exponents, each a full weighted sum of its own; the oracle of the
+    one-pass ``gibbs.mala_log_ratio``."""
+    return (energy_pos - energy_prop
+            + _proposal_exponent(pos, prop, grad_pos, w_ball, inv_w, h)
+            - _proposal_exponent(prop, pos, grad_prop, w_ball, inv_w, h))
+
+
 def residual_drift(state) -> np.ndarray:
     """Drift of either residual system (``HlsmState`` or ``MeanFieldState``)
     at its current step, packed on the ball of ``v``."""

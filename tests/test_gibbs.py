@@ -24,7 +24,8 @@ from sigma_wave.grid import BallEnsemble, GridSpec, _ball_index, _unpack, ball_m
 from sigma_wave.noise import (NoiseKind, NoiseStream, _sample_ball, _sample_profile, alpha_m,
                               stationary_ensemble)
 
-from oracles import ball_ensemble, gibbs_potential_reference, sample_profile_full_grid
+from oracles import (ball_ensemble, gibbs_potential_reference, reference_mala_log_ratio,
+                     sample_profile_full_grid)
 
 
 def random_ensemble(spec, n, seed, amplitude=0.6, truncation=2.0):
@@ -55,6 +56,19 @@ def test_potential_factored_form_matches_double_loop(n):
     a = gibbs_potential(ens, alpha)
     b = gibbs_potential_reference(ens, alpha)
     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_closed_form_potential_matches_double_loop_on_equilibrium_draws(n):
+    # on equilibrium draws the square sum sits near its Gaussian mean N alpha
+    # and the Wick quartic cancels most; the closed form must keep the
+    # double loop's value there as N grows
+    spec, M = GridSpec(16, m=1.0), 2
+    alpha = alpha_m(spec.m, M)
+    for seed in range(3):
+        ens = stationary_ensemble(spec, M, seed, n)
+        want = gibbs_potential_reference(ens, alpha)
+        assert abs(gibbs_potential(ens, alpha) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_drift_matches_finite_differences_of_potential():
@@ -161,6 +175,35 @@ def test_mala_log_ratio_vanishes_with_step_size():
     log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy(pos), energy(prop),
                                w, inv_w, h)
     assert abs(log_ratio) < 1e-6
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.9])
+def test_mala_log_ratio_matches_the_two_exponent_reference(h):
+    # the chain's one-pass ratio against two separately summed proposal
+    # exponents, on packed stacks and on the full grids of the oracle loop
+    spec, n, M = GridSpec(16, m=1.0), 3, 3
+    idx = _ball_index(spec.n_grid, float(M))
+    w = spec.dispersion.reshape(-1)[idx]
+    inv_w = 1.0 / w
+    mask = ball_mask(spec, M)
+    full_w = np.where(mask, spec.dispersion, 0.0)
+    full_inv_w = np.where(mask, 1.0 / spec.dispersion, 0.0)
+    alpha = alpha_m(spec.m, M)
+    gen = np.random.default_rng(17)
+    for _ in range(4):
+        pos = _sample_ball(gen, spec, M, inv_w, n)
+        grad = _ball_grad(pos, spec, alpha, float(M))
+        prop = ((1 - 0.5 * h * h) * pos - 0.5 * h * h * grad * inv_w
+                + h * _sample_ball(gen, spec, M, inv_w, n))
+        grad_prop = _ball_grad(prop, spec, alpha, float(M))
+        energy, energy_prop = (_gaussian_energy(p, w) + gibbs_potential(at_rest(p, spec, M), alpha)
+                               for p in (pos, prop))
+        arrays = (pos, prop, grad, grad_prop)
+        for args in (arrays + (energy, energy_prop, w, inv_w, h),
+                     tuple(_unpack(a, spec, idx) for a in arrays)
+                     + (energy, energy_prop, full_w, full_inv_w, h)):
+            want = reference_mala_log_ratio(*args)
+            assert abs(mala_log_ratio(*args) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_config_validation():
@@ -616,3 +659,14 @@ def test_integrated_autocorrelation_on_known_series():
     tau = integrated_autocorrelation(ar)
     expected = (1 + rho) / (1 - rho)
     assert abs(tau - expected) < 0.25 * expected
+
+
+def test_integrated_autocorrelation_stops_at_the_first_non_positive_lag():
+    # two mean-zero series whose lag-1 autocorrelation is positive, lag 2 is
+    # zero or negative and lag 3 (and rho_2 + rho_3, Geyer's second pair) is
+    # positive again: the sum stops before lag 2, so tau = 1 + 2 rho_1 with
+    # rho_1 = (8/7) / (9/4) = 32/63 and (5/7) / (9/4) = 20/63
+    zero_rho2 = np.array([-2.0, -2.0, 0.0, 0.0, -1.0, 2.0, 2.0, 1.0])
+    negative_rho2 = np.array([-2.0, -2.0, 0.0, 1.0, -1.0, 2.0, 2.0, 0.0])
+    assert integrated_autocorrelation(zero_rho2) == pytest.approx(127 / 63, rel=1e-14)
+    assert integrated_autocorrelation(negative_rho2) == pytest.approx(103 / 63, rel=1e-14)
