@@ -229,11 +229,12 @@ def sample_gibbs(spec: GridSpec, cfg: GibbsSamplerConfig, root_seed: int) -> Gib
     for it in range(cfg.chain_length):
         gen = innovations.generator(it)
         z = _sample_ball(gen, spec, M, inv_w, n)
+        u = gen.uniform()  # now: gen is valid until the thread's next generator call
         prop = beta * pos - 0.5 * h * h * grad * inv_w + h * z
         grad_prop, energy_prop, ug_prop = state_of(prop)
         log_ratio = mala_log_ratio(pos, prop, grad, grad_prop, energy, energy_prop,
                                    w, inv_w, h)
-        accept = bool(np.log(gen.uniform()) < log_ratio)
+        accept = bool(np.log(u) < log_ratio)
         if accept:
             pos, grad, energy, ug = prop, grad_prop, energy_prop, ug_prop
         if it >= cfg.burn_in:

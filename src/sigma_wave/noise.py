@@ -14,7 +14,11 @@ the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
-components or replicas parallelizes without any order dependence.  Every
+components or replicas parallelizes without any order dependence.  Each
+thread owns one ``Generator``, built on its first draw, and every
+:meth:`NoiseStream.generator` call re-keys it to the stream and step, with
+the bits of a fresh build; so a handle is valid until the next call on the
+same thread.  Every
 draw is packed on its mode ball, the ``grid.BallEnsemble`` layout: the
 kicks, with tables gathered once per (grid, dt, ball), and the profile
 draws of :func:`_sample_ball`, whose per-mode variances come packed alike.
@@ -32,6 +36,7 @@ modes ``(+-nyquist, 0)`` onto one slot).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -62,30 +67,72 @@ class NoiseKind(IntEnum):
     FIELD = 5      # generic experiment fields
 
 
+class _Owner(threading.local):
+    """Per thread: the one ``Generator`` that :meth:`NoiseStream.generator`
+    re-keys, built on the thread's first draw, and the Philox state it sets,
+    whose key and counter words each call fills in."""
+
+    gen = None
+
+    def __init__(self):
+        self.key, self.counter = [0, 0], [0, 0, 0, 0]
+        # an empty buffer, as a fresh Philox has, so the first draw starts a block
+        self.state = {"bit_generator": "Philox", "state": {"counter": self.counter, "key": self.key},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+_OWNER = _Owner()
+
+
 @dataclass(frozen=True)
 class NoiseStream:
-    """Keyed source of Gaussian draws; one logical noise per (seed, component, kind)."""
+    """Keyed source of Gaussian draws; one logical noise per (seed, component, kind).
+
+    The Philox key is ``(root_seed mod 2**64, component << 8 | kind)``, so a
+    kind takes 8 bits and a component 56; values outside them would alias
+    another stream's key or overflow it, and raise.
+    """
 
     root_seed: int
     component: int
     kind: int
 
-    def generator(self, step: int) -> np.random.Generator:
-        """Fresh generator for one step; a pure function of key and step.
+    def __post_init__(self):
+        if not 0 <= self.kind < 2**8:
+            raise ValueError(f"noise kind must be in [0, 2**8), got {self.kind}")
+        if not 0 <= self.component < 2**56:
+            raise ValueError(f"noise component must be in [0, 2**56), got {self.component}")
 
-        The root seed enters mod 2**64, so derived seeds such as
-        ``seed + 1`` wrap instead of overflowing the Philox key.
+    def generator(self, step: int) -> np.random.Generator:
+        """The calling thread's generator, re-keyed to this stream's ``step``.
+
+        Its state is the key, the counter ``(0, 0, step, 0)`` and an empty
+        buffer, so its draws are those of a fresh
+        ``Generator(Philox(key=..., counter=...))``: a pure function of key
+        and step.  The handle is valid until the next ``generator`` call on
+        the same thread, which re-keys the same object; draw what one step
+        needs before asking for another.  The root seed enters mod 2**64, so
+        derived seeds such as ``seed + 1`` wrap instead of overflowing the key.
         """
-        key = (np.uint64(self.root_seed % 2**64), np.uint64((self.component << 8) | self.kind))
-        counter = (np.uint64(0), np.uint64(0), np.uint64(step), np.uint64(0))
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        if not 0 <= step < 2**64:
+            raise ValueError(f"noise step must be in [0, 2**64), got {step}")
+        owner = _OWNER
+        if owner.gen is None:
+            owner.gen = np.random.Generator(np.random.Philox(key=0))
+        owner.key[0], owner.key[1] = self.root_seed % 2**64, (self.component << 8) | self.kind
+        owner.counter[2] = step
+        owner.gen.bit_generator.state = owner.state
+        return owner.gen
 
 
 class _StepRows:
     """The step-``step`` generators of ``streams`` as one source of rows:
     ``standard_normal(size)`` returns ``(len(streams), size)``, row i drawn
     from stream i, so a draw function that works on the last axis draws for
-    every stream at once, bit for bit the rows of one-stream calls."""
+    every stream at once, bit for bit the rows of one-stream calls.  Each row
+    re-keys the thread's generator through :meth:`NoiseStream.generator`
+    (the name the benchmark's tracer and noise breaks patch) and is drawn
+    before the next row asks for it."""
 
     def __init__(self, streams, step: int):
         self.streams, self.step = streams, step

@@ -173,6 +173,14 @@ def zero_renorm(m: float, dt: float, n_steps: int) -> RenormConstants:
     return RenormConstants(m, -1, dt, times, np.zeros(n_steps + 1), 0.0)
 
 
+def fresh_generator(stream: NoiseStream, step: int) -> np.random.Generator:
+    """A new ``Generator(Philox)`` built from the stream's key and the counter
+    ``(0, 0, step, 0)``; the oracle of the re-keyed ``NoiseStream.generator``."""
+    key = (np.uint64(stream.root_seed % 2**64), np.uint64((stream.component << 8) | stream.kind))
+    counter = (np.uint64(0), np.uint64(0), np.uint64(step), np.uint64(0))
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 def draw_kick_full_grid(gen, spec: GridSpec, radius: float, chol):
     """The full-grid noise kick the packed ``noise._draw_kick`` replaced; the
     oracle for it.  ``chol`` is ``noise._transition_tables(spec, dt)[1]``.

@@ -4,6 +4,10 @@ it fills before timing (``perfbench/child.py`` ``_prewarm``).  A refactor that
 removes or renames one of them fails here, not only in a benchmark run."""
 
 import importlib.util
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,6 +58,59 @@ def test_every_chain_gradient_goes_through_the_traced_drift(monkeypatch):
     samples = gibbs.sample_gibbs(spec, cfg, root_seed=3)
     assert len(calls) == cfg.chain_length + 1
     assert np.all(np.isfinite(samples.draws.pos))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``; returns the list the calls append to."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_every_draw_asks_the_traced_generator_once_per_stream_step(monkeypatch):
+    # the benchmark's noise.generator layer and its noise-shared and
+    # noise-unkeyed breaks patch NoiseStream.generator; a source that re-keys
+    # a generator of its own would slip past them
+    calls = count_calls(monkeypatch, NoiseStream, "generator")
+    spec, n = GridSpec(8, 1.0), 2
+    cfg = gibbs.GibbsSamplerConfig(n, 2, 0.5, 12, 2, thin=2)
+    gibbs.sample_gibbs(spec, cfg, root_seed=3)
+    kept = len(range(cfg.burn_in, cfg.chain_length, cfg.thin))
+    assert len(calls) == n + cfg.chain_length + kept
+    calls.clear()
+    gibbs.coupled_gibbs_gaussian_pair(spec, n, 2, 0.5, 12, root_seed=3)
+    assert len(calls) == n + 12 + 1
+    calls.clear()
+    streams = [NoiseStream(4, j, NoiseKind.DRIVE) for j in range(6)]
+    dynamics._kick_pair((2, 3), streams, 5, spec, 0.1, 2.0)
+    assert len(calls) == len(streams)
+
+
+def test_a_thread_builds_one_philox_and_an_import_builds_none(monkeypatch):
+    # every draw re-keys the thread's one generator; the first draw builds it
+    builds = count_calls(monkeypatch, np.random, "Philox")
+    rows = []
+    thread = threading.Thread(target=lambda: rows.append(diagnostics.lln_estimator(
+        GridSpec(16, 1.0), ("wick_square_avg",), [1, 3], 2, 0.3, 2, 0.1, 5, dt=0.1)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and rows
+    assert len(builds) <= 1
+    code = ("import numpy as np\n"
+            "builds, philox = [], np.random.Philox\n"
+            "np.random.Philox = lambda *a, **k: builds.append(1) or philox(*a, **k)\n"
+            "import sigma_wave, sigma_wave.cli\n"
+            "print(len(builds))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
 
 
 TRACED_FFTS = [site.partition(":")[2] for site in load("tracer").SITES["fft"]]

@@ -1,3 +1,5 @@
+import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -25,7 +27,8 @@ from sigma_wave.noise import (
 )
 from sigma_wave.propagator import flow_entries
 
-from oracles import draw_kick_full_grid, flat_half_lattice, sample_profile_full_grid
+from oracles import (draw_kick_full_grid, flat_half_lattice, fresh_generator,
+                     sample_profile_full_grid)
 
 SPEC = GridSpec(32, 1.0)
 
@@ -183,6 +186,74 @@ def test_stream_steps_independent_of_evaluation_order():
     backward = [stream.generator(k).standard_normal(4) for k in reversed(range(6))]
     for k in range(6):
         assert np.array_equal(forward[k], backward[5 - k])
+
+
+def draws(gen) -> bytes:
+    """Normals of odd and even size, then a uniform and a full-range uint32,
+    as bytes: the buffered and half-word paths of the bit generator."""
+    parts = (gen.standard_normal(5), gen.standard_normal(6), gen.uniform(),
+             gen.integers(2**32, dtype=np.uint32))
+    return b"".join(np.asarray(x).tobytes() for x in parts)
+
+
+@pytest.mark.parametrize("root_seed", [0, 2**63, 2**64 - 1, -5])
+def test_rekeyed_generator_draws_the_bits_of_a_fresh_one(root_seed):
+    for component, kind, step in itertools.product((0, 255, 2**20), NoiseKind, (0, 1, 2**40)):
+        stream = NoiseStream(root_seed, component, kind)
+        assert draws(stream.generator(step)) == draws(fresh_generator(stream, step))
+
+
+def test_rekey_after_a_handle_left_mid_block():
+    # the earlier handle used part of the Philox buffer and holds half a word
+    left = NoiseStream(8, 2, NoiseKind.FIELD).generator(4)
+    left.standard_normal(1)
+    left.integers(2**32, dtype=np.uint32)
+    state = left.bit_generator.state
+    assert 0 < state["buffer_pos"] < 4 and state["has_uint32"] == 1
+    stream = NoiseStream(8, 3, NoiseKind.DRIVE)
+    assert draws(stream.generator(6)) == draws(fresh_generator(stream, 6))
+
+
+def test_threads_in_lockstep_draw_their_own_streams():
+    # each thread takes its handle, and both draw only once both hold one
+    streams = [NoiseStream(17, j, NoiseKind.DRIVE) for j in (0, 1)]
+    barrier = threading.Barrier(2, timeout=30)
+    got = [[], []]
+
+    def run(i):
+        for step in range(8):
+            gen = streams[i].generator(step)
+            barrier.wait()
+            got[i].append(draws(gen))
+            barrier.wait()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for stream, rows in zip(streams, got):
+        assert rows == [draws(fresh_generator(stream, step)) for step in range(8)]
+
+
+@pytest.mark.parametrize("kind", [-1, 256, 257])
+def test_a_kind_outside_eight_bits_is_rejected(kind):
+    # kind 257 of component 0 would draw the bits of kind 1 of component 1
+    with pytest.raises(ValueError, match="noise kind"):
+        NoiseStream(3, 0, kind)
+
+
+@pytest.mark.parametrize("component", [-1, 2**56, 2**64])
+def test_a_component_outside_fifty_six_bits_is_rejected(component):
+    with pytest.raises(ValueError, match="noise component"):
+        NoiseStream(3, component, NoiseKind.DRIVE)
+    NoiseStream(3, 2**56 - 1, 255).generator(0)
+
+
+def test_a_negative_step_is_rejected():
+    with pytest.raises(ValueError, match="noise step"):
+        NoiseStream(3, 0, NoiseKind.DRIVE).generator(-1)
 
 
 def convolution(streams, radius, dt, n_steps, start=None):
