@@ -77,7 +77,8 @@ class _Owner(threading.local):
     def __init__(self):
         self.key, self.counter = [0, 0], [0, 0, 0, 0]
         # an empty buffer, as a fresh Philox has, so the first draw starts a block
-        self.state = {"bit_generator": "Philox", "state": {"counter": self.counter, "key": self.key},
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": self.counter, "key": self.key},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 

@@ -107,8 +107,9 @@ def test_a_thread_builds_one_philox_and_an_import_builds_none(monkeypatch):
             "np.random.Philox = lambda *a, **k: builds.append(1) or philox(*a, **k)\n"
             "import sigma_wave, sigma_wave.cli\n"
             "print(len(builds))\n")
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")})
+                          timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0"]
 

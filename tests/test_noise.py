@@ -188,7 +188,7 @@ def test_stream_steps_independent_of_evaluation_order():
         assert np.array_equal(forward[k], backward[5 - k])
 
 
-def draws(gen) -> bytes:
+def draw_bytes(gen) -> bytes:
     """Normals of odd and even size, then a uniform and a full-range uint32,
     as bytes: the buffered and half-word paths of the bit generator."""
     parts = (gen.standard_normal(5), gen.standard_normal(6), gen.uniform(),
@@ -200,7 +200,7 @@ def draws(gen) -> bytes:
 def test_rekeyed_generator_draws_the_bits_of_a_fresh_one(root_seed):
     for component, kind, step in itertools.product((0, 255, 2**20), NoiseKind, (0, 1, 2**40)):
         stream = NoiseStream(root_seed, component, kind)
-        assert draws(stream.generator(step)) == draws(fresh_generator(stream, step))
+        assert draw_bytes(stream.generator(step)) == draw_bytes(fresh_generator(stream, step))
 
 
 def test_rekey_after_a_handle_left_mid_block():
@@ -211,7 +211,7 @@ def test_rekey_after_a_handle_left_mid_block():
     state = left.bit_generator.state
     assert 0 < state["buffer_pos"] < 4 and state["has_uint32"] == 1
     stream = NoiseStream(8, 3, NoiseKind.DRIVE)
-    assert draws(stream.generator(6)) == draws(fresh_generator(stream, 6))
+    assert draw_bytes(stream.generator(6)) == draw_bytes(fresh_generator(stream, 6))
 
 
 def test_threads_in_lockstep_draw_their_own_streams():
@@ -224,7 +224,7 @@ def test_threads_in_lockstep_draw_their_own_streams():
         for step in range(8):
             gen = streams[i].generator(step)
             barrier.wait()
-            got[i].append(draws(gen))
+            got[i].append(draw_bytes(gen))
             barrier.wait()
 
     threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
@@ -234,7 +234,7 @@ def test_threads_in_lockstep_draw_their_own_streams():
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     for stream, rows in zip(streams, got):
-        assert rows == [draws(fresh_generator(stream, step)) for step in range(8)]
+        assert rows == [draw_bytes(fresh_generator(stream, step)) for step in range(8)]
 
 
 @pytest.mark.parametrize("kind", [-1, 256, 257])
