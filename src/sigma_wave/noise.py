@@ -5,12 +5,13 @@ The damped wave equation driven by sqrt(2) space-time white noise has, per
 Fourier mode, a 2d Ornstein-Uhlenbeck structure: conditional on the state
 at time t, the pair ``(psi_n, d_t psi_n)`` at time ``t + dt`` is the
 homogeneous flow applied to the state plus a mean-zero Gaussian whose 2x2
-covariance ``Q_n(dt)`` is an elementary integral of the flow.  Sampling
-that transition exactly removes every time-discretization bias from the
-renormalization identities, so the variance identities ``E[psi_M(t,x)^2] =
-sigma_m(t)`` and ``E[phi_M(t,x)^2] = alpha_m`` hold at machine precision in
-law.  Started from rest, the state at time t is one such transition, so
-the Wick constant ``sigma_m(t)`` is the ball sum of ``Qxx_n(t)``.
+covariance ``Q_n(dt)`` follows from the flow (:func:`transition_covariance`).
+Sampling that transition exactly removes every time-discretization bias
+from the renormalization identities, so the variance identities
+``E[psi_M(t,x)^2] = sigma_m(t)`` and ``E[phi_M(t,x)^2] = alpha_m`` hold at
+machine precision in law.  Started from rest, the state at time t is one
+such transition, so the Wick constant ``sigma_m(t)`` is the ball sum of
+``Qxx_n(t)``.
 
 Streams are counter-based (Philox): the draw for a given ``(root_seed,
 component, kind, step)`` is a pure function of the key, so Monte Carlo over
@@ -44,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import BallEnsemble, GridSpec, _ball_index, write_csv
-from .propagator import _sc_cc, flow_entries
+from .propagator import flow_entries
 
 __all__ = [
     "NoiseKind",
@@ -56,7 +57,8 @@ __all__ = [
     "stationary_ensemble",
 ]
 
-_DEGENERATE_EPS = 1e-10
+# a series term below this share of its partial sum no longer moves it
+_ROUNDING = 1e-17
 
 
 class NoiseKind(IntEnum):
@@ -146,7 +148,11 @@ class _StepRows:
 
 
 @lru_cache(maxsize=64)
-def _lattice_modes(M: int) -> np.ndarray:
+def _lattice_modes(M) -> np.ndarray:
+    """The integer modes ``n`` of the ball ``|n| <= M``; M is a whole number >= 0."""
+    if not (M >= 0 and float(M).is_integer()):
+        raise ValueError(f"truncation M must be an integer >= 0, got {M}")
+    M = int(M)
     k = np.arange(-M, M + 1)
     n1, n2 = np.meshgrid(k, k, indexing="ij")
     keep = n1 * n1 + n2 * n2 <= M * M
@@ -157,20 +163,23 @@ def alpha_m(m: float, M: int) -> float:
     """Equilibrium pointwise variance: ``sum_{|n|<=M} 1/(m + |n|^2)``."""
     if not m > 0:
         raise ValueError(f"mass m must be positive, got {m}")
-    modes = _lattice_modes(int(M))
+    modes = _lattice_modes(M)
     return float(np.sum(1.0 / (m + np.sum(modes * modes, axis=1))))
 
 
-def sigma_m(t: float, m: float, M: int) -> float:
+def sigma_m(t, m: float, M: int):
     """Pointwise variance ``E[psi_M(t,x)^2]`` of the truncated convolution:
-    the ball sum of the per-mode ``Qxx(t)`` from rest, 0 at ``t = 0``."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return 0.0
-    modes = _lattice_modes(int(M))
+    the ball sum of the per-mode ``Qxx(t)`` from rest, 0 at ``t = 0``.  An
+    array of times gives the array of variances, from one
+    :func:`transition_covariance` call."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    modes = _lattice_modes(M)
     lam = m + np.sum(modes * modes, axis=1).astype(np.float64)
-    return float(np.sum(transition_covariance(lam, float(t))[0]))
+    out, live = np.zeros(t.shape), t > 0
+    out[live] = np.sum(transition_covariance(lam, t[live][:, None])[0], axis=1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -191,12 +200,11 @@ class RenormConstants:
 
     @classmethod
     def build(cls, m: float, M: int, dt: float, n_steps: int) -> "RenormConstants":
-        if dt <= 0 or n_steps < 0:
-            raise ValueError("need dt > 0 and n_steps >= 0")
+        if not (np.isfinite(dt) and dt > 0 and n_steps >= 0):
+            raise ValueError(f"need a finite dt > 0 and n_steps >= 0, got {dt} and {n_steps}")
         alpha = alpha_m(m, M)  # checks m before sigma_m sums over it
         times = np.arange(n_steps + 1) * dt
-        sigma = np.array([sigma_m(t, m, M) for t in times])
-        return cls(m, int(M), dt, times, sigma, alpha)
+        return cls(m, int(M), dt, times, sigma_m(times, m, M), alpha)
 
     def sigma_at(self, step: int) -> float:
         return float(self.sigma[step])
@@ -206,49 +214,50 @@ class RenormConstants:
                   ((t, s, self.alpha) for t, s in zip(self.times, self.sigma)))
 
 
-def transition_covariance(lam, dt: float):
+def transition_covariance(lam, dt):
     """Entries ``(Qxx, Qxv, Qvv)`` of the per-mode transition covariance.
 
-    ``Q(dt) = integral_0^dt e^{As} B B^T e^{A^T s} ds`` with ``A`` the damped
-    companion matrix and ``B = (0, sqrt(2))``; equivalently twice the
-    integrals of ``d^2``, ``d d'``, ``d'^2`` for the impulse response d.
-    Closed form away from ``w = lam - 1/4 = 0``, quadrature inside the window
-    ``|w| <= 1e-10``; scipy is imported only there, so no other caller loads it.
+    ``Q(dt) = integral_0^dt e^{As} B B^T e^{A^T s} ds``, with ``A`` the damped
+    companion matrix and ``B = (0, sqrt(2))``, solves ``Q' = AQ + QA^T + BB^T``
+    from ``Q(0) = 0``.  So does ``S - F S F^T``, with ``S = diag(1/lam, 1)``
+    the stationary covariance and ``F`` the flow (Van Loan, IEEE Trans.
+    Automat. Control 23, 1978); by ``det F = exp(-dt)`` and ``s11 - s22 =
+    s12`` its entries are ``Qxx = (1 - exp(-dt) - s11 s12) / lam``,
+    ``Qxv = s12^2`` and ``Qvv = 1 - exp(-dt) + s12 s22``.  Where
+    ``dt * max(1, sqrt(lam)) <= 1`` those differences cancel, so there the
+    Taylor series of the equation is summed instead: the first term is
+    ``dt BB^T``, term k + 1 is ``dt / (k + 1)`` times ``A T + T A^T`` of term
+    k, and the sum stops when the terms fall below rounding (at most about
+    30 of them).  Neither branch divides by ``lam - 1/4``.  For ``lam >= 0.05``
+    and any dt, Qxx and Qvv are within 1e-14 of a 50-digit reference, relative,
+    and Qxv within 1e-15 of the largest entry.  ``lam`` and ``dt`` broadcast
+    against each other, each entry finite and positive; numbers give numbers.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    lam = np.asarray(lam, dtype=np.float64)
+    lam, dt = np.broadcast_arrays(np.asarray(lam, dtype=np.float64),
+                                  np.asarray(dt, dtype=np.float64))
     scalar = lam.ndim == 0
-    if scalar:
-        lam = lam[None]
-    w = lam - 0.25
-    et = np.exp(-dt)
-    sc2, cc2 = _sc_cc(2.0 * dt, w)
-    i1 = 1.0 - et
-    ic = (1.0 - et * cc2 + 2.0 * w * et * sc2) / (4.0 * lam)
-    isw = (2.0 - et * (sc2 + 2.0 * cc2)) / (4.0 * lam)
-    safe_w = np.where(np.abs(w) > _DEGENERATE_EPS, w, 1.0)
-    qxx = np.where(np.abs(w) > _DEGENERATE_EPS, (i1 - ic) / safe_w, 0.0)
-    qxv = isw - 0.5 * qxx
-    qvv = i1 + ic - isw + 0.25 * qxx
+    lam, dt = np.atleast_1d(lam, dt)
+    bad = ~(np.isfinite(lam) & (lam > 0) & np.isfinite(dt) & (dt > 0))
+    if bad.any():
+        raise ValueError(f"need finite lam > 0 and dt > 0, got lam = {lam[bad][0]}, "
+                         f"dt = {dt[bad][0]}")
+    s11, s12, _, s22 = flow_entries(lam, dt)
+    i1 = -np.expm1(-dt)
+    qxx, qxv, qvv = (i1 - s11 * s12) / lam, s12 * s12, i1 + s12 * s22
 
-    bad = np.flatnonzero(np.abs(w) <= _DEGENERATE_EPS)
-    if bad.size:
-        from scipy.integrate import quad
-
-        for i in bad:
-            wi = np.array([w.flat[i]])
-
-            def d(s):
-                return np.exp(-0.5 * s) * _sc_cc(s, wi)[0][0]
-
-            def dd(s):
-                sc, cc = _sc_cc(s, wi)
-                return np.exp(-0.5 * s) * (cc[0] - 0.5 * sc[0])
-
-            qxx.flat[i] = 2.0 * quad(lambda s: d(s) ** 2, 0, dt, epsabs=1e-13)[0]
-            qxv.flat[i] = 2.0 * quad(lambda s: d(s) * dd(s), 0, dt, epsabs=1e-13)[0]
-            qvv.flat[i] = 2.0 * quad(lambda s: dd(s) ** 2, 0, dt, epsabs=1e-13)[0]
+    near = dt * np.maximum(1.0, np.sqrt(lam)) <= 1.0
+    if near.any():
+        lam_n, dt_n = lam[near], dt[near]
+        term = np.stack([np.zeros_like(lam_n), np.zeros_like(lam_n), 2.0 * dt_n])
+        total = term.copy()
+        for k in range(1, 40):
+            xx, xv, vv = term
+            term = np.stack([2.0 * xv, vv - lam_n * xx - xv, -2.0 * (lam_n * xv + vv)])
+            term *= dt_n / (k + 1)
+            total += term
+            if np.all(np.abs(term) <= _ROUNDING * np.abs(total)):
+                break
+        qxx[near], qxv[near], qvv[near] = total
     if scalar:
         return float(qxx[0]), float(qxv[0]), float(qvv[0])
     return qxx, qxv, qvv

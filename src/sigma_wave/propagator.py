@@ -9,7 +9,8 @@ conservative analogue used by the energy experiments).  With
 
 is the response to a unit velocity impulse; ``omega^2 <= 0`` occurs only for
 ``n = 0`` with ``m <= 1/4`` and is handled by continuing ``sin``/``cos`` to
-``sinh``/``cosh`` (and to ``t``/``1`` at ``omega = 0``).
+``sinh``/``cosh`` (and, within 1e-13 of ``omega = 0``, to their first two
+Taylor terms in ``omega^2``).
 
 Three public functions make up the module: :func:`flow_entries` gives the
 homogeneous 2x2 flow (its ``s12`` entry is the kernel), :func:`duhamel_weights`
@@ -29,26 +30,30 @@ __all__ = ["flow_entries", "duhamel_weights", "etd2_step"]
 _DEGENERATE_EPS = 1e-13
 
 
-def _sc_cc(t: float, omega_sq: np.ndarray) -> tuple:
-    """``(sin(t*omega)/omega, cos(t*omega))`` continued through omega_sq <= 0."""
+def _sc_cc(t, omega_sq: np.ndarray) -> tuple:
+    """``(sin(t*omega)/omega, cos(t*omega))`` continued through omega_sq <= 0;
+    ``t`` is a number or an array of omega_sq's shape."""
     w = np.asarray(omega_sq, dtype=np.float64)
+    t = np.broadcast_to(t, w.shape)
     sc, cc = np.empty_like(w), np.empty_like(w)
     osc = w > _DEGENERATE_EPS
     hyp = w < -_DEGENERATE_EPS
     flat = ~(osc | hyp)
     r = np.sqrt(w[osc])
-    sc[osc], cc[osc] = np.sin(t * r) / r, np.cos(t * r)
+    sc[osc], cc[osc] = np.sin(t[osc] * r) / r, np.cos(t[osc] * r)
     g = np.sqrt(-w[hyp])
-    sc[hyp], cc[hyp] = np.sinh(t * g) / g, np.cosh(t * g)
-    sc[flat], cc[flat] = t, 1.0
+    sc[hyp], cc[hyp] = np.sinh(t[hyp] * g) / g, np.cosh(t[hyp] * g)
+    tf, wt2 = t[flat], w[flat] * t[flat] ** 2  # the next Taylor terms, O(w^2 t^4), round away
+    sc[flat], cc[flat] = tf * (1.0 - wt2 / 6.0), 1.0 - wt2 / 2.0
     return sc, cc
 
 
-def flow_entries(lam, t: float, gamma: float = 0.5):
+def flow_entries(lam, t, gamma: float = 0.5):
     """Entries of the per-mode 2x2 flow ``exp(t*[[0,1],[-lam,-2*gamma]])``.
 
     Returns ``(s11, s12, s21, s22)`` acting on ``(x, x')``; ``s12`` is the
-    damped propagator kernel.  The flow is a group, so any real ``t`` works.
+    damped propagator kernel.  The flow is a group, so any real ``t`` works;
+    an array of ``lam``'s shape gives each mode its own time.
     """
     lam = np.asarray(lam, dtype=np.float64)
     w = lam - gamma * gamma

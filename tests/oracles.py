@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from sigma_wave.diagnostics import _mean_row, energy_en
@@ -171,6 +172,31 @@ def zero_renorm(m: float, dt: float, n_steps: int) -> RenormConstants:
     Wick subtractions off for deterministic integration tests."""
     times = np.arange(n_steps + 1) * dt
     return RenormConstants(m, -1, dt, times, np.zeros(n_steps + 1), 0.0)
+
+
+def transition_covariance_mp(lam: float, dt: float, dps: int = 50) -> tuple:
+    """``(Qxx, Qxv, Qvv)`` of one mode's transition covariance at ``dps``
+    digits, from the closed forms of twice the integrals of ``d^2``, ``d d'``
+    and ``d'^2`` for the impulse response ``d(s) = exp(-s/2) sin(s w^(1/2)) /
+    w^(1/2)``, ``w = lam - 1/4`` (``Qxv = d(dt)^2``), and from their exact
+    limit at ``w = 0``; the oracle of ``noise.transition_covariance``.  The
+    float inputs enter exactly; the entries come back as mpmath numbers."""
+    with mpmath.workdps(dps):
+        lam, t = mpmath.mpf(lam), mpmath.mpf(dt)
+        w = lam - mpmath.mpf(1) / 4
+        e = mpmath.exp(-t)
+        if w == 0:  # d(s) = s exp(-s/2); j_k = integral_0^t s^k exp(-s) ds
+            j0, j1, j2 = 1 - e, 1 - e * (t + 1), 2 - e * (t * t + 2 * t + 2)
+            return 2 * j2, e * t * t, 2 * j0 - 2 * j1 + j2 / 2
+        om = mpmath.sqrt(mpmath.mpc(w))  # imaginary below lam = 1/4: sinh and cosh
+        sc1 = (mpmath.sin(om * t) / om).real
+        sc2 = (mpmath.sin(2 * om * t) / om).real
+        cc2 = mpmath.cos(2 * om * t).real
+        i1 = 1 - e
+        ic = (1 - e * cc2 + 2 * w * e * sc2) / (4 * lam)   # integral of exp(-s) cos(2 om s)
+        isw = (2 - e * (sc2 + 2 * cc2)) / (4 * lam)        # ... of exp(-s) sin(2 om s) / om
+        qxx = (i1 - ic) / w
+        return qxx, e * sc1 * sc1, i1 + ic - isw + qxx / 4
 
 
 def fresh_generator(stream: NoiseStream, step: int) -> np.random.Generator:

@@ -462,6 +462,43 @@ def test_renormalized_wave_second_order_in_dt():
     assert fitted_order(errs, dts) == pytest.approx(2.0, abs=0.3)
 
 
+def test_renormalized_wave_second_order_in_dt_with_the_noise_on():
+    # the flow is exact, so the kick of one step of 2h is F(h) k1 + k2 for the
+    # kicks k1, k2 of its two h steps: kicks drawn once at T/256 and summed up
+    # level by level put every dt on one noise path, so differences are strong errors
+    n, M, t_end, fine, coarse = 4, 3.0, 0.5, 256, (4, 8, 16, 32)
+    alpha = noise.alpha_m(SPEC.m, M)
+    errs = {k: [] for k in coarse}
+    for seed in (61, 62, 63, 64):
+        streams = [NoiseStream(seed, j, NoiseKind.DRIVE) for j in range(n)]
+        start = noise.stationary_ensemble(SPEC, M, seed, n)
+        kicks = {fine: [dynamics._kick_pair((n,), streams, k, SPEC, t_end / fine, M)
+                        for k in range(fine)]}
+        k = fine
+        while k > coarse[0]:
+            h = t_end / k
+            s11, s12, s21, s22 = noise._ball_tables(SPEC, h, M)[0]
+            kicks[k // 2] = [(s11 * x1 + s12 * v1 + x2, s21 * x1 + s22 * v1 + v2)
+                             for (x1, v1), (x2, v2) in zip(kicks[k][::2], kicks[k][1::2])]
+            # one exact step of 2h fed the summed kick is the two steps of h
+            one = step_linear_ensemble(start, (), 0, 2 * h, kicks[k // 2][0])
+            two = step_linear_ensemble(step_linear_ensemble(start, (), 0, h, kicks[k][0]),
+                                       (), 1, h, kicks[k][1])
+            for a, b in ((one.pos, two.pos), (one.vel, two.vel)):
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+            k //= 2
+        finals = {}
+        for k in coarse + (fine,):
+            ens = start
+            for step, kick in enumerate(kicks[k]):
+                ens = step_renormalized_wave(ens, (), step, t_end / k, alpha, kick)
+            finals[k] = ens.pos
+        for k in coarse:
+            errs[k].append(np.max(np.abs(finals[k] - finals[fine])))
+    rms = [np.sqrt(np.mean(np.square(errs[k]))) for k in coarse]
+    assert fitted_order(rms, [t_end / k for k in coarse]) == pytest.approx(2.0, abs=0.3)
+
+
 def test_run_trajectory_records_and_reproduces():
     def observe(state):
         return {"v_sq": float(np.sum(np.abs(state.v.pos) ** 2))}

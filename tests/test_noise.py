@@ -28,7 +28,7 @@ from sigma_wave.noise import (
 from sigma_wave.propagator import flow_entries
 
 from oracles import (draw_kick_full_grid, flat_half_lattice, fresh_generator,
-                     sample_profile_full_grid)
+                     sample_profile_full_grid, transition_covariance_mp)
 
 SPEC = GridSpec(32, 1.0)
 
@@ -126,6 +126,85 @@ def test_transition_covariance_longtime_is_stationary():
     assert qxx == pytest.approx(1.0 / lam, abs=1e-12)
     assert qxv == pytest.approx(0.0, abs=1e-12)
     assert qvv == pytest.approx(1.0, abs=1e-12)
+
+
+# lam from the smallest mass in use to the corner of an n = 64 grid, with the
+# repeated root lam = 1/4, modes 9e-14 either side of it (inside the flow's
+# Taylor window) and 1e-11 above it; dt from far below any step to far past
+# the damping time, plus each side of the series switch
+ORACLE_LAMS = sorted({*np.geomspace(0.05, 4097.0, 16), 0.25, 0.25 - 9e-14, 0.25 + 9e-14,
+                      0.25 + 1e-11, 1.0})
+ORACLE_DTS = np.geomspace(1e-6, 60.0, 16)
+
+
+def test_transition_covariance_matches_the_mpmath_oracle():
+    worst = np.zeros(3)
+    for lam in ORACLE_LAMS:
+        edge = 1.0 / max(1.0, np.sqrt(lam))
+        for dt in (*ORACLE_DTS, edge, edge * (1.0 + 1e-9), 2.0 * edge):
+            got = transition_covariance(lam, dt)
+            ref = [float(q) for q in transition_covariance_mp(lam, dt)]
+            # Qxx and Qvv relative to themselves, Qxv to the largest entry
+            scale = (ref[0], max(ref), ref[2])
+            worst = np.maximum(worst, np.abs(np.subtract(got, ref)) / scale)
+    assert np.all(worst <= [1e-14, 1e-15, 1e-14]), worst
+
+
+@pytest.mark.parametrize("m", [1.0, 0.25])
+@pytest.mark.parametrize("dt", [1e-3, 1e-5])
+def test_eight_small_steps_compose_to_one_exactly(m, dt):
+    lam = GridSpec(16, m).dispersion.reshape(-1)[_ball_index(16, 4.0)]
+    step = transition_covariance(lam, dt)
+    s11, s12, s21, s22 = flow_entries(lam, dt)
+    qxx, qxv, qvv = step
+    for _ in range(7):  # Q <- F Q F^T + Q(dt)
+        qxx, qxv, qvv = (
+            s11 * s11 * qxx + 2.0 * s11 * s12 * qxv + s12 * s12 * qvv + step[0],
+            s11 * s21 * qxx + (s11 * s22 + s12 * s21) * qxv + s12 * s22 * qvv + step[1],
+            s21 * s21 * qxx + 2.0 * s21 * s22 * qxv + s22 * s22 * qvv + step[2])
+    assert qxx == pytest.approx(transition_covariance(lam, 8 * dt)[0], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("m", [1.0, 0.25])
+def test_every_mode_keeps_its_position_kick_at_a_tiny_step(m):
+    l11 = _transition_tables(GridSpec(32, m), 1e-6)[1][0]
+    assert np.all(l11 > 0)
+
+
+MALFORMED = {
+    "lam-zero": (transition_covariance, (0.0, 0.1)),
+    "lam-negative": (transition_covariance, (np.array([1.0, -1.0]), 0.1)),
+    "lam-nan": (transition_covariance, (np.nan, 0.1)),
+    "lam-inf": (transition_covariance, (np.inf, 0.1)),
+    "dt-nan": (transition_covariance, (1.0, np.nan)),
+    "dt-inf": (transition_covariance, (1.0, np.inf)),
+    "alpha-M-fraction": (alpha_m, (1.0, 2.7)),
+    "alpha-M-negative": (alpha_m, (1.0, -1)),
+    "sigma-M-fraction": (sigma_m, (0.5, 1.0, 2.7)),
+    "sigma-t-nan": (sigma_m, (np.nan, 1.0, 2)),
+    "sigma-t-inf": (sigma_m, (np.inf, 1.0, 2)),
+    "build-dt-nan": (RenormConstants.build, (1.0, 2, np.nan, 4)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_the_covariance_layer_rejects_malformed_input(case):
+    fn, args = MALFORMED[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            fn(*args)
+
+
+def test_the_one_call_schedule_is_the_per_time_sigma():
+    # the schedule sums every node in one transition_covariance call
+    rc = RenormConstants.build(0.25, 4, 0.05, 40)
+    assert rc.sigma == pytest.approx([sigma_m(t, 0.25, 4) for t in rc.times], rel=1e-15, abs=0)
+
+
+def test_a_whole_number_truncation_may_be_a_float():
+    assert alpha_m(1.0, 4.0) == alpha_m(1.0, 4)
+    assert sigma_m(0.5, 1.0, 4.0) == sigma_m(0.5, 1.0, 4)
 
 
 def compose(lam, dt):
@@ -458,5 +537,5 @@ def test_renorm_table_bytes_are_pinned(tmp_path):
     # %.17g writes the floats 0.0, 1.0 and 3.0 as "0", "1" and "3"
     path = tmp_path / "renorm.csv"
     RenormConstants.build(m=1.0, M=1, dt=0.5, n_steps=2).to_csv(path)
-    assert path.read_bytes() == (b"t,sigma_M,alpha_M\n0,0,3\n0.5,0.26721424407590005,3\n"
-                                 b"1,1.2145406814070374,3\n")
+    assert path.read_bytes() == (b"t,sigma_M,alpha_M\n0,0,3\n0.5,0.2672142440759,3\n"
+                                 b"1,1.214540681407037,3\n")

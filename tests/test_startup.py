@@ -1,9 +1,9 @@
-"""Start-up cost of the command line: which scipy modules a fresh interpreter
-loads.  ``import scipy.stats`` alone costs about a second, so no command loads
-it (``invariance-check`` runs its KS test in numpy), and only the
-``|m + |n|^2 - 1/4| <= 1e-10`` window of ``transition_covariance``
-(quadrature) may load scipy.  Each test runs a fresh interpreter, because this
-process has scipy loaded already."""
+"""Start-up cost and dependencies of the command line: which scipy modules a
+fresh interpreter loads.  ``import scipy.stats`` alone costs about a second,
+so no command loads it (``invariance-check`` runs its KS test in numpy), and
+numpy is the only runtime dependency: every subcommand runs with scipy
+blocked.  Each test runs a fresh interpreter, because this process has scipy
+loaded already."""
 
 import os
 import subprocess
@@ -66,25 +66,32 @@ def test_invariance_check_loads_no_scipy_stats(tmp_path):
     assert "after main: False" in lines
 
 
-def test_renorm_table_in_the_quarter_mass_window_loads_quad_lazily(tmp_path):
-    # m = 1/4 puts the zero mode at w = lam - 1/4 = 0, the quadrature branch
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # m = 1/4 puts the zero mode on the repeated root lam = m + |n|^2 = 1/4
+    (tmp_path / "c.ini").write_text(CRITERION_11_INI)
     (tmp_path / "m.ini").write_text("[grid]\nn_grid = 16\nm = 0.25\n[truncation]\nM = 2\n"
                                     "[dynamics]\ndt = 0.1\nT = 0.4\nstride = 2\n")
     lines = run_fresh("""
         import sys
+        sys.modules["scipy"] = None  # makes every `import scipy...` raise ImportError
         from sigma_wave import cli
-        assert cli.main(["renorm-table", "--config", "m.ini", "--out", "o"]) == 0
-        print("scipy.integrate:", "scipy.integrate" in sys.modules)
+        exits = [cli.main([command, "--config", "c.ini", "--out", command])
+                 for command in ("renorm-table", "simulate-hlsm", "simulate-meanfield",
+                                 "convergence-rate", "lln-decay", "sample-gibbs",
+                                 "invariance-check", "commutator")]
+        exits.append(cli.main(["renorm-table", "--config", "m.ini", "--out", "quarter"]))
+        print("exits", exits)
         """, tmp_path)
-    assert "scipy.integrate: True" in lines
-    # pinned bytes: where quad is imported must not change the table
-    assert (tmp_path / "o" / "renorm.csv").read_bytes() == (
+    assert "exits [0, 0, 0, 0, 0, 0, 0, 0, 0]" in lines
+    # pinned bytes; each sigma cell is within 1e-15 relative of the mpmath
+    # oracle's ball sum (tests/oracles.py::transition_covariance_mp)
+    assert (tmp_path / "quarter" / "renorm.csv").read_bytes() == (
         "t,sigma_M,alpha_M\n"
         "0,0,9.9189542483660134\n"
-        "0.10000000000000001,0.0080077054501715497,9.9189542483660134\n"
-        "0.20000000000000001,0.058720731930936063,9.9189542483660134\n"
-        "0.30000000000000004,0.18027840978979948,9.9189542483660134\n"
-        "0.40000000000000002,0.38592810232921704,9.9189542483660134\n").encode()
+        "0.10000000000000001,0.0080077054501712392,9.9189542483660134\n"
+        "0.20000000000000001,0.058720731930935882,9.9189542483660134\n"
+        "0.30000000000000004,0.18027840978979998,9.9189542483660134\n"
+        "0.40000000000000002,0.38592810232921732,9.9189542483660134\n").encode()
 
 
 def test_invariance_check_runs_without_scipy(tmp_path):
